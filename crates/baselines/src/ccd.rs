@@ -166,7 +166,7 @@ where
                 let dealt = view
                     .inbox
                     .first_from(self.dealer)
-                    .and_then(|r| <M as Embeds<CcdMsg<F>>>::peek(&r.msg))
+                    .and_then(|r| <M as Embeds<CcdMsg<F>>>::peek(r.msg()))
                     .and_then(|m| match m {
                         CcdMsg::Deal { alpha, gammas } if gammas.len() == k => {
                             Some((*alpha, gammas.clone()))
@@ -201,7 +201,7 @@ where
             CcdStage::Decide => {
                 let mut per_party: Vec<Option<Vec<F>>> = vec![None; n];
                 for rcv in view.inbox.broadcasts() {
-                    if let Some(CcdMsg::Reveal(vals)) = <M as Embeds<CcdMsg<F>>>::peek(&rcv.msg)
+                    if let Some(CcdMsg::Reveal(vals)) = <M as Embeds<CcdMsg<F>>>::peek(rcv.msg())
                     {
                         if vals.len() == k && per_party[rcv.from - 1].is_none() {
                             per_party[rcv.from - 1] = Some(vals.clone());

@@ -117,7 +117,7 @@ where
         let mut share = Exp::zero();
         let mut commitments: Option<Vec<Grp>> = None;
         for rcv in view.inbox.from(self.dealer) {
-            match <M as Embeds<FeldmanMsg>>::peek(&rcv.msg) {
+            match <M as Embeds<FeldmanMsg>>::peek(rcv.msg()) {
                 Some(FeldmanMsg::Share(s)) => share = *s,
                 Some(FeldmanMsg::Commitments(c))
                     if rcv.broadcast && commitments.is_none() && c.len() == t + 1 =>

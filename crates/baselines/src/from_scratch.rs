@@ -77,19 +77,16 @@ where
         &mut self,
         view: RoundView<'_, FromScratchMsg<F>>,
     ) -> Step<FromScratchMsg<F>, A::Output> {
-        let mut msgs: Vec<Received<CcdMsg<F>>> = Vec::new();
-        for rcv in view.inbox.iter() {
-            if let FromScratchMsg::Ccd { instance, inner } = &rcv.msg {
-                if *instance == self.instance {
-                    msgs.push(Received {
-                        from: rcv.from,
-                        broadcast: rcv.broadcast,
-                        seq: rcv.seq,
-                        msg: inner.clone(),
-                    });
+        let msgs: Vec<Received<CcdMsg<F>>> = view
+            .inbox
+            .iter()
+            .filter_map(|rcv| match rcv.msg() {
+                FromScratchMsg::Ccd { instance, inner } if *instance == self.instance => {
+                    Some(rcv.with_msg(inner.clone()))
                 }
-            }
-        }
+                _ => None,
+            })
+            .collect();
         let inner_inbox = Inbox::from_messages(msgs);
         let inner_view = RoundView {
             id: view.id,
@@ -128,7 +125,7 @@ fn expose_sum<F: Field>(
         None => {
             let mut points: Vec<(F, F)> = Vec::new();
             for rcv in view.inbox.broadcasts() {
-                if let FromScratchMsg::Sum(s) = &rcv.msg {
+                if let FromScratchMsg::Sum(s) = rcv.msg() {
                     let x = F::element(rcv.from as u64);
                     if points.iter().all(|(px, _)| *px != x) {
                         points.push((x, *s));

@@ -22,14 +22,13 @@
 //! `2 + coin_gen_rounds`.
 
 use dprbg_core::{
-    coin_gen_with_retry, CoinBatch, CoinGenConfig, CoinGenMsg, CoinWallet, ExposeMachine,
-    ExposeMsg, ExposeVia, ProtocolError, RetryPolicy, RetryReport, SealedShare,
+    coin_gen_with_retry, BaMsg, BitGenMsg, CliqueAnnounce, CoinBatch, CoinGenConfig, CoinGenMsg,
+    CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, GcMsg, ProtocolError, RetryPolicy,
+    RetryReport, SealedShare,
 };
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_sim::{
-    BoxedMachine, Inbox, Received, RoundMachine, RoundView, Step,
-};
+use dprbg_sim::{BoxedMachine, Embeds, Inbox, Received, RoundMachine, RoundView, Step};
 
 use crate::CoinError;
 
@@ -60,6 +59,30 @@ impl<F: Field> WireSize for BeaconMsg<F> {
     }
 }
 
+/// The gen plane runs directly on the beacon wire: each Coin-Gen
+/// sub-protocol's traffic embeds through the [`BeaconMsg::Gen`] variant,
+/// so a delivered gen-plane message reaches the Coin-Gen machine as the
+/// [`Received`] it arrived in — a fan-out's shared payload is handed
+/// down, not re-wrapped or deep-cloned per delivery. (Serve-plane shares
+/// are *not* visible through these: the gen plane's own exposes and a
+/// serve slot's exposes are different traffic.)
+macro_rules! embed_gen {
+    ($($inner:ty),*) => {$(
+        impl<F: Field> Embeds<$inner> for BeaconMsg<F> {
+            fn wrap(inner: $inner) -> Self {
+                BeaconMsg::Gen(CoinGenMsg::wrap(inner))
+            }
+            fn peek(&self) -> Option<&$inner> {
+                match self {
+                    BeaconMsg::Gen(g) => g.peek(),
+                    BeaconMsg::Serve { .. } => None,
+                }
+            }
+        }
+    )*};
+}
+embed_gen!(BitGenMsg<F>, ExposeMsg<F>, GcMsg<CliqueAnnounce<F>>, BaMsg);
+
 /// What the gen plane reported, when the epoch ran one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefillReport {
@@ -89,10 +112,10 @@ enum SlotState<F: Field> {
     Done,
 }
 
-/// The gen plane's in-flight machine: `coin_gen_with_retry` boxed to its
-/// final (remainder wallet, batch-or-blame) pair.
+/// The gen plane's in-flight machine: `coin_gen_with_retry` on the beacon
+/// wire, boxed to its final (remainder wallet, batch-or-blame) pair.
 type GenMachine<F> =
-    BoxedMachine<CoinGenMsg<F>, (CoinWallet<F>, Result<(CoinBatch<F>, RetryReport), ProtocolError>)>;
+    BoxedMachine<BeaconMsg<F>, (CoinWallet<F>, Result<(CoinBatch<F>, RetryReport), ProtocolError>)>;
 
 /// The gen plane.
 enum GenState<F: Field> {
@@ -143,7 +166,7 @@ impl<F: Field> EpochMachine<F> {
             })
             .collect();
         let gen = match refill {
-            Some(policy) => GenState::Running(Box::new(coin_gen_with_retry::<CoinGenMsg<F>, F>(
+            Some(policy) => GenState::Running(Box::new(coin_gen_with_retry::<BeaconMsg<F>, F>(
                 cfg, wallet, policy,
             ))),
             None => GenState::Idle(wallet),
@@ -172,23 +195,31 @@ impl<F: Field> EpochMachine<F> {
     }
 }
 
-/// Filter one plane's messages out of the multiplexed inbox.
-fn plane_inbox<F: Field, N>(
-    inbox: &Inbox<BeaconMsg<F>>,
-    mut select: impl FnMut(&BeaconMsg<F>) -> Option<N>,
-) -> Inbox<N> {
-    let msgs: Vec<Received<N>> = inbox
-        .iter()
-        .filter_map(|r| {
-            select(&r.msg).map(|msg| Received {
-                from: r.from,
-                broadcast: r.broadcast,
-                seq: r.seq,
-                msg,
-            })
-        })
-        .collect();
-    Inbox::from_messages(msgs)
+/// One round's multiplexed inbox, split per plane in a single pass.
+struct Planes<F: Field> {
+    /// Gen-plane deliveries, still on the beacon wire (fan-out payloads
+    /// shared with the multiplexed inbox).
+    gen: Vec<Received<BeaconMsg<F>>>,
+    /// Serve-plane shares per slot.
+    serve: Vec<Vec<Received<ExposeMsg<F>>>>,
+}
+
+impl<F: Field> Planes<F> {
+    /// Shares for slots `>= serve_count` (malformed traffic) are dropped.
+    fn split(inbox: &Inbox<BeaconMsg<F>>, serve_count: usize) -> Self {
+        let mut planes = Planes { gen: Vec::new(), serve: vec![Vec::new(); serve_count] };
+        for r in inbox {
+            match r.msg() {
+                BeaconMsg::Gen(_) => planes.gen.push(r.clone()),
+                BeaconMsg::Serve { slot, msg } => {
+                    if let Some(bucket) = planes.serve.get_mut(*slot as usize) {
+                        bucket.push(r.with_msg(*msg));
+                    }
+                }
+            }
+        }
+        planes
+    }
 }
 
 impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
@@ -196,14 +227,12 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
 
     fn round(&mut self, view: RoundView<'_, BeaconMsg<F>>) -> Step<BeaconMsg<F>, Self::Output> {
         let mut out = view.outbox();
+        let mut planes = Planes::split(view.inbox, self.serve.len());
 
         // Gen plane first — the RNG draw order must not depend on which
         // planes happen to still be live.
         if let GenState::Running(_) = self.gen {
-            let inbox = plane_inbox(view.inbox, |m| match m {
-                BeaconMsg::Gen(g) => Some(g.clone()),
-                BeaconMsg::Serve { .. } => None,
-            });
+            let inbox = Inbox::from_messages(planes.gen);
             let sub = RoundView {
                 id: view.id,
                 n: view.n,
@@ -215,7 +244,7 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
             let GenState::Running(mut m) = gen else { unreachable!() };
             match m.round(sub) {
                 Step::Continue(o) => {
-                    out.append(o.map(BeaconMsg::Gen));
+                    out.append(o);
                     self.gen = GenState::Running(m);
                 }
                 Step::Done((mut wallet, res)) => {
@@ -243,10 +272,7 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
         for (i, slot) in self.serve.iter_mut().enumerate() {
             if let SlotState::Running(m) = slot {
                 let want = i as u32;
-                let inbox = plane_inbox(view.inbox, |msg| match msg {
-                    BeaconMsg::Serve { slot, msg } if *slot == want => Some(*msg),
-                    _ => None,
-                });
+                let inbox = Inbox::from_messages(std::mem::take(&mut planes.serve[i]));
                 let sub = RoundView {
                     id: view.id,
                     n: view.n,

@@ -181,7 +181,7 @@ fn run_tapped<M, Out>(
     trace: Option<TraceConfig>,
 ) -> (RunResult<Out>, BTreeSet<PartyId>)
 where
-    M: Clone + Send + WireSize + 'static,
+    M: Clone + Send + Sync + WireSize + 'static,
     Out: Send + 'static,
 {
     let res = match executor {
@@ -246,7 +246,7 @@ fn digest_episode<M, Out, D>(
     digest: D,
 ) -> (Episode, Option<Trace>)
 where
-    M: Clone + Send + WireSize + 'static,
+    M: Clone + Send + Sync + WireSize + 'static,
     Out: Send + 'static,
     D: Fn(&Out, &BTreeSet<PartyId>) -> Result<String, String>,
 {

@@ -92,19 +92,18 @@ struct ExecutorLeg {
     chrome_round_trip_ok: bool,
 }
 
+/// Timed S-P pairs per executor leg (after the parity pass warmed both).
+const EXECUTOR_PAIRS: usize = 2;
+
 fn executor_leg(n: usize, t: usize, m: usize, seed: u64) -> ExecutorLeg {
-    // The parallel run is timed FIRST (cold caches, cold allocator) and
-    // the single-threaded baseline second (warm): any warm-up bias makes
-    // the reported parallel speedup conservative, never flattering.
+    // Parity first, timing second: one traced run per executor decides
+    // the verdicts — and doubles as the warm-up, so neither timed side
+    // pays for the cold allocator.
     let runner = ParRunner::new(n, seed).with_trace(TraceConfig::full());
     let threads = runner.threads();
-    let start = Instant::now();
     let parallel = runner.run(beacon_fleet(n, t, m, seed));
-    let par_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let start = Instant::now();
-    let stepped = StepRunner::new(n, seed).with_trace(TraceConfig::full()).run(beacon_fleet(n, t, m, seed));
-    let step_ms = start.elapsed().as_secs_f64() * 1e3;
+    let stepped =
+        StepRunner::new(n, seed).with_trace(TraceConfig::full()).run(beacon_fleet(n, t, m, seed));
 
     let step_trace = stepped.trace.clone().expect("traced step run records a trace");
     let par_trace = parallel.trace.clone().expect("traced parallel run records a trace");
@@ -114,6 +113,20 @@ fn executor_leg(n: usize, t: usize, m: usize, seed: u64) -> ExecutorLeg {
     let chrome_round_trip_ok =
         step_json == par_json && validate_chrome_json(&par_json).is_ok();
     let transcripts_identical = digest(stepped) == digest(parallel);
+
+    // Warm, untraced, interleaved S-P-S-P (fleets dealt outside the
+    // clock); each side reports its mean.
+    let (mut step_ms, mut par_ms) = (0.0, 0.0);
+    for _ in 0..EXECUTOR_PAIRS {
+        let fleet = beacon_fleet(n, t, m, seed);
+        let start = Instant::now();
+        std::hint::black_box(StepRunner::new(n, seed).run(fleet));
+        step_ms += start.elapsed().as_secs_f64() * 1e3 / EXECUTOR_PAIRS as f64;
+        let fleet = beacon_fleet(n, t, m, seed);
+        let start = Instant::now();
+        std::hint::black_box(ParRunner::new(n, seed).run(fleet));
+        par_ms += start.elapsed().as_secs_f64() * 1e3 / EXECUTOR_PAIRS as f64;
+    }
 
     ExecutorLeg { step_ms, par_ms, threads, transcripts_identical, traces_identical, chrome_round_trip_ok }
 }

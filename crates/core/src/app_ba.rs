@@ -77,7 +77,7 @@ where
         let mut zeros = 0usize;
         let mut seen = vec![false; n];
         for r in view.inbox.iter() {
-            if let Some(CcbaVote(b)) = <M as Embeds<CcbaVote>>::peek(&r.msg) {
+            if let Some(CcbaVote(b)) = <M as Embeds<CcbaVote>>::peek(r.msg()) {
                 if !seen[r.from - 1] {
                     seen[r.from - 1] = true;
                     if *b {

@@ -199,7 +199,7 @@ where
         let shares = view
             .inbox
             .first_from(self.dealer)
-            .and_then(|r| <M as Embeds<BatchVssMsg<F>>>::peek(&r.msg))
+            .and_then(|r| <M as Embeds<BatchVssMsg<F>>>::peek(r.msg()))
             .and_then(|m| match m {
                 BatchVssMsg::Deal { alphas, gamma } => Some(BatchShares {
                     alphas: alphas.clone(),
@@ -303,7 +303,7 @@ where
                 let mut points: Vec<(F, F)> = Vec::new();
                 for rcv in view.inbox.broadcasts() {
                     if let Some(BatchVssMsg::Beta(b)) =
-                        <M as Embeds<BatchVssMsg<F>>>::peek(&rcv.msg)
+                        <M as Embeds<BatchVssMsg<F>>>::peek(rcv.msg())
                     {
                         let x = F::element(rcv.from as u64);
                         if points.iter().all(|(px, _)| *px != x) {

@@ -238,7 +238,7 @@ where
                     .collect();
                 for rcv in view.inbox.iter() {
                     if let Some(BitGenMsg::Deal { alphas, gamma }) =
-                        <M as Embeds<BitGenMsg<F>>>::peek(&rcv.msg)
+                        <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg())
                     {
                         let slot = &mut views[rcv.from - 1];
                         if slot.alphas.is_empty() && alphas.len() == self.m {
@@ -286,7 +286,7 @@ where
             BgStage::Betas { r, mut views, my_polys } => {
                 for rcv in view.inbox.iter() {
                     if let Some(BitGenMsg::Betas(entries)) =
-                        <M as Embeds<BitGenMsg<F>>>::peek(&rcv.msg)
+                        <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg())
                     {
                         for (dealer, beta) in entries {
                             if (1..=n).contains(dealer) {

@@ -200,7 +200,7 @@ where
         }
         let mut points: Vec<(F, F)> = Vec::new();
         for r in view.inbox.iter() {
-            if let Some(ExposeMsg(y)) = <M as Embeds<ExposeMsg<F>>>::peek(&r.msg) {
+            if let Some(ExposeMsg(y)) = <M as Embeds<ExposeMsg<F>>>::peek(r.msg()) {
                 let x = F::element(r.from as u64);
                 if points.iter().all(|(px, _)| *px != x) {
                     points.push((x, *y));

@@ -301,7 +301,7 @@ impl<F: Field> CommitteeCoin<F> {
         M: Embeds<CoinReport<F>>,
     {
         for r in view.inbox.iter() {
-            if let Some(CoinReport(vals)) = <M as Embeds<CoinReport<F>>>::peek(&r.msg) {
+            if let Some(CoinReport(vals)) = <M as Embeds<CoinReport<F>>>::peek(r.msg()) {
                 if let Ok(rank) = self.committee.binary_search(&r.from) {
                     if self.reports[rank].is_none() {
                         self.reports[rank] = Some(vals.clone());

@@ -100,6 +100,9 @@ pub use degrade::{coin_gen_with_retry, RetryPolicy, RetryReport, MIN_SEEDS_PER_A
 pub use dprbg::{dprbg_expand, DprbgRun};
 pub use errors::{CoinError, CoinGenError, ProtocolError};
 pub use params::Params;
+// The two sub-protocol wire types a custom `CoinGenWire` enum must embed
+// that are not defined in this crate.
+pub use dprbg_protocols::{BaMsg, GcMsg};
 pub use refresh::{RefreshMachine, RefreshReport};
 pub use vss::{
     vss_machine, DealtShares, VssDealMachine, VssMode, VssMsg, VssVerdict, VssVerifyMachine,

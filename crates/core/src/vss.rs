@@ -177,7 +177,7 @@ where
         let shares = view
             .inbox
             .first_from(self.dealer)
-            .and_then(|r| <M as Embeds<VssMsg<F>>>::peek(&r.msg))
+            .and_then(|r| <M as Embeds<VssMsg<F>>>::peek(r.msg()))
             .and_then(|m| match m {
                 VssMsg::Deal { alpha, gamma } => {
                     Some(DealtShares { alpha: *alpha, gamma: *gamma })
@@ -257,7 +257,7 @@ where
             VvStage::Betas => {
                 let mut points: Vec<(F, F)> = Vec::new();
                 for rcv in view.inbox.broadcasts() {
-                    if let Some(VssMsg::Beta(b)) = <M as Embeds<VssMsg<F>>>::peek(&rcv.msg) {
+                    if let Some(VssMsg::Beta(b)) = <M as Embeds<VssMsg<F>>>::peek(rcv.msg()) {
                         let x = F::element(rcv.from as u64);
                         if points.iter().all(|(px, _)| *px != x) {
                             points.push((x, *b));

@@ -175,7 +175,7 @@ impl<M, F: Field> VssDisputeMachine<M, F> {
             .inbox
             .broadcasts()
             .filter(|rcv| rcv.from == self.dealer)
-            .find_map(|rcv| match <M as Embeds<DisputeVssMsg<F>>>::peek(&rcv.msg) {
+            .find_map(|rcv| match <M as Embeds<DisputeVssMsg<F>>>::peek(rcv.msg()) {
                 Some(DisputeVssMsg::Open(pairs)) => Some(pairs.clone()),
                 _ => None,
             });
@@ -244,7 +244,7 @@ where
                 let mut betas: Vec<Option<F>> = vec![None; n];
                 for rcv in view.inbox.broadcasts() {
                     if let Some(DisputeVssMsg::Beta(b)) =
-                        <M as Embeds<DisputeVssMsg<F>>>::peek(&rcv.msg)
+                        <M as Embeds<DisputeVssMsg<F>>>::peek(rcv.msg())
                     {
                         if betas[rcv.from - 1].is_none() {
                             betas[rcv.from - 1] = Some(*b);

@@ -112,7 +112,7 @@ where
             BaStage::Suggests => {
                 let mut heard: Vec<Option<bool>> = vec![None; n];
                 for r in view.inbox.iter() {
-                    if let Some(BaMsg::Suggest(b)) = r.msg.peek() {
+                    if let Some(BaMsg::Suggest(b)) = <M as Embeds<BaMsg>>::peek(r.msg()) {
                         if heard[r.from - 1].is_none() {
                             heard[r.from - 1] = Some(*b);
                         }
@@ -147,7 +147,7 @@ where
                     self.v = view
                         .inbox
                         .first_from(king)
-                        .and_then(|r| match r.msg.peek() {
+                        .and_then(|r| match <M as Embeds<BaMsg>>::peek(r.msg()) {
                             Some(BaMsg::King(b)) => Some(*b),
                             _ => None,
                         })

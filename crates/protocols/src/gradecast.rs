@@ -72,21 +72,39 @@ impl<V> GradeOutput<V> {
 
 /// Count, among `(party, value)` pairs, the support for each distinct
 /// value, counting at most one entry per party; return the best value with
-/// its count.
-fn best_supported<V: Clone + Eq>(entries: &[(PartyId, V)]) -> Option<(V, usize)> {
-    let mut tally: Vec<(V, usize)> = Vec::new();
+/// its count (the later-seen value on a tie). Values are tallied by
+/// reference — nothing is cloned.
+fn best_supported<'a, V: Eq>(entries: &[(PartyId, &'a V)]) -> Option<(&'a V, usize)> {
+    let mut tally: Vec<(&V, usize)> = Vec::new();
     let mut seen: Vec<PartyId> = Vec::new();
-    for (p, v) in entries {
-        if seen.contains(p) {
+    for &(p, v) in entries {
+        if seen.contains(&p) {
             continue; // a party only gets one voice per instance
         }
-        seen.push(*p);
-        match tally.iter_mut().find(|(tv, _)| tv == v) {
+        seen.push(p);
+        match tally.iter_mut().find(|(tv, _)| *tv == v) {
             Some((_, c)) => *c += 1,
-            None => tally.push((v.clone(), 1)),
+            None => tally.push((v, 1)),
         }
     }
     tally.into_iter().max_by_key(|(_, c)| *c)
+}
+
+/// Group one round's `(instance, value)` traffic by instance, borrowing
+/// every value from the inbox.
+fn by_instance<'a, M, V: 'a>(
+    view: &RoundView<'a, M>,
+    mut select: impl FnMut(&'a M) -> Option<(PartyId, &'a V)>,
+) -> Vec<Vec<(PartyId, &'a V)>> {
+    let mut groups = vec![Vec::new(); view.n];
+    for r in view.inbox.iter() {
+        if let Some((instance, value)) = select(r.msg()) {
+            if (1..=view.n).contains(&instance) {
+                groups[instance - 1].push((r.from, value));
+            }
+        }
+    }
+    groups
 }
 
 /// The `n` parallel grade-cast instances as a sans-IO round machine —
@@ -146,37 +164,35 @@ where
             }
             GcPhase::Echo => {
                 // received[j-1] = what instance j's sender told us.
-                let mut received: Vec<Option<V>> = vec![None; n];
+                let mut received: Vec<Option<&V>> = vec![None; n];
                 for r in view.inbox.iter() {
-                    if let Some(GcMsg::Value(v)) = r.msg.peek() {
-                        if received[r.from - 1].is_none() {
-                            received[r.from - 1] = Some(v.clone());
-                        }
+                    if let Some(GcMsg::Value(v)) = <M as Embeds<GcMsg<V>>>::peek(r.msg()) {
+                        received[r.from - 1].get_or_insert(v);
                     }
                 }
                 let mut out = view.outbox();
-                for j in 1..=n {
-                    if let Some(v) = &received[j - 1] {
-                        out.send_to_all(M::wrap(GcMsg::Echo { instance: j, value: v.clone() }));
+                for (j0, v) in received.into_iter().enumerate() {
+                    if let Some(v) = v {
+                        let echo = GcMsg::Echo { instance: j0 + 1, value: v.clone() };
+                        out.send_to_all(M::wrap(echo));
                     }
                 }
                 self.phase = GcPhase::Vote;
                 Step::Continue(out)
             }
             GcPhase::Vote => {
-                let mut echoes: Vec<Vec<(PartyId, V)>> = vec![Vec::new(); n];
-                for r in view.inbox.iter() {
-                    if let Some(GcMsg::Echo { instance, value }) = r.msg.peek() {
-                        if (1..=n).contains(instance) {
-                            echoes[instance - 1].push((r.from, value.clone()));
-                        }
-                    }
-                }
+                let echoes = by_instance(&view, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
+                    Some(GcMsg::Echo { instance, value }) => Some((*instance, value)),
+                    _ => None,
+                });
                 let mut out = view.outbox();
-                for j in 1..=n {
-                    if let Some((v, c)) = best_supported(&echoes[j - 1]) {
+                for (j0, echoes) in echoes.iter().enumerate() {
+                    if let Some((v, c)) = best_supported(echoes) {
                         if c >= n - t {
-                            out.send_to_all(M::wrap(GcMsg::Vote { instance: j, value: v }));
+                            out.send_to_all(M::wrap(GcMsg::Vote {
+                                instance: j0 + 1,
+                                value: v.clone(),
+                            }));
                         }
                     }
                 }
@@ -184,21 +200,20 @@ where
                 Step::Continue(out)
             }
             GcPhase::Decide => {
-                let mut votes: Vec<Vec<(PartyId, V)>> = vec![Vec::new(); n];
-                for r in view.inbox.iter() {
-                    if let Some(GcMsg::Vote { instance, value }) = r.msg.peek() {
-                        if (1..=n).contains(instance) {
-                            votes[instance - 1].push((r.from, value.clone()));
-                        }
-                    }
-                }
+                let votes = by_instance(&view, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
+                    Some(GcMsg::Vote { instance, value }) => Some((*instance, value)),
+                    _ => None,
+                });
                 Step::Done(
-                    (0..n)
-                        .map(|idx| match best_supported(&votes[idx]) {
+                    votes
+                        .iter()
+                        .map(|votes| match best_supported(votes) {
                             Some((v, c)) if c >= n - t => {
-                                GradeOutput { value: Some(v), confidence: 2 }
+                                GradeOutput { value: Some(v.clone()), confidence: 2 }
                             }
-                            Some((v, c)) if c > t => GradeOutput { value: Some(v), confidence: 1 },
+                            Some((v, c)) if c > t => {
+                                GradeOutput { value: Some(v.clone()), confidence: 1 }
+                            }
                             _ => GradeOutput::none(),
                         })
                         .collect(),
@@ -220,6 +235,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprbg_rng::prelude::*;
     use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, StepRunner};
 
     type V = u64;
@@ -227,6 +243,56 @@ mod tests {
 
     fn honest(value: V) -> BoxedMachine<M, Vec<GradeOutput<V>>> {
         Box::new(GradecastMachine::new(value))
+    }
+
+    /// One party's `(value, confidence)` per instance.
+    fn grades(output: &Option<Vec<GradeOutput<V>>>) -> Vec<(Option<V>, u8)> {
+        output.as_ref().unwrap().iter().map(|g| (g.value, g.confidence)).collect()
+    }
+
+    /// The tally as it was before values were borrowed from the inbox:
+    /// owned entries, every distinct value cloned into the tally. Kept as
+    /// the reference `best_supported` is checked against.
+    fn best_supported_cloning<T: Clone + Eq>(entries: &[(PartyId, T)]) -> Option<(T, usize)> {
+        let mut tally: Vec<(T, usize)> = Vec::new();
+        let mut seen: Vec<PartyId> = Vec::new();
+        for (p, v) in entries {
+            if seen.contains(p) {
+                continue;
+            }
+            seen.push(*p);
+            match tally.iter_mut().find(|(tv, _)| tv == v) {
+                Some((_, c)) => *c += 1,
+                None => tally.push((v.clone(), 1)),
+            }
+        }
+        tally.into_iter().max_by_key(|(_, c)| *c)
+    }
+
+    proptest! {
+        /// Random echo multisets over a tiny alphabet of parties and
+        /// values, so duplicate voices, equivocation (one party, several
+        /// values) and tied counts are the common case: the by-reference
+        /// tally picks the same value with the same count — including
+        /// which of several tied values wins.
+        #[test]
+        fn by_reference_tally_matches_cloning_tally(
+            seed: u64,
+            len in 0usize..48,
+            parties in 1usize..9,
+            values in 1u64..5,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Vec payloads: equal values in distinct allocations, like
+            // the same announcement echoed by different parties.
+            let owned: Vec<(PartyId, Vec<u64>)> = (0..len)
+                .map(|_| (rng.random_range(1..=parties), vec![rng.random_range(0..values); 3]))
+                .collect();
+            let borrowed: Vec<(PartyId, &Vec<u64>)> = owned.iter().map(|(p, v)| (*p, v)).collect();
+            let expect = best_supported_cloning(&owned);
+            let got = best_supported(&borrowed).map(|(v, c)| (v.clone(), c));
+            prop_assert_eq!(got, expect);
+        }
     }
 
     #[test]
@@ -292,6 +358,13 @@ mod tests {
             confident.windows(2).all(|w| w[0] == w[1]),
             "honest parties graded different values: {graded:?}"
         );
+        // Pinned against the clone-based tally this machine replaced:
+        // every honest party grades exactly this under the script.
+        let mut expect = vec![(Some(222), 1), (None, 0)];
+        expect.extend([(Some(5), 2); 5]);
+        for id in plan.honest() {
+            assert_eq!(grades(&res.outputs[id - 1]), expect, "party {id}");
+        }
     }
 
     #[test]
@@ -327,6 +400,13 @@ mod tests {
                 assert_eq!(outs[j - 1].value, Some(j as u64));
             }
         }
+        // Pinned against the clone-based tally (the garbage votes for
+        // instance 3 change nothing; the silent instances grade 0).
+        let mut expect = vec![(None, 0), (None, 0)];
+        expect.extend((3..=7).map(|j| (Some(j), 2)));
+        for id in plan.honest() {
+            assert_eq!(grades(&res.outputs[id - 1]), expect, "party {id}");
+        }
     }
 
     #[test]
@@ -355,9 +435,8 @@ mod tests {
 
     #[test]
     fn duplicate_voices_counted_once() {
-        let entries = vec![(1, 7u64), (1, 7), (1, 7), (2, 7), (3, 9)];
-        let (v, c) = best_supported(&entries).unwrap();
-        assert_eq!((v, c), (7, 2));
+        let entries = [(1, &7u64), (1, &7), (1, &7), (2, &7), (3, &9)];
+        assert_eq!(best_supported(&entries), Some((&7, 2)));
         assert_eq!(best_supported::<u64>(&[]), None);
     }
 

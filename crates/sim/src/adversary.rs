@@ -271,7 +271,7 @@ mod tests {
                             }
                             Step::Continue(out)
                         } else {
-                            Step::Done(view.inbox.broadcasts().map(|r| r.msg).sum())
+                            Step::Done(view.inbox.broadcasts().map(|r| *r.msg()).sum())
                         }
                     })) as BoxedMachine<u64, u64>
                 })
@@ -303,7 +303,7 @@ mod tests {
                     out.send_to_all(view.id as u64 * 10 + view.round);
                     Step::Continue(out)
                 } else {
-                    Step::Done(view.inbox.iter().map(|r| (r.from, r.msg)).collect())
+                    Step::Done(view.inbox.iter().map(|r| (r.from, *r.msg())).collect())
                 }
             }
         }

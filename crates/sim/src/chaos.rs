@@ -673,7 +673,7 @@ mod tests {
                 Step::Continue(out)
             } else {
                 Step::Done(
-                    view.inbox.iter().map(|r| (r.from, r.broadcast, r.msg)).collect(),
+                    view.inbox.iter().map(|r| (r.from, r.broadcast, *r.msg())).collect(),
                 )
             }
         }

@@ -48,7 +48,7 @@
 //!                 out.send_to_all(view.id as u64);
 //!                 Step::Continue(out)
 //!             } else {
-//!                 Step::Done(view.inbox.iter().map(|r| r.msg).sum::<u64>())
+//!                 Step::Done(view.inbox.iter().map(|r| *r.msg()).sum::<u64>())
 //!             }
 //!         })) as BoxedMachine<u64, u64>
 //!     })

@@ -23,6 +23,8 @@
 //! The first `round` call sees an empty inbox (there is no round `-1` to
 //! deliver from); a machine's initial sends happen there.
 
+use std::sync::Arc;
+
 use dprbg_metrics::{comm, CostReport, WireSize};
 use dprbg_rng::rngs::StdRng;
 use dprbg_trace::Trace;
@@ -191,10 +193,12 @@ pub struct FlushStats {
     pub bytes: u64,
 }
 
-impl<M: Clone + WireSize> Outbox<M> {
+impl<M: WireSize> Outbox<M> {
     /// Expand every envelope into deliveries, assigning sequence numbers
     /// and charging the communication counters: one message per unicast
     /// copy, one message per ideal broadcast. Returns the charged totals.
+    /// A fan-out's payload is wrapped once and shared by every copy; its
+    /// size is measured once per envelope and charged per copy.
     pub(crate) fn flush(
         self,
         from: PartyId,
@@ -203,32 +207,32 @@ impl<M: Clone + WireSize> Outbox<M> {
     ) -> FlushStats {
         let n = self.n;
         let mut stats = FlushStats::default();
-        let charge = |stats: &mut FlushStats, bytes: u64| {
+        let mut charge = |bytes: u64| {
             comm::count_message(bytes);
             stats.messages += 1;
             stats.bytes += bytes;
         };
         for (dest, msg) in self.envelopes {
+            let bytes = msg.wire_bytes() as u64;
             match dest {
                 Dest::One(to) => {
-                    charge(&mut stats, msg.wire_bytes() as u64);
-                    post(to, Received { from, broadcast: false, seq: *seq, msg });
+                    charge(bytes);
+                    post(to, Received::new(from, false, *seq, msg));
                     *seq += 1;
                 }
                 Dest::All => {
+                    let msg = Arc::new(msg);
                     for to in 1..=n {
-                        charge(&mut stats, msg.wire_bytes() as u64);
-                        post(
-                            to,
-                            Received { from, broadcast: false, seq: *seq, msg: msg.clone() },
-                        );
+                        charge(bytes);
+                        post(to, Received::shared(from, false, *seq, &msg));
                         *seq += 1;
                     }
                 }
                 Dest::Broadcast => {
-                    charge(&mut stats, msg.wire_bytes() as u64);
+                    charge(bytes);
+                    let msg = Arc::new(msg);
                     for to in 1..=n {
-                        post(to, Received { from, broadcast: true, seq: *seq, msg: msg.clone() });
+                        post(to, Received::shared(from, true, *seq, &msg));
                     }
                     *seq += 1;
                 }
@@ -622,20 +626,16 @@ where
 
     fn round(&mut self, view: RoundView<'_, M>) -> Step<M, A::Output> {
         let c = self.members.len();
-        let mut msgs: Vec<Received<Inner>> = Vec::new();
-        for rcv in view.inbox.iter() {
-            if let Some(rank0) = self.members.iter().position(|&m| m == rcv.from) {
-                if let Some(inner) = rcv.msg.peek() {
-                    msgs.push(Received {
-                        from: rank0 + 1,
-                        broadcast: rcv.broadcast,
-                        seq: rcv.seq,
-                        msg: inner.clone(),
-                    });
-                }
-            }
-        }
-        msgs.sort_by_key(|r| (r.from, r.seq));
+        // `members` is sorted: rank lookup is a binary search.
+        let msgs: Vec<Received<Inner>> = view
+            .inbox
+            .iter()
+            .filter_map(|rcv| {
+                let rank0 = self.members.binary_search(&rcv.from).ok()?;
+                let inner = <M as Embeds<Inner>>::peek(rcv.msg())?;
+                Some(Received::new(rank0 + 1, rcv.broadcast, rcv.seq, inner.clone()))
+            })
+            .collect();
         let inner_inbox = Inbox::from_messages(msgs);
         let inner_view = RoundView {
             id: self.rank,
@@ -713,8 +713,21 @@ mod tests {
                 out.send_to_all(self.value);
                 Step::Continue(out)
             } else {
-                Step::Done(view.inbox.iter().map(|r| r.msg).sum())
+                Step::Done(view.inbox.iter().map(|r| *r.msg()).sum())
             }
+        }
+    }
+
+    /// A payload whose `wire_bytes()` counts its own invocations.
+    struct Metered {
+        bytes: usize,
+        sized: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl WireSize for Metered {
+        fn wire_bytes(&self) -> usize {
+            self.sized.set(self.sized.get() + 1);
+            self.bytes
         }
     }
 
@@ -722,19 +735,34 @@ mod tests {
     fn outbox_flush_matches_cost_model_counting() {
         // 2 unicasts + 1 send_to_all(3) + 1 broadcast over n = 3:
         // messages = 2 + 3 + 1, seqs = 2 + 3 + 1, posts = 2 + 3 + 3.
-        let mut out = Outbox::<u32>::new(3);
-        out.send(1, 7);
-        out.send(3, 8);
-        out.send_to_all(9);
-        out.broadcast(10);
+        let sized = std::rc::Rc::new(std::cell::Cell::new(0));
+        let msg = |bytes| Metered { bytes, sized: sized.clone() };
+        let mut out = Outbox::new(3);
+        out.send(1, msg(7));
+        out.send(3, msg(8));
+        out.send_to_all(msg(9));
+        out.broadcast(msg(10));
         let mut posts = Vec::new();
         let mut seq = 0;
-        out.flush(2, &mut seq, |to, rcv| posts.push((to, rcv)));
+        let before = dprbg_metrics::CostSnapshot::capture();
+        let stats = out.flush(2, &mut seq, |to, rcv| posts.push((to, rcv)));
+        let charged = dprbg_metrics::CostSnapshot::capture().since(&before);
         assert_eq!(seq, 6);
         assert_eq!(posts.len(), 8);
         let bcast: Vec<_> = posts.iter().filter(|(_, r)| r.broadcast).collect();
         assert_eq!(bcast.len(), 3);
-        assert!(bcast.iter().all(|(_, r)| r.seq == 5 && r.msg == 10));
+        assert!(bcast.iter().all(|(_, r)| r.seq == 5 && r.msg().bytes == 10));
+        // The payload is sized once per envelope, yet charged per copy —
+        // the same totals the per-copy sizing produced.
+        assert_eq!(sized.get(), 4, "wire_bytes() calls: one per envelope");
+        assert_eq!(stats, FlushStats { messages: 6, bytes: 7 + 8 + 3 * 9 + 10 });
+        assert_eq!((charged.messages, charged.bytes), (stats.messages, stats.bytes));
+        // A fan-out's copies are one allocation; distinct envelopes are not.
+        let all: Vec<&Metered> = posts[2..5].iter().map(|(_, r)| r.msg()).collect();
+        assert_eq!(posts[2..5].iter().map(|(to, _)| *to).collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(all.iter().all(|m| std::ptr::eq(*m, all[0]) && m.bytes == 9));
+        assert!(bcast.iter().all(|(_, r)| std::ptr::eq(r.msg(), bcast[0].1.msg())));
+        assert!(!std::ptr::eq(all[0], bcast[0].1.msg()));
     }
 
     #[test]
@@ -751,7 +779,7 @@ mod tests {
         let mapped = out.map(|v| v as u64 + 100);
         let mut posts = Vec::new();
         let mut seq = 0;
-        mapped.flush(1, &mut seq, |to, rcv| posts.push((to, rcv.msg)));
+        mapped.flush(1, &mut seq, |to, rcv| posts.push((to, *rcv.msg())));
         assert_eq!(posts, vec![(2, 105), (1, 106), (2, 106), (3, 106)]);
     }
 
@@ -765,7 +793,7 @@ mod tests {
         a.append(b);
         let mut posts = Vec::new();
         let mut seq = 0;
-        a.flush(0, &mut seq, |to, rcv| posts.push((to, rcv.msg, rcv.broadcast)));
+        a.flush(0, &mut seq, |to, rcv| posts.push((to, *rcv.msg(), rcv.broadcast)));
         assert_eq!(
             posts,
             vec![(1, 1, false), (2, 2, false), (1, 3, true), (2, 3, true), (3, 3, true)]
@@ -866,7 +894,7 @@ mod tests {
                     out.send_to_all(view.id as u32);
                     Step::Continue(out)
                 } else {
-                    Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                    Step::Done(view.inbox.iter().map(|r| *r.msg()).collect())
                 }
             }
         }

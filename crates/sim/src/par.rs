@@ -53,17 +53,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use dprbg_metrics::{comm, CostReport, CostSnapshot, WireSize};
+use dprbg_metrics::{CostReport, CostSnapshot, WireSize};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 use dprbg_trace::{PartyTracer, Trace, TraceConfig};
 
-use crate::adversary::{MsgFate, MsgHop, MsgTap};
+use crate::adversary::MsgTap;
 use crate::machine::{BoxedMachine, RoundView, RunResult, Step};
-use crate::router::{Inbox, PartyId, Received, RoundProfile};
-
-/// Default cap on rounds before the runner declares non-termination.
-const DEFAULT_MAX_ROUNDS: u64 = 1 << 20;
+use crate::router::{Inbox, Transit, DEFAULT_MAX_ROUNDS};
 
 /// The deterministic work-stealing parallel executor (see module docs).
 pub struct ParRunner<M> {
@@ -149,7 +146,7 @@ impl Drop for ShutdownGuard<'_> {
 
 fn worker_loop<M, Out>(w: usize, pool: &Pool, slots: &[Mutex<WorkSlot<M, Out>>], n: usize)
 where
-    M: Clone + WireSize + Send,
+    M: Clone + WireSize + Send + Sync,
     Out: Send,
 {
     loop {
@@ -180,7 +177,7 @@ where
     }
 }
 
-impl<M: Clone + WireSize + Send> ParRunner<M> {
+impl<M: Clone + WireSize + Send + Sync> ParRunner<M> {
     /// A runner for `n` parties, all randomness derived from `seed` with
     /// the same per-party derivation as the other executors.
     ///
@@ -276,11 +273,8 @@ impl<M: Clone + WireSize + Send> ParRunner<M> {
         let mut seqs: Vec<u32> = vec![0; n];
         let mut costs: Vec<CostSnapshot> = vec![CostSnapshot::default(); n];
         let mut outputs: Vec<Option<Out>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<Vec<Received<M>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut delayed: Vec<(u64, PartyId, Received<M>)> = Vec::new();
-        let mut profile: Vec<RoundProfile> = Vec::new();
+        let mut transit = Transit::new(n, self.tap.take());
         let mut active = n;
-        let mut generation: u64 = 0;
 
         std::thread::scope(|scope| {
             for w in 0..threads {
@@ -292,7 +286,7 @@ impl<M: Clone + WireSize + Send> ParRunner<M> {
 
             while active > 0 {
                 assert!(
-                    generation < self.max_rounds,
+                    transit.generation < self.max_rounds,
                     "ParRunner exceeded {} rounds without terminating",
                     self.max_rounds
                 );
@@ -330,37 +324,7 @@ impl<M: Clone + WireSize + Send> ParRunner<M> {
                     let before = CostSnapshot::capture();
                     match outcome.step {
                         Ok(Step::Continue(outbox)) => {
-                            assert_eq!(
-                                outbox.n(),
-                                n,
-                                "outbox built for a different network size"
-                            );
-                            comm::count_rounds(1);
-                            let tap = &mut self.tap;
-                            let stats = outbox.flush(id, &mut seqs[id - 1], |to, rcv| {
-                                let rcv = match tap.as_deref_mut() {
-                                    None => rcv,
-                                    Some(tap) => {
-                                        let fate = tap.intercept(MsgHop {
-                                            from: rcv.from,
-                                            to,
-                                            round: generation,
-                                            broadcast: rcv.broadcast,
-                                            msg: &rcv.msg,
-                                        });
-                                        match fate {
-                                            MsgFate::Deliver => rcv,
-                                            MsgFate::Drop => return,
-                                            MsgFate::Delay(extra) => {
-                                                delayed.push((generation + 1 + extra, to, rcv));
-                                                return;
-                                            }
-                                            MsgFate::Tamper(msg) => Received { msg, ..rcv },
-                                        }
-                                    }
-                                };
-                                pending[to - 1].push(rcv);
-                            });
+                            let stats = transit.send(id, &mut seqs[id - 1], outbox);
                             if let Some(tracers) = tracers.as_mut() {
                                 tracers[id - 1].flush(round_now, stats.messages, stats.bytes);
                             }
@@ -386,30 +350,13 @@ impl<M: Clone + WireSize + Send> ParRunner<M> {
                 }
 
                 if active == 0 {
-                    // Nobody is left to observe the next round; like the
-                    // other executors' final leave, the last pending sends
-                    // never flip and no profile entry is recorded.
+                    // Nobody is left to observe the next round: the last
+                    // pending sends never flip and profile no round.
                     break;
                 }
-                generation += 1;
-                let mut deliveries = 0;
-                for (to0, queue) in pending.iter_mut().enumerate() {
-                    let mut msgs = std::mem::take(queue);
-                    let mut i = 0;
-                    while i < delayed.len() {
-                        if delayed[i].0 <= generation && delayed[i].1 == to0 + 1 {
-                            let (_, _, rcv) = delayed.swap_remove(i);
-                            msgs.push(rcv);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    msgs.sort_by_key(|r| (r.from, r.seq));
-                    deliveries += msgs.len();
-                    slots[to0].lock().expect("work slot lock").inbox =
-                        Some(Inbox::from_sorted(msgs));
-                }
-                profile.push(RoundProfile { deliveries, live_parties: active });
+                transit.flip(active, |to0, inbox| {
+                    slots[to0].lock().expect("work slot lock").inbox = Some(inbox);
+                });
             }
             // `_guard` drops here: shutdown flag + one last start-barrier
             // wait releases the parked workers to exit before scope join.
@@ -418,7 +365,7 @@ impl<M: Clone + WireSize + Send> ParRunner<M> {
         RunResult {
             outputs,
             report: CostReport::from_snapshots(costs),
-            rounds: profile,
+            rounds: transit.profile,
             trace: tracers
                 .map(|ts| Trace::from_parties(ts.into_iter().map(PartyTracer::into_events))),
         }
@@ -443,7 +390,7 @@ mod tests {
                 out.send_to_all(view.id as u64);
                 Step::Continue(out)
             } else {
-                Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                Step::Done(view.inbox.iter().map(|r| *r.msg()).collect())
             }
         }
     }
@@ -587,7 +534,7 @@ mod tests {
                     out.send_to_all(view.round * 100 + view.id as u64);
                     Step::Continue(out)
                 } else {
-                    Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                    Step::Done(view.inbox.iter().map(|r| *r.msg()).collect())
                 }
             }
         }

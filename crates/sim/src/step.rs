@@ -16,24 +16,20 @@
 //! committee-sampled Coin-Gen at n in the hundreds is a loop, not
 //! hundreds of stacks.
 //!
-//! Cost attribution: the thread-local [`comm`]/ops counters are windowed
+//! Cost attribution: the thread-local [`comm`](dprbg_metrics::comm)/ops counters are windowed
 //! around each party's `round` call (including its outbox flush), so the
-//! per-party ledger in the final report matches what each party's own
-//! thread would have recorded.
+//! per-party ledger in the final report is each party's own work.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dprbg_metrics::{comm, CostReport, CostSnapshot, WireSize};
+use dprbg_metrics::{CostReport, CostSnapshot, WireSize};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 use dprbg_trace::{PartyTracer, Trace, TraceConfig};
 
-use crate::adversary::{MsgFate, MsgHop, MsgTap};
+use crate::adversary::MsgTap;
 use crate::machine::{BoxedMachine, RoundView, RunResult, Step};
-use crate::router::{Inbox, PartyId, Received, RoundProfile};
-
-/// Default cap on rounds before the runner declares non-termination.
-const DEFAULT_MAX_ROUNDS: u64 = 1 << 20;
+use crate::router::{Inbox, Transit, DEFAULT_MAX_ROUNDS};
 
 /// The deterministic single-threaded executor (see module docs).
 pub struct StepRunner<M> {
@@ -55,7 +51,7 @@ struct Slot<M, Out> {
 
 impl<M: Clone + WireSize> StepRunner<M> {
     /// A runner for `n` parties, all randomness derived from `seed` with
-    /// the same per-party derivation as the threaded runner.
+    /// the same per-party derivation as [`ParRunner`](crate::ParRunner).
     ///
     /// # Panics
     ///
@@ -87,9 +83,8 @@ impl<M: Clone + WireSize> StepRunner<M> {
         self
     }
 
-    /// Drive every machine to completion and return the same
-    /// [`RunResult`] shape the threaded runner produces. A machine that
-    /// panics is contained (`None` output) and the rest keep running.
+    /// Drive every machine to completion. A machine that panics is
+    /// contained (`None` output) and the rest keep running.
     ///
     /// # Panics
     ///
@@ -116,15 +111,12 @@ impl<M: Clone + WireSize> StepRunner<M> {
             self.trace.map(|cfg| (1..=n).map(|id| PartyTracer::new(id, cfg)).collect());
         let mut outputs: Vec<Option<Out>> = (0..n).map(|_| None).collect();
         let mut ready: Vec<Inbox<M>> = (0..n).map(|_| Inbox::empty()).collect();
-        let mut pending: Vec<Vec<Received<M>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut delayed: Vec<(u64, PartyId, Received<M>)> = Vec::new();
-        let mut profile: Vec<RoundProfile> = Vec::new();
+        let mut transit = Transit::new(n, self.tap.take());
         let mut active = n;
-        let mut generation: u64 = 0;
 
         while active > 0 {
             assert!(
-                generation < self.max_rounds,
+                transit.generation < self.max_rounds,
                 "StepRunner exceeded {} rounds without terminating",
                 self.max_rounds
             );
@@ -150,37 +142,7 @@ impl<M: Clone + WireSize> StepRunner<M> {
                 }));
                 match step {
                     Ok(Step::Continue(outbox)) => {
-                        assert_eq!(
-                            outbox.n(),
-                            n,
-                            "outbox built for a different network size"
-                        );
-                        comm::count_rounds(1);
-                        let tap = &mut self.tap;
-                        let stats = outbox.flush(id, &mut slot.seq, |to, rcv| {
-                            let rcv = match tap.as_deref_mut() {
-                                None => rcv,
-                                Some(tap) => {
-                                    let fate = tap.intercept(MsgHop {
-                                        from: rcv.from,
-                                        to,
-                                        round: generation,
-                                        broadcast: rcv.broadcast,
-                                        msg: &rcv.msg,
-                                    });
-                                    match fate {
-                                        MsgFate::Deliver => rcv,
-                                        MsgFate::Drop => return,
-                                        MsgFate::Delay(extra) => {
-                                            delayed.push((generation + 1 + extra, to, rcv));
-                                            return;
-                                        }
-                                        MsgFate::Tamper(msg) => Received { msg, ..rcv },
-                                    }
-                                }
-                            };
-                            pending[to - 1].push(rcv);
-                        });
+                        let stats = transit.send(id, &mut slot.seq, outbox);
                         if let Some(tracers) = tracers.as_mut() {
                             tracers[id - 1].flush(round_now, stats.messages, stats.bytes);
                         }
@@ -203,35 +165,17 @@ impl<M: Clone + WireSize> StepRunner<M> {
                 }
             }
             if active == 0 {
-                // Nobody is left to observe the next round; like the
-                // threaded runner's final leave, the last pending sends
-                // never flip and no profile entry is recorded for them.
+                // Nobody is left to observe the next round: the last
+                // pending sends never flip and profile no round.
                 break;
             }
-            generation += 1;
-            let mut deliveries = 0;
-            for (to0, queue) in pending.iter_mut().enumerate() {
-                let mut msgs = std::mem::take(queue);
-                let mut i = 0;
-                while i < delayed.len() {
-                    if delayed[i].0 <= generation && delayed[i].1 == to0 + 1 {
-                        let (_, _, rcv) = delayed.swap_remove(i);
-                        msgs.push(rcv);
-                    } else {
-                        i += 1;
-                    }
-                }
-                msgs.sort_by_key(|r| (r.from, r.seq));
-                deliveries += msgs.len();
-                ready[to0] = Inbox::from_sorted(msgs);
-            }
-            profile.push(RoundProfile { deliveries, live_parties: active });
+            transit.flip(active, |to0, inbox| ready[to0] = inbox);
         }
 
         RunResult {
             outputs,
             report: CostReport::from_snapshots(slots.into_iter().map(|s| s.cost)),
-            rounds: profile,
+            rounds: transit.profile,
             trace: tracers
                 .map(|ts| Trace::from_parties(ts.into_iter().map(PartyTracer::into_events))),
         }
@@ -255,7 +199,7 @@ mod tests {
                 out.send_to_all(view.id as u64);
                 Step::Continue(out)
             } else {
-                Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                Step::Done(view.inbox.iter().map(|r| *r.msg()).collect())
             }
         }
     }

@@ -35,7 +35,7 @@ impl RoundMachine<u64> for Gossip {
 
     fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
         self.transcript
-            .extend(view.inbox.iter().map(|r| (view.round, r.from, r.broadcast, r.msg)));
+            .extend(view.inbox.iter().map(|r| (view.round, r.from, r.broadcast, *r.msg())));
         if view.round < self.rounds {
             let mut out = view.outbox();
             out.broadcast(view.id as u64 * 1000 + view.round);
@@ -143,4 +143,76 @@ fn tapped_transcript_differs_from_untapped() {
     assert_eq!(stepped.outputs, wide.outputs);
     let clean = StepRunner::new(n, seed).run(fleet(n, rounds));
     assert_ne!(clean.outputs, stepped.outputs, "the tap never fired");
+}
+
+/// Every party fans out a heap payload (one `send_to_all`, one
+/// `broadcast`) in round 0, then listens for two more rounds. The output
+/// is everything heard: `(round heard, from, broadcast, payload)`.
+struct FanOut {
+    heard: Heard,
+}
+
+type Heard = Vec<(u64, usize, bool, Vec<u64>)>;
+
+impl RoundMachine<Vec<u64>> for FanOut {
+    type Output = Heard;
+
+    fn round(&mut self, view: RoundView<'_, Vec<u64>>) -> Step<Vec<u64>, Self::Output> {
+        self.heard
+            .extend(view.inbox.iter().map(|r| (view.round, r.from, r.broadcast, r.msg().clone())));
+        let mut out = view.outbox();
+        match view.round {
+            0 => {
+                out.send_to_all(vec![view.id as u64; 3]);
+                out.broadcast(vec![view.id as u64 * 10; 3]);
+            }
+            1 | 2 => {}
+            _ => return Step::Done(std::mem::take(&mut self.heard)),
+        }
+        Step::Continue(out)
+    }
+}
+
+/// The copies of one fan-out share their payload, so a tap that tampers
+/// with (or delays) one copy must not be able to touch the others: the
+/// tampered recipient alone sees the replacement, the delayed copy
+/// arrives late with the *original* payload, and every other copy of the
+/// same envelope is delivered intact — identically under every executor.
+#[test]
+fn tampering_or_delaying_one_copy_leaves_the_rest_of_the_fan_out_intact() {
+    let n = 5;
+    let tap = || {
+        |hop: MsgHop<'_, Vec<u64>>| match (hop.from, hop.to, hop.broadcast) {
+            (2, 3, false) => MsgFate::Tamper(vec![666]),
+            (2, 4, false) => MsgFate::Delay(1),
+            (1, 5, true) => MsgFate::Tamper(vec![777]),
+            _ => MsgFate::Deliver,
+        }
+    };
+    let fleet = || -> Vec<BoxedMachine<Vec<u64>, Heard>> {
+        (0..n).map(|_| Box::new(FanOut { heard: Vec::new() }) as _).collect()
+    };
+    let stepped = StepRunner::new(n, 3).with_tap(tap()).run(fleet());
+    for threads in [1, 2, 8] {
+        let par = ParRunner::new(n, 3).with_threads(threads).with_tap(tap()).run(fleet());
+        assert_eq!(par.outputs, stepped.outputs, "threads = {threads}");
+        assert_eq!(par.report, stepped.report, "threads = {threads}");
+        assert_eq!(par.rounds, stepped.rounds, "threads = {threads}");
+    }
+    for (to, heard) in stepped.completed() {
+        // Party 2's unicast fan-out, as this recipient saw it.
+        let from_2: Vec<_> = heard.iter().filter(|h| h.1 == 2 && !h.2).collect();
+        let expect = match to {
+            3 => (1, vec![666]),
+            4 => (2, vec![2; 3]),
+            _ => (1, vec![2; 3]),
+        };
+        assert_eq!(from_2, [&(expect.0, 2, false, expect.1)], "recipient {to}");
+        // Party 1's ideal broadcast: only recipient 5's copy was replaced.
+        let bcast_1: Vec<_> = heard.iter().filter(|h| h.1 == 1 && h.2).collect();
+        let expect = if to == 5 { vec![777] } else { vec![10; 3] };
+        assert_eq!(bcast_1, [&(1, 1, true, expect)], "recipient {to}");
+        // Nothing else moved: 5 senders x 2 envelopes each.
+        assert_eq!(heard.len(), 10, "recipient {to}");
+    }
 }

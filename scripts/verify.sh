@@ -143,4 +143,32 @@ if ! grep -q "trace round-trip OK" <<<"$trace_report"; then
     exit 1
 fi
 
+echo "== benchmark package check (builds against the crates, digests + exact counts, <60s budget) =="
+# `benchmark/` is a separate hermetic package that consumes the crates'
+# public API from outside (BENCHMARK.json's command). A change to
+# `dprbg-sim` / `dprbg-protocols` / `dprbg-core` / `dprbg-beacon` that
+# stops it building — or moves a digest or an exact count between two
+# runs of one seed — must fail here, not in the benchmark pipeline.
+# Build first so the budget times the check (1/20-size workloads run
+# twice per seed, plus the package's unit tests), not the compiler.
+bench_cargo=(--release --offline --quiet --manifest-path benchmark/Cargo.toml
+    --target-dir "${CARGO_TARGET_DIR:-benchmark/target}")
+cargo build "${bench_cargo[@]}"
+cargo test --no-run "${bench_cargo[@]}"
+bench_t0="$(date +%s%N)"
+bench_report="$(bash benchmark/run.sh --check)"
+bench_t1="$(date +%s%N)"
+bench_ms=$(( (bench_t1 - bench_t0) / 1000000 ))
+printf '%s\n' "$bench_report" | tail -n 12
+if ! grep -q "^check OK" <<<"$bench_report"; then
+    echo "benchmark check FAILED: missing \"check OK\"" >&2
+    exit 1
+fi
+echo "ok: benchmark package check green in ${bench_ms}ms"
+if [ "$bench_ms" -ge 60000 ]; then
+    echo "benchmark check FAILED: ${bench_ms}ms exceeds the 60s budget" >&2
+    echo "(the 1/20-size workloads got slower by a multiple; look at benchmark/README.md's ledger)" >&2
+    exit 1
+fi
+
 echo "verify.sh: all green"

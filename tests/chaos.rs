@@ -58,7 +58,7 @@ fn executor_is_deterministic_under_repetition() {
                 let mut log = Vec::new();
                 Box::new(from_fn(move |view: RoundView<'_, u32>| {
                     for r in view.inbox.iter() {
-                        log.push(r.from as u32 * 1000 + r.msg);
+                        log.push(r.from as u32 * 1000 + *r.msg());
                     }
                     if round == 6 {
                         return Step::Done(std::mem::take(&mut log));
