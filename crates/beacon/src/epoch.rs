@@ -362,6 +362,50 @@ mod tests {
     }
 
     #[test]
+    fn served_coins_equal_a_reference_decode_of_the_dealt_shares() {
+        // A change to the decoder may move a beacon run's digest through
+        // the field-op totals its snapshots embed, never through a coin:
+        // every served value is what exhaustive decoding of the dealt
+        // shares gives. Party 3 lies in the odd slots, so those words are
+        // dirty (the linear solve) and the even ones clean (the probe).
+        let (n, t, slots) = (7, 1, 4);
+        let mut wallets =
+            TrustedDealer::deal_wallets::<F>(Params::p2p_model(n, t).unwrap(), slots, 440);
+        wallets[2] = (0..slots)
+            .map(|slot| {
+                let sigma = wallets[2].peek_at(slot).unwrap().sigma.unwrap();
+                SealedShare::of(if slot % 2 == 1 { sigma + F::one() } else { sigma })
+            })
+            .collect();
+        // t = 1: the line through two of the shares that ≥ n − t lie on.
+        let reference: Vec<F> = (0..slots)
+            .map(|slot| {
+                let points: Vec<(F, F)> = wallets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, w)| (F::element(i as u64 + 1), w.peek_at(slot).unwrap().sigma.unwrap()))
+                    .collect();
+                let lines = points.iter().flat_map(|&p| points.iter().map(move |&q| [p, q]));
+                lines
+                    .filter(|[p, q]| p.0 != q.0)
+                    .map(|pair| dprbg_poly::interpolate(&pair).unwrap())
+                    .find(|f| points.iter().filter(|&&(x, y)| f.eval(x) == y).count() >= n - t)
+                    .expect("six honest shares lie on one line")
+                    .constant_term()
+            })
+            .collect();
+
+        let fleet: Vec<BoxedMachine<BeaconMsg<F>, EpochOutcome<F>>> = wallets
+            .into_iter()
+            .map(|w| Box::new(EpochMachine::new(cfg(n, t), w, slots, None)) as _)
+            .collect();
+        for out in StepRunner::new(n, 44).run(fleet).unwrap_all() {
+            let served: Vec<F> = out.served.iter().map(|c| *c.as_ref().unwrap()).collect();
+            assert_eq!(served, reference);
+        }
+    }
+
+    #[test]
     fn pipelined_epoch_is_no_slower_than_gen_alone() {
         let n = 7;
         let policy = RetryPolicy { max_attempts: 3, seed_budget: 8 };

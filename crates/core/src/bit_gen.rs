@@ -33,7 +33,7 @@ use std::mem;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, Poly};
+use dprbg_poly::{BatchDecoder, Poly};
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
 use crate::batch_vss::horner_combine;
@@ -299,9 +299,12 @@ where
                     }
                 }
 
-                // Step 5: Berlekamp–Welch per instance.
+                // Step 5: Berlekamp–Welch per instance. The instances share
+                // one decoder for as long as the same parties sent a β —
+                // every instance, unless a sender skipped some dealers.
+                let mut decoder = None;
                 for v in views.iter_mut() {
-                    v.check_poly = decode_instance(&v.betas, n, self.t);
+                    v.check_poly = decode_instance(&v.betas, n, self.t, &mut decoder);
                     if self.mode == BitGenMode::ZeroRefresh {
                         // Zero sharings: the combination must vanish at the
                         // origin, or the dealer is shifting coin values.
@@ -333,18 +336,27 @@ where
 
 /// Fig. 4 step 5: decode `F(x)` from the received combinations; `Some`
 /// iff `deg F ≤ t` and at least `n − t` received values lie on `F`.
-fn decode_instance<F: Field>(betas: &[Option<F>], n: usize, t: usize) -> Option<Poly<F>> {
-    let points: Vec<(F, F)> = betas
+///
+/// With `m` values received, "≥ `n − t` agree" is "≤ `m − (n − t)` are
+/// wrong": the acceptance threshold is the decoder's error budget, so a
+/// decoded `F` needs no second pass over the points. `decoder` is reused
+/// when it was built for the same senders.
+fn decode_instance<F: Field>(
+    betas: &[Option<F>],
+    n: usize,
+    t: usize,
+    decoder: &mut Option<BatchDecoder<F>>,
+) -> Option<Poly<F>> {
+    let (xs, ys): (Vec<F>, Vec<F>) = betas
         .iter()
         .enumerate()
         .filter_map(|(i, b)| b.map(|y| (F::element(i as u64 + 1), y)))
-        .collect();
-    if points.len() < n - t {
-        return None;
+        .unzip();
+    let budget = xs.len().checked_sub(n - t)?;
+    if decoder.as_ref().is_none_or(|d| d.xs() != xs) {
+        *decoder = BatchDecoder::new(&xs, t, t.min(budget)).ok();
     }
-    let f = bw_decode(&points, t, t).ok()?;
-    let agreements = points.iter().filter(|&&(x, y)| f.eval(x) == y).count();
-    (agreements >= n - t).then_some(f)
+    decoder.as_ref()?.decode(&ys).ok()
 }
 
 #[cfg(test)]
@@ -549,6 +561,167 @@ mod tests {
                     run.views[j - 1].check_poly.is_some(),
                     "party {id} rejected honest dealer {j}"
                 );
+            }
+        }
+    }
+
+    /// Fig. 4 step 5 by exhaustion, sharing no code with the decoder: the
+    /// degree-≤ t polynomial through some `t + 1` of the received values
+    /// that at least `n − t` of them lie on (unique for `n ≥ 3t + 1`).
+    fn reference_decode(betas: &[Option<F>], n: usize, t: usize) -> Option<Poly<F>> {
+        let points: Vec<(F, F)> = betas
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| b.map(|y| (F::element(i as u64 + 1), y)))
+            .collect();
+        let m = points.len();
+        if m <= t {
+            return None;
+        }
+        let mut pick: Vec<usize> = (0..=t).collect();
+        loop {
+            let subset: Vec<(F, F)> = pick.iter().map(|&i| points[i]).collect();
+            let f = dprbg_poly::interpolate(&subset).unwrap();
+            if points.iter().filter(|&&(x, y)| f.eval(x) == y).count() >= n - t {
+                return Some(f);
+            }
+            // Next (t + 1)-subset of 0..m in lexicographic order.
+            let j = (0..=t).rev().find(|&j| pick[j] < m - 1 - (t - j))?;
+            pick[j] += 1;
+            for k in j + 1..=t {
+                pick[k] = pick[k - 1] + 1;
+            }
+        }
+    }
+
+    /// One high-degree dealer, one party whose β message is lost, and one
+    /// that sends garbage for a third of the dealers and skips another
+    /// third (so the sender set differs between instances): every
+    /// `check_poly` must be the reference decode, at Lemma 6's price.
+    fn assert_faulty_run_matches_reference(n: usize, t: usize) {
+        const HIGH_DEGREE: PartyId = 1;
+        const SILENT: PartyId = 2;
+        const GARBAGE: PartyId = 4;
+        let m = 3;
+        let coins = coin_shares(n, t, 60);
+        let plan = FaultPlan::explicit(n, vec![HIGH_DEGREE, SILENT, GARBAGE]);
+        let dealers: Vec<PartyId> = (1..=n).collect();
+        let honest = |id: PartyId| {
+            BitGenMachine::new(t, m, coins[id - 1], dealers.clone(), BitGenMode::RandomCoins)
+        };
+        let fleet = plan.machines::<M, Option<BitGenRun<F>>>(
+            |id| Box::new(honest(id).map(|r: Result<BitGenRun<F>, CoinError>| r.ok())),
+            |id| {
+                // The honest machine, with what it sends rewritten.
+                let mut inner = honest(id);
+                Box::new(from_fn(move |mut view: RoundView<'_, M>| {
+                    let out = match inner.round(view.reborrow()) {
+                        Step::Continue(out) => out,
+                        Step::Done(r) => return Step::Done(r.ok()),
+                    };
+                    Step::Continue(match (id, view.round) {
+                        (HIGH_DEGREE, 0) => {
+                            let mut polys: Vec<Poly<F>> =
+                                (0..m - 1).map(|_| Poly::random(t, view.rng)).collect();
+                            polys.push(Poly::random(t + 1, view.rng));
+                            let blind = Poly::random(t, view.rng);
+                            let mut deal = view.outbox();
+                            for i in 1..=n {
+                                let x = F::element(i as u64);
+                                deal.send(
+                                    i,
+                                    BitGenMsg::Deal {
+                                        alphas: polys.iter().map(|f| f.eval(x)).collect(),
+                                        gamma: blind.eval(x),
+                                    },
+                                );
+                            }
+                            deal
+                        }
+                        (SILENT, 2) => view.outbox(),
+                        (GARBAGE, 2) => out.map(|msg| match msg {
+                            BitGenMsg::Betas(entries) => BitGenMsg::Betas(
+                                entries
+                                    .into_iter()
+                                    .filter(|(d, _)| d % 3 != 1)
+                                    .map(|(d, b)| (d, if d % 3 == 0 { F::from_u64(0xBAD) } else { b }))
+                                    .collect(),
+                            ),
+                            other => other,
+                        }),
+                        _ => out,
+                    })
+                }))
+            },
+        );
+        let res = StepRunner::new(n, 61).run(fleet);
+        for id in plan.honest() {
+            let run = res.outputs[id - 1].as_ref().unwrap().as_ref().unwrap();
+            let mut decodes = 1; // the challenge expose
+            for view in &run.views {
+                assert_eq!(
+                    view.check_poly,
+                    reference_decode(&view.betas, n, t),
+                    "n={n}: party {id}, dealer {}",
+                    view.dealer
+                );
+                let d = view.dealer;
+                assert!(view.betas[SILENT - 1].is_none());
+                assert_eq!(view.betas[GARBAGE - 1].is_none(), d % 3 == 1);
+                decodes += u64::from(view.betas.iter().flatten().count() >= n - t);
+                // An honest dealer survives iff lost plus wrong values ≤ t.
+                if !plan.is_faulty(d) {
+                    let lost_or_wrong = 1 + usize::from(d % 3 != 2);
+                    assert_eq!(view.check_poly.is_some(), lost_or_wrong <= t, "dealer {d}");
+                }
+            }
+            assert!(run.views[HIGH_DEGREE - 1].check_poly.is_none());
+            assert_eq!(
+                res.report.per_party[id - 1].cost.interpolations,
+                decodes,
+                "n={n}: party {id} ticks once per instance with ≥ n − t values"
+            );
+        }
+    }
+
+    #[test]
+    fn faulty_senders_and_dealer_decode_like_the_reference() {
+        // n = 7, t = 1: an instance keeps n − t = 6 values only where the
+        // garbage sender spoke, and then has no error budget left.
+        assert_faulty_run_matches_reference(7, 1);
+        // n = 13, t = 2: budgets of 1 (garbage corrected) and 0.
+        assert_faulty_run_matches_reference(13, 2);
+    }
+
+    #[test]
+    fn one_decoder_build_per_party_without_and_with_a_crash() {
+        // Inversions per party: one for the challenge expose's candidate,
+        // one for the shared basis of all n instance decodes.
+        let (n, t, m) = (7, 1, 2);
+        let coins = coin_shares(n, t, 70);
+        let dealers: Vec<PartyId> = (1..=n).collect();
+        for crashed in [None, Some(3)] {
+            let fleet = (1..=n)
+                .map(|id| -> BoxedMachine<M, Option<BitGenRun<F>>> {
+                    if crashed == Some(id) {
+                        Box::new(dprbg_sim::silent())
+                    } else {
+                        Box::new(
+                            BitGenMachine::new(
+                                t,
+                                m,
+                                coins[id - 1],
+                                dealers.clone(),
+                                BitGenMode::RandomCoins,
+                            )
+                            .map(|r: Result<BitGenRun<F>, CoinError>| r.ok()),
+                        )
+                    }
+                })
+                .collect();
+            let res = StepRunner::new(n, 71).run(fleet);
+            for id in (1..=n).filter(|&id| crashed != Some(id)) {
+                assert_eq!(res.report.per_party[id - 1].cost.field_invs, 2, "party {id}");
             }
         }
     }

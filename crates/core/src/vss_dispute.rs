@@ -260,11 +260,12 @@ where
                     .enumerate()
                     .filter_map(|(i, b)| b.map(|y| (F::element(i as u64 + 1), y)))
                     .collect();
-                let f_star = bw_decode(&points, self.t, self.t).ok().filter(|f| {
-                    let agreements =
-                        points.iter().filter(|&&(x, y)| f.eval(x) == y).count();
-                    agreements >= n - self.t
-                });
+                // "≥ n − t broadcast values lie on F*" is the decoder's
+                // error budget: at most m − (n − t) of the m may be wrong.
+                let f_star = points
+                    .len()
+                    .checked_sub(n - self.t)
+                    .and_then(|budget| bw_decode(&points, self.t, self.t.min(budget)).ok());
                 let outliers: Vec<PartyId> = match &f_star {
                     Some(f) => (1..=n)
                         .filter(|&i| betas[i - 1] != Some(f.eval(F::element(i as u64))))

@@ -13,14 +13,15 @@
 //!   then each sharing costs one `O(m)` dot product. The naive
 //!   [`lagrange_eval_at_zero`](crate::lagrange_eval_at_zero) spends
 //!   `O(m²)` multiplications and `m` inversions *per sharing*.
-//! * [`BatchDecoder`] — Berlekamp–Welch with a shared-basis fast path.
-//!   Precomputes the degree-`t` Lagrange basis over the first `t + 1`
-//!   abscissas once; each sharing builds its candidate polynomial by a
-//!   linear combination and verifies it against all `m` points. Clean
-//!   words (the overwhelmingly common case) never touch the `O(m³)`
-//!   linear solve; words with disagreements fall back to the full
-//!   [`bw_decode`], so the result is always exactly what `bw_decode`
-//!   would return.
+//! * [`BatchDecoder`] — Berlekamp–Welch with a shared candidate basis.
+//!   [`bw_decode`](crate::bw_decode) already returns a clean word's
+//!   interpolant without touching the `O(m³)` linear solve, but rebuilds
+//!   the Lagrange basis over the first `t + 1` abscissas (`O(t²)`
+//!   multiplications, one inversion) on every call. This decoder builds
+//!   it once; each sharing then costs a `t + 1`-term linear combination
+//!   plus the same verification against all `m` points, and a dirty word
+//!   goes to the same solver stage — so the result is always exactly what
+//!   `bw_decode` would return.
 //!
 //! Cost accounting: each decoded sharing still ticks exactly one
 //! interpolation (the paper's headline unit), so "interpolations per
@@ -31,8 +32,8 @@
 use dprbg_field::Field;
 use dprbg_metrics::ops;
 
-use crate::berlekamp_welch::{bw_decode, BwError};
-use crate::lagrange::InterpolateError;
+use crate::berlekamp_welch::{solve_in_radius, BwError};
+use crate::lagrange::{batch_invert, InterpolateError, LagrangeBasis};
 use crate::poly::Poly;
 
 /// A reusable Lagrange-at-zero evaluator for a fixed abscissa set.
@@ -89,21 +90,8 @@ impl<F: Field> ZeroKernel<F> {
                 }
             }
         }
-        // Montgomery batch inversion: one inv for every denominator.
-        let mut prefix = Vec::with_capacity(m);
-        let mut acc = F::one();
-        for d in &denoms {
-            acc *= *d;
-            prefix.push(acc);
-        }
-        let mut inv_acc =
-            prefix[m - 1].inv().expect("distinct abscissas give nonzero denominators");
-        let mut coeffs = vec![F::zero(); m];
-        for i in (0..m).rev() {
-            let inv_i = if i == 0 { inv_acc } else { inv_acc * prefix[i - 1] };
-            coeffs[i] = nums[i] * inv_i;
-            inv_acc *= denoms[i];
-        }
+        batch_invert(&mut denoms);
+        let coeffs = nums.iter().zip(&denoms).map(|(&num, &inv)| num * inv).collect();
         Ok(ZeroKernel { xs: xs.to_vec(), coeffs })
     }
 
@@ -158,17 +146,17 @@ impl<F: Field> ZeroKernel<F> {
 
 /// A reusable Berlekamp–Welch decoder for a fixed abscissa set.
 ///
-/// Semantically identical to calling [`bw_decode`] per word with the same
-/// `t` and `e_max`; the shared precomputation only changes speed.
+/// Semantically identical to calling [`bw_decode`](crate::bw_decode) per
+/// word with the same `t` and `e_max`; the shared precomputation only
+/// changes speed.
 #[derive(Debug, Clone)]
 pub struct BatchDecoder<F: Field> {
     xs: Vec<F>,
     t: usize,
     e_max: usize,
-    /// Lagrange basis over the first `t + 1` abscissas: `basis[i]` is the
-    /// degree-`t` polynomial with `basis[i](xs[j]) = [i == j]` for
-    /// `j ≤ t`. A clean word's codeword is `Σ ys[i]·basis[i]`.
-    basis: Vec<Poly<F>>,
+    /// Lagrange basis over the first `t + 1` abscissas: a clean word's
+    /// codeword is `basis.combine(ys)`.
+    basis: LagrangeBasis<F>,
 }
 
 impl<F: Field> BatchDecoder<F> {
@@ -178,7 +166,7 @@ impl<F: Field> BatchDecoder<F> {
     ///
     /// [`BwError::TooFewPoints`] if fewer than `t + 1` abscissas,
     /// [`BwError::DuplicateAbscissa`] if any repeat — the same conditions
-    /// [`bw_decode`] reports per call.
+    /// [`bw_decode`](crate::bw_decode) reports per call.
     pub fn new(xs: &[F], t: usize, e_max: usize) -> Result<Self, BwError> {
         let m = xs.len();
         if m < t + 1 {
@@ -189,18 +177,7 @@ impl<F: Field> BatchDecoder<F> {
                 return Err(BwError::DuplicateAbscissa);
             }
         }
-        let mut basis = Vec::with_capacity(t + 1);
-        for i in 0..=t {
-            let mut num = Poly::constant(F::one());
-            let mut denom = F::one();
-            for j in 0..=t {
-                if j != i {
-                    num = num.mul(&Poly::new(vec![-xs[j], F::one()]));
-                    denom *= xs[i] - xs[j];
-                }
-            }
-            basis.push(num.scale(denom.inv().expect("distinct abscissas")));
-        }
+        let basis = LagrangeBasis::new(&xs[..=t]);
         Ok(BatchDecoder { xs: xs.to_vec(), t, e_max, basis })
     }
 
@@ -213,12 +190,10 @@ impl<F: Field> BatchDecoder<F> {
     /// Decode one word; returns exactly what
     /// `bw_decode(zip(xs, ys), t, e_max)` returns.
     ///
-    /// Fast path: the candidate through the first `t + 1` points is
-    /// checked against all `m`; zero disagreements means it *is* the
-    /// unique degree-≤`t` polynomial through every point, so the full
-    /// decoder would return it too (one interpolation tick, no linear
-    /// solve). Any disagreement falls back to [`bw_decode`], which does
-    /// its own counting and radius handling.
+    /// The candidate through the first `t + 1` points is checked against
+    /// all `m`; zero disagreements means it *is* the unique degree-≤`t`
+    /// polynomial through every point. Any disagreement goes to the linear
+    /// solve. One interpolation tick either way.
     ///
     /// # Errors
     ///
@@ -229,23 +204,13 @@ impl<F: Field> BatchDecoder<F> {
     /// Panics if `ys.len()` differs from the decoder's abscissa count.
     pub fn decode(&self, ys: &[F]) -> Result<Poly<F>, BwError> {
         assert_eq!(ys.len(), self.xs.len(), "one y-value per abscissa");
-        let mut candidate = Poly::zero();
-        for (b, y) in self.basis.iter().zip(ys) {
-            if !y.is_zero() {
-                candidate = candidate.add(&b.scale(*y));
-            }
-        }
-        let clean = self
-            .xs
-            .iter()
-            .zip(ys)
-            .all(|(&x, &y)| candidate.eval(x) == y);
-        if clean {
-            ops::count_interpolation(1);
+        ops::count_interpolation(1);
+        let candidate = self.basis.combine(ys.iter().copied());
+        let points = self.xs.iter().copied().zip(ys.iter().copied());
+        if points.clone().all(|(x, y)| candidate.eval(x) == y) {
             return Ok(candidate);
         }
-        let points: Vec<(F, F)> = self.xs.iter().copied().zip(ys.iter().copied()).collect();
-        bw_decode(&points, self.t, self.e_max)
+        solve_in_radius(&points.collect::<Vec<_>>(), self.t, self.e_max)
     }
 
     /// Decode many words in one call.
@@ -261,6 +226,7 @@ impl<F: Field> BatchDecoder<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::berlekamp_welch::bw_decode;
     use crate::lagrange::lagrange_eval_at_zero;
     use dprbg_field::Gf2k;
     use dprbg_metrics::CostSnapshot;
@@ -405,7 +371,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         let t = 2;
         let xs = abscissas(7);
+        let before = CostSnapshot::capture();
         let dec = BatchDecoder::new(&xs, t, t).unwrap();
+        let setup = CostSnapshot::capture().since(&before);
+        assert_eq!(setup.field_invs, 1, "batch inversion: one inv for the whole basis");
+        assert_eq!(setup.interpolations, 0, "setup is not an interpolation");
         let words: Vec<Vec<F>> =
             (0..4).map(|_| word_of(&Poly::<F>::random(t, &mut rng), &xs)).collect();
         let before = CostSnapshot::capture();
@@ -414,6 +384,13 @@ mod tests {
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(d.interpolations, 4);
         assert_eq!(d.field_invs, 0, "clean words never hit the linear solve");
+
+        // A dirty word goes straight to the solver: still exactly one tick.
+        let mut dirty = words[0].clone();
+        dirty[5] += F::one();
+        let before = CostSnapshot::capture();
+        assert_eq!(dec.decode(&dirty), out[0]);
+        assert_eq!(CostSnapshot::capture().since(&before).interpolations, 1);
     }
 
     proptest! {

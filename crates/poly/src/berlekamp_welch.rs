@@ -11,8 +11,8 @@
 //! with `Q(x_i) = y_i·E(x_i)` for every `i`; then `f = Q / E` exactly.
 
 use dprbg_field::Field;
-use dprbg_metrics::ops;
 
+use crate::batch::BatchDecoder;
 use crate::linalg::{solve_linear, Matrix};
 use crate::poly::Poly;
 
@@ -56,6 +56,13 @@ impl std::error::Error for BwError {}
 /// `m ≥ 3t + 1` points, exactly the paper's setting (≥ `2t + 1` of the
 /// clique's shares are honest).
 ///
+/// A one-word [`BatchDecoder`]: an error-free word never reaches the
+/// linear solve — the interpolant through the first `t + 1` points is
+/// returned as soon as it agrees with all `m` (`O(t² + m·t)`
+/// multiplications, one inversion). That candidate has zero
+/// disagreements, so it *is* the unique answer within any radius — the
+/// result on every input is that of the solve alone.
+///
 /// Ticks one interpolation on the cost counters.
 ///
 /// # Errors
@@ -63,16 +70,19 @@ impl std::error::Error for BwError {}
 /// See [`BwError`]. `DecodingFailed` is returned whenever no polynomial of
 /// degree ≤ `t` agrees with at least `m − e` of the points.
 pub fn bw_decode<F: Field>(points: &[(F, F)], t: usize, e_max: usize) -> Result<Poly<F>, BwError> {
+    let (xs, ys): (Vec<F>, Vec<F>) = points.iter().copied().unzip();
+    BatchDecoder::new(&xs, t, e_max)?.decode(&ys)
+}
+
+/// The Berlekamp–Welch linear solve — the stage [`BatchDecoder`] (and so
+/// [`bw_decode`]) falls through to once a word is known to be dirty.
+/// `points` must be at least `t + 1` and distinct; ticks nothing.
+pub(crate) fn solve_in_radius<F: Field>(
+    points: &[(F, F)],
+    t: usize,
+    e_max: usize,
+) -> Result<Poly<F>, BwError> {
     let m = points.len();
-    if m < t + 1 {
-        return Err(BwError::TooFewPoints { got: m, need: t + 1 });
-    }
-    for (i, (xi, _)) in points.iter().enumerate() {
-        if points[i + 1..].iter().any(|(xj, _)| xj == xi) {
-            return Err(BwError::DuplicateAbscissa);
-        }
-    }
-    ops::count_interpolation(1);
     let e = e_max.min((m - t - 1) / 2);
 
     // Unknowns: q_0..q_{t+e}  (t + e + 1 of them), then e_0..e_{e-1}
@@ -93,7 +103,7 @@ pub fn bw_decode<F: Field>(points: &[(F, F)], t: usize, e_max: usize) -> Result<
             a.set(row, nq + j, -(y * xp));
             xp *= x;
         }
-        b[row] = y * x.pow(e as u128);
+        b[row] = y * xp; // xp = x^e after the loop
     }
     let sol = solve_linear(&a, &b).ok_or(BwError::DecodingFailed)?;
 
@@ -212,6 +222,85 @@ mod tests {
         let pts: Vec<(F, F)> = (1..=7).map(|i| (F::element(i), F::zero())).collect();
         let f = bw_decode(&pts, 2, 2).unwrap();
         assert!(f.is_zero());
+    }
+
+    #[test]
+    fn clean_word_costs_one_inversion_and_no_solve() {
+        use dprbg_metrics::CostSnapshot;
+        let mut rng = StdRng::seed_from_u64(6);
+        let t = 3;
+        let f = Poly::<F>::random(t, &mut rng);
+        let mut pts = points_of(&f, 10);
+        let before = CostSnapshot::capture();
+        assert_eq!(bw_decode(&pts, t, t).unwrap(), f);
+        let clean = CostSnapshot::capture().since(&before);
+        assert_eq!(clean.interpolations, 1);
+        assert_eq!(clean.field_invs, 1, "batch inversion of the t + 1 denominators");
+
+        // A dirty word pays the same probe, then one pivot inversion per
+        // solved column on top — and still one tick.
+        pts[7].1 += F::one();
+        let before = CostSnapshot::capture();
+        assert_eq!(bw_decode(&pts, t, t).unwrap(), f);
+        let dirty = CostSnapshot::capture().since(&before);
+        assert_eq!(dirty.interpolations, 1);
+        assert!(dirty.field_invs > 1 && dirty.field_muls > 4 * clean.field_muls);
+    }
+
+    /// `bw_decode` against the retained solver on one generated word:
+    /// `errs` random values written into the first `t + 1` points
+    /// (`placement` 0), the tail (1) or anywhere (2).
+    fn assert_matches_solver<G: Field>(
+        seed: u64,
+        t: usize,
+        m: usize,
+        errs: usize,
+        placement: usize,
+        zero: bool,
+        e_max: usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f = if zero { Poly::<G>::zero() } else { Poly::random(t, &mut rng) };
+        let mut pts: Vec<(G, G)> =
+            (1..=m as u64).map(|i| (G::element(i), f.eval(G::element(i)))).collect();
+        let mut idx: Vec<usize> = match placement {
+            0 => (0..=t).collect(),
+            1 => (t + 1..m).collect(),
+            _ => (0..m).collect(),
+        };
+        idx.shuffle(&mut rng);
+        for &i in idx.iter().take(errs) {
+            pts[i].1 = G::random(&mut rng);
+        }
+        assert_eq!(
+            bw_decode(&pts, t, e_max),
+            solve_in_radius(&pts, t, e_max),
+            "t={t} m={m} errs={errs} placement={placement} zero={zero} e_max={e_max}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_fast_path_never_changes_the_answer(
+            seed: u64,
+            t in 1usize..4,
+            slack in 0usize..10,
+            errs in 0usize..5,
+            placement in 0usize..3,
+            zero: bool,
+            full_radius: bool,
+        ) {
+            // m from t + 1 (radius 0) to 3t + 1 + 3; 0 ..= t + 1 errors.
+            let m = t + 1 + slack.min(2 * t + 3);
+            let errs = errs.min(t + 1);
+            let e_max = if full_radius { t } else { 0 };
+            // GF(2^8): a "corrupted" value often equals the true one.
+            assert_matches_solver::<Gf2k<8>>(seed, t, m, errs, placement, zero, e_max);
+            assert_matches_solver::<Gf2k<16>>(seed, t, m, errs, placement, zero, e_max);
+            // Odd characteristic: signs matter.
+            assert_matches_solver::<dprbg_field::Fp<101>>(seed, t, m, errs, placement, zero, e_max);
+        }
     }
 
     proptest! {

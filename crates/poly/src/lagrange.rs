@@ -106,6 +106,93 @@ pub fn lagrange_eval_at_zero<F: Field>(points: &[(F, F)]) -> Result<F, Interpola
     Ok(acc)
 }
 
+/// Replace every value by its inverse with a single field inversion
+/// (Montgomery's trick): `3k` multiplications plus one `inv`.
+///
+/// # Panics
+///
+/// Panics if any value is zero.
+pub(crate) fn batch_invert<F: Field>(values: &mut [F]) {
+    let mut prefix = Vec::with_capacity(values.len());
+    let mut acc = F::one();
+    for v in values.iter() {
+        prefix.push(acc);
+        acc *= *v;
+    }
+    let mut inv_acc = acc.inv().expect("batch inversion of a zero value");
+    for (v, before) in values.iter_mut().zip(prefix).rev() {
+        let inv = inv_acc * before;
+        inv_acc *= *v;
+        *v = inv;
+    }
+}
+
+/// The Lagrange basis over a fixed set of `k` distinct abscissas, kept as
+/// `L_i(x) = weights[i] · rows[i](x)` with `rows[i] = Π_{j≠i}(x − x_j)`.
+///
+/// Building it costs `O(k²)` multiplications and one inversion; the
+/// interpolant of a value vector is then one `k`-term linear combination.
+#[derive(Debug, Clone)]
+pub(crate) struct LagrangeBasis<F> {
+    /// Row-major `k × k`: the coefficients of `Π_{j≠i}(x − x_j)`.
+    rows: Vec<F>,
+    /// `1 / Π_{j≠i}(x_i − x_j)`.
+    weights: Vec<F>,
+}
+
+impl<F: Field> LagrangeBasis<F> {
+    /// The basis over `xs`, which must be non-empty and distinct.
+    pub(crate) fn new(xs: &[F]) -> Self {
+        let k = xs.len();
+        // Master polynomial N(x) = Π_j (x − x_j), monic of degree k.
+        let mut master = vec![F::zero(); k + 1];
+        master[0] = F::one();
+        for (deg, &x) in xs.iter().enumerate() {
+            for c in (0..=deg).rev() {
+                let v = master[c];
+                master[c + 1] += v;
+                master[c] = -(v * x);
+            }
+        }
+        let mut weights = vec![F::one(); k];
+        for (i, w) in weights.iter_mut().enumerate() {
+            for (j, &xj) in xs.iter().enumerate() {
+                if j != i {
+                    *w *= xs[i] - xj;
+                }
+            }
+        }
+        batch_invert(&mut weights);
+        // Row i is N / (x − x_i), by synthetic division.
+        let mut rows = vec![F::zero(); k * k];
+        for (row, &x) in rows.chunks_exact_mut(k).zip(xs) {
+            let mut carry = master[k];
+            for c in (0..k).rev() {
+                row[c] = carry;
+                carry = master[c] + x * carry;
+            }
+        }
+        LagrangeBasis { rows, weights }
+    }
+
+    /// The polynomial of degree `< k` taking the first `k` values of `ys`
+    /// at the basis abscissas (`k²` multiplications, no inversion).
+    pub(crate) fn combine(&self, ys: impl Iterator<Item = F>) -> Poly<F> {
+        let k = self.weights.len();
+        let mut acc = vec![F::zero(); k];
+        for ((row, &w), y) in self.rows.chunks_exact(k).zip(&self.weights).zip(ys) {
+            if y.is_zero() {
+                continue;
+            }
+            let scale = w * y;
+            for (a, &b) in acc.iter_mut().zip(row) {
+                *a += b * scale;
+            }
+        }
+        Poly::new(acc)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +243,38 @@ mod tests {
         let pts = [(P::from_u64(1), f.eval(P::from_u64(1))), (P::from_u64(2), f.eval(P::from_u64(2)))];
         assert_eq!(interpolate(&pts).unwrap(), f);
         assert_eq!(lagrange_eval_at_zero(&pts).unwrap(), P::from_u64(10));
+    }
+
+    #[test]
+    fn basis_combination_is_the_interpolant_in_odd_characteristic() {
+        // F_101 rather than GF(2^k): a sign slip in the master polynomial
+        // or the synthetic division is invisible where −x = x.
+        type P = Fp<101>;
+        let mut rng = StdRng::seed_from_u64(4);
+        for k in 1..=6u64 {
+            let xs: Vec<P> = (0..k).map(|i| P::from_u64(3 * i + 2)).collect();
+            let basis = LagrangeBasis::new(&xs);
+            let before = dprbg_metrics::CostSnapshot::capture();
+            let ys: Vec<P> = (0..k).map(|_| P::random(&mut rng)).collect();
+            let f = basis.combine(ys.iter().copied());
+            let cost = dprbg_metrics::CostSnapshot::capture().since(&before);
+            assert_eq!(cost.field_invs, 0);
+            let pts: Vec<(P, P)> = xs.iter().copied().zip(ys).collect();
+            assert_eq!(f, interpolate(&pts).unwrap());
+        }
+    }
+
+    #[test]
+    fn batch_invert_inverts_every_value_with_one_inversion() {
+        type P = Fp<101>;
+        let mut values: Vec<P> = (1..=9).map(P::from_u64).collect();
+        let before = dprbg_metrics::CostSnapshot::capture();
+        batch_invert(&mut values);
+        assert_eq!(dprbg_metrics::CostSnapshot::capture().since(&before).field_invs, 1);
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(*v * P::from_u64(i as u64 + 1), P::one());
+        }
+        batch_invert::<P>(&mut []);
     }
 
     #[test]

@@ -188,8 +188,11 @@ fn par_runner_is_thread_count_invariant_on_full_coin_gen() {
 fn step_runner_runs_coin_gen_at_n61() {
     // The scale target the single-threaded executor exists for (ROADMAP
     // "Scenario breadth"): full Coin-Gen plus expose-every-coin at
-    // n = 61, t = 10, on one thread. GF(2^8) keeps the n² Berlekamp–Welch
-    // decodes cheap while still holding 61 distinct evaluation points.
+    // n = 61, t = 10, on one thread. GF(2^8) is the smallest field that
+    // still holds 61 distinct evaluation points. The n² Bit-Gen decodes
+    // are error-free words, which never reach the Berlekamp–Welch linear
+    // solve, so the two n = 61 runs of this test take ≈ 6 s in a debug
+    // build (≈ 50 s while they did).
     type G = Gf2k<8>;
     const BIG_N: usize = 61;
     const BIG_T: usize = 10;
