@@ -3,9 +3,9 @@
 //!
 //! Not a paper table: the paper's §2 cost model counts field operations,
 //! and none of the machinery measured here changes a single count. This
-//! experiment measures the three wall-clock levers the implementation
-//! pulls *underneath* that model, and — more importantly — asserts that
-//! each lever is observationally invisible:
+//! experiment measures the wall-clock levers the implementation pulls
+//! *underneath* that model, and — more importantly — asserts that each
+//! lever is observationally invisible:
 //!
 //! 1. **Carry-less multiply backend**: the fixed-iteration portable
 //!    ladder vs. the `PCLMULQDQ` instruction behind the same runtime
@@ -19,16 +19,25 @@
 //!    (candidate basis rebuilt per word) vs. one shared-basis
 //!    [`BatchDecoder`], plus what a dirty word costs once it falls through
 //!    to the linear solve.
+//! 4. **Grade-cast by handle**: all n senders grade-cast a
+//!    clique-announcement-sized value; every party's grade for an instance
+//!    must be the sender's own allocation, so a change that deep-clones
+//!    per hop again fails here and not only in the benchmark.
 //!
 //! The parity column is the experiment's real product; the speedup
 //! column is hardware-dependent garnish.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use dprbg_core::{CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params};
+use dprbg_core::{
+    CliqueAnnounce, CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet,
+    Params,
+};
 use dprbg_field::{clmul, Field, Gf2k};
 use dprbg_metrics::Table;
-use dprbg_poly::{bw_decode, share_points, share_polynomial, BatchDecoder};
+use dprbg_poly::{bw_decode, share_points, share_polynomial, BatchDecoder, Poly};
+use dprbg_protocols::{GcMsg, GradeOutput, GradecastMachine};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::{RngExt, SeedableRng};
 use dprbg_sim::{BoxedMachine, ParRunner, StepRunner, TraceConfig};
@@ -199,6 +208,39 @@ fn time_decode(n: usize, t: usize, words: usize, seed: u64) -> DecodeLeg {
     DecodeLeg { per_call_ms, shared_ms, dirty_words: dirty.len(), dirty_ms }
 }
 
+/// All `n` parties grade-cast an announcement of `n − 2t` degree-`t`
+/// polynomials; returns the run's wall-clock in ms. Asserts that every
+/// party grades every instance 2 with the sender's own handle — the same
+/// allocation the sender itself graded — holding the announced value.
+fn time_gradecast(n: usize, t: usize, seed: u64) -> f64 {
+    type Fleet = Vec<BoxedMachine<GcMsg<CliqueAnnounce<F8>>, Vec<GradeOutput<CliqueAnnounce<F8>>>>>;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let announces: Vec<CliqueAnnounce<F8>> = (0..n)
+        .map(|_| CliqueAnnounce {
+            pairs: (1..=n - 2 * t).map(|j| (j, Poly::random(t, &mut rng))).collect(),
+        })
+        .collect();
+    let fleet: Fleet =
+        announces.iter().map(|a| Box::new(GradecastMachine::new(a.clone())) as _).collect();
+    let start = Instant::now();
+    let graded = StepRunner::new(n, seed).run(fleet).unwrap_all();
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    for grades in &graded {
+        for (j0, g) in grades.iter().enumerate() {
+            let senders = graded[j0][j0].value.as_ref();
+            assert_eq!(g.confidence, 2, "fault-free grade-cast is unanimous");
+            assert_eq!(g.value.as_deref(), Some(&announces[j0]));
+            assert_eq!(
+                g.value.as_ref().map(Arc::as_ptr),
+                senders.map(Arc::as_ptr),
+                "instance {}: a grade is not the sender's handle (deep clone on the way)",
+                j0 + 1
+            );
+        }
+    }
+    ms
+}
+
 /// Run E13 and render its table.
 pub fn run(ctx: &ExperimentCtx) -> Table {
     let mut table = Table::new(
@@ -281,6 +323,17 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
         &format!("bw_decode     {} dirty words ({t} errors each)", leg.dirty_words),
         &[format!("{:.1} ms", leg.dirty_ms), "-".into(), "linear solve, all corrected".into()],
     );
+
+    // 4. Grade-cast: one allocation per instance, end to end.
+    let gc_ms = time_gradecast(n, t, ctx.seed + 4);
+    table.row(
+        &format!("grade-cast    n={n} t={t}, {}-dealer values", n - 2 * t),
+        &[
+            format!("{gc_ms:.1} ms"),
+            "-".into(),
+            "gradecast handle parity OK (grades are the sent handle)".into(),
+        ],
+    );
     table
 }
 
@@ -314,5 +367,6 @@ mod tests {
         assert!(s.contains("par trace round-trip OK"), "{s}");
         assert!(s.contains("backends agree"), "{s}");
         assert!(s.contains("decode parity OK"), "{s}");
+        assert!(s.contains("gradecast handle parity OK"), "{s}");
     }
 }

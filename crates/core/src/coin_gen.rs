@@ -530,10 +530,10 @@ where
 
                 // Step 10's input conditions.
                 let grade = &self.graded[leader - 1];
-                let candidate = grade.value.as_ref().filter(|a| a.well_formed(n, t));
+                let candidate = grade.value.as_deref().filter(|a| a.well_formed(n, t));
                 let my_input = match candidate {
                     Some(a) if grade.confidence == 2 => {
-                        a.dealers().len() >= n - 2 * t
+                        a.pairs.len() >= n - 2 * t
                             && count_universal_fitters(a, &self.run, n) > 3 * t
                     }
                     _ => false,
@@ -560,13 +560,14 @@ where
                 Step::Done(true) => {
                     // Adopt C_l. Grade-cast guarantees every honest party
                     // holds the same announcement (confidence ≥ 1) once
-                    // one honest party voted with confidence 2.
-                    let grade = &self.graded[leader - 1];
-                    let res = grade
+                    // one honest party voted with confidence 2. Fail
+                    // closed on anything else: an absent or ill-formed
+                    // value here is beyond the model, and the callers
+                    // index their Bit-Gen views by the adopted dealer ids.
+                    let res = self.graded[leader - 1]
                         .value
-                        .as_ref()
+                        .as_deref()
                         .filter(|a| a.well_formed(n, t))
-                        .or(grade.value.as_ref())
                         .cloned()
                         .map(|announce| DealerAgreement {
                             announce,
@@ -614,6 +615,9 @@ fn count_universal_fitters<F: Field>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use crate::bit_gen::DealerView;
     use crate::coin::decode_coin;
     use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
@@ -783,6 +787,52 @@ mod tests {
         let wallets = vec![CoinWallet::new(); n];
         for out in StepRunner::new(n, 30).run(honest_fleet(c, wallets)).unwrap_all() {
             assert_eq!(out.unwrap_err(), CoinGenError::SeedExhausted);
+        }
+    }
+
+    #[test]
+    fn ill_formed_leader_value_after_ba_one_fails_closed() {
+        // Beyond the model: BA decides 1 although the elected leader's
+        // graded announcement names a dealer outside 1..=n. Every party is
+        // started inside step 10 holding that grade and voting 1; the
+        // share accounting indexes its Bit-Gen views by dealer id, so the
+        // announcement must be refused, not adopted.
+        let n = 7;
+        let t = 1;
+        let c = cfg(n, t, 2);
+        let zero = F::zero();
+        let run = BitGenRun {
+            r: zero,
+            views: (1..=n)
+                .map(|dealer| DealerView {
+                    dealer,
+                    alphas: vec![zero; 2],
+                    gamma: zero,
+                    my_beta: Some(zero),
+                    betas: vec![Some(zero); n],
+                    check_poly: Some(Poly::zero()),
+                })
+                .collect(),
+            my_polys: None,
+        };
+        for j in [0, n + 1] {
+            let announce = Arc::new(CliqueAnnounce { pairs: vec![(j, Poly::<F>::zero())] });
+            let fleet: Vec<BoxedMachine<M, Result<CoinBatch<F>, CoinGenError>>> = (0..n)
+                .map(|_| {
+                    let mut agree = AgreeMachine::new(c.params, CoinWallet::new(), run.clone());
+                    agree.attempts = 1;
+                    agree.graded = vec![
+                        GradeOutput { value: Some(Arc::clone(&announce)), confidence: 2 };
+                        n
+                    ];
+                    agree.stage = AgStage::Ba { ba: PhaseKingMachine::new(true, t), leader: 1 };
+                    let cg = CoinGenMachine { cfg: c, stage: CgStage::Agree { agree } };
+                    Box::new(cg.map(|(_, res)| res)) as _
+                })
+                .collect();
+            for out in StepRunner::new(n, 50).run(fleet).unwrap_all() {
+                assert_eq!(out.unwrap_err(), CoinGenError::NoAgreement { attempts: 1 }, "j = {j}");
+            }
         }
     }
 

@@ -46,16 +46,20 @@ where
     V: Clone + Eq + WireSize + Send + 'static,
 {
     GradecastMachine::new(my_value).then(move |graded: Vec<GradeOutput<V>>| {
-        let grade = graded[sender - 1].clone();
-        let conf2 = grade.confidence == 2;
-        PhaseKingMachine::new(conf2, t)
-            .map(move |delivered: bool| if delivered { grade.value } else { None })
+        let grade = &graded[sender - 1];
+        // Owned before the closure: capturing the handle would put a
+        // `V: Sync` bound on the returned machine.
+        let value = grade.value.as_deref().cloned();
+        PhaseKingMachine::new(grade.confidence == 2, t)
+            .map(move |delivered: bool| if delivered { value } else { None })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::{RngExt, SeedableRng};
     use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, ParRunner, RoundView, Step, StepRunner};
@@ -138,7 +142,7 @@ mod tests {
                         for to in 1..=view.n {
                             out.send(
                                 to,
-                                Wire::Gc(GcMsg::Value(if to % 2 == 0 { 7 } else { 8 })),
+                                Wire::Gc(GcMsg::Value(Arc::new(if to % 2 == 0 { 7 } else { 8 }))),
                             );
                         }
                         Step::Continue(out)
@@ -222,7 +226,7 @@ mod tests {
                             if (to + round) % 3 == 0 {
                                 out.send(
                                     to,
-                                    Wire::Gc(GcMsg::Echo { instance: sender, value: 999 }),
+                                    Wire::Gc(GcMsg::Echo { instance: sender, value: Arc::new(999) }),
                                 );
                             }
                         }

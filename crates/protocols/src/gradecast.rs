@@ -18,8 +18,15 @@
 //!
 //! All `n` instances (one per sender) run in parallel in three rounds —
 //! exactly how Coin-Gen step 7 uses them.
+//!
+//! A value travels as one shared handle (`Arc<V>`): the sender wraps it
+//! once, every Echo, Vote and grade forwards the handle it received, and
+//! the tallies match handles by identity before comparing values — so a
+//! fault-free instance costs one allocation however many parties relay it.
 
 use std::marker::PhantomData;
+use std::mem;
+use std::sync::Arc;
 
 use dprbg_metrics::WireSize;
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
@@ -28,20 +35,20 @@ use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GcMsg<V> {
     /// Round 1: instance sender's value.
-    Value(V),
+    Value(Arc<V>),
     /// Round 2: echo of what was received from `instance`'s sender.
     Echo {
         /// The instance (sender id) being echoed.
         instance: PartyId,
         /// The echoed value.
-        value: V,
+        value: Arc<V>,
     },
     /// Round 3: vote that ≥ n−t echoes supported `value` in `instance`.
     Vote {
         /// The instance (sender id) being voted on.
         instance: PartyId,
         /// The supported value.
-        value: V,
+        value: Arc<V>,
     },
 }
 
@@ -58,8 +65,9 @@ impl<V: WireSize> WireSize for GcMsg<V> {
 /// One party's output for one grade-cast instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GradeOutput<V> {
-    /// The received value, if any support materialized.
-    pub value: Option<V>,
+    /// The received value, if any support materialized — the handle it
+    /// arrived in, not a copy.
+    pub value: Option<Arc<V>>,
     /// Confidence ∈ {0, 1, 2}.
     pub confidence: u8,
 }
@@ -70,20 +78,23 @@ impl<V> GradeOutput<V> {
     }
 }
 
-/// Count, among `(party, value)` pairs, the support for each distinct
-/// value, counting at most one entry per party; return the best value with
-/// its count (the later-seen value on a tie). Values are tallied by
-/// reference — nothing is cloned.
-fn best_supported<'a, V: Eq>(entries: &[(PartyId, &'a V)]) -> Option<(&'a V, usize)> {
-    let mut tally: Vec<(&V, usize)> = Vec::new();
-    let mut seen: Vec<PartyId> = Vec::new();
+/// Count, among `(party, value)` pairs from parties `1..=n`, the support
+/// for each distinct value, counting at most one entry per party; return
+/// the best value with its count (the later-seen value on a tie). A bucket
+/// is matched by handle identity first and by value only across distinct
+/// allocations (what a tampered or equivocated copy is).
+fn best_supported<'a, V: Eq>(
+    n: usize,
+    entries: &[(PartyId, &'a Arc<V>)],
+) -> Option<(&'a Arc<V>, usize)> {
+    let mut tally: Vec<(&Arc<V>, usize)> = Vec::new();
+    let mut voiced = vec![false; n];
     for &(p, v) in entries {
-        if seen.contains(&p) {
+        if mem::replace(&mut voiced[p - 1], true) {
             continue; // a party only gets one voice per instance
         }
-        seen.push(p);
-        match tally.iter_mut().find(|(tv, _)| *tv == v) {
-            Some((_, c)) => *c += 1,
+        match tally.iter().position(|&(tv, _)| Arc::ptr_eq(tv, v) || **tv == **v) {
+            Some(i) => tally[i].1 += 1,
             None => tally.push((v, 1)),
         }
     }
@@ -94,8 +105,8 @@ fn best_supported<'a, V: Eq>(entries: &[(PartyId, &'a V)]) -> Option<(&'a V, usi
 /// every value from the inbox.
 fn by_instance<'a, M, V: 'a>(
     view: &RoundView<'a, M>,
-    mut select: impl FnMut(&'a M) -> Option<(PartyId, &'a V)>,
-) -> Vec<Vec<(PartyId, &'a V)>> {
+    mut select: impl FnMut(&'a M) -> Option<(PartyId, &'a Arc<V>)>,
+) -> Vec<Vec<(PartyId, &'a Arc<V>)>> {
     let mut groups = vec![Vec::new(); view.n];
     for r in view.inbox.iter() {
         if let Some((instance, value)) = select(r.msg()) {
@@ -146,7 +157,7 @@ impl<M, V> GradecastMachine<M, V> {
 impl<M, V> RoundMachine<M> for GradecastMachine<M, V>
 where
     M: Clone + WireSize + Embeds<GcMsg<V>>,
-    V: Clone + Eq + WireSize,
+    V: Eq + WireSize,
 {
     type Output = Vec<GradeOutput<V>>;
 
@@ -157,14 +168,14 @@ where
             GcPhase::Send => {
                 let mut out = view.outbox();
                 if let Some(v) = self.my_value.take() {
-                    out.send_to_all(M::wrap(GcMsg::Value(v)));
+                    out.send_to_all(M::wrap(GcMsg::Value(Arc::new(v))));
                 }
                 self.phase = GcPhase::Echo;
                 Step::Continue(out)
             }
             GcPhase::Echo => {
                 // received[j-1] = what instance j's sender told us.
-                let mut received: Vec<Option<&V>> = vec![None; n];
+                let mut received: Vec<Option<&Arc<V>>> = vec![None; n];
                 for r in view.inbox.iter() {
                     if let Some(GcMsg::Value(v)) = <M as Embeds<GcMsg<V>>>::peek(r.msg()) {
                         received[r.from - 1].get_or_insert(v);
@@ -173,7 +184,7 @@ where
                 let mut out = view.outbox();
                 for (j0, v) in received.into_iter().enumerate() {
                     if let Some(v) = v {
-                        let echo = GcMsg::Echo { instance: j0 + 1, value: v.clone() };
+                        let echo = GcMsg::Echo { instance: j0 + 1, value: Arc::clone(v) };
                         out.send_to_all(M::wrap(echo));
                     }
                 }
@@ -187,11 +198,11 @@ where
                 });
                 let mut out = view.outbox();
                 for (j0, echoes) in echoes.iter().enumerate() {
-                    if let Some((v, c)) = best_supported(echoes) {
+                    if let Some((v, c)) = best_supported(n, echoes) {
                         if c >= n - t {
                             out.send_to_all(M::wrap(GcMsg::Vote {
                                 instance: j0 + 1,
-                                value: v.clone(),
+                                value: Arc::clone(v),
                             }));
                         }
                     }
@@ -207,12 +218,12 @@ where
                 Step::Done(
                     votes
                         .iter()
-                        .map(|votes| match best_supported(votes) {
+                        .map(|votes| match best_supported(n, votes) {
                             Some((v, c)) if c >= n - t => {
-                                GradeOutput { value: Some(v.clone()), confidence: 2 }
+                                GradeOutput { value: Some(Arc::clone(v)), confidence: 2 }
                             }
                             Some((v, c)) if c > t => {
-                                GradeOutput { value: Some(v.clone()), confidence: 1 }
+                                GradeOutput { value: Some(Arc::clone(v)), confidence: 1 }
                             }
                             _ => GradeOutput::none(),
                         })
@@ -236,7 +247,7 @@ where
 mod tests {
     use super::*;
     use dprbg_rng::prelude::*;
-    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, StepRunner};
+    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, MsgFate, MsgHop, ParRunner, StepRunner};
 
     type V = u64;
     type M = GcMsg<V>;
@@ -247,12 +258,13 @@ mod tests {
 
     /// One party's `(value, confidence)` per instance.
     fn grades(output: &Option<Vec<GradeOutput<V>>>) -> Vec<(Option<V>, u8)> {
-        output.as_ref().unwrap().iter().map(|g| (g.value, g.confidence)).collect()
+        output.as_ref().unwrap().iter().map(|g| (g.value.as_deref().copied(), g.confidence)).collect()
     }
 
-    /// The tally as it was before values were borrowed from the inbox:
-    /// owned entries, every distinct value cloned into the tally. Kept as
-    /// the reference `best_supported` is checked against.
+    /// The tally as it was before values travelled as handles: owned
+    /// entries, every distinct value cloned into the tally, buckets matched
+    /// by `==` alone. Kept as the reference `best_supported` is checked
+    /// against.
     fn best_supported_cloning<T: Clone + Eq>(entries: &[(PartyId, T)]) -> Option<(T, usize)> {
         let mut tally: Vec<(T, usize)> = Vec::new();
         let mut seen: Vec<PartyId> = Vec::new();
@@ -272,9 +284,12 @@ mod tests {
     proptest! {
         /// Random echo multisets over a tiny alphabet of parties and
         /// values, so duplicate voices, equivocation (one party, several
-        /// values) and tied counts are the common case: the by-reference
-        /// tally picks the same value with the same count — including
-        /// which of several tied values wins.
+        /// values) and tied counts are the common case. Each entry is
+        /// either a clone of its value's one shared handle (a forwarded
+        /// echo) or the same value in an allocation of its own (a tampered
+        /// or rebuilt copy): the identity-first tally picks the same value
+        /// with the same count — including which of several tied values
+        /// wins — as the tally that only ever compared by value.
         #[test]
         fn by_reference_tally_matches_cloning_tally(
             seed: u64,
@@ -283,14 +298,24 @@ mod tests {
             values in 1u64..5,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            // Vec payloads: equal values in distinct allocations, like
-            // the same announcement echoed by different parties.
-            let owned: Vec<(PartyId, Vec<u64>)> = (0..len)
-                .map(|_| (rng.random_range(1..=parties), vec![rng.random_range(0..values); 3]))
+            let shared: Vec<Arc<Vec<u64>>> = (0..values).map(|v| Arc::new(vec![v; 3])).collect();
+            let handles: Vec<(PartyId, Arc<Vec<u64>>)> = (0..len)
+                .map(|_| {
+                    let forwarded = &shared[rng.random_range(0..values) as usize];
+                    let handle = if rng.random_range(0..2u64) == 0 {
+                        Arc::clone(forwarded)
+                    } else {
+                        Arc::new(Vec::clone(forwarded))
+                    };
+                    (rng.random_range(1..=parties), handle)
+                })
                 .collect();
-            let borrowed: Vec<(PartyId, &Vec<u64>)> = owned.iter().map(|(p, v)| (*p, v)).collect();
+            let owned: Vec<(PartyId, Vec<u64>)> =
+                handles.iter().map(|(p, v)| (*p, Vec::clone(v))).collect();
+            let borrowed: Vec<(PartyId, &Arc<Vec<u64>>)> =
+                handles.iter().map(|(p, v)| (*p, v)).collect();
             let expect = best_supported_cloning(&owned);
-            let got = best_supported(&borrowed).map(|(v, c)| (v.clone(), c));
+            let got = best_supported(parties, &borrowed).map(|(v, c)| (Vec::clone(v), c));
             prop_assert_eq!(got, expect);
         }
     }
@@ -303,7 +328,7 @@ mod tests {
         for outputs in res.unwrap_all() {
             for (j, out) in outputs.iter().enumerate() {
                 assert_eq!(out.confidence, 2);
-                assert_eq!(out.value, Some((j as u64 + 1) * 100));
+                assert_eq!(out.value.as_deref(), Some(&((j as u64 + 1) * 100)));
             }
         }
     }
@@ -324,7 +349,7 @@ mod tests {
                         let mut out = view.outbox();
                         for to in 1..=view.n {
                             let v = if to <= view.n / 2 { 111 } else { 222 };
-                            out.send(to, GcMsg::Value(v));
+                            out.send(to, GcMsg::Value(Arc::new(v)));
                         }
                         Step::Continue(out)
                     }
@@ -333,7 +358,7 @@ mod tests {
                         let mut out = view.outbox();
                         for to in 1..=view.n {
                             let v = if to % 2 == 0 { 111 } else { 222 };
-                            out.send(to, GcMsg::Echo { instance: 1, value: v });
+                            out.send(to, GcMsg::Echo { instance: 1, value: Arc::new(v) });
                         }
                         Step::Continue(out)
                     }
@@ -343,11 +368,8 @@ mod tests {
             },
         );
         let res = StepRunner::new(n, 2).run(machines);
-        let mut graded: Vec<(Option<V>, u8)> = Vec::new();
-        for id in plan.honest() {
-            let outs = res.outputs[id - 1].as_ref().unwrap();
-            graded.push((outs[0].value, outs[0].confidence));
-        }
+        let graded: Vec<(Option<V>, u8)> =
+            plan.honest().map(|id| grades(&res.outputs[id - 1])[0]).collect();
         // Property 3: all confidence >= 1 values agree.
         let confident: Vec<V> = graded
             .iter()
@@ -383,7 +405,7 @@ mod tests {
                     2 => {
                         let mut out = view.outbox();
                         for to in 1..=view.n {
-                            out.send(to, GcMsg::Vote { instance: 3, value: 999 });
+                            out.send(to, GcMsg::Vote { instance: 3, value: Arc::new(999) });
                         }
                         Step::Continue(out)
                     }
@@ -397,7 +419,7 @@ mod tests {
             for id in plan.honest() {
                 let outs = res.outputs[id - 1].as_ref().unwrap();
                 assert_eq!(outs[j - 1].confidence, 2, "instance {j} at party {id}");
-                assert_eq!(outs[j - 1].value, Some(j as u64));
+                assert_eq!(outs[j - 1].value.as_deref(), Some(&(j as u64)));
             }
         }
         // Pinned against the clone-based tally (the garbage votes for
@@ -435,9 +457,99 @@ mod tests {
 
     #[test]
     fn duplicate_voices_counted_once() {
-        let entries = [(1, &7u64), (1, &7), (1, &7), (2, &7), (3, &9)];
-        assert_eq!(best_supported(&entries), Some((&7, 2)));
-        assert_eq!(best_supported::<u64>(&[]), None);
+        let (seven, nine) = (Arc::new(7u64), Arc::new(9));
+        let entries = [(1, &seven), (1, &seven), (1, &seven), (2, &seven), (3, &nine)];
+        assert_eq!(best_supported(3, &entries), Some((&seven, 2)));
+        assert_eq!(best_supported::<u64>(3, &[]), None);
+    }
+
+    /// One Echo copy replaced in flight is a distinct allocation, so the
+    /// tally must fall back to `==` for it: an equal-valued replacement
+    /// changes nothing anywhere, a different-valued one moves exactly the
+    /// recipient's tally. Party 3's traffic is dropped so every instance
+    /// sits at the n − t echo threshold and one moved tally is visible:
+    /// party 4 withholds its vote for instance 1, leaving 2 votes (> t,
+    /// < n − t) — confidence 1 at everyone. Identical under every executor.
+    #[test]
+    fn tampered_echo_copy_is_tallied_by_value() {
+        let n = 4;
+        let tap = |replacement: Option<V>| {
+            move |hop: MsgHop<'_, M>| match (hop.from, hop.to, hop.msg, replacement) {
+                (3, ..) => MsgFate::Drop,
+                (2, 4, GcMsg::Echo { instance: 1, .. }, Some(v)) => {
+                    MsgFate::Tamper(GcMsg::Echo { instance: 1, value: Arc::new(v) })
+                }
+                _ => MsgFate::Deliver,
+            }
+        };
+        let fleet = || (1..=n).map(|id| honest(id as u64 * 100)).collect::<Vec<_>>();
+        let run = |replacement: Option<V>| {
+            let stepped = StepRunner::new(n, 6).with_tap(tap(replacement)).run(fleet());
+            for threads in [1, 2, 8] {
+                let par = ParRunner::new(n, 6)
+                    .with_threads(threads)
+                    .with_tap(tap(replacement))
+                    .run(fleet());
+                assert_eq!(par.outputs, stepped.outputs, "threads = {threads}");
+                assert_eq!(par.report, stepped.report, "threads = {threads}");
+                assert_eq!(par.rounds, stepped.rounds, "threads = {threads}");
+            }
+            stepped
+        };
+        let untouched = run(None);
+        let expect = vec![(Some(100), 2), (Some(200), 2), (None, 0), (Some(400), 2)];
+        let equal = run(Some(100));
+        let different = run(Some(666));
+        for id in 1..=n {
+            assert_eq!(grades(&untouched.outputs[id - 1]), expect, "party {id}");
+            assert_eq!(grades(&equal.outputs[id - 1]), expect, "party {id}");
+            let mut moved = expect.clone();
+            moved[0] = (Some(100), 1);
+            assert_eq!(grades(&different.outputs[id - 1]), moved, "party {id}");
+        }
+        assert_eq!(equal.report, untouched.report);
+    }
+
+    thread_local! {
+        /// Deep clones of [`Counted`] made on this thread.
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A payload that counts its deep clones.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Counted(u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    impl WireSize for Counted {
+        fn wire_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    /// A fault-free grade-cast never deep-clones a value: the sender moves
+    /// it into one handle, and Echo, Vote and Decide (and the message
+    /// plane under them) pass that handle on. (Per-hop cloning cost 3n per
+    /// party.)
+    #[test]
+    fn fault_free_gradecast_makes_no_deep_clones() {
+        let n = 7;
+        let fleet: Vec<BoxedMachine<GcMsg<Counted>, Vec<GradeOutput<Counted>>>> = (1..=n)
+            .map(|id| Box::new(GradecastMachine::new(Counted(id as u64))) as _)
+            .collect();
+        CLONES.with(|c| c.set(0));
+        let graded = StepRunner::new(n, 7).run(fleet).unwrap_all();
+        assert_eq!(CLONES.with(|c| c.get()), 0);
+        for grades in &graded {
+            for (j0, g) in grades.iter().enumerate() {
+                assert_eq!((g.value.as_deref(), g.confidence), (Some(&Counted(j0 as u64 + 1)), 2));
+            }
+        }
     }
 
     #[test]

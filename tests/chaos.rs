@@ -156,6 +156,8 @@ fn coin_gen_parameter_sweep_with_random_crash_sets() {
 /// attacks, complementing the targeted attacks in `adversarial.rs`).
 #[test]
 fn coin_gen_withstands_randomized_byzantine_strategies() {
+    use std::sync::Arc;
+
     use dprbg::core::{BitGenMsg, CliqueAnnounce, ExposeMsg};
     use dprbg::poly::Poly;
     use dprbg::protocols::{BaMsg, GcMsg};
@@ -173,11 +175,11 @@ fn coin_gen_withstands_randomized_byzantine_strategies() {
                     .collect(),
             )),
             3 => {
-                let announce = CliqueAnnounce {
+                let announce = Arc::new(CliqueAnnounce {
                     pairs: (1..=rng.random_range(0..=n))
                         .map(|j| (j, Poly::random(rng.random_range(0..4), rng)))
                         .collect(),
-                };
+                });
                 CoinGenMsg::Gc(match rng.random_range(0..3u32) {
                     0 => GcMsg::Value(announce),
                     1 => GcMsg::Echo { instance: rng.random_range(1..=n), value: announce },

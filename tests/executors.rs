@@ -191,8 +191,10 @@ fn step_runner_runs_coin_gen_at_n61() {
     // n = 61, t = 10, on one thread. GF(2^8) is the smallest field that
     // still holds 61 distinct evaluation points. The n² Bit-Gen decodes
     // are error-free words, which never reach the Berlekamp–Welch linear
-    // solve, so the two n = 61 runs of this test take ≈ 6 s in a debug
-    // build (≈ 50 s while they did).
+    // solve, and grade-cast forwards one handle per instance instead of
+    // cloning and comparing n² announcements per party, so the two n = 61
+    // runs of this test take ≈ 3 s in a debug build (≈ 6 s while it
+    // cloned, ≈ 50 s while the decodes ran the solve).
     type G = Gf2k<8>;
     const BIG_N: usize = 61;
     const BIG_T: usize = 10;
