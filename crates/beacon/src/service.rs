@@ -63,7 +63,7 @@ pub fn epoch_seed(master_seed: u64, epoch: u64) -> u64 {
 pub enum ExecutorKind {
     /// The single-threaded [`StepRunner`].
     Step,
-    /// The work-stealing [`ParRunner`] with its default worker pool.
+    /// The [`ParRunner`] with its default worker pool.
     Par,
     /// The [`ParRunner`] pinned to an explicit worker count — the health
     /// plane's cross-thread-count determinism tests sweep this.

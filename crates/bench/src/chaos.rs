@@ -142,7 +142,7 @@ pub enum Outcome {
 pub enum Executor {
     /// The single-threaded [`StepRunner`].
     Stepped,
-    /// The deterministic work-stealing pool ([`ParRunner`]).
+    /// The deterministic thread pool ([`ParRunner`]).
     Parallel,
 }
 
@@ -704,7 +704,7 @@ mod tests {
     fn campaigns_agree_between_stepped_and_parallel() {
         // Campaign-level executor equivalence: a whole adversarial sweep —
         // stateful taps, drops, delays, corruption decisions — must tally
-        // identically under the work-stealing pool.
+        // identically under the thread pool.
         for attack in [
             Attack::RandomChaos { drop_pct: 20, delay_pct: 20, max_delay: 2 },
             Attack::Equivocate,

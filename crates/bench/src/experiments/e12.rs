@@ -22,7 +22,7 @@
 //!   so the zeroes above are evidence, not vacuity.
 //!
 //! Every episode is replayable from `(master seed, strategy, schedule)`
-//! alone, on either executor — the campaign spot-checks a work-stealing
+//! alone, on either executor — the campaign spot-checks a pooled
 //! ([`dprbg_sim::ParRunner`]) replay per strategy.
 
 use dprbg_core::VssMode;
@@ -105,7 +105,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
                 &stats,
             );
             // Replay spot-check: episode 0 must be identical under the
-            // work-stealing executor.
+            // pooled executor.
             let seed0 = episode_seed(master, 0);
             assert_eq!(
                 run_episode(protocol, &s, seed0, Executor::Stepped),

@@ -12,7 +12,7 @@
 //!    dispatch (`dprbg_field::clmul`). Same products, fewer cycles.
 //! 2. **Parallel executor**: full Coin-Gen at beacon scale (n = 61,
 //!    t = 10) under the single-threaded [`StepRunner`] vs. the
-//!    work-stealing [`ParRunner`] — with the transcripts, cost reports,
+//!    pooled [`ParRunner`] — with the transcripts, cost reports,
 //!    round profiles, and logical traces asserted byte-identical before
 //!    any timing is reported.
 //! 3. **Batched decoding**: clean words through per-call [`bw_decode`]

@@ -36,7 +36,7 @@
 //! Every protocol is a [`dprbg_sim::RoundMachine`]: a sans-IO state
 //! machine advanced one synchronous round at a time by an executor
 //! ([`dprbg_sim::StepRunner`] single-threaded, [`dprbg_sim::ParRunner`]
-//! work-stealing — bit-identical outputs).
+//! on a thread pool — bit-identical outputs).
 //!
 //! ```
 //! use dprbg_core::{dealer::TrustedDealer, CoinGenConfig, CoinGenMachine, CoinGenMsg, Params};

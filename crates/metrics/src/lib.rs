@@ -12,9 +12,11 @@
 //! units, so the benchmark harness can regenerate the paper's claims
 //! (Lemmas 2, 4, 6; Theorem 2; Corollaries 1–3) as measured tables.
 //!
-//! Counters are thread-local: in the thread-per-party simulator each party's
-//! work accumulates in its own thread, and the runner collects per-party
-//! [`CostSnapshot`]s which aggregate into a [`CostReport`].
+//! Counters are thread-local and monotone. The simulator's round loop
+//! windows them around each party's `round` call and around its outbox
+//! flush — on whichever thread hosts each — and charges the party the sum
+//! of the two deltas; the per-party [`CostSnapshot`]s aggregate into a
+//! [`CostReport`].
 //!
 //! Since PR 10 the crate is also the workspace's *health plane*: a
 //! deterministic [`Registry`] of named counters, gauges, and log2-bucketed

@@ -1,27 +1,20 @@
-//! Batched interpolation kernels: many sharings over one abscissa set.
+//! Batched Berlekamp–Welch decode: many sharings over one abscissa set.
 //!
 //! The paper's whole construction amortizes fixed distributed cost over
 //! many coins — and the local decode work amortizes the same way. Every
 //! coin in a batch is reconstructed from shares held by the *same* party
 //! set, i.e. the interpolation abscissas are identical across the batch;
-//! only the y-values change. Both kernels here hoist everything that
-//! depends only on the abscissas out of the per-sharing loop:
+//! only the y-values change. [`BatchDecoder`] hoists everything that
+//! depends only on the abscissas out of the per-sharing loop.
 //!
-//! * [`ZeroKernel`] — Shamir reconstruction at `x = 0`. Precomputes the
-//!   Lagrange-at-zero coefficients once (`O(m²)` multiplications and a
-//!   *single* field inversion via Montgomery's batch-inversion trick),
-//!   then each sharing costs one `O(m)` dot product. The naive
-//!   [`lagrange_eval_at_zero`](crate::lagrange_eval_at_zero) spends
-//!   `O(m²)` multiplications and `m` inversions *per sharing*.
-//! * [`BatchDecoder`] — Berlekamp–Welch with a shared candidate basis.
-//!   [`bw_decode`](crate::bw_decode) already returns a clean word's
-//!   interpolant without touching the `O(m³)` linear solve, but rebuilds
-//!   the Lagrange basis over the first `t + 1` abscissas (`O(t²)`
-//!   multiplications, one inversion) on every call. This decoder builds
-//!   it once; each sharing then costs a `t + 1`-term linear combination
-//!   plus the same verification against all `m` points, and a dirty word
-//!   goes to the same solver stage — so the result is always exactly what
-//!   `bw_decode` would return.
+//! [`bw_decode`](crate::bw_decode) already returns a clean word's
+//! interpolant without touching the `O(m³)` linear solve, but rebuilds
+//! the Lagrange basis over the first `t + 1` abscissas (`O(t²)`
+//! multiplications, one inversion) on every call. The decoder builds it
+//! once; each sharing then costs a `t + 1`-term linear combination plus
+//! the same verification against all `m` points, and a dirty word goes to
+//! the same solver stage — so the result is always exactly what
+//! `bw_decode` would return.
 //!
 //! Cost accounting: each decoded sharing still ticks exactly one
 //! interpolation (the paper's headline unit), so "interpolations per
@@ -33,116 +26,8 @@ use dprbg_field::Field;
 use dprbg_metrics::ops;
 
 use crate::berlekamp_welch::{solve_in_radius, BwError};
-use crate::lagrange::{batch_invert, InterpolateError, LagrangeBasis};
+use crate::lagrange::LagrangeBasis;
 use crate::poly::Poly;
-
-/// A reusable Lagrange-at-zero evaluator for a fixed abscissa set.
-///
-/// # Examples
-///
-/// ```
-/// use dprbg_field::{Field, Gf2k};
-/// use dprbg_poly::{Poly, ZeroKernel};
-///
-/// type F = Gf2k<16>;
-/// let xs: Vec<F> = (1..=5).map(F::element).collect();
-/// let kernel = ZeroKernel::new(&xs).unwrap();
-/// // Reconstruct two secrets shared over the same five parties.
-/// for secret in [7u64, 1996] {
-///     let f = Poly::new(vec![F::from_u64(secret), F::one(), F::one()]);
-///     let ys: Vec<F> = xs.iter().map(|&x| f.eval(x)).collect();
-///     assert_eq!(kernel.eval_at_zero(&ys), F::from_u64(secret));
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ZeroKernel<F> {
-    xs: Vec<F>,
-    coeffs: Vec<F>,
-}
-
-impl<F: Field> ZeroKernel<F> {
-    /// Precompute the at-zero coefficients `c_i = L_i(0)` for `xs`.
-    ///
-    /// Uses one batched inversion for all `m` Lagrange denominators.
-    ///
-    /// # Errors
-    ///
-    /// [`InterpolateError::Empty`] without abscissas,
-    /// [`InterpolateError::DuplicateAbscissa`] if any repeat.
-    pub fn new(xs: &[F]) -> Result<Self, InterpolateError> {
-        if xs.is_empty() {
-            return Err(InterpolateError::Empty);
-        }
-        for (i, xi) in xs.iter().enumerate() {
-            if xs[i + 1..].iter().any(|xj| xj == xi) {
-                return Err(InterpolateError::DuplicateAbscissa);
-            }
-        }
-        let m = xs.len();
-        // Numerators Π_{j≠i}(−x_j) and denominators Π_{j≠i}(x_i − x_j).
-        let mut nums = vec![F::one(); m];
-        let mut denoms = vec![F::one(); m];
-        for i in 0..m {
-            for j in 0..m {
-                if j != i {
-                    nums[i] *= -xs[j];
-                    denoms[i] *= xs[i] - xs[j];
-                }
-            }
-        }
-        batch_invert(&mut denoms);
-        let coeffs = nums.iter().zip(&denoms).map(|(&num, &inv)| num * inv).collect();
-        Ok(ZeroKernel { xs: xs.to_vec(), coeffs })
-    }
-
-    /// The abscissas this kernel was built for.
-    #[must_use]
-    pub fn xs(&self) -> &[F] {
-        &self.xs
-    }
-
-    /// Number of shares per sharing.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Whether the kernel is empty (never true — `new` rejects it).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Evaluate the interpolating polynomial of one sharing at zero.
-    ///
-    /// Equals `lagrange_eval_at_zero(zip(xs, ys))` and ticks the same one
-    /// interpolation, but costs `m` multiplications instead of `O(m²)`
-    /// plus `m` inversions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ys.len()` differs from the kernel's abscissa count.
-    #[must_use]
-    pub fn eval_at_zero(&self, ys: &[F]) -> F {
-        assert_eq!(ys.len(), self.xs.len(), "one y-value per abscissa");
-        ops::count_interpolation(1);
-        let mut acc = F::zero();
-        for (c, y) in self.coeffs.iter().zip(ys) {
-            acc += *c * *y;
-        }
-        acc
-    }
-
-    /// Evaluate many sharings in one call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's length differs from the kernel's.
-    #[must_use]
-    pub fn eval_many(&self, words: &[Vec<F>]) -> Vec<F> {
-        words.iter().map(|ys| self.eval_at_zero(ys)).collect()
-    }
-}
 
 /// A reusable Berlekamp–Welch decoder for a fixed abscissa set.
 ///
@@ -227,7 +112,6 @@ impl<F: Field> BatchDecoder<F> {
 mod tests {
     use super::*;
     use crate::berlekamp_welch::bw_decode;
-    use crate::lagrange::lagrange_eval_at_zero;
     use dprbg_field::Gf2k;
     use dprbg_metrics::CostSnapshot;
     use dprbg_rng::prelude::*;
@@ -243,62 +127,6 @@ mod tests {
 
     fn word_of(f: &Poly<F>, xs: &[F]) -> Vec<F> {
         xs.iter().map(|&x| f.eval(x)).collect()
-    }
-
-    #[test]
-    fn zero_kernel_matches_naive_lagrange() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let xs = abscissas(9);
-        let kernel = ZeroKernel::new(&xs).unwrap();
-        for _ in 0..20 {
-            let f = Poly::<F>::random(4, &mut rng);
-            let ys = word_of(&f, &xs);
-            let points: Vec<(F, F)> = xs.iter().copied().zip(ys.iter().copied()).collect();
-            assert_eq!(kernel.eval_at_zero(&ys), lagrange_eval_at_zero(&points).unwrap());
-            assert_eq!(kernel.eval_at_zero(&ys), f.constant_term());
-        }
-    }
-
-    #[test]
-    fn zero_kernel_handles_arbitrary_words_like_naive() {
-        // Not just clean sharings: on *any* y-vector the kernel computes
-        // the same linear functional the naive evaluation does.
-        let mut rng = StdRng::seed_from_u64(12);
-        let xs = abscissas(7);
-        let kernel = ZeroKernel::new(&xs).unwrap();
-        for _ in 0..20 {
-            let ys: Vec<F> = (0..7).map(|_| F::random(&mut rng)).collect();
-            let points: Vec<(F, F)> = xs.iter().copied().zip(ys.iter().copied()).collect();
-            assert_eq!(kernel.eval_at_zero(&ys), lagrange_eval_at_zero(&points).unwrap());
-        }
-    }
-
-    #[test]
-    fn zero_kernel_rejects_bad_abscissas() {
-        assert_eq!(ZeroKernel::<F>::new(&[]).unwrap_err(), InterpolateError::Empty);
-        assert_eq!(
-            ZeroKernel::new(&[F::one(), F::one()]).unwrap_err(),
-            InterpolateError::DuplicateAbscissa
-        );
-    }
-
-    #[test]
-    fn zero_kernel_amortizes_inversions() {
-        let xs = abscissas(8);
-        let before = CostSnapshot::capture();
-        let kernel = ZeroKernel::new(&xs).unwrap();
-        let setup = CostSnapshot::capture().since(&before);
-        assert_eq!(setup.field_invs, 1, "batch inversion: one inv for all coefficients");
-        assert_eq!(setup.interpolations, 0, "setup is not an interpolation");
-
-        let mut rng = StdRng::seed_from_u64(13);
-        let words: Vec<Vec<F>> =
-            (0..5).map(|_| (0..8).map(|_| F::random(&mut rng)).collect()).collect();
-        let before = CostSnapshot::capture();
-        let _ = kernel.eval_many(&words);
-        let d = CostSnapshot::capture().since(&before);
-        assert_eq!(d.interpolations, 5, "one tick per sharing");
-        assert_eq!(d.field_invs, 0, "no inversions on the per-sharing path");
     }
 
     #[test]

@@ -44,15 +44,11 @@ mod berlekamp_welch;
 mod lagrange;
 mod linalg;
 mod poly;
-mod rs;
 mod shamir;
 
-pub use batch::{BatchDecoder, ZeroKernel};
+pub use batch::BatchDecoder;
 pub use berlekamp_welch::{bw_decode, BwError};
 pub use lagrange::{interpolate, lagrange_eval_at_zero, InterpolateError};
 pub use linalg::{solve_linear, Matrix};
 pub use poly::Poly;
-pub use rs::{RsCode, RsDecodeError};
-pub use shamir::{
-    reconstruct_robust, reconstruct_secret, share_points, share_polynomial, Share, ShamirError,
-};
+pub use shamir::{reconstruct_secret, share_points, share_polynomial, Share, ShamirError};

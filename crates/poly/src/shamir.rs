@@ -9,7 +9,6 @@ use dprbg_field::Field;
 use dprbg_metrics::WireSize;
 use dprbg_rng::Rng;
 
-use crate::berlekamp_welch::{bw_decode, BwError};
 use crate::lagrange::lagrange_eval_at_zero;
 use crate::poly::Poly;
 
@@ -85,7 +84,8 @@ pub fn share_points<F: Field>(poly: &Poly<F>, n: usize) -> Vec<Share<F>> {
 ///
 /// Uses the first `t + 1` shares to interpolate and checks every remaining
 /// share for consistency, so a corrupted share is *detected* (but not
-/// corrected — use [`reconstruct_robust`] against Byzantine shares).
+/// corrected — decode with [`bw_decode`](crate::bw_decode) against
+/// Byzantine shares).
 ///
 /// # Errors
 ///
@@ -114,28 +114,6 @@ pub fn reconstruct_secret<F: Field>(shares: &[Share<F>], t: usize) -> Result<F, 
         }
     }
     Ok(f.constant_term())
-}
-
-/// Reconstruct the full sharing polynomial from shares of which up to
-/// `e` may be Byzantine, via Berlekamp–Welch.
-///
-/// This is the paper's reconstruction path: "This enables us to use the
-/// Berlekamp-Welch decoder to compute the desired polynomial" (Thm. 1).
-///
-/// # Errors
-///
-/// See [`ShamirError`].
-pub fn reconstruct_robust<F: Field>(
-    shares: &[Share<F>],
-    t: usize,
-    e: usize,
-) -> Result<Poly<F>, ShamirError> {
-    let pts: Vec<(F, F)> = shares.iter().map(|s| (s.x, s.y)).collect();
-    bw_decode(&pts, t, e).map_err(|err| match err {
-        BwError::TooFewPoints { got, need } => ShamirError::NotEnoughShares { got, need },
-        BwError::DuplicateAbscissa => ShamirError::DuplicateShare,
-        BwError::DecodingFailed => ShamirError::Inconsistent,
-    })
 }
 
 #[cfg(test)]
@@ -218,7 +196,10 @@ mod tests {
         for s in shares.iter_mut().take(t) {
             s.y = F::random(&mut rng);
         }
-        let g = reconstruct_robust(&shares, t, t).unwrap();
+        // The paper's reconstruction path: "This enables us to use the
+        // Berlekamp-Welch decoder to compute the desired polynomial" (Thm. 1).
+        let pts: Vec<(F, F)> = shares.iter().map(|s| (s.x, s.y)).collect();
+        let g = crate::bw_decode(&pts, t, t).unwrap();
         assert_eq!(g, f);
         assert_eq!(g.constant_term(), secret);
     }

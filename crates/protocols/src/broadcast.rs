@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn executors_agree_on_outputs_and_costs() {
         // The same broadcast fleet on the single-threaded StepRunner and
-        // the work-stealing ParRunner: outputs, cost report, and round
+        // the pooled ParRunner: outputs, cost report, and round
         // profile must all be bit-identical.
         let n = 7;
         let t = 1;

@@ -10,7 +10,7 @@
 //!
 //! # Determinism across executors
 //!
-//! The cross-executor guarantee (the work-stealing [`crate::ParRunner`]
+//! The cross-executor guarantee (the pooled [`crate::ParRunner`]
 //! and the single-threaded [`crate::StepRunner`] produce byte-identical
 //! transcripts) holds for stateful taps because both executors consult
 //! the tap on the coordinating thread in the same id-major order; a

@@ -12,18 +12,17 @@
 //! machine whose [`round`](RoundMachine::round) method maps an [`Inbox`]
 //! view to an [`Outbox`] of sends (or a final output). The machine never
 //! touches a thread or socket; lock-step synchrony, delivery, and cost
-//! accounting are executor concerns. Two interchangeable executors drive
-//! machine fleets:
+//! accounting are executor concerns. One round loop drives machine fleets,
+//! under two interchangeable stepping strategies:
 //!
-//! * [`StepRunner`] — a deterministic single-threaded executor that
-//!   interleaves all parties round-by-round with no threads or barriers,
-//!   making big-n sweeps cheap;
-//! * [`ParRunner`] — a deterministic work-stealing pool that steps the
-//!   independent parties of each round concurrently and merges outboxes
-//!   in id order at round boundaries, for wall-clock speed at big n.
+//! * [`StepRunner`] calls every live party's `round` in id order on the
+//!   calling thread — no threads, no locks — making big-n sweeps cheap;
+//! * [`ParRunner`] steps the independent parties of each round
+//!   concurrently on a thread pool, for wall-clock speed at big n.
 //!
-//! Both executors share sequence numbering, RNG derivation, and cost
-//! accounting, so the same seed yields byte-identical transcripts and
+//! Sequence numbering, RNG derivation, cost accounting, and the merge of
+//! outboxes in id order at round boundaries belong to the loop, not the
+//! strategy, so the same seed yields byte-identical transcripts and
 //! identical cost reports under either. A message sent in round `r` is
 //! delivered at the start of round `r + 1`, exactly once, to exactly its
 //! addressee, sorted by (sender, send order). Communication is charged to
@@ -73,6 +72,7 @@ mod embed;
 mod machine;
 mod par;
 mod router;
+mod runner;
 mod step;
 
 pub use adversary::{FaultPlan, MsgFate, MsgHop, MsgTap};

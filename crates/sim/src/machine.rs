@@ -8,7 +8,7 @@
 //! thread, or barrier — *how* the outbox reaches the other parties is an
 //! executor concern, so the same machine runs unchanged under the
 //! deterministic single-threaded [`StepRunner`](crate::StepRunner) and the
-//! work-stealing [`ParRunner`](crate::ParRunner).
+//! pooled [`ParRunner`](crate::ParRunner).
 //!
 //! Two invariants make the executors interchangeable:
 //!

@@ -156,8 +156,13 @@ echo "== benchmark package check (builds against the crates, digests + exact cou
 # twice per seed, plus the package's unit tests), not the compiler.
 bench_cargo=(--release --offline --quiet --manifest-path benchmark/Cargo.toml
     --target-dir "${CARGO_TARGET_DIR:-benchmark/target}")
-cargo build "${bench_cargo[@]}"
-cargo test --no-run "${bench_cargo[@]}"
+if ! { cargo build "${bench_cargo[@]}" && cargo test --no-run "${bench_cargo[@]}"; }; then
+    echo "benchmark build FAILED: benchmark/ is a frozen consumer of dprbg-sim's public bounds" >&2
+    echo "(no other PR may edit it, and this stage is the only automated place a bound drift shows:" >&2
+    echo " e.g. benchmark/src/layers.rs runs StepRunner with a payload that is Send but not Sync." >&2
+    echo " Restore the crate's signature; do not touch benchmark/.)" >&2
+    exit 1
+fi
 bench_t0="$(date +%s%N)"
 bench_report="$(bash benchmark/run.sh --check)"
 bench_t1="$(date +%s%N)"
