@@ -5,11 +5,10 @@
 //! cargo run -p dprbg-bench --release --bin report               # all, full sweeps
 //! cargo run -p dprbg-bench --release --bin report -- --quick    # all, small sweeps
 //! cargo run -p dprbg-bench --release --bin report -- e4 e5      # selected experiments
-//! cargo run -p dprbg-bench --release --bin report -- --timing bench.json
 //! ```
 //!
-//! `--timing <files...>` renders wall-clock tables from the JSON lines the
-//! in-tree bench harness emits (`DPRBG_BENCH_JSON=bench.json cargo bench`).
+//! An argument that is neither an experiment name nor one of the flags
+//! below is a usage error (exit status 2), not an empty report.
 //!
 //! `--trace <path>` runs the fixed-seed traced E2 smoke, prints its
 //! per-(round, phase) cost breakdown and text timeline, writes the
@@ -25,35 +24,67 @@
 
 use std::time::Instant;
 
-use dprbg_bench::experiments::{self, ExperimentCtx};
-use dprbg_bench::harness::{parse_json_line, BenchRecord};
+use dprbg_bench::experiments::{self as ex, ExperimentCtx};
 use dprbg_metrics::Table;
 
+type Experiment = fn(&ExperimentCtx) -> Vec<Table>;
+
+/// Every experiment the report can run, in print order.
+const EXPERIMENTS: [(&str, Experiment); 15] = [
+    ("e1", |c| vec![ex::e1::run(c)]),
+    ("e2", |c| vec![ex::e2::run(c), ex::e2::run_k_sweep(c)]),
+    ("e3", |c| vec![ex::e3::run(c)]),
+    ("e4", ex::e4::run),
+    ("e5", |c| vec![ex::e5::run(c)]),
+    ("e6", ex::e6::run),
+    ("e7", |c| vec![ex::e7::run(c)]),
+    ("e8", |c| vec![ex::e8::run(c)]),
+    ("e9", |c| vec![ex::e9::run(c)]),
+    ("e10", |c| vec![ex::e10::run(c)]),
+    ("e11", |c| vec![ex::e11::run(c)]),
+    ("e12", ex::e12::run),
+    ("e13", |c| vec![ex::e13::run(c)]),
+    ("e14", |c| vec![ex::e14::run(c)]),
+    ("e15", ex::e15::run),
+];
+
+fn usage_error(what: &str) -> ! {
+    eprintln!(
+        "report: {what}\n\
+         usage: report [--quick] [e1 .. e15]...\n\
+         \x20      report [--quick] --health\n\
+         \x20      report [--quick] --trace <chrome-trace.json>"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--timing") {
-        render_timing(&args[pos + 1..]);
-        return;
+    let (mut quick, mut health, mut trace) = (false, false, None);
+    let mut selected: Vec<&str> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" | "-q" => quick = true,
+            "--health" => health = true,
+            "--trace" => match args.next() {
+                Some(path) => trace = Some(path),
+                None => usage_error("--trace requires an output path for the Chrome trace JSON"),
+            },
+            name => match EXPERIMENTS.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)) {
+                Some((n, _)) => selected.push(n),
+                None if name.starts_with('-') => usage_error(&format!("unknown flag `{name}`")),
+                None => usage_error(&format!("unknown experiment `{name}`")),
+            },
+        }
     }
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    if args.iter().any(|a| a == "--health") {
+    if health {
         dprbg_bench::health::run_health_report(quick);
         return;
     }
-    if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        let Some(path) = args.get(pos + 1) else {
-            eprintln!("--trace requires an output path for the Chrome trace JSON");
-            std::process::exit(2);
-        };
-        dprbg_bench::traced::run_traced_report(path, quick);
+    if let Some(path) = trace {
+        dprbg_bench::traced::run_traced_report(&path, quick);
         return;
     }
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with('-'))
-        .map(|a| a.to_lowercase())
-        .collect();
-    let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
     let ctx = ExperimentCtx::new(quick);
 
     println!("dprbg experiment report — Bellare–Garay–Rabin, PODC 1996");
@@ -63,123 +94,12 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    if want("e1") {
-        print_section(experiments::e1::run(&ctx).render());
-    }
-    if want("e2") {
-        print_section(experiments::e2::run(&ctx).render());
-        print_section(experiments::e2::run_k_sweep(&ctx).render());
-    }
-    if want("e3") {
-        print_section(experiments::e3::run(&ctx).render());
-    }
-    if want("e4") {
-        for table in experiments::e4::run(&ctx) {
-            print_section(table.render());
-        }
-    }
-    if want("e5") {
-        print_section(experiments::e5::run(&ctx).render());
-    }
-    if want("e6") {
-        for table in experiments::e6::run(&ctx) {
-            print_section(table.render());
-        }
-    }
-    if want("e7") {
-        print_section(experiments::e7::run(&ctx).render());
-    }
-    if want("e8") {
-        print_section(experiments::e8::run(&ctx).render());
-    }
-    if want("e9") {
-        print_section(experiments::e9::run(&ctx).render());
-    }
-    if want("e10") {
-        print_section(experiments::e10::run(&ctx).render());
-    }
-    if want("e11") {
-        print_section(experiments::e11::run(&ctx).render());
-    }
-    if want("e12") {
-        for table in experiments::e12::run(&ctx) {
-            print_section(table.render());
-        }
-    }
-    if want("e13") {
-        print_section(experiments::e13::run(&ctx).render());
-    }
-    if want("e14") {
-        print_section(experiments::e14::run(&ctx).render());
-    }
-    if want("e15") {
-        for table in experiments::e15::run(&ctx) {
-            print_section(table.render());
+    for (name, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.contains(&name) {
+            for table in run(&ctx) {
+                println!("{}", table.render());
+            }
         }
     }
     println!("report generated in {:.1}s", t0.elapsed().as_secs_f64());
-}
-
-fn print_section(rendered: String) {
-    println!("{rendered}");
-}
-
-/// Render wall-clock tables (one per bench group) from harness JSON files.
-fn render_timing(paths: &[String]) {
-    if paths.is_empty() {
-        eprintln!("--timing requires at least one JSON file (from DPRBG_BENCH_JSON)");
-        std::process::exit(2);
-    }
-    let mut records: Vec<BenchRecord> = Vec::new();
-    for path in paths {
-        let contents = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        records.extend(contents.lines().filter_map(parse_json_line));
-    }
-    if records.is_empty() {
-        eprintln!("no bench records found in {paths:?}");
-        std::process::exit(2);
-    }
-    println!("dprbg wall-clock timing report ({} records)\n", records.len());
-    let mut groups: Vec<String> = records.iter().map(|r| r.group.clone()).collect();
-    groups.dedup();
-    groups.sort();
-    groups.dedup();
-    for group in groups {
-        let title = if group.is_empty() { "(ungrouped)" } else { &group };
-        let mut table = Table::new(
-            &format!("timing: {title}"),
-            &["median", "mean", "min", "max", "samples", "rate"],
-        );
-        for r in records.iter().filter(|r| r.group == group) {
-            table.row(
-                &r.name,
-                &[
-                    format_ns(r.median_ns),
-                    format_ns(r.mean_ns),
-                    format_ns(r.min_ns),
-                    format_ns(r.max_ns),
-                    r.samples.to_string(),
-                    r.rate_per_sec()
-                        .map(|x| format!("{x:.0}/s"))
-                        .unwrap_or_else(|| "-".into()),
-                ],
-            );
-        }
-        print_section(table.render());
-    }
-}
-
-fn format_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }

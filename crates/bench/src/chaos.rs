@@ -51,7 +51,6 @@ use dprbg_sim::{
 };
 
 use crate::experiments::common::{challenge_coins, seed_wallets, F32};
-use crate::harness::wilson_interval;
 
 /// Round backstop for attacked runs (delays stretch protocols, but
 /// nothing legitimate approaches this).
@@ -491,6 +490,29 @@ impl CampaignStats {
     }
 }
 
+/// The Wilson score interval: a `(lo, hi)` confidence interval for a
+/// binomial proportion after observing `successes` out of `trials`, at
+/// critical value `z` (1.96 ≈ 95%, 2.58 ≈ 99%).
+///
+/// Unlike the naive normal interval, Wilson stays inside `[0, 1]` and
+/// gives a non-degenerate bound at 0 observed successes — exactly the
+/// regime E12's soundness-error rates live in (the interesting claim is
+/// the *upper* bound on an empirically-zero failure rate). `(0.0, 1.0)`
+/// when `trials` is zero.
+pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
+    if trials == 0 {
+        return (0.0, 1.0);
+    }
+    assert!(successes <= trials, "more successes than trials");
+    let n = trials as f64;
+    let p = successes as f64 / n;
+    let z2 = z * z;
+    let denom = 1.0 + z2 / n;
+    let center = (p + z2 / (2.0 * n)) / denom;
+    let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
+    ((center - half).max(0.0), (center + half).min(1.0))
+}
+
 /// Run `episodes` seeded episodes of `(protocol, schedule)` and tally
 /// the outcomes. Episode `i` uses [`episode_seed`]`(master_seed, i)`, so
 /// any tallied failure is replayable in isolation via [`run_episode`].
@@ -512,6 +534,23 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wilson_interval_brackets_sensibly() {
+        // 0 failures in 200 trials at 95%: lower bound 0, upper ≈ 1.9%.
+        let (lo, hi) = wilson_interval(0, 200, 1.96);
+        assert_eq!(lo, 0.0);
+        assert!(hi > 0.015 && hi < 0.025, "upper bound {hi}");
+        // Symmetric case contains the point estimate.
+        let (lo, hi) = wilson_interval(50, 100, 1.96);
+        assert!(lo < 0.5 && 0.5 < hi);
+        assert!(lo > 0.39 && hi < 0.61);
+        // All successes at high confidence still below 1.
+        let (_, hi) = wilson_interval(100, 100, 2.58);
+        assert!(hi <= 1.0);
+        // Degenerate trials.
+        assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
+    }
 
     const WITHIN_MODEL: [Attack; 6] = [
         Attack::LeaderEclipse,

@@ -35,7 +35,7 @@ use dprbg_metrics::{CostReport, Table};
 use dprbg_sim::{BoxedMachine, ParRunner, PartyId, StepRunner};
 
 use super::common::{seed_wallets, ExperimentCtx, PlayerCost, F32};
-use crate::harness::wilson_interval;
+use crate::chaos::wilson_interval;
 
 type Out = Result<Vec<F32>, CommitteeError>;
 

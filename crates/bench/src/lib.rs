@@ -20,11 +20,10 @@
 //! cargo run -p dprbg-bench --release --bin report -- e4      # one experiment
 //! ```
 //!
-//! Wall-clock benches (supplementary shape evidence; the model counts
-//! above are the primary reproduction) live in `benches/` and run on the
-//! in-tree [`harness`] — a hermetic, criterion-compatible warmup +
-//! median-of-K timer that emits JSON consumable by
-//! `bin/report.rs --timing`.
+//! Wall-clock is not measured here: the repository's one timing harness
+//! is the separate `benchmark/` package (end-to-end workloads plus a
+//! per-layer ledger, see its README). The wall-clock cells that remain in
+//! E8, E13 and E15 are illustrations beside the counted columns.
 //!
 //! | Experiment | Paper claim |
 //! |---|---|
@@ -49,7 +48,6 @@
 
 pub mod chaos;
 pub mod experiments;
-pub mod harness;
 pub mod health;
 pub mod traced;
 

@@ -77,10 +77,11 @@ impl std::error::Error for GfQlError {}
 ///
 /// ```
 /// use dprbg_field::GfQlParams;
+/// use dprbg_rng::{rngs::StdRng, SeedableRng};
 /// # fn main() -> Result<(), dprbg_field::GfQlError> {
 /// let f = GfQlParams::new(97, 16)?;
 /// assert!(f.bits() >= 64);
-/// let mut rng = dprbg_rng::rng();
+/// let mut rng = StdRng::seed_from_u64(1996);
 /// let x = f.random(&mut rng);
 /// let y = f.random(&mut rng);
 /// assert_eq!(f.mul_naive(&x, &y), f.mul_fft(&x, &y));

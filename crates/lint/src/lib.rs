@@ -32,7 +32,6 @@
 //! enough because every rule is a statement about tokens, items, or
 //! name-level reachability.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod flow;
 pub mod items;
@@ -66,8 +65,6 @@ pub struct SourceSpec {
 pub struct ScanReport {
     /// Unsuppressed diagnostics, sorted by path, line, rule.
     pub diags: Vec<Diagnostic>,
-    /// Rust files scanned.
-    pub files: usize,
     /// Valid allow pins seen (any rule).
     pub suppressions: usize,
     /// Allow pins that suppressed zero diagnostics (each also surfaced
@@ -76,11 +73,6 @@ pub struct ScanReport {
     /// Allow pins naming `transport` (each also a `transport`
     /// diagnostic; the census keeps the zero visible).
     pub transport_suppressions: usize,
-    /// `snapshot-abi` pins seen.
-    pub snapshot_pins: usize,
-    /// Call sites the conservative graph could not resolve to any
-    /// workspace fn (edges-to-unknown).
-    pub unresolved_calls: usize,
 }
 
 /// Run the full analysis — token rules, flow rules, `stale-allow` — over
@@ -111,21 +103,18 @@ pub fn lint_sources(specs: &[SourceSpec]) -> ScanReport {
     // allow pin can suppress either kind, then per-file suppression with
     // usage accounting.
     let flow_diags = flow::check(&views, &graph);
-    let unresolved_calls = graph.unresolved_calls;
     drop(views);
 
     let mut diags = Vec::new();
     let mut suppressions = 0usize;
     let mut stale_suppressions = 0usize;
     let mut transport_suppressions = 0usize;
-    let mut snapshot_pins = 0usize;
     for ((spec, analysis), flow) in specs.iter().zip(&mut analyses).zip(flow_diags) {
         let mut pool = std::mem::take(&mut analysis.diags);
         pool.extend(flow);
         let mut surviving = apply_suppressions(pool, &mut analysis.allows);
 
         suppressions += analysis.allows.len();
-        snapshot_pins += analysis.pins.len();
         for a in &analysis.allows {
             if a.rules.contains(&RuleId::Transport) {
                 transport_suppressions += 1;
@@ -154,15 +143,7 @@ pub fn lint_sources(specs: &[SourceSpec]) -> ScanReport {
     }
 
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    ScanReport {
-        diags,
-        files: specs.len(),
-        suppressions,
-        stale_suppressions,
-        transport_suppressions,
-        snapshot_pins,
-        unresolved_calls,
-    }
+    ScanReport { diags, suppressions, stale_suppressions, transport_suppressions }
 }
 
 /// Scan the workspace under `root`: manifests (the `hermetic` rule) plus

@@ -1,65 +1,39 @@
 //! `dprbg-lint` CLI: `cargo run -p dprbg-lint -- --workspace`.
 //!
-//! Exit status: 0 clean, 1 diagnostics found (or baseline regressions),
-//! 2 usage or I/O error. `scripts/verify.sh` runs `--manifests` as the
-//! dependency-policy guard, `--workspace` as the full invariant pass,
-//! and `--workspace --json --baseline scripts/lint-baseline.json` as the
-//! structural no-new-diagnostics gate (see LINTS.md).
+//! Exit status: 0 clean, 1 diagnostics found, 2 usage or I/O error.
+//! `scripts/verify.sh` runs `--manifests` as the dependency-policy guard
+//! and `--workspace` as the full invariant pass (see LINTS.md).
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dprbg_lint::baseline;
 use dprbg_lint::{lint_manifests, scan_workspace};
 
 struct Options {
     manifests_only: bool,
     root: PathBuf,
-    json: bool,
-    baseline: Option<PathBuf>,
-    update_baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        manifests_only: false,
-        root: PathBuf::from("."),
-        json: false,
-        baseline: None,
-        update_baseline: None,
-    };
+    let mut opts = Options { manifests_only: false, root: PathBuf::from(".") };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => opts.manifests_only = false,
             "--manifests" => opts.manifests_only = true,
-            "--json" => opts.json = true,
             "--root" => match args.next() {
                 Some(p) => opts.root = PathBuf::from(p),
                 None => return Err("--root needs a path".to_string()),
             },
-            "--baseline" => match args.next() {
-                Some(p) => opts.baseline = Some(PathBuf::from(p)),
-                None => return Err("--baseline needs a file".to_string()),
-            },
-            "--update-baseline" => match args.next() {
-                Some(p) => opts.update_baseline = Some(PathBuf::from(p)),
-                None => return Err("--update-baseline needs a file".to_string()),
-            },
             "--help" | "-h" => {
                 println!(
                     "usage: dprbg-lint [--workspace | --manifests] [--root <dir>]\n\
-                     \x20                 [--json] [--baseline <file>] [--update-baseline <file>]\n\
                      \n\
-                     --workspace        lint every manifest and Rust source (default)\n\
-                     --manifests        hermetic dependency-policy rule only\n\
-                     --root             workspace root to scan (default: .)\n\
-                     --json             machine-readable report on stdout\n\
-                     --baseline         fail only on diagnostics NOT in the committed\n\
-                     \x20                  baseline (a JSON array of `file: [rule] message`)\n\
-                     --update-baseline  write the current diagnostics as the new baseline\n\
+                     --workspace  lint every manifest and Rust source (default)\n\
+                     --manifests  hermetic dependency-policy rule only\n\
+                     --root       workspace root to scan (default: .)\n\
                      \n\
                      Rules and suppression syntax: see LINTS.md."
                 );
@@ -67,10 +41,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
-    }
-    if opts.manifests_only && (opts.json || opts.baseline.is_some() || opts.update_baseline.is_some())
-    {
-        return Err("--json/--baseline modes apply to --workspace, not --manifests".to_string());
     }
     Ok(Some(opts))
 }
@@ -111,85 +81,28 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &opts.update_baseline {
-        let keys = baseline::baseline_keys(&report.diags);
-        if let Err(e) = std::fs::write(path, baseline::render_baseline(&keys)) {
-            eprintln!("dprbg-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("dprbg-lint: wrote {} baseline entries to {}", keys.len(), path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.json {
-        print!("{}", baseline::to_json(&report));
-    } else {
-        for d in &report.diags {
-            println!("{d}");
-        }
+    for d in &report.diags {
+        println!("{d}");
     }
 
     // The census lines: how many transport pins exist (the invariant
     // requires zero) and how many pins are stale (likewise) — printed
-    // even when clean so the zeros stay visible, but kept off stdout in
-    // --json mode where they live in the summary object.
-    if !opts.json {
-        println!(
-            "dprbg-lint: {} transport suppression{} (required: 0)",
-            report.transport_suppressions,
-            if report.transport_suppressions == 1 { "" } else { "s" }
-        );
-        println!(
-            "dprbg-lint: {} stale suppression{} of {} allow pin{} (required: 0)",
-            report.stale_suppressions,
-            if report.stale_suppressions == 1 { "" } else { "s" },
-            report.suppressions,
-            if report.suppressions == 1 { "" } else { "s" }
-        );
-    }
-
-    if let Some(path) = &opts.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("dprbg-lint: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let keys = match baseline::parse_baseline(&text) {
-            Ok(k) => k,
-            Err(e) => {
-                eprintln!("dprbg-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let diff = baseline::diff(&report.diags, &keys);
-        for r in &diff.resolved {
-            eprintln!("dprbg-lint: baseline entry resolved (tighten the baseline): {r}");
-        }
-        if diff.new.is_empty() {
-            println!(
-                "dprbg-lint: no new diagnostics vs baseline ({} accepted)",
-                keys.len() - diff.resolved.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        for n in &diff.new {
-            eprintln!("dprbg-lint: NEW vs baseline: {n}");
-        }
-        eprintln!(
-            "dprbg-lint: {} new diagnostic{} vs {}",
-            diff.new.len(),
-            if diff.new.len() == 1 { "" } else { "s" },
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    // even when clean so the zeros stay visible.
+    println!(
+        "dprbg-lint: {} transport suppression{} (required: 0)",
+        report.transport_suppressions,
+        if report.transport_suppressions == 1 { "" } else { "s" }
+    );
+    println!(
+        "dprbg-lint: {} stale suppression{} of {} allow pin{} (required: 0)",
+        report.stale_suppressions,
+        if report.stale_suppressions == 1 { "" } else { "s" },
+        report.suppressions,
+        if report.suppressions == 1 { "" } else { "s" }
+    );
 
     if report.diags.is_empty() {
-        if !opts.json {
-            println!("dprbg-lint: workspace clean");
-        }
+        println!("dprbg-lint: workspace clean");
         return ExitCode::SUCCESS;
     }
     eprintln!(

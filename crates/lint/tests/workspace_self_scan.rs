@@ -169,77 +169,3 @@ fn snapshot_abi_catches_field_added_without_version_bump() {
         .expect("run dprbg-lint");
     assert!(ok.status.success(), "bumped + re-pinned must pass: {ok:?}");
 }
-
-/// Baseline mode end-to-end: `--update-baseline` then `--baseline`
-/// passes; a new violation on top of the accepted set exits 1 and names
-/// only the new diagnostic.
-#[test]
-fn baseline_diff_cli_roundtrip() {
-    let bin = env!("CARGO_BIN_EXE_dprbg-lint");
-    let seeded = "pub fn m() -> usize {\n    HashMap::new().len()\n}\n";
-    let root = synth_workspace("lint-baseline-e2e", "dprbg-core", seeded);
-    let baseline = root.join("baseline.json");
-
-    // Accept the seeded violation into the baseline.
-    let upd = Command::new(bin)
-        .args(["--workspace", "--root"])
-        .arg(&root)
-        .arg("--update-baseline")
-        .arg(&baseline)
-        .output()
-        .expect("run dprbg-lint");
-    assert!(upd.status.success(), "--update-baseline always exits 0: {upd:?}");
-    let text = std::fs::read_to_string(&baseline).expect("baseline written");
-    assert!(text.contains("[determinism]"), "{text}");
-
-    // Same tree vs the baseline: accepted, exit 0.
-    let same = Command::new(bin)
-        .args(["--workspace", "--root"])
-        .arg(&root)
-        .arg("--baseline")
-        .arg(&baseline)
-        .output()
-        .expect("run dprbg-lint");
-    assert!(same.status.success(), "baselined tree must exit 0: {same:?}");
-    let stdout = String::from_utf8_lossy(&same.stdout);
-    assert!(stdout.contains("no new diagnostics vs baseline (1 accepted)"), "{stdout}");
-
-    // Introduce a second violation: only it is NEW; exit 1.
-    std::fs::write(
-        root.join("crates/x/src/lib.rs"),
-        format!("{seeded}\npub fn i() -> u64 {{\n    Instant::now().elapsed().as_secs()\n}}\n"),
-    )
-    .expect("extend source");
-    let drift = Command::new(bin)
-        .args(["--workspace", "--root"])
-        .arg(&root)
-        .arg("--baseline")
-        .arg(&baseline)
-        .output()
-        .expect("run dprbg-lint");
-    assert_eq!(drift.status.code(), Some(1), "new diagnostic must exit 1: {drift:?}");
-    let stderr = String::from_utf8_lossy(&drift.stderr);
-    assert!(stderr.contains("NEW vs baseline"), "{stderr}");
-    assert!(stderr.contains("[determinism]"), "{stderr}");
-    assert_eq!(
-        stderr.matches("NEW vs baseline").count(),
-        1,
-        "the accepted diagnostic must not re-fire: {stderr}"
-    );
-}
-
-/// `--json` emits the census fields verify.sh greps for.
-#[test]
-fn json_report_carries_census_fields() {
-    let bin = env!("CARGO_BIN_EXE_dprbg-lint");
-    let out = Command::new(bin)
-        .args(["--workspace", "--json", "--root"])
-        .arg(workspace_root())
-        .output()
-        .expect("run dprbg-lint");
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"stale_suppressions\": 0"), "{stdout}");
-    assert!(stdout.contains("\"transport_suppressions\": 0"), "{stdout}");
-    assert!(stdout.contains("\"snapshot_pins\": 14"), "{stdout}");
-}

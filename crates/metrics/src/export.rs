@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::json::{self, Json};
 use crate::registry::{Histogram, LogicalTime, MetricId, MetricValue, Registry};
 use crate::report::Table;
 
@@ -17,7 +18,7 @@ pub struct ExportParseError {
     /// 1-based line the error was found on.
     pub line: usize,
     /// What was wrong with it.
-    pub what: &'static str,
+    pub what: String,
 }
 
 impl fmt::Display for ExportParseError {
@@ -96,20 +97,20 @@ pub fn from_json_lines(s: &str) -> Result<Registry, ExportParseError> {
     let mut reg = Registry::new();
     for (i, line) in s.lines().enumerate() {
         let lineno = i + 1;
-        let err = |what| ExportParseError { line: lineno, what };
+        let err = |what: &str| ExportParseError { line: lineno, what: what.to_string() };
         if line.trim().is_empty() {
             continue;
         }
-        let json = parse_json(line).map_err(err)?;
-        let obj = json.as_object().ok_or(err("not an object"))?;
-        let kind = get_str(obj, "type").ok_or(err("missing type"))?;
-        let name = get_str(obj, "name").ok_or(err("missing name"))?;
-        let labels_json = get(obj, "labels")
-            .and_then(Json::as_object)
-            .ok_or(err("missing labels"))?;
+        let obj = json::parse(line).map_err(|e| err(&e))?;
+        obj.as_obj().ok_or_else(|| err("not an object"))?;
+        let get_str = |key| obj.get(key).and_then(Json::as_str);
+        let get_u64 = |key| obj.get(key).and_then(Json::as_u64);
+        let kind = get_str("type").ok_or_else(|| err("missing type"))?;
+        let name = get_str("name").ok_or_else(|| err("missing name"))?;
+        let labels_json = obj.get("labels").and_then(Json::as_obj).ok_or_else(|| err("missing labels"))?;
         let mut labels = Vec::new();
         for (k, v) in labels_json {
-            let v = v.as_str().ok_or(err("label value not a string"))?;
+            let v = v.as_str().ok_or_else(|| err("label value not a string"))?;
             labels.push((k.clone(), v.to_string()));
         }
         if labels.windows(2).any(|w| w[0] > w[1]) {
@@ -117,29 +118,28 @@ pub fn from_json_lines(s: &str) -> Result<Registry, ExportParseError> {
         }
         let value = match kind {
             "counter" => {
-                MetricValue::Counter(get_u64(obj, "value").ok_or(err("missing value"))?)
+                MetricValue::Counter(get_u64("value").ok_or_else(|| err("missing value"))?)
             }
             "gauge" => MetricValue::Gauge {
                 at: LogicalTime {
-                    epoch: get_u64(obj, "epoch").ok_or(err("missing epoch"))?,
-                    round: get_u64(obj, "round").ok_or(err("missing round"))?,
-                    party: get_u64(obj, "party")
+                    epoch: get_u64("epoch").ok_or_else(|| err("missing epoch"))?,
+                    round: get_u64("round").ok_or_else(|| err("missing round"))?,
+                    party: get_u64("party")
                         .and_then(|p| u32::try_from(p).ok())
-                        .ok_or(err("missing party"))?,
+                        .ok_or_else(|| err("missing party"))?,
                 },
-                value: get_u64(obj, "value").ok_or(err("missing value"))?,
+                value: get_u64("value").ok_or_else(|| err("missing value"))?,
             },
             "histogram" => {
-                let count = get_u64(obj, "count").ok_or(err("missing count"))?;
-                let sum = get_u64(obj, "sum").ok_or(err("missing sum"))?;
-                let buckets = get(obj, "buckets")
-                    .and_then(Json::as_array)
-                    .ok_or(err("missing buckets"))?;
+                let count = get_u64("count").ok_or_else(|| err("missing count"))?;
+                let sum = get_u64("sum").ok_or_else(|| err("missing sum"))?;
+                let buckets =
+                    obj.get("buckets").and_then(Json::as_arr).ok_or_else(|| err("missing buckets"))?;
                 let mut h = Histogram::new();
                 let mut total = 0u64;
                 let mut last: Option<usize> = None;
                 for b in buckets {
-                    let pair = b.as_array().ok_or(err("bucket not a pair"))?;
+                    let pair = b.as_arr().ok_or_else(|| err("bucket not a pair"))?;
                     if pair.len() != 2 {
                         return Err(err("bucket not a pair"));
                     }
@@ -147,14 +147,14 @@ pub fn from_json_lines(s: &str) -> Result<Registry, ExportParseError> {
                         .as_u64()
                         .and_then(|i| usize::try_from(i).ok())
                         .filter(|&i| i < crate::registry::HISTOGRAM_BUCKETS)
-                        .ok_or(err("bucket index"))?;
+                        .ok_or_else(|| err("bucket index"))?;
                     if last.is_some_and(|l| l >= idx) {
                         return Err(err("bucket order"));
                     }
                     last = Some(idx);
-                    let c = pair[1].as_u64().filter(|&c| c > 0).ok_or(err("bucket count"))?;
+                    let c = pair[1].as_u64().filter(|&c| c > 0).ok_or_else(|| err("bucket count"))?;
                     h.buckets[idx] = c;
-                    total = total.checked_add(c).ok_or(err("bucket overflow"))?;
+                    total = total.checked_add(c).ok_or_else(|| err("bucket overflow"))?;
                 }
                 if total != count {
                     return Err(err("histogram count"));
@@ -286,202 +286,8 @@ fn label_set(id: &MetricId, extra: &[(String, String)]) -> String {
 
 fn json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&json::escape(s));
     out.push('"');
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough for the export's own output shape
-// (objects, arrays, strings, unsigned integers), total on garbage.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    U64(u64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a str> {
-    get(obj, key).and_then(Json::as_str)
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Option<u64> {
-    get(obj, key).and_then(Json::as_u64)
-}
-
-fn parse_json(s: &str) -> Result<Json, &'static str> {
-    let bytes = s.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err("trailing characters");
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, &'static str> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err("expected ':'");
-                }
-                *pos += 1;
-                let value = parse_value(b, pos)?;
-                fields.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err("expected ',' or '}'"),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err("expected ',' or ']'"),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|d| d.parse::<u64>().ok())
-                .map(Json::U64)
-                .ok_or("number out of range")
-        }
-        _ => Err("unexpected character"),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, &'static str> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err("expected string");
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string"),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        *pos += 4;
-                        out.push(char::from_u32(hex).ok_or("bad \\u escape")?);
-                    }
-                    _ => return Err("bad escape"),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one whole UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
 }
 
 #[cfg(test)]

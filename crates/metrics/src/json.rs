@@ -1,11 +1,16 @@
-//! A minimal in-tree JSON reader.
+//! The workspace's one JSON reader and string escaper.
 //!
 //! The hermetic-build policy (no external crates) means no `serde`; this
-//! parser covers exactly the subset the Chrome exporter emits — objects,
+//! parser covers exactly the subset the workspace's exporters emit (the
+//! registry's JSON lines, `dprbg-trace`'s Chrome export) — objects,
 //! arrays, strings with the standard escapes, unsigned integers, booleans
-//! and null — which is all the round-trip validation needs. Object key
-//! order is preserved (a `Vec`, not a map), so re-emission can be
-//! byte-faithful.
+//! and null. Object key order is preserved (a `Vec`, not a map), so
+//! re-emission can be byte-faithful. The reader is total: malformed or
+//! hostile input is an `Err`, never a panic or a stack overflow.
+
+/// Deepest array/object nesting [`parse`] accepts (the exporters use
+/// four levels); the cap bounds the parser's recursion.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +19,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer (the only number form the exporter emits).
+    /// An unsigned integer (the only number form the exporters emit).
     Num(u64),
     /// A string, unescaped.
     Str(String),
@@ -56,6 +61,14 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The value as an object's fields in source order, if it is one.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
 }
 
 /// Parse a complete JSON document.
@@ -63,12 +76,12 @@ impl Json {
 /// # Errors
 ///
 /// Returns a position-annotated message on malformed input, on trailing
-/// content, or on number forms the exporter never emits (negative,
-/// fractional, exponent).
-pub fn parse_json(src: &str) -> Result<Json, String> {
+/// content, on nesting deeper than 64 levels, or on number forms the
+/// exporters never emit (negative, fractional, exponent).
+pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -82,12 +95,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` is the number of arrays/objects already open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -113,7 +130,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     if matches!(bytes.get(*pos), Some(b'.') | Some(b'e') | Some(b'E') | Some(b'-') | Some(b'+')) {
         return Err(format!(
-            "unsupported number form at byte {start} (the exporter emits unsigned integers only)"
+            "unsupported number form at byte {start} (the exporters emit unsigned integers only)"
         ));
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
@@ -169,7 +186,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -178,7 +195,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -191,7 +208,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -210,7 +227,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -224,10 +241,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Escape a string for embedding in JSON output (the writer-side inverse
-/// of [`parse_string`]'s unescaping, restricted to the escapes the
-/// exporter needs).
-pub fn escape_json(s: &str) -> String {
+/// Escape a string for embedding between quotes in JSON output (the
+/// writer-side inverse of [`parse`]'s string unescaping, restricted to
+/// the escapes the exporters need).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -250,7 +267,7 @@ mod tests {
     #[test]
     fn parses_nested_document() {
         let doc = r#"{"a": [1, 2, {"b": "x", "c": true}], "d": null}"#;
-        let v = parse_json(doc).unwrap();
+        let v = parse(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0], Json::Num(1));
         assert_eq!(
             v.get("a").unwrap().as_arr().unwrap()[2].get("b").unwrap().as_str(),
@@ -261,7 +278,7 @@ mod tests {
 
     #[test]
     fn preserves_key_order() {
-        let v = parse_json(r#"{"z":1,"a":2,"m":3}"#).unwrap();
+        let v = parse(r#"{"z":1,"a":2,"m":3}"#).unwrap();
         let Json::Obj(fields) = v else { panic!("not an object") };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["z", "a", "m"]);
@@ -270,15 +287,22 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let raw = "a\"b\\c\nd\te\u{1}";
-        let doc = format!("\"{}\"", escape_json(raw));
-        assert_eq!(parse_json(&doc).unwrap().as_str(), Some(raw));
+        let doc = format!("\"{}\"", escape(raw));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(raw));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
     }
 
     #[test]
     fn rejects_trailing_content_and_floats() {
-        assert!(parse_json("{} x").is_err());
-        assert!(parse_json("1.5").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("\"open").is_err());
+        assert!(parse("{} x").is_err());
+        assert!(parse("1.5").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("\"open").is_err());
     }
 }

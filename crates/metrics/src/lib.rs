@@ -22,7 +22,8 @@
 //! deterministic [`Registry`] of named counters, gauges, and log2-bucketed
 //! histograms keyed on logical time only (see [`LogicalTime`]), with
 //! associative + commutative merge semantics and canonical byte/JSON/
-//! Prometheus/dashboard exports (see [`export`]). The beacon service
+//! Prometheus/dashboard exports (see [`export`]; [`json`] is the
+//! workspace's one JSON reader and escaper). The beacon service
 //! instruments itself through it; LINTS.md's `registry-determinism` rule
 //! keeps wall clocks and iteration nondeterminism out of this crate.
 //!
@@ -41,6 +42,7 @@
 
 mod counters;
 pub mod export;
+pub mod json;
 mod registry;
 mod report;
 mod wire;

@@ -15,7 +15,7 @@
 //!    1–8, §1.4) replay exactly from the seeds printed in reports.
 //!
 //! The API mirrors `rand` 0.10 ([`rngs::StdRng`], [`SeedableRng`], [`Rng`],
-//! [`RngExt`], [`seq::SliceRandom`], [`rng()`]) so call sites read
+//! [`RngExt`], [`seq::SliceRandom`]) so call sites read
 //! identically; only the crate path differs. [`rngs::StdRng`] is ChaCha12 —
 //! the same core the external `StdRng` uses.
 //!
@@ -63,59 +63,3 @@ pub mod prelude {
 /// A small prime used by the crate-level doctest.
 #[doc(hidden)]
 pub const SMOKE_MODULUS: u64 = 65_537;
-
-use std::cell::RefCell;
-
-thread_local! {
-    static THREAD_RNG: RefCell<rngs::StdRng> = RefCell::new(seed_thread_rng());
-}
-
-fn seed_thread_rng() -> rngs::StdRng {
-    // Deterministic by default (hermetic builds must not read platform
-    // entropy); override with DPRBG_SEED for ad-hoc exploration.
-    let seed = std::env::var("DPRBG_SEED")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0xb6ab_1996_0d15_ea5e); // "BGR-1996" house seed
-    rngs::StdRng::seed_from_u64(seed)
-}
-
-/// Handle to a thread-local deterministic generator (mirrors `rand::rng()`).
-///
-/// Unlike `rand`'s, this one is **seeded, not entropy-backed**: it starts
-/// from a fixed default (or `DPRBG_SEED` if set) so that even "don't care"
-/// randomness stays reproducible. Protocol code should still prefer an
-/// explicit `StdRng::seed_from_u64`.
-pub fn rng() -> ThreadRng {
-    ThreadRng { _private: () }
-}
-
-/// The type returned by [`rng()`].
-pub struct ThreadRng {
-    _private: (),
-}
-
-impl Rng for ThreadRng {
-    fn next_u32(&mut self) -> u32 {
-        THREAD_RNG.with(|r| r.borrow_mut().next_u32())
-    }
-    fn next_u64(&mut self) -> u64 {
-        THREAD_RNG.with(|r| r.borrow_mut().next_u64())
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        THREAD_RNG.with(|r| r.borrow_mut().fill_bytes(dest))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thread_rng_draws() {
-        let mut r = rng();
-        let a: u64 = r.random();
-        let b: u64 = r.random();
-        assert_ne!(a, b);
-    }
-}

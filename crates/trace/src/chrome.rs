@@ -18,7 +18,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::json::{escape_json, parse_json};
+use dprbg_metrics::json::{escape, parse};
+
 use crate::{EventKind, Trace};
 
 /// One event of the Chrome trace-event JSON, as emitted and re-parsed.
@@ -101,21 +102,21 @@ pub fn emit_chrome_json(events: &[ChromeEvent]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-            escape_json(&e.name),
+            escape(&e.name),
             e.ph,
             e.pid,
             e.tid,
             e.ts
         );
         if let Some(scope) = &e.scope {
-            let _ = write!(out, ",\"s\":\"{}\"", escape_json(scope));
+            let _ = write!(out, ",\"s\":\"{}\"", escape(scope));
         }
         out.push_str(",\"args\":{");
         for (j, (k, v)) in e.args.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape_json(k), v);
+            let _ = write!(out, "\"{}\":{}", escape(k), v);
         }
         out.push_str("}}");
         if i + 1 < events.len() {
@@ -141,7 +142,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
 /// Returns a message if the document is not valid JSON or lacks the
 /// fields the exporter writes.
 pub fn parse_chrome_json(src: &str) -> Result<Vec<ChromeEvent>, String> {
-    let doc = parse_json(src)?;
+    let doc = parse(src)?;
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_arr())
@@ -170,8 +171,8 @@ pub fn parse_chrome_json(src: &str) -> Result<Vec<ChromeEvent>, String> {
                 _ => return Err(format!("event {i}: `ph` must be one character")),
             };
             let scope = ev.get("s").and_then(|v| v.as_str()).map(str::to_string);
-            let args = match ev.get("args") {
-                Some(crate::Json::Obj(fields)) => fields
+            let args = match ev.get("args").and_then(|v| v.as_obj()) {
+                Some(fields) => fields
                     .iter()
                     .map(|(k, v)| {
                         v.as_u64()
@@ -268,7 +269,7 @@ mod tests {
     #[test]
     fn export_is_valid_json_with_expected_shape() {
         let json = to_chrome_json(&sample_trace());
-        let doc = parse_json(&json).expect("exporter must emit valid JSON");
+        let doc = parse(&json).expect("exporter must emit valid JSON");
         let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(events.len(), 12); // 2 parties × 2 spans of (B, i, E)
         assert_eq!(events[0].get("ph").unwrap().as_str(), Some("B"));

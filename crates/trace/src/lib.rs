@@ -31,14 +31,13 @@
 //! compact per-round text timeline.
 
 mod chrome;
-mod json;
 mod timeline;
 
 pub use chrome::{
     chrome_events, emit_chrome_json, parse_chrome_json, to_chrome_json, validate_chrome_json,
     ChromeEvent,
 };
-pub use json::{parse_json, Json};
+pub use dprbg_metrics::json::{parse as parse_json, Json};
 pub use timeline::render_timeline;
 
 use std::collections::VecDeque;
