@@ -11,11 +11,13 @@
 //! sizes — naive GF(2^k), schoolbook GF(q^l), and DFT GF(q^l) — and
 //! reports ns/multiplication, locating (a) the GF(2^k)-vs-GF(q^l)
 //! crossover the paper warns about and (b) the naive-vs-DFT crossover
-//! inside GF(q^l) itself.
+//! inside GF(q^l) itself. One more row prices a GF(2^k) multiplication
+//! three ways — inside a slice kernel, as a scalar `*`, on the portable
+//! ladder — after checking that the three agree.
 
 use std::time::Instant;
 
-use dprbg_field::{clmul, Field, Gf2k, GfQlParams};
+use dprbg_field::{clmul, reduction_poly, Field, Gf2k, GfQlParams};
 use dprbg_metrics::Table;
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::{RngExt, SeedableRng};
@@ -42,6 +44,63 @@ fn time_gf2k<const K: usize>(iters: usize, seed: u64) -> f64 {
     let elapsed = start.elapsed().as_nanos() as f64 / iters as f64;
     std::hint::black_box(x);
     elapsed
+}
+
+/// One GF(2^K) multiplication on the portable ladder alone — product and
+/// both folds — whatever the CPU offers.
+fn mul_portable<const K: usize>(a: Gf2k<K>, b: Gf2k<K>) -> Gf2k<K> {
+    let fold = |v: u128| {
+        (v & (u128::MAX >> (128 - K))) ^ clmul::clmul_portable((v >> K) as u64, reduction_poly(K))
+    };
+    Gf2k::from_u64(fold(fold(clmul::clmul_portable(a.to_u64(), b.to_u64()))) as u64)
+}
+
+/// ns per element of the `axpy` slice kernel over `iters` elements, and
+/// ns per portable multiplication over `iters / 16`.
+fn time_kernel_and_portable<const K: usize>(iters: usize, seed: u64) -> (f64, f64) {
+    const LEN: usize = 4096;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let row: Vec<Gf2k<K>> = (0..LEN).map(|_| Gf2k::random(&mut rng)).collect();
+    let mut acc = row.clone();
+    let s = Gf2k::<K>::random(&mut rng);
+    let passes = iters.div_ceil(LEN);
+    let start = Instant::now();
+    for _ in 0..passes {
+        Gf2k::axpy(&mut acc, s, &row);
+    }
+    let kernel = start.elapsed().as_nanos() as f64 / (passes * LEN) as f64;
+    std::hint::black_box(&acc);
+    let mut x = row[0];
+    let start = Instant::now();
+    for _ in 0..iters / 16 {
+        x = mul_portable(x, s);
+    }
+    let portable = start.elapsed().as_nanos() as f64 / (iters / 16) as f64;
+    std::hint::black_box(x);
+    (kernel, portable)
+}
+
+/// One random slice through the multiplying kernels, each checked
+/// against the scalar operators and against the portable multiply.
+fn kernels_agree<const K: usize>(rng: &mut StdRng) -> bool {
+    let len = rng.random_range(0..=24usize);
+    let xs: Vec<Gf2k<K>> = (0..len).map(|_| Gf2k::random(rng)).collect();
+    let coeffs: Vec<Gf2k<K>> = (0..4).map(|_| Gf2k::random(rng)).collect();
+    let s = Gf2k::<K>::random(rng);
+    let backends: [fn(Gf2k<K>, Gf2k<K>) -> Gf2k<K>; 2] = [|a, b| a * b, mul_portable];
+
+    let mut scaled = xs.clone();
+    Gf2k::axpy(&mut scaled, s, &xs);
+    let mut values = vec![Gf2k::zero(); len];
+    Gf2k::eval_points(&coeffs, &xs, &mut values);
+    let mut beta = [Gf2k::zero()];
+    Gf2k::combine_rows(&[&xs], s, &mut beta);
+    backends.iter().all(|mul| {
+        let horner = |x| coeffs.iter().rev().fold(Gf2k::zero(), |acc, &c| mul(acc, x) + c);
+        xs.iter().zip(&scaled).all(|(&x, &y)| y == x + mul(x, s))
+            && xs.iter().zip(&values).all(|(&x, &y)| y == horner(x))
+            && beta[0] == xs.iter().rev().fold(Gf2k::zero(), |acc, &a| mul(acc + a, s))
+    })
 }
 
 /// Time `iters` dependent GF(q^l) multiplications; returns ns/mul for
@@ -109,20 +168,51 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
     }
     // The GF(2^k) column above goes through the runtime-dispatched
     // carry-less multiply; record which backend ran and check it against
-    // the portable reference ladder so the crossover numbers are never
-    // silently measuring a broken accelerator.
+    // the portable reference ladder — the raw product, and 4 096 random
+    // slices through the kernels — so neither the crossover numbers nor
+    // the row below are ever silently measuring a broken accelerator.
     let mut rng = StdRng::seed_from_u64(ctx.seed + 11);
     let parity = (0..4096).all(|_| {
         let (a, b) = (rng.random(), rng.random());
         clmul::clmul(a, b) == clmul::clmul_portable(a, b)
+    });
+    let kernel_parity = (0..4096).all(|_| {
+        kernels_agree::<8>(&mut rng)
+            && kernels_agree::<32>(&mut rng)
+            && kernels_agree::<64>(&mut rng)
     });
     table.row(
         &format!("clmul backend: {}", clmul::backend_name()),
         &[
             "-".into(),
             if parity { "backend parity OK".into() } else { "BACKEND MISMATCH".into() },
+            if kernel_parity { "kernel parity OK".into() } else { "KERNEL MISMATCH".into() },
             "-".into(),
             "-".into(),
+        ],
+    );
+    // One GF(2^k) multiplication three ways, k = 8 / 32 / 64: per element
+    // of a slice kernel, per scalar `*`, per portable-ladder multiply.
+    let scalar = [
+        time_gf2k::<8>(iters, ctx.seed + 3),
+        time_gf2k::<32>(iters, ctx.seed + 4),
+        time_gf2k::<64>(iters, ctx.seed + 5),
+    ];
+    let (kernel, portable): (Vec<f64>, Vec<f64>) = [
+        time_kernel_and_portable::<8>(iters, ctx.seed + 3),
+        time_kernel_and_portable::<32>(iters, ctx.seed + 4),
+        time_kernel_and_portable::<64>(iters, ctx.seed + 5),
+    ]
+    .into_iter()
+    .unzip();
+    let per_k = |ns: &[f64]| ns.iter().map(|&v| fmt_f(v)).collect::<Vec<_>>().join(" / ");
+    table.row(
+        "GF(2^k) ns, k = 8 / 32 / 64",
+        &[
+            "-".into(),
+            format!("scalar {}", per_k(&scalar)),
+            format!("kernel {}", per_k(&kernel)),
+            format!("portable {}", per_k(&portable)),
             "-".into(),
         ],
     );
@@ -163,5 +253,6 @@ mod tests {
         let s = run(&ExperimentCtx::new(true)).render();
         assert!(s.contains("GF(2^k)"));
         assert!(s.contains("backend parity OK"), "{s}");
+        assert!(s.contains("kernel parity OK"), "{s}");
     }
 }

@@ -38,7 +38,7 @@ use std::mem;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, interpolate, share_polynomial, Poly};
+use dprbg_poly::{bw_decode, eval_batch, interpolate, Poly};
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 use dprbg_rng::Rng;
 
@@ -115,11 +115,35 @@ pub struct BatchShares<F: Field> {
 /// `((…(r·α_M + α_{M−1})·r + …)·r + α_1)·r + γ` — `M` multiplications,
 /// `M` additions.
 pub fn horner_combine<F: Field>(alphas: &[F], gamma: F, r: F) -> F {
-    let mut acc = F::zero();
-    for &a in alphas.iter().rev() {
-        acc = (acc + a) * r;
-    }
-    acc + gamma
+    let mut sum = F::zero();
+    F::combine_rows(&[alphas], r, std::slice::from_mut(&mut sum));
+    sum + gamma
+}
+
+/// The evaluation points of parties `1..=n`.
+pub(crate) fn party_points<F: Field>(n: usize) -> Vec<F> {
+    (1..=n as u64).map(F::element).collect()
+}
+
+/// The dealing step shared by Fig. 3 and Fig. 4: evaluate a dealer's `m`
+/// secret polynomials — and, if `blinded`, the masking polynomial drawn
+/// after them — at every party point, and yield each party's
+/// `(α_{i1} … α_{iM}, γ_i)` in point order (`γ_i = 0` unblinded).
+///
+/// `coeffs` is the dealer's coefficient buffer: the polynomials one after
+/// another, equally many coefficients each, constant term first.
+pub(crate) fn deal_shares<F: Field>(
+    coeffs: &[F],
+    m: usize,
+    blinded: bool,
+    points: &[F],
+) -> impl Iterator<Item = (Vec<F>, F)> {
+    let polys = m + usize::from(blinded);
+    let values = eval_batch(coeffs, polys, points);
+    (0..points.len()).map(move |p| {
+        let row = &values[p * polys..(p + 1) * polys];
+        (row[..m].to_vec(), row.get(m).copied().unwrap_or_else(F::zero))
+    })
 }
 
 /// The batch dealing round as a sans-IO round machine: one `Continue`
@@ -167,20 +191,22 @@ where
             let mut out = view.outbox();
             if view.id == self.dealer {
                 if let Some(secrets) = self.secrets.take() {
-                    let n = view.n;
-                    let polys: Vec<Poly<F>> = secrets
-                        .iter()
-                        .map(|&s| share_polynomial(s, self.t, view.rng))
-                        .collect();
-                    let blind = if self.opts.blinding {
-                        Poly::random(self.t, view.rng)
-                    } else {
-                        Poly::zero()
-                    };
-                    for i in 1..=n {
-                        let x = F::element(i as u64);
-                        let alphas: Vec<F> = polys.iter().map(|f| f.eval(x)).collect();
-                        let gamma = blind.eval(x);
+                    let width = self.t + 1;
+                    let mut coeffs = Vec::with_capacity((secrets.len() + 1) * width);
+                    for &s in &secrets {
+                        coeffs.push(s);
+                        coeffs.extend((0..self.t).map(|_| F::random(view.rng)));
+                    }
+                    if self.opts.blinding {
+                        coeffs.extend((0..width).map(|_| F::random(view.rng)));
+                    }
+                    let shares = deal_shares(
+                        &coeffs,
+                        secrets.len(),
+                        self.opts.blinding,
+                        &party_points(view.n),
+                    );
+                    for (i, (alphas, gamma)) in (1..=view.n).zip(shares) {
                         out.send(
                             i,
                             <M as Embeds<BatchVssMsg<F>>>::wrap(BatchVssMsg::Deal {
@@ -189,9 +215,12 @@ where
                             }),
                         );
                     }
-                    let mut all = polys;
-                    all.push(blind);
-                    self.dealt = Some(all);
+                    // The secret polynomials, then the blind (zero when
+                    // blinding is off).
+                    let mut dealt: Vec<Poly<F>> =
+                        coeffs.chunks(width).map(|f| Poly::new(f.to_vec())).collect();
+                    dealt.resize(secrets.len() + 1, Poly::zero());
+                    self.dealt = Some(dealt);
                 }
             }
             return Step::Continue(out);
@@ -394,21 +423,16 @@ pub fn cheating_batch_deal<F: Field, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<BatchShares<F>> {
     assert!(bad_count <= m, "cannot corrupt more polynomials than exist");
-    let polys: Vec<Poly<F>> = (0..m)
-        .map(|j| {
-            let deg = if j < bad_count { t + 1 } else { t };
-            Poly::random(deg, rng)
-        })
-        .collect();
-    let blind = Poly::random(t, rng);
-    (1..=n as u64)
-        .map(|i| {
-            let x = F::element(i);
-            BatchShares {
-                alphas: polys.iter().map(|f| f.eval(x)).collect(),
-                gamma: blind.eval(x),
-            }
-        })
+    // Room for degree t + 1; an honest polynomial leaves the top
+    // coefficient zero (and undrawn).
+    let width = t + 2;
+    let mut coeffs = vec![F::zero(); (m + 1) * width];
+    for (j, f) in coeffs.chunks_mut(width).enumerate() {
+        let drawn = if j < bad_count { width } else { width - 1 };
+        f[..drawn].fill_with(|| F::random(rng));
+    }
+    deal_shares(&coeffs, m, true, &party_points(n))
+        .map(|(alphas, gamma)| BatchShares { alphas, gamma })
         .collect()
 }
 

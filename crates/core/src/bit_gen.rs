@@ -36,7 +36,7 @@ use dprbg_metrics::WireSize;
 use dprbg_poly::{BatchDecoder, Poly};
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
-use crate::batch_vss::horner_combine;
+use crate::batch_vss::{deal_shares, party_points};
 use crate::coin::{ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
 use crate::errors::CoinError;
 
@@ -112,9 +112,6 @@ pub struct BitGenRun<F: Field> {
     pub r: F,
     /// One view per dealer instance, indexed by dealer − 1.
     pub views: Vec<DealerView<F>>,
-    /// If this party dealt, its secret polynomials (`f_1 … f_M`) — the
-    /// coins it contributed.
-    pub my_polys: Option<Vec<Poly<F>>>,
 }
 
 /// What the dealers share — fresh random coins (Coin-Gen) or zero
@@ -150,15 +147,11 @@ enum BgStage<M, F: Field> {
     /// First call: deal (if a dealer) and bank the challenge share.
     Deal { coin: SealedShare<F> },
     /// Inbox holds deals: record them, then start the challenge expose.
-    Deals { coin: SealedShare<F>, my_polys: Option<Vec<Poly<F>>> },
+    Deals { coin: SealedShare<F> },
     /// Inbox holds expose shares: decode `r`, send the combinations.
-    Expose {
-        expose: ExposeMachine<M, F>,
-        views: Vec<DealerView<F>>,
-        my_polys: Option<Vec<Poly<F>>>,
-    },
+    Expose { expose: ExposeMachine<M, F>, views: Vec<DealerView<F>> },
     /// Inbox holds combinations: fill `S` and decode every instance.
-    Betas { r: F, views: Vec<DealerView<F>>, my_polys: Option<Vec<Poly<F>>> },
+    Betas { r: F, views: Vec<DealerView<F>> },
     Finished,
 }
 
@@ -188,44 +181,37 @@ where
         match mem::replace(&mut self.stage, BgStage::Finished) {
             BgStage::Deal { coin } => {
                 // Round 1: deal. Each dealer samples M secret polynomials
-                // and one masking polynomial, and sends each player its
-                // share vector.
+                // and one masking polynomial — t + 1 coefficients each,
+                // drawn polynomial by polynomial into one buffer — and
+                // sends each player its share vector.
                 let mut out = view.outbox();
-                let mut my_polys = None;
                 if self.dealers.contains(&view.id) {
-                    let polys: Vec<Poly<F>> = (0..self.m)
-                        .map(|_| match self.mode {
-                            BitGenMode::RandomCoins => Poly::random(self.t, view.rng),
-                            BitGenMode::ZeroRefresh => {
-                                Poly::random_with_constant(F::zero(), self.t, view.rng)
-                            }
-                        })
-                        .collect();
-                    let blind = match self.mode {
-                        BitGenMode::RandomCoins => Poly::random(self.t, view.rng),
-                        // Zero sharings need no blinding: the revealed
-                        // combination's constant term is zero by
-                        // construction and the z's are pure masking
-                        // randomness.
-                        BitGenMode::ZeroRefresh => Poly::zero(),
+                    let width = self.t + 1;
+                    let coeffs: Vec<F> = match self.mode {
+                        BitGenMode::RandomCoins => {
+                            (0..(self.m + 1) * width).map(|_| F::random(view.rng)).collect()
+                        }
+                        // Zero sharings: constant term zero, and no
+                        // blinding — the revealed combination's constant
+                        // term is zero by construction and the z's are
+                        // pure masking randomness.
+                        BitGenMode::ZeroRefresh => (0..self.m * width)
+                            .map(|i| if i % width == 0 { F::zero() } else { F::random(view.rng) })
+                            .collect(),
                     };
-                    for i in 1..=n {
-                        let x = F::element(i as u64);
-                        let alphas: Vec<F> = polys.iter().map(|f| f.eval(x)).collect();
+                    let blinded = self.mode == BitGenMode::RandomCoins;
+                    let shares = deal_shares(&coeffs, self.m, blinded, &party_points(n));
+                    for (i, (alphas, gamma)) in (1..=n).zip(shares) {
                         out.send(
                             i,
-                            <M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Deal {
-                                alphas,
-                                gamma: blind.eval(x),
-                            }),
+                            <M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Deal { alphas, gamma }),
                         );
                     }
-                    my_polys = Some(polys);
                 }
-                self.stage = BgStage::Deals { coin, my_polys };
+                self.stage = BgStage::Deals { coin };
                 Step::Continue(out)
             }
-            BgStage::Deals { coin, my_polys } => {
+            BgStage::Deals { coin } => {
                 let mut views: Vec<DealerView<F>> = (1..=n)
                     .map(|dealer| DealerView {
                         dealer,
@@ -253,22 +239,27 @@ where
                 let Step::Continue(out) = expose.round(view.reborrow()) else {
                     unreachable!("expose sends on its first call")
                 };
-                self.stage = BgStage::Expose { expose, views, my_polys };
+                self.stage = BgStage::Expose { expose, views };
                 Step::Continue(out)
             }
-            BgStage::Expose { mut expose, mut views, my_polys } => {
+            BgStage::Expose { mut expose, mut views } => {
                 let r = match expose.round(view.reborrow()) {
                     Step::Done(Ok(r)) => r,
                     Step::Done(Err(e)) => return Step::Done(Err(e)),
                     Step::Continue(_) => unreachable!("expose decodes on its second call"),
                 };
 
-                // Round 3: per instance, combine and exchange (n² messages
-                // of size k).
-                for v in views.iter_mut() {
-                    if v.alphas.len() == self.m {
-                        v.my_beta = Some(horner_combine(&v.alphas, v.gamma, r));
-                    }
+                // Round 3: combine every instance this party holds shares
+                // in — one pass, the Horner chains advancing together under
+                // the shared challenge — and exchange (n² messages of size
+                // k).
+                let m = self.m;
+                let rows: Vec<&[F]> =
+                    views.iter().map(|v| &v.alphas[..]).filter(|a| a.len() == m).collect();
+                let mut sums = vec![F::zero(); rows.len()];
+                F::combine_rows(&rows, r, &mut sums);
+                for (v, sum) in views.iter_mut().filter(|v| v.alphas.len() == m).zip(sums) {
+                    v.my_beta = Some(sum + v.gamma);
                 }
                 let entries: Vec<(PartyId, F)> = views
                     .iter()
@@ -280,10 +271,10 @@ where
                         entries,
                     )));
                 }
-                self.stage = BgStage::Betas { r, views, my_polys };
+                self.stage = BgStage::Betas { r, views };
                 Step::Continue(out)
             }
-            BgStage::Betas { r, mut views, my_polys } => {
+            BgStage::Betas { r, mut views } => {
                 for rcv in view.inbox.iter() {
                     if let Some(BitGenMsg::Betas(entries)) =
                         <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg())
@@ -302,9 +293,10 @@ where
                 // Step 5: Berlekamp–Welch per instance. The instances share
                 // one decoder for as long as the same parties sent a β —
                 // every instance, unless a sender skipped some dealers.
+                let points = party_points(n);
                 let mut decoder = None;
                 for v in views.iter_mut() {
-                    v.check_poly = decode_instance(&v.betas, n, self.t, &mut decoder);
+                    v.check_poly = decode_instance(&v.betas, &points, self.t, &mut decoder);
                     if self.mode == BitGenMode::ZeroRefresh {
                         // Zero sharings: the combination must vanish at the
                         // origin, or the dealer is shifting coin values.
@@ -316,7 +308,7 @@ where
                         }
                     }
                 }
-                Step::Done(Ok(BitGenRun { r, views, my_polys }))
+                Step::Done(Ok(BitGenRun { r, views }))
             }
             // lint: allow(error-discipline) — driver contract: no executor calls round() after Done
             BgStage::Finished => panic!("BitGenMachine driven past completion"),
@@ -339,20 +331,18 @@ where
 ///
 /// With `m` values received, "≥ `n − t` agree" is "≤ `m − (n − t)` are
 /// wrong": the acceptance threshold is the decoder's error budget, so a
-/// decoded `F` needs no second pass over the points. `decoder` is reused
-/// when it was built for the same senders.
+/// decoded `F` needs no second pass over the points. `points` are the
+/// `n` party points; `decoder` is reused when it was built for the same
+/// senders.
 fn decode_instance<F: Field>(
     betas: &[Option<F>],
-    n: usize,
+    points: &[F],
     t: usize,
     decoder: &mut Option<BatchDecoder<F>>,
 ) -> Option<Poly<F>> {
-    let (xs, ys): (Vec<F>, Vec<F>) = betas
-        .iter()
-        .enumerate()
-        .filter_map(|(i, b)| b.map(|y| (F::element(i as u64 + 1), y)))
-        .unzip();
-    let budget = xs.len().checked_sub(n - t)?;
+    let (xs, ys): (Vec<F>, Vec<F>) =
+        betas.iter().zip(points).filter_map(|(b, &x)| b.map(|y| (x, y))).unzip();
+    let budget = xs.len().checked_sub(points.len() - t)?;
     if decoder.as_ref().is_none_or(|d| d.xs() != xs) {
         *decoder = BatchDecoder::new(&xs, t, t.min(budget)).ok();
     }
@@ -430,9 +420,10 @@ mod tests {
         let t = 1;
         let m = 3;
         let outs = run_all(n, t, m, 2);
-        let dealer_polys = outs[0].as_ref().unwrap().my_polys.clone().unwrap();
-        for (h, poly) in dealer_polys.iter().enumerate() {
-            // Gather every party's h-th share from dealer 1 and decode.
+        for h in 0..m {
+            // Gather every party's h-th share from dealer 1: all n lie on
+            // one degree-≤ t polynomial, and any t + 1 of them determine
+            // the same secret.
             let shares: Vec<dprbg_poly::Share<F>> = outs
                 .iter()
                 .enumerate()
@@ -441,10 +432,10 @@ mod tests {
                     y: o.as_ref().unwrap().views[0].alphas[h],
                 })
                 .collect();
-            assert_eq!(
-                dprbg_poly::reconstruct_secret(&shares, t).unwrap(),
-                poly.constant_term()
-            );
+            let secret = dprbg_poly::reconstruct_secret(&shares, t).unwrap();
+            for window in shares.windows(t + 1) {
+                assert_eq!(dprbg_poly::reconstruct_secret(window, t).unwrap(), secret);
+            }
         }
     }
 

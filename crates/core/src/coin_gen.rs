@@ -41,6 +41,7 @@ use dprbg_protocols::{
 };
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
+use crate::batch_vss::party_points;
 use crate::bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun};
 use crate::coin::{CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
 use crate::errors::CoinGenError;
@@ -165,6 +166,25 @@ pub struct CoinGenConfig {
     pub batch_size: usize,
 }
 
+impl CoinGenConfig {
+    /// Whether a field of `order` elements can carry this configuration;
+    /// the violated requirement otherwise.
+    fn fits_field(&self, order: u128) -> Result<(), &'static str> {
+        if self.batch_size == 0 {
+            // Seed coins would be burned to seal nothing.
+            Err("batch_size >= 1")
+        } else if self.batch_size as u128 >= order {
+            // Lemma 5 bounds a cheating dealer's survival by M/p.
+            Err("batch_size < field order (Lemma 5: soundness error M/p)")
+        } else if self.params.n as u128 >= order {
+            // Party i holds the share f(i): the ids 1..=n must embed.
+            Err("n < field order (distinct nonzero party points)")
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// The sealed coins a party walks away with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoinBatch<F: Field> {
@@ -253,6 +273,11 @@ where
         match mem::replace(&mut self.stage, CgStage::Finished) {
             CgStage::Start { mut wallet } => {
                 assert_eq!(view.n, n, "network size must match the configured n");
+                // Fail closed, wallet untouched, on a configuration the
+                // field cannot carry.
+                if let Err(need) = self.cfg.fits_field(F::order()) {
+                    return Step::Done((wallet, Err(CoinGenError::BadParams { n, t, need })));
+                }
                 // Steps 1–3: n parallel Bit-Gens under one challenge coin.
                 let r_coin = match wallet.pop() {
                     Ok(c) => c,
@@ -305,19 +330,17 @@ where
                             && run.views[j - 1].alphas.len() == m
                     });
 
-                    let shares: Vec<SealedShare<F>> = (0..m)
-                        .map(|h| {
-                            if i_fit {
-                                let sigma: F = dealers
-                                    .iter()
-                                    .map(|&j| run.views[j - 1].alphas[h])
-                                    .sum();
-                                SealedShare::of(sigma)
-                            } else {
-                                SealedShare::absent()
-                            }
-                        })
-                        .collect();
+                    // Coin h is the sum over the adopted dealers of their
+                    // h-th secrets: add their share vectors row by row.
+                    let shares: Vec<SealedShare<F>> = if i_fit {
+                        let mut sigmas = vec![F::zero(); m];
+                        for &j in &dealers {
+                            F::add_slice(&mut sigmas, &run.views[j - 1].alphas);
+                        }
+                        sigmas.into_iter().map(SealedShare::of).collect()
+                    } else {
+                        vec![SealedShare::absent(); m]
+                    };
 
                     Step::Done((
                         wallet,
@@ -377,6 +400,8 @@ pub(crate) struct AgreeMachine<M, F: Field> {
     t: usize,
     wallet: CoinWallet<F>,
     run: BitGenRun<F>,
+    /// The evaluation points of parties `1..=n`.
+    points: Vec<F>,
     graded: Vec<GradeOutput<CliqueAnnounce<F>>>,
     /// Leaders a BA has already rejected (step-9 bias).
     rejected: Vec<PartyId>,
@@ -409,6 +434,7 @@ impl<M, F: Field> AgreeMachine<M, F> {
             t: params.t,
             wallet,
             run,
+            points: party_points(params.n),
             graded: Vec::new(),
             rejected: Vec::new(),
             attempts: 0,
@@ -420,7 +446,7 @@ impl<M, F: Field> AgreeMachine<M, F> {
     fn finish(&mut self, res: Result<DealerAgreement<F>, CoinGenError>) -> Step<M, AgreeOutput<F>> {
         let run = mem::replace(
             &mut self.run,
-            BitGenRun { r: F::zero(), views: Vec::new(), my_polys: None },
+            BitGenRun { r: F::zero(), views: Vec::new() },
         );
         Step::Done((run, mem::take(&mut self.wallet), res))
     }
@@ -471,7 +497,7 @@ where
                     if let Some(f) = &v.check_poly {
                         for k in 1..=n {
                             if let Some(beta) = v.betas[k - 1] {
-                                if f.eval(F::element(k as u64)) == beta {
+                                if f.eval(self.points[k - 1]) == beta {
                                     digraph.add_edge(v.dealer, k);
                                 }
                             }
@@ -534,7 +560,7 @@ where
                 let my_input = match candidate {
                     Some(a) if grade.confidence == 2 => {
                         a.pairs.len() >= n - 2 * t
-                            && count_universal_fitters(a, &self.run, n) > 3 * t
+                            && count_universal_fitters(a, &self.run, &self.points) > 3 * t
                     }
                     _ => false,
                 };
@@ -600,14 +626,13 @@ where
 fn count_universal_fitters<F: Field>(
     announce: &CliqueAnnounce<F>,
     run: &BitGenRun<F>,
-    n: usize,
+    points: &[F],
 ) -> usize {
-    (1..=n)
-        .filter(|&j| {
-            let x = F::element(j as u64);
-            announce.pairs.iter().all(|(k, f)| {
-                run.views[k - 1].betas[j - 1] == Some(f.eval(x))
-            })
+    points
+        .iter()
+        .enumerate()
+        .filter(|&(j, &x)| {
+            announce.pairs.iter().all(|(k, f)| run.views[k - 1].betas[j] == Some(f.eval(x)))
         })
         .count()
 }
@@ -790,6 +815,65 @@ mod tests {
         }
     }
 
+    /// Every party of a `G`-fleet at `(n, t, m)` holding `seeds` (dummy)
+    /// seed coins must refuse on its first call, for the reason `need`
+    /// names, and hand the wallet back untouched.
+    fn assert_refused<G: Field>(n: usize, t: usize, m: usize, seeds: usize, need: &str) {
+        let c = cfg(n, t, m);
+        let mut wallet = CoinWallet::<G>::new();
+        (0..seeds).for_each(|_| wallet.push(SealedShare::of(G::one())));
+        let fleet: Vec<BoxedMachine<CoinGenMsg<G>, _>> =
+            (0..n).map(|_| Box::new(CoinGenMachine::new(c, wallet.clone())) as _).collect();
+        let res = StepRunner::new(n, 60).run(fleet);
+        assert_eq!(res.report.comm.messages, 0, "refused before anything is sent");
+        for (returned, out) in res.unwrap_all() {
+            assert_eq!(returned, wallet, "no seed coin burned");
+            match out {
+                Err(CoinGenError::BadParams { n: got_n, t: got_t, need: got }) => {
+                    assert_eq!((got_n, got_t), (n, t));
+                    assert!(got.contains(need), "refused for {got:?}, expected {need:?}");
+                }
+                other => panic!("expected BadParams, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_refused() {
+        // Sealing nothing would still burn a challenge and a leader coin,
+        // and `alphas.len() == m` would accept a silent dealer.
+        assert_refused::<F>(7, 1, 0, 4, "batch_size >= 1");
+    }
+
+    #[test]
+    fn batch_as_large_as_the_field_is_refused() {
+        // Lemma 5's soundness error M/p is vacuous at M ≥ p.
+        assert_refused::<Gf2k<8>>(7, 1, 256, 4, "batch_size < field order");
+        assert_refused::<Gf2k<8>>(7, 1, 8192, 4, "batch_size < field order");
+    }
+
+    #[test]
+    fn more_parties_than_field_points_is_refused() {
+        // Party 16 has no evaluation point in GF(2^4): at the parent this
+        // panicked inside `round()`.
+        assert_refused::<Gf2k<4>>(19, 3, 4, 4, "n < field order");
+        assert_refused::<Gf2k<4>>(16, 2, 4, 4, "n < field order");
+    }
+
+    #[test]
+    fn largest_configuration_a_field_carries_is_accepted() {
+        // n = 15 and M = 15 both fit GF(2^4) exactly.
+        let c = cfg(15, 2, 15);
+        let wallets = TrustedDealer::deal_wallets::<Gf2k<4>>(c.params, 6, 61);
+        let fleet: Vec<BoxedMachine<CoinGenMsg<Gf2k<4>>, _>> = wallets
+            .into_iter()
+            .map(|w| Box::new(CoinGenMachine::new(c, w).map(|(_, res)| res)) as _)
+            .collect();
+        for out in StepRunner::new(15, 62).run(fleet).unwrap_all() {
+            assert!(!matches!(out, Err(CoinGenError::BadParams { .. })), "{out:?}");
+        }
+    }
+
     #[test]
     fn ill_formed_leader_value_after_ba_one_fails_closed() {
         // Beyond the model: BA decides 1 although the elected leader's
@@ -813,7 +897,6 @@ mod tests {
                     check_poly: Some(Poly::zero()),
                 })
                 .collect(),
-            my_polys: None,
         };
         for j in [0, n + 1] {
             let announce = Arc::new(CliqueAnnounce { pairs: vec![(j, Poly::<F>::zero())] });

@@ -9,10 +9,8 @@
 //!   `while b != 0 { trailing_zeros() }` popcount walk was not — see the
 //!   `field-ct` lint rule in LINTS.md).
 //! * A hardware path using the x86-64 `PCLMULQDQ` instruction
-//!   (`_mm_clmulepi64_si128`), selected at runtime by
-//!   `is_x86_feature_detected!`. This is the only `unsafe` in the
-//!   workspace, scoped to the single intrinsic call and guarded by the
-//!   feature probe.
+//!   (`_mm_clmulepi64_si128`), selected at runtime by the one
+//!   `is_x86_feature_detected!` in the workspace, `has_pclmulqdq`.
 //!
 //! [`clmul`] dispatches between them. The dispatch is a *speed* choice,
 //! never a *value* choice: both backends compute the same function on all
@@ -20,6 +18,20 @@
 //! degree, and re-checked at startup by experiment E8's parity row). No
 //! transcript, cost counter, or trace may depend on which backend ran —
 //! see "Backend dispatch & parallel determinism" in DESIGN.md.
+//!
+//! # `unsafe` census
+//!
+//! The instruction is only reachable through functions marked
+//! `#[target_feature(enable = "pclmulqdq")]` (the private `hw` module
+//! here, the `hw` kernels in `gf2k.rs`), and calling one from ordinary
+//! code is `unsafe`. Every `unsafe` block in the workspace is such a call,
+//! made right after `has_pclmulqdq` returned `true`: one in [`clmul`],
+//! and in `gf2k.rs` one for the scalar multiply plus one per slice kernel
+//! (`eval_points`, `matching_prefix`, `combine_rows`, `axpy`) — six in
+//! all. The rule is **one probe and one call per slice** (per element only
+//! for the scalar operators): the loop runs inside the feature-gated
+//! function, where the intrinsic inlines and product and reduction stay
+//! in one vector register (`hw::mul_fold`).
 
 /// Portable carry-less multiply: fixed 64-iteration branchless ladder.
 ///
@@ -42,64 +54,103 @@ pub fn clmul_portable(a: u64, b: u64) -> u128 {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod hw {
+pub(crate) mod hw {
     use std::arch::x86_64::{
-        __m128i, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_set_epi64x, _mm_unpackhi_epi64,
+        __m128i, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_unpackhi_epi64,
+        _mm_xor_si128,
     };
 
+    /// `x` in the low lane, zero above.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(crate) fn lane(x: u64) -> __m128i {
+        _mm_cvtsi64_si128(x as i64)
+    }
+
+    /// The low lane of `v`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(crate) fn low(v: __m128i) -> u64 {
+        _mm_cvtsi128_si64(v) as u64
+    }
+
     /// Carry-less multiply via the `PCLMULQDQ` instruction.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified that the CPU supports `pclmulqdq`
-    /// (e.g. via `is_x86_feature_detected!`). Only `sse2`-baseline moves
-    /// are used around the single widening multiply.
     #[target_feature(enable = "pclmulqdq")]
-    pub unsafe fn clmul_pclmulqdq(a: u64, b: u64) -> u128 {
-        // SAFETY: all intrinsics here are sse2-baseline except the
-        // `pclmulqdq` multiply itself, which the caller has probed for.
-        let va: __m128i = _mm_set_epi64x(0, a as i64);
-        let vb: __m128i = _mm_set_epi64x(0, b as i64);
-        let prod = _mm_clmulepi64_si128::<0>(va, vb);
-        let lo = _mm_cvtsi128_si64(prod) as u64;
-        let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(prod, prod)) as u64;
-        ((hi as u128) << 64) | lo as u128
+    pub(crate) fn clmul_pclmulqdq(a: u64, b: u64) -> u128 {
+        let prod = _mm_clmulepi64_si128::<0x00>(lane(a), lane(b));
+        let hi = low(_mm_unpackhi_epi64(prod, prod));
+        ((hi as u128) << 64) | low(prod) as u128
+    }
+
+    /// One GF(2^K) multiplication — product and both folds of
+    /// `Gf2k::reduce` — without leaving the vector register.
+    ///
+    /// Works on values pre-shifted left by `s = 64 − K`, which puts the
+    /// fold boundary `x^K` on the lane boundary: for `v = hi·x^K + lo`,
+    /// `v << s` holds `hi` in the high lane and `lo << s` in the low one,
+    /// so "the part to fold" is "the high lane" (`imm8 = 0x01` multiplies
+    /// the first operand's high lane by the second's low lane).
+    ///
+    /// Operands are read from the low lanes: `a` pre-shifted (`a << s`),
+    /// `b` plain, `r` the pre-shifted low part of the modulus (`R << s`).
+    /// The low lane of the result is `(a·b mod x^K + R) << s` — ready to
+    /// be the next product's `a`; the high lane is scratch. Two folds
+    /// suffice for every built-in modulus (`two_folds_suffice`): the second
+    /// fold's product has degree ≤ 2·deg R − 2 < K and never reaches the
+    /// high lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    pub(crate) fn mul_fold(a: __m128i, b: __m128i, r: __m128i) -> __m128i {
+        let p = _mm_clmulepi64_si128::<0x00>(a, b);
+        let t = _mm_clmulepi64_si128::<0x01>(p, r);
+        let u = _mm_clmulepi64_si128::<0x01>(t, r);
+        _mm_xor_si128(_mm_xor_si128(p, t), u)
+    }
+}
+
+/// Whether the CPU has the `PCLMULQDQ` carry-less multiply — the one
+/// feature probe in the workspace (cached by `std` after the first call).
+#[inline]
+#[must_use]
+pub(crate) fn has_pclmulqdq() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
 /// Carry-less multiply, dispatched to the best available backend.
 ///
 /// Uses `PCLMULQDQ` when the CPU advertises it, the portable ladder
-/// otherwise. The two are extensionally equal; the feature probe caches
-/// after the first call.
+/// otherwise. The two are extensionally equal.
 #[inline]
 #[must_use]
 #[allow(unsafe_code)]
 pub fn clmul(a: u64, b: u64) -> u128 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("pclmulqdq") {
-            // SAFETY: the feature probe above just confirmed pclmulqdq.
-            return unsafe { hw::clmul_pclmulqdq(a, b) };
-        }
+    if has_pclmulqdq() {
+        // SAFETY: the probe just confirmed pclmulqdq.
+        return unsafe { hw::clmul_pclmulqdq(a, b) };
     }
     clmul_portable(a, b)
 }
 
-/// The name of the backend [`clmul`] will dispatch to on this machine.
+/// The name of the backend [`clmul`], the `Gf2k` multiply and the `Gf2k`
+/// slice kernels dispatch to on this machine (they share one probe).
 ///
 /// `"pclmulqdq"` or `"portable"` — reported by experiment E8/E13 so the
 /// speedup tables say what they measured.
 #[must_use]
 pub fn backend_name() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("pclmulqdq") {
-            return "pclmulqdq";
-        }
+    if has_pclmulqdq() {
+        "pclmulqdq"
+    } else {
+        "portable"
     }
-    "portable"
 }
 
 #[cfg(test)]

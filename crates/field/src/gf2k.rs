@@ -19,7 +19,7 @@ use dprbg_metrics::{ops, WireSize};
 use dprbg_rng::{Rng, RngExt};
 
 use crate::clmul;
-use crate::traits::Field;
+use crate::traits::{scalar, Field};
 
 /// The degrees `k` for which a verified irreducible modulus is built in.
 pub const SUPPORTED_GF2K_DEGREES: &[usize] = &[4, 8, 16, 24, 32, 40, 48, 56, 64];
@@ -76,8 +76,8 @@ impl<const K: usize> Gf2k<K> {
     /// Fold the coefficients at or above `x^K` down once:
     /// `v ≡ lo + clmul(hi, R)  (mod x^K + R)` where `v = hi·x^K + lo`.
     #[inline]
-    fn fold(v: u128) -> u128 {
-        (v & mask(K) as u128) ^ clmul::clmul((v >> K) as u64, reduction_poly(K))
+    fn fold(v: u128, clmul: fn(u64, u64) -> u128) -> u128 {
+        (v & mask(K) as u128) ^ clmul((v >> K) as u64, reduction_poly(K))
     }
 
     /// Reduce a carry-less product modulo `x^K + R` in exactly two folds.
@@ -92,13 +92,14 @@ impl<const K: usize> Gf2k<K> {
     /// Fixed work, no data-dependent trip count. Inputs already below
     /// `x^K` pass through both folds unchanged (`hi = 0` XORs nothing).
     /// Arbitrary-width inputs go through [`Self::reduce_full`] instead.
+    /// `clmul` is the backend the folds multiply with.
     #[inline]
-    fn reduce(v: u128) -> u64 {
+    fn reduce(v: u128, clmul: fn(u64, u64) -> u128) -> u64 {
         debug_assert!(
             K == 64 || v >> (2 * K - 1) == 0,
             "reduce input exceeds the product-width contract"
         );
-        let v = Self::fold(Self::fold(v));
+        let v = Self::fold(Self::fold(v, clmul), clmul);
         debug_assert_eq!(v >> K, 0, "two folds must fully reduce a product");
         v as u64
     }
@@ -112,18 +113,34 @@ impl<const K: usize> Gf2k<K> {
     #[inline]
     fn reduce_full(mut v: u128) -> u64 {
         while v >> K != 0 {
-            v = Self::fold(v);
+            v = Self::fold(v, clmul::clmul);
         }
         v as u64
     }
 
-    /// Raw carry-less field multiplication without cost counting.
+    /// Raw carry-less field multiplication without cost counting: one
+    /// probe, then one call into the hardware multiply or the portable
+    /// ladder.
     ///
     /// Used internally by [`Field::inv`] so that an inversion is charged as
     /// one `inv` tick rather than as its constituent multiplications.
     #[inline]
+    #[allow(unsafe_code)]
     fn mul_raw(self, rhs: Self) -> Self {
-        Gf2k(Self::reduce(clmul::clmul(self.0, rhs.0)))
+        #[cfg(target_arch = "x86_64")]
+        if clmul::has_pclmulqdq() {
+            // SAFETY: the probe just confirmed pclmulqdq.
+            return unsafe { hw::mul(self, rhs) };
+        }
+        self.mul_portable(rhs)
+    }
+
+    /// The multiply of a CPU without `PCLMULQDQ`: the ladder for the
+    /// product and for both folds.
+    #[inline]
+    fn mul_portable(self, rhs: Self) -> Self {
+        let product = clmul::clmul_portable(self.0, rhs.0);
+        Gf2k(Self::reduce(product, clmul::clmul_portable))
     }
 
     /// Degree of the polynomial `v` over GF(2) (`v` must be nonzero).
@@ -136,6 +153,116 @@ impl<const K: usize> Gf2k<K> {
     #[inline]
     fn modulus() -> u128 {
         (1u128 << K) ^ reduction_poly(K) as u128
+    }
+}
+
+/// The `PCLMULQDQ` bodies of the scalar multiply and the slice kernels.
+///
+/// Everything here computes in the *shifted domain* of
+/// [`clmul::hw::mul_fold`]: a value `v` is carried as `v << s`,
+/// `s = 64 − K` (for `K = 64` the shift is zero and the code is the
+/// textbook one). A kernel shifts its inputs in, keeps the accumulators
+/// shifted across steps, and shifts the results out once at the end.
+/// None of these functions touches a cost counter — the caller ticks once
+/// per slice.
+#[cfg(target_arch = "x86_64")]
+mod hw {
+    use std::arch::x86_64::{__m128i, _mm_xor_si128};
+
+    use super::{reduction_poly, Gf2k};
+    use crate::clmul::hw::{lane, low, mul_fold};
+
+    /// The modulus' low part, pre-shifted.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn modulus<const K: usize>() -> __m128i {
+        lane(reduction_poly(K) << (64 - K))
+    }
+
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn mul<const K: usize>(a: Gf2k<K>, b: Gf2k<K>) -> Gf2k<K> {
+        let s = 64 - K;
+        Gf2k(low(mul_fold(lane(a.0 << s), lane(b.0), modulus::<K>())) >> s)
+    }
+
+    /// Horner at every point, one pass over the points per coefficient so
+    /// that the `xs.len()` chains advance together (throughput-, not
+    /// latency-bound). The top coefficient needs no multiply (`0·x = 0`).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn eval_points<const K: usize>(
+        coeffs: &[Gf2k<K>],
+        xs: &[Gf2k<K>],
+        out: &mut [Gf2k<K>],
+    ) {
+        let s = 64 - K;
+        let r = modulus::<K>();
+        let Some((top, rest)) = coeffs.split_last() else {
+            return out.fill(Gf2k(0));
+        };
+        out.fill(Gf2k(top.0 << s));
+        for c in rest.iter().rev() {
+            let c = lane(c.0 << s);
+            for (acc, x) in out.iter_mut().zip(xs) {
+                acc.0 = low(_mm_xor_si128(mul_fold(lane(acc.0), lane(x.0), r), c));
+            }
+        }
+        for acc in out {
+            acc.0 >>= s;
+        }
+    }
+
+    /// Evaluates every point, a stack buffer at a time, and remembers the
+    /// lowest disagreeing index.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn matching_prefix<const K: usize>(
+        coeffs: &[Gf2k<K>],
+        xs: &[Gf2k<K>],
+        ys: &[Gf2k<K>],
+    ) -> usize {
+        const CHUNK: usize = 16;
+        let mut vals = [Gf2k(0); CHUNK];
+        let mut first = xs.len();
+        for (chunk, (xc, yc)) in xs.chunks(CHUNK).zip(ys.chunks(CHUNK)).enumerate() {
+            let vals = &mut vals[..xc.len()];
+            eval_points(coeffs, xc, vals);
+            for (i, (v, y)) in vals.iter().zip(yc).enumerate() {
+                if v != y {
+                    first = first.min(chunk * CHUNK + i);
+                }
+            }
+        }
+        first
+    }
+
+    /// One pass over the rows per share index, so the `rows.len()` chains
+    /// advance together. Every row has length `m`.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn combine_rows<const K: usize>(
+        rows: &[&[Gf2k<K>]],
+        m: usize,
+        r: Gf2k<K>,
+        out: &mut [Gf2k<K>],
+    ) {
+        let s = 64 - K;
+        let (r, modulus) = (lane(r.0), modulus::<K>());
+        out.fill(Gf2k(0));
+        for j in (0..m).rev() {
+            for (acc, row) in out.iter_mut().zip(rows) {
+                acc.0 = low(mul_fold(lane(acc.0 ^ (row[j].0 << s)), r, modulus));
+            }
+        }
+        for acc in out {
+            acc.0 >>= s;
+        }
+    }
+
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn axpy<const K: usize>(acc: &mut [Gf2k<K>], scale: Gf2k<K>, row: &[Gf2k<K>]) {
+        let s = 64 - K;
+        let (scale, modulus) = (lane(scale.0 << s), modulus::<K>());
+        for (a, b) in acc.iter_mut().zip(row) {
+            a.0 ^= low(mul_fold(scale, lane(b.0), modulus)) >> s;
+        }
     }
 }
 
@@ -300,7 +427,7 @@ impl<const K: usize> Field for Gf2k<K> {
             let shift = (da - db) as u32;
             a ^= b << shift;
             // u ← u + x^shift · v, reduced.
-            let xs = Gf2k::<K>(Self::reduce(1u128 << shift));
+            let xs = Gf2k::<K>(Self::reduce(1u128 << shift, clmul::clmul));
             u = Gf2k(u.0 ^ xs.mul_raw(v).0);
         }
         debug_assert_eq!(b, 1, "gcd(self, modulus) must be 1 in a field");
@@ -332,6 +459,74 @@ impl<const K: usize> Field for Gf2k<K> {
     #[inline]
     fn order() -> u128 {
         1u128 << K
+    }
+
+    #[allow(unsafe_code)]
+    fn eval_points(coeffs: &[Self], xs: &[Self], out: &mut [Self]) {
+        #[cfg(target_arch = "x86_64")]
+        if clmul::has_pclmulqdq() {
+            assert_eq!(xs.len(), out.len(), "one output per point");
+            let charged = (coeffs.len() * xs.len()) as u64;
+            ops::count_mul(charged);
+            ops::count_add(charged);
+            // SAFETY: the probe just confirmed pclmulqdq.
+            return unsafe { hw::eval_points(coeffs, xs, out) };
+        }
+        scalar::eval_points(coeffs, xs, out);
+    }
+
+    #[allow(unsafe_code)]
+    fn matching_prefix(coeffs: &[Self], xs: &[Self], ys: &[Self]) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if clmul::has_pclmulqdq() {
+            assert_eq!(xs.len(), ys.len(), "one value per point");
+            // SAFETY: the probe just confirmed pclmulqdq.
+            let agree = unsafe { hw::matching_prefix(coeffs, xs, ys) };
+            // The scalar loop stops after evaluating the first disagreement.
+            let charged = (coeffs.len() * xs.len().min(agree + 1)) as u64;
+            ops::count_mul(charged);
+            ops::count_add(charged);
+            return agree;
+        }
+        scalar::matching_prefix(coeffs, xs, ys)
+    }
+
+    #[allow(unsafe_code)]
+    fn combine_rows(rows: &[&[Self]], r: Self, out: &mut [Self]) {
+        #[cfg(target_arch = "x86_64")]
+        if clmul::has_pclmulqdq() {
+            assert_eq!(rows.len(), out.len(), "one output per row");
+            let m = rows.first().map_or(0, |row| row.len());
+            assert!(rows.iter().all(|row| row.len() == m), "rows of one length");
+            let charged = (m * rows.len()) as u64;
+            ops::count_add(charged);
+            ops::count_mul(charged);
+            // SAFETY: the probe just confirmed pclmulqdq.
+            return unsafe { hw::combine_rows(rows, m, r, out) };
+        }
+        scalar::combine_rows(rows, r, out);
+    }
+
+    /// XOR needs no backend: one tick, one pass.
+    fn add_slice(acc: &mut [Self], a: &[Self]) {
+        assert_eq!(acc.len(), a.len(), "slices of one length");
+        ops::count_add(acc.len() as u64);
+        for (x, y) in acc.iter_mut().zip(a) {
+            x.0 ^= y.0;
+        }
+    }
+
+    #[allow(unsafe_code)]
+    fn axpy(acc: &mut [Self], s: Self, row: &[Self]) {
+        #[cfg(target_arch = "x86_64")]
+        if clmul::has_pclmulqdq() {
+            assert_eq!(acc.len(), row.len(), "slices of one length");
+            ops::count_mul(acc.len() as u64);
+            ops::count_add(acc.len() as u64);
+            // SAFETY: the probe just confirmed pclmulqdq.
+            return unsafe { hw::axpy(acc, s, row) };
+        }
+        scalar::axpy(acc, s, row);
     }
 }
 
@@ -587,6 +782,80 @@ mod tests {
         check::<64>();
     }
 
+    /// Schoolbook multiplication modulo `x^K + R`, a bit at a time: shares
+    /// nothing with either carry-less backend or with `reduce`.
+    fn mul_bitwise<const K: usize>(a: Gf2k<K>, b: Gf2k<K>) -> Gf2k<K> {
+        let (mut a, mut acc) = (a.0, 0u64);
+        for bit in 0..K {
+            if (b.0 >> bit) & 1 == 1 {
+                acc ^= a;
+            }
+            // a ← a·x, folding x^K to R.
+            let carry = (a >> (K - 1)) & 1 == 1;
+            a = (a << 1) & mask(K);
+            if carry {
+                a ^= reduction_poly(K);
+            }
+        }
+        Gf2k(acc)
+    }
+
+    /// The in-register reduction on its widest inputs, at every supported
+    /// K: slices of max-degree operands (all ones; top bit forced) through
+    /// every multiplying kernel and the scalar `*`, against the portable
+    /// multiply and the bitwise schoolbook one — so both backends run on
+    /// this host, element for element.
+    #[test]
+    fn kernels_reduce_max_degree_operands_at_every_k() {
+        fn check<const K: usize>() {
+            let mut rng = StdRng::seed_from_u64(K as u64);
+            let top = 1u64 << (K - 1);
+            let mut vals = vec![Gf2k::<K>(mask(K)), Gf2k(top), Gf2k(top | 1)];
+            vals.extend((0..30).map(|_| Gf2k::<K>(rng.random::<u64>() & mask(K) | top)));
+            let horner = |mul: fn(Gf2k<K>, Gf2k<K>) -> Gf2k<K>, coeffs: &[Gf2k<K>], x| {
+                coeffs.iter().rev().fold(Gf2k(0), |acc, c| Gf2k(mul(acc, x).0 ^ c.0))
+            };
+            for (i, &a) in vals.iter().enumerate() {
+                let b = vals[(i + 1) % vals.len()];
+                let want = mul_bitwise(a, b);
+                assert_eq!(a * b, want, "GF(2^{K}): scalar multiply");
+                assert_eq!(a.mul_portable(b), want, "GF(2^{K}): portable multiply");
+
+                let mut acc = vals.clone();
+                Gf2k::axpy(&mut acc, a, &vals);
+                for (j, &v) in vals.iter().enumerate() {
+                    assert_eq!(acc[j].0, v.0 ^ mul_bitwise(v, a).0, "GF(2^{K}): axpy");
+                }
+            }
+            let mut out = vec![Gf2k(0); vals.len()];
+            Gf2k::eval_points(&vals[..5], &vals, &mut out);
+            for (&x, &y) in vals.iter().zip(&out) {
+                assert_eq!(y, horner(mul_bitwise::<K>, &vals[..5], x), "GF(2^{K}): eval_points");
+                assert_eq!(y, horner(Gf2k::mul_portable, &vals[..5], x));
+            }
+            assert_eq!(Gf2k::matching_prefix(&vals[..5], &vals, &out), vals.len());
+
+            let rows: Vec<&[Gf2k<K>]> = (0..7).map(|d| &vals[d..d + 20]).collect();
+            let r = vals[0];
+            let mut betas = vec![Gf2k(0); rows.len()];
+            Gf2k::combine_rows(&rows, r, &mut betas);
+            for (row, &beta) in rows.iter().zip(&betas) {
+                let want = row.iter().rev().fold(Gf2k(0), |acc, a| mul_bitwise(Gf2k(acc.0 ^ a.0), r));
+                assert_eq!(beta, want, "GF(2^{K}): combine_rows");
+            }
+            assert!(out.iter().chain(&betas).all(|v| v.0 <= mask(K)), "GF(2^{K}): canonical");
+        }
+        check::<4>();
+        check::<8>();
+        check::<16>();
+        check::<24>();
+        check::<32>();
+        check::<40>();
+        check::<48>();
+        check::<56>();
+        check::<64>();
+    }
+
     /// `from_u64` handles inputs far wider than K (many folds) — the case
     /// the fixed two-fold product reduction explicitly does not cover.
     #[test]
@@ -618,14 +887,14 @@ mod tests {
         let x = Gf2k::<K>::from_u64(a);
         let y = Gf2k::<K>::from_u64(b);
         let via_dispatch = (x * y).to_u64();
-        let via_portable = Gf2k::<K>::reduce(crate::clmul::clmul_portable(x.to_u64(), y.to_u64()));
+        let via_portable = x.mul_portable(y).to_u64();
         assert_eq!(via_dispatch, via_portable, "GF(2^{K}): backend mismatch");
         // Max-degree variant: force bit K−1 on both operands.
         let top = 1u64 << (K - 1);
         let (xm, ym) = (Gf2k::<K>(x.to_u64() | top), Gf2k::<K>(y.to_u64() | top));
         assert_eq!(
-            (xm * ym).to_u64(),
-            Gf2k::<K>::reduce(crate::clmul::clmul_portable(xm.to_u64(), ym.to_u64())),
+            xm * ym,
+            xm.mul_portable(ym),
             "GF(2^{K}): backend mismatch on max-degree product"
         );
     }

@@ -1,7 +1,9 @@
-// `deny` rather than `forbid`: the one sanctioned exception is the single
-// `PCLMULQDQ` intrinsic call in [`clmul`], which carries a scoped
-// `#[allow(unsafe_code)]` plus a safety proof (runtime feature probe).
-// Everything else in the crate still refuses `unsafe`.
+// `deny` rather than `forbid`: the sanctioned exceptions are the probed
+// calls into `#[target_feature(enable = "pclmulqdq")]` functions — one in
+// `clmul.rs`, five in `gf2k.rs` (the scalar multiply and four slice
+// kernels) — each a scoped `#[allow(unsafe_code)]` with its safety proof
+// (the runtime feature probe on the line above). Everything else in the
+// crate still refuses `unsafe`.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 

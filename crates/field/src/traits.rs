@@ -18,6 +18,27 @@ use dprbg_rng::Rng;
 /// `add` per `+`/`-`, one `mul` per `*`, one `inv` per [`Field::inv`] — the
 /// unit in which the paper states its computation bounds.
 ///
+/// # Slice kernels
+///
+/// [`eval_points`](Field::eval_points),
+/// [`matching_prefix`](Field::matching_prefix),
+/// [`combine_rows`](Field::combine_rows), [`add_slice`](Field::add_slice)
+/// and [`axpy`](Field::axpy) are provided methods whose bodies are plain
+/// loops over the scalar operators. Those defaults are the reference, and
+/// the whole implementation for every field that does not override them.
+/// An override (today: [`Gf2k`](crate::Gf2k) on CPUs with a carry-less
+/// multiply) may change how fast a slice is processed and nothing else:
+///
+/// * it **charges exactly what the scalar default charges** — the same
+///   `mul`/`add` totals on every input, ticked once per slice;
+/// * its **result is equal on all inputs**, including empty slices;
+/// * it runs a **fixed trip count** for given slice lengths — no loop
+///   bound depends on an element's value (`matching_prefix` evaluates
+///   every point and only *charges* as the early exit would).
+///
+/// A kernel changes how fast an addition is, never how many the paper's
+/// lemmas charge.
+///
 /// # Examples
 ///
 /// ```
@@ -139,5 +160,317 @@ pub trait Field:
             Self::order()
         );
         Self::from_u64(i)
+    }
+
+    /// Evaluate one polynomial at many points by Horner's rule:
+    /// `out[p] = Σ_c coeffs[c]·xs[p]^c` (constant term first).
+    ///
+    /// Charges `coeffs.len()` multiplications and additions per point —
+    /// every coefficient is charged, a zero leading one included, so a
+    /// caller that trims (as `Poly` does) passes the trimmed slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` differ in length.
+    fn eval_points(coeffs: &[Self], xs: &[Self], out: &mut [Self]) {
+        scalar::eval_points(coeffs, xs, out);
+    }
+
+    /// How many leading points `(xs[p], ys[p])` lie on the polynomial
+    /// `coeffs`: the index of the first disagreement, or `xs.len()`.
+    ///
+    /// Charges [`eval_points`](Field::eval_points)' price for the points
+    /// up to and including the first disagreement, as a loop that stops
+    /// there does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `ys` differ in length.
+    fn matching_prefix(coeffs: &[Self], xs: &[Self], ys: &[Self]) -> usize {
+        scalar::matching_prefix(coeffs, xs, ys)
+    }
+
+    /// The challenge combination of Fig. 3 / Fig. 4 for many share rows
+    /// under one challenge: `out[d] = Σ_j r^j·rows[d][j − 1]`, computed as
+    /// `((…(a_M·r + a_{M−1})·r + …)·r + a_1)·r`.
+    ///
+    /// Charges `M` additions and `M` multiplications per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` and `out` differ in length, or the rows among
+    /// themselves.
+    fn combine_rows(rows: &[&[Self]], r: Self, out: &mut [Self]) {
+        scalar::combine_rows(rows, r, out);
+    }
+
+    /// `acc[i] ← acc[i] + a[i]`; charges one addition per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    fn add_slice(acc: &mut [Self], a: &[Self]) {
+        scalar::add_slice(acc, a);
+    }
+
+    /// `acc[i] ← acc[i] + s·row[i]`; charges one multiplication and one
+    /// addition per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    fn axpy(acc: &mut [Self], s: Self, row: &[Self]) {
+        scalar::axpy(acc, s, row);
+    }
+}
+
+/// The slice kernels' scalar defaults: loops over the counted operators.
+///
+/// Free functions so that an override can fall back to them where its
+/// fast path is unavailable, and so tests can run the reference against
+/// a type that overrides it.
+pub(crate) mod scalar {
+    use super::Field;
+
+    /// Horner's rule at one point: `coeffs.len()` multiplications and
+    /// additions.
+    #[inline]
+    fn horner<F: Field>(coeffs: &[F], x: F) -> F {
+        coeffs.iter().rev().fold(F::zero(), |acc, &c| acc * x + c)
+    }
+
+    pub(crate) fn eval_points<F: Field>(coeffs: &[F], xs: &[F], out: &mut [F]) {
+        assert_eq!(xs.len(), out.len(), "one output per point");
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = horner(coeffs, x);
+        }
+    }
+
+    pub(crate) fn matching_prefix<F: Field>(coeffs: &[F], xs: &[F], ys: &[F]) -> usize {
+        assert_eq!(xs.len(), ys.len(), "one value per point");
+        xs.iter()
+            .zip(ys)
+            .take_while(|&(&x, &y)| horner(coeffs, x) == y)
+            .count()
+    }
+
+    pub(crate) fn combine_rows<F: Field>(rows: &[&[F]], r: F, out: &mut [F]) {
+        assert_eq!(rows.len(), out.len(), "one output per row");
+        let m = rows.first().map_or(0, |row| row.len());
+        for (o, row) in out.iter_mut().zip(rows) {
+            assert_eq!(row.len(), m, "rows of one length");
+            *o = row.iter().rev().fold(F::zero(), |acc, &a| (acc + a) * r);
+        }
+    }
+
+    pub(crate) fn add_slice<F: Field>(acc: &mut [F], a: &[F]) {
+        assert_eq!(acc.len(), a.len(), "slices of one length");
+        for (x, &y) in acc.iter_mut().zip(a) {
+            *x += y;
+        }
+    }
+
+    pub(crate) fn axpy<F: Field>(acc: &mut [F], s: F, row: &[F]) {
+        assert_eq!(acc.len(), row.len(), "slices of one length");
+        for (x, &y) in acc.iter_mut().zip(row) {
+            *x += y * s;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Kernel ≡ scalar default: equal values **and** equal `CostSnapshot`
+    //! deltas, over fields that override the kernels (`Gf2k`) and one that
+    //! does not (`Fp<101>`), with the values also checked against formulas
+    //! that share no code with either.
+
+    use super::{scalar, Field};
+    use crate::{Fp, Gf2k};
+    use dprbg_metrics::{CostSnapshot, OpsGuard};
+    use dprbg_rng::prelude::*;
+    use dprbg_rng::rngs::StdRng;
+    use dprbg_rng::SeedableRng;
+
+    /// Lengths 0, 1, odd, a power of two and its neighbours, > 64.
+    const LENS: [usize; 9] = [0, 1, 2, 3, 13, 16, 17, 65, 100];
+
+    fn cost<T>(f: impl FnOnce() -> T) -> (T, CostSnapshot) {
+        let guard = OpsGuard::start();
+        (f(), guard.finish())
+    }
+
+    fn ops(muls: usize, adds: usize) -> CostSnapshot {
+        CostSnapshot { field_muls: muls as u64, field_adds: adds as u64, ..CostSnapshot::default() }
+    }
+
+    fn randoms<F: Field>(len: usize, rng: &mut StdRng) -> Vec<F> {
+        (0..len).map(|_| F::random(rng)).collect()
+    }
+
+    /// `Σ_c coeffs[c]·x^c` by explicit powers.
+    fn power_sum<F: Field>(coeffs: &[F], x: F) -> F {
+        coeffs.iter().enumerate().map(|(c, &a)| a * x.pow(c as u128)).sum()
+    }
+
+    fn eval_points_matches<F: Field>(rng: &mut StdRng) {
+        for len in LENS {
+            for width in 0..=4 {
+                // Random, zero leading coefficient, all zero.
+                let mut shapes = vec![randoms::<F>(width, rng), randoms(width, rng), vec![F::zero(); width]];
+                if let Some(top) = shapes[1].last_mut() {
+                    *top = F::zero();
+                }
+                for coeffs in shapes {
+                    let xs = randoms::<F>(len, rng);
+                    let (mut fast, mut slow) = (vec![F::one(); len], vec![F::one(); len]);
+                    let ((), fast_cost) = cost(|| F::eval_points(&coeffs, &xs, &mut fast));
+                    let ((), slow_cost) = cost(|| scalar::eval_points(&coeffs, &xs, &mut slow));
+                    assert_eq!(fast, slow, "{}: width {width}, {len} points", F::NAME);
+                    assert_eq!(fast_cost, slow_cost, "{}: width {width}, {len} points", F::NAME);
+                    assert_eq!(fast_cost, ops(width * len, width * len));
+                    for (&x, &y) in xs.iter().zip(&fast) {
+                        assert_eq!(y, power_sum(&coeffs, x));
+                    }
+                }
+            }
+        }
+    }
+
+    fn matching_prefix_matches<F: Field>(rng: &mut StdRng) {
+        for len in LENS {
+            for width in [0, 1, 3] {
+                let coeffs = randoms::<F>(width, rng);
+                let xs = randoms::<F>(len, rng);
+                let mut clean = vec![F::zero(); len];
+                scalar::eval_points(&coeffs, &xs, &mut clean);
+                // No disagreement; one at the first, a middle and the last
+                // point; two (the earlier one counts).
+                let mut cases: Vec<Vec<usize>> = vec![vec![]];
+                if len > 0 {
+                    cases.extend([vec![0], vec![len / 2], vec![len - 1], vec![len / 2, len - 1]]);
+                }
+                for mut wrong in cases {
+                    wrong.dedup();
+                    let mut ys = clean.clone();
+                    for &i in &wrong {
+                        ys[i] += F::one();
+                    }
+                    let (fast, fast_cost) = cost(|| F::matching_prefix(&coeffs, &xs, &ys));
+                    let (slow, slow_cost) = cost(|| scalar::matching_prefix(&coeffs, &xs, &ys));
+                    assert_eq!(fast, slow, "{}: {len} points, wrong at {wrong:?}", F::NAME);
+                    assert_eq!(fast_cost, slow_cost, "{}: {len} points, wrong at {wrong:?}", F::NAME);
+                    let first = wrong.first().copied();
+                    assert_eq!(fast, first.unwrap_or(len));
+                    let evaluated = first.map_or(len, |i| i + 1);
+                    assert_eq!(fast_cost, ops(width * evaluated, width * evaluated));
+                }
+            }
+        }
+    }
+
+    fn combine_rows_matches<F: Field>(rng: &mut StdRng) {
+        for m in LENS {
+            for count in [0, 1, 3, 13] {
+                let rows: Vec<Vec<F>> = (0..count).map(|_| randoms(m, rng)).collect();
+                let rows: Vec<&[F]> = rows.iter().map(Vec::as_slice).collect();
+                let r = F::random(rng);
+                let (mut fast, mut slow) = (vec![F::one(); count], vec![F::one(); count]);
+                let ((), fast_cost) = cost(|| F::combine_rows(&rows, r, &mut fast));
+                let ((), slow_cost) = cost(|| scalar::combine_rows(&rows, r, &mut slow));
+                assert_eq!(fast, slow, "{}: {count} rows of {m}", F::NAME);
+                assert_eq!(fast_cost, slow_cost, "{}: {count} rows of {m}", F::NAME);
+                assert_eq!(fast_cost, ops(m * count, m * count));
+                for (row, &beta) in rows.iter().zip(&fast) {
+                    let direct: F =
+                        row.iter().enumerate().map(|(j, &a)| a * r.pow(j as u128 + 1)).sum();
+                    assert_eq!(beta, direct);
+                }
+            }
+        }
+    }
+
+    fn add_and_axpy_match<F: Field>(rng: &mut StdRng) {
+        for len in LENS {
+            let (acc, row) = (randoms::<F>(len, rng), randoms::<F>(len, rng));
+            for s in [F::random(rng), F::zero(), F::one()] {
+                let (mut fast, mut slow) = (acc.clone(), acc.clone());
+                let ((), fast_cost) = cost(|| F::axpy(&mut fast, s, &row));
+                let ((), slow_cost) = cost(|| scalar::axpy(&mut slow, s, &row));
+                assert_eq!(fast, slow, "{}: axpy over {len}", F::NAME);
+                assert_eq!(fast_cost, slow_cost, "{}: axpy over {len}", F::NAME);
+                assert_eq!(fast_cost, ops(len, len));
+                for i in 0..len {
+                    assert_eq!(fast[i], acc[i] + s * row[i]);
+                }
+            }
+            let (mut fast, mut slow) = (acc.clone(), acc.clone());
+            let ((), fast_cost) = cost(|| F::add_slice(&mut fast, &row));
+            let ((), slow_cost) = cost(|| scalar::add_slice(&mut slow, &row));
+            assert_eq!(fast, slow, "{}: add over {len}", F::NAME);
+            assert_eq!(fast_cost, slow_cost, "{}: add over {len}", F::NAME);
+            assert_eq!(fast_cost, ops(0, len));
+            for i in 0..len {
+                assert_eq!(fast[i], acc[i] + row[i]);
+            }
+        }
+    }
+
+    fn kernels_match_scalar<F: Field>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        eval_points_matches::<F>(&mut rng);
+        matching_prefix_matches::<F>(&mut rng);
+        combine_rows_matches::<F>(&mut rng);
+        add_and_axpy_match::<F>(&mut rng);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_8() {
+        kernels_match_scalar::<Gf2k<8>>(8);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_32() {
+        kernels_match_scalar::<Gf2k<32>>(32);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_64() {
+        kernels_match_scalar::<Gf2k<64>>(64);
+    }
+
+    #[test]
+    fn kernels_match_scalar_f101() {
+        kernels_match_scalar::<Fp<101>>(101);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows of one length")]
+    fn combine_rows_rejects_ragged_rows() {
+        type F = Gf2k<16>;
+        let (a, b) = ([F::one(); 3], [F::one(); 2]);
+        F::combine_rows(&[&a, &b], F::one(), &mut [F::zero(); 2]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_kernels_match_scalar_on_random_shapes(seed: u64, len in 0usize..80, width in 0usize..6) {
+            type F = Gf2k<8>;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (coeffs, xs) = (randoms::<F>(width, &mut rng), randoms::<F>(len, &mut rng));
+            let (mut fast, mut slow) = (vec![F::zero(); len], vec![F::zero(); len]);
+            let ((), fast_cost) = cost(|| F::eval_points(&coeffs, &xs, &mut fast));
+            let ((), slow_cost) = cost(|| scalar::eval_points(&coeffs, &xs, &mut slow));
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(fast_cost, slow_cost);
+            // Over GF(2^8) random values collide with the word often enough
+            // to exercise every prefix length.
+            let ys = randoms::<F>(len, &mut rng);
+            let (fast, fast_cost) = cost(|| F::matching_prefix(&coeffs, &xs, &ys));
+            let (slow, slow_cost) = cost(|| scalar::matching_prefix(&coeffs, &xs, &ys));
+            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(fast_cost, slow_cost);
+        }
     }
 }

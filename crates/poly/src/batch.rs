@@ -91,11 +91,11 @@ impl<F: Field> BatchDecoder<F> {
         assert_eq!(ys.len(), self.xs.len(), "one y-value per abscissa");
         ops::count_interpolation(1);
         let candidate = self.basis.combine(ys.iter().copied());
-        let points = self.xs.iter().copied().zip(ys.iter().copied());
-        if points.clone().all(|(x, y)| candidate.eval(x) == y) {
+        if F::matching_prefix(candidate.coeffs(), &self.xs, ys) == ys.len() {
             return Ok(candidate);
         }
-        solve_in_radius(&points.collect::<Vec<_>>(), self.t, self.e_max)
+        let points: Vec<(F, F)> = self.xs.iter().copied().zip(ys.iter().copied()).collect();
+        solve_in_radius(&points, self.t, self.e_max)
     }
 
     /// Decode many words in one call.
@@ -219,6 +219,65 @@ mod tests {
         let before = CostSnapshot::capture();
         assert_eq!(dec.decode(&dirty), out[0]);
         assert_eq!(CostSnapshot::capture().since(&before).interpolations, 1);
+    }
+
+    /// The clean-word check is charged like the loop it replaced: every
+    /// point up to and including the first one off the candidate, at the
+    /// candidate's (trimmed) length per point — whether the first
+    /// disagreement is the first point past the basis, a middle one, or
+    /// the last.
+    #[test]
+    fn clean_word_check_charges_up_to_the_first_disagreement() {
+        fn check<G: Field>(seed: u64) {
+            let cost = |f: &mut dyn FnMut()| {
+                let guard = dprbg_metrics::OpsGuard::start();
+                f();
+                guard.finish()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (t, m) = (3, 19);
+            let xs: Vec<G> = (1..=m as u64).map(G::element).collect();
+            let dec = BatchDecoder::new(&xs, t, t).unwrap();
+            let f = Poly::<G>::random(t, &mut rng);
+            let clean: Vec<G> = xs.iter().map(|&x| f.eval(x)).collect();
+            for first_wrong in [None, Some(t + 1), Some(m / 2), Some(m - 1)] {
+                let mut ys = clean.clone();
+                if let Some(i) = first_wrong {
+                    ys[i] += G::one();
+                    // A later error must not be charged for.
+                    if i < m - 1 {
+                        ys[m - 1] += G::one();
+                    }
+                }
+                let points: Vec<(G, G)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+                let mut decoded = None;
+                let total = cost(&mut || decoded = Some(dec.decode(&ys)));
+                assert_eq!(decoded, Some(Ok(f.clone())), "{}: {first_wrong:?}", G::NAME);
+                let combine = cost(&mut || drop(dec.basis.combine(ys.iter().copied())));
+                let solve = match first_wrong {
+                    Some(_) => cost(&mut || drop(solve_in_radius(&points, t, t))),
+                    None => CostSnapshot::default(),
+                };
+                let evaluated = first_wrong.map_or(m, |i| i + 1) as u64;
+                let per_point = f.coeffs().len() as u64;
+                assert_eq!(
+                    total.field_muls - combine.field_muls - solve.field_muls,
+                    per_point * evaluated,
+                    "{}: first disagreement at {first_wrong:?}",
+                    G::NAME
+                );
+                assert_eq!(
+                    total.field_adds - combine.field_adds - solve.field_adds,
+                    per_point * evaluated,
+                    "{}: first disagreement at {first_wrong:?}",
+                    G::NAME
+                );
+            }
+        }
+        check::<Gf2k<8>>(8);
+        check::<Gf2k<32>>(32);
+        check::<Gf2k<64>>(64);
+        check::<dprbg_field::Fp<101>>(101);
     }
 
     proptest! {

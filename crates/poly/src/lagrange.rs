@@ -184,10 +184,7 @@ impl<F: Field> LagrangeBasis<F> {
             if y.is_zero() {
                 continue;
             }
-            let scale = w * y;
-            for (a, &b) in acc.iter_mut().zip(row) {
-                *a += b * scale;
-            }
+            F::axpy(&mut acc, w * y, row);
         }
         Poly::new(acc)
     }
@@ -262,6 +259,36 @@ mod tests {
             let pts: Vec<(P, P)> = xs.iter().copied().zip(ys).collect();
             assert_eq!(f, interpolate(&pts).unwrap());
         }
+    }
+
+    #[test]
+    fn combine_skips_zero_values_and_charges_the_rest() {
+        fn check<G: Field>(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for k in [1usize, 2, 3, 6, 11] {
+                let xs: Vec<G> = (1..=k as u64).map(G::element).collect();
+                let basis = LagrangeBasis::new(&xs);
+                // All random; zeros at the first, a middle and the last
+                // abscissa; all zero.
+                for zeros in [vec![], vec![0], vec![k / 2], vec![k - 1], (0..k).collect()] {
+                    let mut ys: Vec<G> = (0..k).map(|_| G::random(&mut rng)).collect();
+                    zeros.iter().for_each(|&i| ys[i] = G::zero());
+                    let guard = dprbg_metrics::OpsGuard::start();
+                    let f = basis.combine(ys.iter().copied());
+                    let cost = guard.finish();
+                    // Per nonzero value: the scale, then k multiply-adds.
+                    let nonzero = ys.iter().filter(|y| !y.is_zero()).count() as u64;
+                    assert_eq!(cost.field_muls, nonzero * (k as u64 + 1), "{}: k = {k}", G::NAME);
+                    assert_eq!(cost.field_adds, nonzero * k as u64, "{}: k = {k}", G::NAME);
+                    let pts: Vec<(G, G)> = xs.iter().copied().zip(ys).collect();
+                    assert_eq!(f, interpolate(&pts).unwrap(), "{}: k = {k}", G::NAME);
+                }
+            }
+        }
+        check::<Gf2k<8>>(8);
+        check::<Gf2k<32>>(32);
+        check::<Gf2k<64>>(64);
+        check::<Fp<101>>(101);
     }
 
     #[test]

@@ -50,5 +50,5 @@ pub use batch::BatchDecoder;
 pub use berlekamp_welch::{bw_decode, BwError};
 pub use lagrange::{interpolate, lagrange_eval_at_zero, InterpolateError};
 pub use linalg::{solve_linear, Matrix};
-pub use poly::Poly;
+pub use poly::{eval_batch, Poly};
 pub use shamir::{reconstruct_secret, share_points, share_polynomial, Share, ShamirError};

@@ -72,12 +72,10 @@ pub fn share_polynomial<F: Field, R: Rng + ?Sized>(secret: F, t: usize, rng: &mu
 ///
 /// Panics if `n` does not embed into the field (need `order > n`).
 pub fn share_points<F: Field>(poly: &Poly<F>, n: usize) -> Vec<Share<F>> {
-    (1..=n as u64)
-        .map(|i| {
-            let x = F::element(i);
-            Share { x, y: poly.eval(x) }
-        })
-        .collect()
+    let xs: Vec<F> = (1..=n as u64).map(F::element).collect();
+    let mut ys = vec![F::zero(); n];
+    F::eval_points(poly.coeffs(), &xs, &mut ys);
+    xs.into_iter().zip(ys).map(|(x, y)| Share { x, y }).collect()
 }
 
 /// Reconstruct the secret from **error-free** shares.

@@ -61,15 +61,15 @@ echo "== chaos campaign smoke (fixed seed, quick) =="
 cargo run -p dprbg-bench --release --offline -q --bin report -- e12 --quick
 
 echo "== backend & executor parity smoke (E8 + E13, fixed seed, quick) =="
-# E8 checks the dispatched carry-less multiply against the portable
-# reference ladder; E13 asserts ParRunner transcripts/traces are
+# E8 checks the dispatched carry-less multiply, and the GF(2^k) slice
+# kernels built on it, against the portable reference ladder; E13 asserts ParRunner transcripts/traces are
 # byte-identical to StepRunner, that its Chrome export round-trips, that
 # per-call and shared-basis decoding agree on clean and dirty words, and
 # that a grade-cast value reaches every grade as the sender's one handle.
 parity_report="$(cargo run -p dprbg-bench --release --offline -q --bin report -- e8 e13 --quick)"
 printf '%s\n' "$parity_report"
-for needle in "backend parity OK" "executor parity OK" "par trace round-trip OK" \
-    "decode parity OK" "gradecast handle parity OK"; do
+for needle in "backend parity OK" "kernel parity OK" "executor parity OK" \
+    "par trace round-trip OK" "decode parity OK" "gradecast handle parity OK"; do
     if ! grep -q "$needle" <<<"$parity_report"; then
         echo "parity smoke FAILED: missing \"$needle\"" >&2
         exit 1

@@ -1,0 +1,97 @@
+//! The paper-unit contract of one fault-free Coin-Gen, pinned to the
+//! count: field multiplications, additions, inversions, interpolations,
+//! PRG blocks, messages, bytes and rounds of a fixed-seed run, as exact
+//! literals (first instalment of ROADMAP item 3(b)).
+//!
+//! The literals were captured at the commit *before* the slice-wide field
+//! kernels landed, so a kernel that charges anything but what its scalar
+//! default charges — or any later change to the arithmetic path — fails
+//! here instead of drifting the cost model silently. A change that moves a
+//! count on purpose regenerates the literal and says why.
+
+use dprbg::core::{CoinGenConfig, CoinGenMachine, CoinGenMsg, Params, TrustedDealer};
+use dprbg::field::{Field, Gf2k};
+use dprbg::metrics::CostSnapshot;
+use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
+
+/// Whole-fleet totals of one fault-free Coin-Gen at `(n, t, M)` over `F`,
+/// wallets and executor both seeded with `seed`.
+fn coin_gen_totals<F: Field>(n: usize, t: usize, m: usize, seed: u64) -> CostSnapshot {
+    let params = Params::p2p_model(n, t).unwrap();
+    let cfg = CoinGenConfig { params, batch_size: m };
+    let fleet: Vec<BoxedMachine<CoinGenMsg<F>, usize>> =
+        TrustedDealer::deal_wallets::<F>(params, 4, seed)
+            .into_iter()
+            .map(|w| {
+                Box::new(
+                    CoinGenMachine::new(cfg, w)
+                        .map(|(_, res)| res.expect("no faults injected").shares.len()),
+                ) as _
+            })
+            .collect();
+    let res = StepRunner::new(n, seed).run(fleet);
+    assert!(res.outputs.iter().all(|o| *o == Some(m)), "every party seals M coins");
+    let total = res.report.total();
+    // `total()` sums the per-party round counters; the run's round count
+    // is the communication summary's.
+    CostSnapshot { rounds: res.report.comm.rounds, ..total }
+}
+
+#[test]
+fn coin_gen_n7_t1_m8_gf2_32() {
+    assert_eq!(
+        coin_gen_totals::<Gf2k<32>>(7, 1, 8, 1),
+        CostSnapshot {
+            field_adds: 4508,
+            field_muls: 4319,
+            field_invs: 21,
+            interpolations: 63,
+            prg_invocations: 21,
+            messages: 1043,
+            bytes: 50974,
+            rounds: 11,
+        }
+    );
+}
+
+#[test]
+fn coin_gen_n13_t2_m64_gf2_64() {
+    assert_eq!(
+        coin_gen_totals::<Gf2k<64>>(13, 2, 64, 1),
+        CostSnapshot {
+            field_adds: 78624,
+            field_muls: 68575,
+            field_invs: 39,
+            interpolations: 195,
+            prg_invocations: 325,
+            messages: 5785,
+            bytes: 1598272,
+            rounds: 13,
+        }
+    );
+}
+
+/// Over GF(2^8) a random polynomial's leading coefficient is zero with
+/// probability 1/256, `Poly::new` trims it, and the evaluation is charged
+/// for the shorter polynomial: with 13 × 65 polynomials dealt the run
+/// must come out strictly cheaper than the same run over GF(2^64), and
+/// exactly this much.
+#[test]
+fn coin_gen_n13_t2_m64_gf2_8_charges_trimmed_polynomials() {
+    let gf8 = coin_gen_totals::<Gf2k<8>>(13, 2, 64, 1);
+    assert_eq!(
+        gf8,
+        CostSnapshot {
+            field_adds: 78598,
+            field_muls: 68549,
+            field_invs: 39,
+            interpolations: 195,
+            prg_invocations: 325,
+            messages: 5785,
+            bytes: 257933,
+            rounds: 13,
+        }
+    );
+    let gf64 = coin_gen_totals::<Gf2k<64>>(13, 2, 64, 1);
+    assert!(gf8.field_muls < gf64.field_muls, "trimmed polynomials evaluate cheaper");
+}
