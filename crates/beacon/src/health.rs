@@ -18,7 +18,6 @@ use dprbg_metrics::Table;
 use crate::supervisor::Mode;
 
 /// How one driven epoch ended, from the service's point of view.
-// lint: snapshot-abi(v2, 9c8c76d094b0b7b0)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochOutcomeTag {
     /// The epoch ran (or had nothing to run) and its effects committed.
@@ -44,7 +43,6 @@ impl EpochOutcomeTag {
 }
 
 /// What the gen plane did this epoch.
-// lint: snapshot-abi(v2, d824d9e4fc01148f)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefillStatus {
     /// No refill was scheduled.
@@ -67,7 +65,6 @@ impl RefillStatus {
 }
 
 /// One epoch's health, as the flight recorder remembers it.
-// lint: snapshot-abi(v2, 431efe8a17848447)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthRecord {
     /// The epoch this record describes.
@@ -105,7 +102,6 @@ pub struct HealthRecord {
 /// The capacity is a service constant, *not* serialized — only the
 /// records and the lifetime total are, so the snapshot ABI does not
 /// change when the ring is resized across builds.
-// lint: snapshot-abi(v2, aad478614f7300f0)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightRecorder {
     records: VecDeque<HealthRecord>,

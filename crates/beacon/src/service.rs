@@ -118,7 +118,6 @@ impl std::fmt::Display for BeaconError {
 impl std::error::Error for BeaconError {}
 
 /// Cumulative service statistics (snapshotted).
-// lint: snapshot-abi(v2, 5efdad8e74da19d0)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BeaconStats {
     /// Epochs driven (including skipped ones).

@@ -51,10 +51,10 @@ use crate::supervisor::Mode;
 /// Magic prefix of every beacon snapshot.
 const MAGIC: &[u8; 8] = b"DPRBGSNP";
 
-/// Current format version. Every struct that serializes into the
-/// snapshot carries a `lint: snapshot-abi` pin fingerprinting its field
-/// list against this constant — editing any of those layouts without
-/// bumping it (and re-taking the pins) fails `dprbg-lint --workspace`.
+/// Current format version. `tests/golden/snapshot_v2.bin` pins the
+/// layout byte for byte: changing it without bumping this constant (and
+/// committing a golden image for the new version) fails
+/// `tests/kill_restore.rs`.
 pub(crate) const SNAPSHOT_VERSION: u16 = 2;
 
 /// Why a snapshot failed to decode.
@@ -106,7 +106,6 @@ impl std::error::Error for SnapshotError {}
 
 /// The decoded (or to-be-encoded) cross-epoch state, field-agnostic
 /// except for the coin values themselves.
-// lint: snapshot-abi(v2, 0d9c5233bc5dba8a)
 #[derive(Debug)]
 pub(crate) struct SnapshotState<F: Field> {
     pub n: u32,
@@ -436,6 +435,11 @@ pub(crate) fn decode<F: Field>(bytes: &[u8]) -> Result<SnapshotState<F>, Snapsho
     let trace = (d.u64()?, d.u64()?, d.u64()?);
 
     let snap_count = d.u32()? as usize;
+    if snap_count != n as usize {
+        // One ledger entry per party: merging a wrong-length ledger into
+        // the next epoch's report would panic.
+        return Err(SnapshotError::Malformed { field: "cost ledger" });
+    }
     let mut snaps = Vec::with_capacity(snap_count.min(1 << 16));
     for _ in 0..snap_count {
         snaps.push(CostSnapshot {
@@ -707,6 +711,30 @@ mod tests {
                 "bit flip at {pos} decoded successfully"
             );
         }
+    }
+
+    #[test]
+    fn ledger_of_the_wrong_length_is_refused_at_restore() {
+        // A checksum-valid snapshot with n − 1 ledger entries used to
+        // restore and then panic in the next epoch's ledger merge.
+        let mut state = sample();
+        state.ledger.0.pop();
+        let bytes = encode(&state);
+        let cfg = crate::BeaconConfig {
+            coin_gen: dprbg_core::CoinGenConfig {
+                params: dprbg_core::Params::p2p_model(7, 1).unwrap(),
+                batch_size: 8,
+            },
+            reservoir: crate::ReservoirConfig { capacity: 8, low_water: 2 },
+            wallet_low_water: 0,
+            retry: dprbg_core::RetryPolicy { max_attempts: 3, seed_budget: 8 },
+            max_backoff_exp: 3,
+            max_rounds_per_epoch: 4096,
+        };
+        assert_eq!(
+            crate::BeaconService::<F>::restore(cfg, &bytes).err(),
+            Some(SnapshotError::Malformed { field: "cost ledger" })
+        );
     }
 
     #[test]

@@ -21,7 +21,6 @@ use std::collections::BTreeSet;
 use dprbg_core::{ProtocolError, MIN_SEEDS_PER_ATTEMPT};
 
 /// The supervisor's standing mode.
-// lint: snapshot-abi(v2, 124da62dc7bf7833)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Healthy: run the epoch pipeline normally.

@@ -133,3 +133,45 @@ fn restore_rejects_mismatched_parameters() {
     torn.truncate(torn.len() / 2);
     assert!(BeaconService::<F>::restore(config(), &torn).is_err());
 }
+
+/// The committed snapshot image for format version 2: the service after
+/// `GOLDEN_EPOCHS` epochs of this file's schedule under `StepRunner`
+/// (see `write_golden_snapshot`). It pins the snapshot's byte layout, so
+/// a field added, dropped, reordered or widened without a
+/// `SNAPSHOT_VERSION` bump fails here.
+const GOLDEN_V2: &[u8] = include_bytes!("golden/snapshot_v2.bin");
+const GOLDEN_EPOCHS: u64 = 4;
+
+fn golden_service() -> BeaconService<F> {
+    let mut svc = BeaconService::<F>::new(config(), MASTER_SEED, INITIAL_COINS);
+    drive(&mut svc, ExecutorKind::Step, 0, GOLDEN_EPOCHS);
+    svc
+}
+
+#[test]
+fn golden_snapshot_restores_byte_identically() {
+    // Bytes 8..10 are the header's version; a fresh service stamps this
+    // build's SNAPSHOT_VERSION there.
+    let fresh = BeaconService::<F>::new(config(), MASTER_SEED, INITIAL_COINS).snapshot();
+    assert_eq!(
+        fresh[8..10],
+        GOLDEN_V2[8..10],
+        "SNAPSHOT_VERSION moved: commit a golden image for the new version"
+    );
+    let svc = BeaconService::<F>::restore(config(), GOLDEN_V2).unwrap();
+    assert!(
+        svc.wallet_level() > 0
+            && svc.reservoir().level() > 0
+            && !svc.health().is_empty()
+            && !svc.flight_recorder().is_empty(),
+        "the golden image must populate wallets, reservoir, registry and recorder"
+    );
+    assert_eq!(svc.snapshot(), GOLDEN_V2, "snapshot layout changed without a version bump");
+}
+
+#[test]
+#[ignore = "rewrites the golden image; run only for a deliberate format change"]
+fn write_golden_snapshot() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v2.bin");
+    std::fs::write(path, golden_service().snapshot()).unwrap();
+}

@@ -120,7 +120,7 @@ enum CcbaFlow<F: Field> {
 /// the generator's traffic (for beacon refills) and the votes. The
 /// result half of the output propagates beacon failures (seed exhaustion
 /// etc.).
-#[allow(clippy::int_plus_one)] // thresholds written as the paper states them
+#[allow(clippy::int_plus_one, reason = "thresholds written as the paper states them")]
 pub fn common_coin_ba<M, F>(
     input: bool,
     t: usize,

@@ -342,7 +342,7 @@ where
                 }
                 Step::Done(Ok(judge_batch(&points, view.n, self.t, self.opts.mode)))
             }
-            // lint: allow(error-discipline) — driver contract: no executor calls round() after Done
+            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             BvStage::Finished => panic!("BatchVssVerifyMachine driven past completion"),
         }
     }

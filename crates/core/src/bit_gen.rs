@@ -310,7 +310,7 @@ where
                 }
                 Step::Done(Ok(BitGenRun { r, views }))
             }
-            // lint: allow(error-discipline) — driver contract: no executor calls round() after Done
+            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             BgStage::Finished => panic!("BitGenMachine driven past completion"),
         }
     }

@@ -205,6 +205,10 @@ impl<F: Field> Bootstrap<F> {
     /// paper: "as all our coins will be generated in the field GF(2^k) we
     /// can assume that each coin generates in fact k random coins in
     /// {0,1}").
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "coin -> bit: formatting the drawn coin, not field arithmetic"
+    )]
     pub fn draw_bit<M: CoinGenWire<F>>(
         self,
     ) -> impl RoundMachine<M, Output = (Self, Result<bool, CoinGenError>)> {
@@ -219,8 +223,11 @@ impl<F: Field> Bootstrap<F> {
     ) -> impl RoundMachine<M, Output = (Self, Result<Vec<bool>, CoinGenError>)> {
         self.draw().map(|(b, res)| {
             (b, res.map(|val| {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "coin -> bits: formatting the drawn coin, not field arithmetic"
+                )]
                 let v = val.to_u64();
-                // lint: allow(ledger-coverage) — bit-split of the drawn coin's canonical u64: output formatting, not field arithmetic
                 (0..F::bits()).map(|i| (v >> i) & 1 == 1).collect()
             }))
         })

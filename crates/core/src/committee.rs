@@ -364,7 +364,7 @@ where
                 self.stage = CcStage::Collect;
                 Step::Continue(view.outbox())
             }
-            // lint: allow(error-discipline) — driver contract: no executor calls round() after Done
+            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             CcStage::Finished => panic!("CommitteeCoin driven past completion"),
         }
     }

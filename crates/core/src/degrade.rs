@@ -85,7 +85,7 @@ struct RetrySt<F: Field> {
 /// # Panics
 ///
 /// If `policy.max_attempts` is zero.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "the retry output tuple is spelled once, here")]
 pub fn coin_gen_with_retry<M: CoinGenWire<F>, F: Field>(
     cfg: CoinGenConfig,
     wallet: CoinWallet<F>,

@@ -1,5 +1,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::allow_attributes_without_reason)]
 
 //! # `dprbg-core` — Distributed Pseudo-Random Bit Generators
 //!

@@ -213,7 +213,7 @@ where
                     ))
                 }
             },
-            // lint: allow(error-discipline) — driver contract: no executor calls round() after Done
+            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             RfStage::Finished => panic!("RefreshMachine driven past completion"),
         }
     }

@@ -298,7 +298,7 @@ where
             DvStage::Dispute { r, f_star, outliers } => {
                 Step::Done(Ok(self.judge(&view, r, f_star, outliers)))
             }
-            // lint: allow(error-discipline) — driver contract: no executor calls round() after Done
+            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             DvStage::Finished => panic!("VssDisputeMachine driven past completion"),
         }
     }

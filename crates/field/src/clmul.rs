@@ -6,8 +6,8 @@
 //! * [`clmul_portable`]: a fixed-iteration, branchless shift/mask ladder.
 //!   Exactly 64 iterations regardless of operand values, so both the
 //!   wall-clock and the instruction stream are data-independent (the old
-//!   `while b != 0 { trailing_zeros() }` popcount walk was not — see the
-//!   `field-ct` lint rule in LINTS.md).
+//!   `while b != 0 { trailing_zeros() }` popcount walk was not — this
+//!   crate's `clippy.toml` bans `trailing_zeros`, LINTS.md `field-ct`).
 //! * A hardware path using the x86-64 `PCLMULQDQ` instruction
 //!   (`_mm_clmulepi64_si128`), selected at runtime by the one
 //!   `is_x86_feature_detected!` in the workspace, `has_pclmulqdq`.

@@ -6,6 +6,7 @@
 // crate still refuses `unsafe`.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Finite-field arithmetic for the `dprbg` workspace.
 //!

@@ -97,9 +97,8 @@ pub mod comm {
 /// Capture one before and one after a protocol run and subtract with
 /// [`CostSnapshot::since`] to obtain the cost of the enclosed region.
 ///
-/// Serialized inside the beacon snapshot, hence the ABI pin: it versions
-/// with `dprbg-beacon`'s `SNAPSHOT_VERSION`.
-// lint: snapshot-abi(v2, f05a0c742972543b)
+/// Serialized inside the beacon snapshot, whose layout `dprbg-beacon`'s
+/// golden-image test pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CostSnapshot {
     /// Field additions performed.

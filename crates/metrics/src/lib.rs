@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Cost-model instrumentation for the `dprbg` workspace.
 //!
@@ -24,8 +25,9 @@
 //! associative + commutative merge semantics and canonical byte/JSON/
 //! Prometheus/dashboard exports (see [`export`]; [`json`] is the
 //! workspace's one JSON reader and escaper). The beacon service
-//! instruments itself through it; LINTS.md's `registry-determinism` rule
-//! keeps wall clocks and iteration nondeterminism out of this crate.
+//! instruments itself through it; the `registry-determinism` bans in this
+//! crate's `clippy.toml` (LINTS.md) keep wall clocks and iteration
+//! nondeterminism out of it.
 //!
 //! # Examples
 //!

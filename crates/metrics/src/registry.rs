@@ -38,7 +38,6 @@ use std::fmt;
 ///
 /// This is the only notion of "when" the health plane knows — there is no
 /// wall clock anywhere in the registry, upholding the determinism lint.
-// lint: snapshot-abi(v2, b6c85cbb6916d2db)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LogicalTime {
     /// Beacon epoch (service-lifetime monotone).
@@ -65,7 +64,6 @@ impl LogicalTime {
 ///
 /// Labels are sorted by `(key, value)` at construction, so two ids built
 /// from the same labels in different orders compare (and serialize) equal.
-// lint: snapshot-abi(v2, 7356aed71bc7f9a7)
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricId {
     pub(crate) name: String,
@@ -102,7 +100,6 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Merging is componentwise addition, hence associative and commutative
 /// with the zero histogram as identity.
-// lint: snapshot-abi(v2, bd9a272081925c91)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Histogram {
     pub(crate) buckets: [u64; HISTOGRAM_BUCKETS],
@@ -173,7 +170,6 @@ impl Histogram {
 }
 
 /// A metric's current state: one of the three supported kinds.
-// lint: snapshot-abi(v2, f2e08e3f55ce65e4)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MetricValue {
     /// Monotone sum; merge is addition.
@@ -228,7 +224,6 @@ impl std::error::Error for RegistryDecodeError {}
 /// Metrics live in a `BTreeMap` keyed by [`MetricId`], so iteration and
 /// serialization order are canonical — byte-identical registries are equal
 /// registries and vice versa.
-// lint: snapshot-abi(v2, 92818d9ef4ae8fec)
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Registry {
     pub(crate) metrics: BTreeMap<MetricId, MetricValue>,

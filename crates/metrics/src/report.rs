@@ -18,9 +18,8 @@ pub struct PartyCost {
 
 /// Communication statistics of a whole protocol execution.
 ///
-/// Serialized inside the beacon snapshot, hence the ABI pin: it versions
-/// with `dprbg-beacon`'s `SNAPSHOT_VERSION`.
-// lint: snapshot-abi(v2, f56afa6f40fef777)
+/// Serialized inside the beacon snapshot, whose layout `dprbg-beacon`'s
+/// golden-image test pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CommStats {
     /// Total messages sent by all parties.

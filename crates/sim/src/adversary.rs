@@ -297,6 +297,9 @@ mod tests {
         struct TwoRounds;
         impl RoundMachine<u64> for TwoRounds {
             type Output = Vec<(usize, u64)>;
+            fn phase_name(&self) -> &'static str {
+                "two-rounds"
+            }
             fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
                 if view.round < 2 {
                     let mut out = view.outbox();

@@ -662,6 +662,9 @@ mod tests {
     }
     impl RoundMachine<u64> for Chatter {
         type Output = Vec<(usize, bool, u64)>;
+        fn phase_name(&self) -> &'static str {
+            "chatter"
+        }
         fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
             if view.round < self.rounds {
                 let mut out = view.outbox();

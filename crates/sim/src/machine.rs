@@ -299,12 +299,10 @@ pub trait RoundMachine<M> {
     /// call will execute — pure state inspection, called by tracing
     /// executors immediately before `round` to tag that round's span.
     ///
-    /// The default covers machines that never override it; protocol
-    /// machines report their stage (`"bit-gen/deal"`, `"ba/suggest"`, …)
-    /// and composite machines delegate to the active sub-machine.
-    fn phase_name(&self) -> &'static str {
-        "round"
-    }
+    /// Required, so every machine names its phases: protocol machines
+    /// report their stage (`"bit-gen/deal"`, `"ba/suggest"`, …) and
+    /// composite machines delegate to the active sub-machine.
+    fn phase_name(&self) -> &'static str;
 }
 
 impl<M, T: RoundMachine<M> + ?Sized> RoundMachine<M> for Box<T> {
@@ -707,6 +705,9 @@ mod tests {
 
     impl RoundMachine<u32> for EchoSum {
         type Output = u32;
+        fn phase_name(&self) -> &'static str {
+            "echo-sum"
+        }
         fn round(&mut self, view: RoundView<'_, u32>) -> Step<u32, u32> {
             if view.round == 0 {
                 let mut out = view.outbox();
@@ -887,6 +888,9 @@ mod tests {
         struct RankGossip;
         impl RoundMachine<u32> for RankGossip {
             type Output = Vec<u32>;
+            fn phase_name(&self) -> &'static str {
+                "rank-gossip"
+            }
             fn round(&mut self, view: RoundView<'_, u32>) -> Step<u32, Vec<u32>> {
                 if view.round == 0 {
                     assert_eq!(view.n, 2, "inner machine must see the committee size");

@@ -33,6 +33,10 @@ struct Gossip {
 impl RoundMachine<u64> for Gossip {
     type Output = Vec<(u64, usize, bool, u64)>;
 
+    fn phase_name(&self) -> &'static str {
+        "gossip"
+    }
+
     fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
         self.transcript
             .extend(view.inbox.iter().map(|r| (view.round, r.from, r.broadcast, *r.msg())));
@@ -156,6 +160,10 @@ type Heard = Vec<(u64, usize, bool, Vec<u64>)>;
 
 impl RoundMachine<Vec<u64>> for FanOut {
     type Output = Heard;
+
+    fn phase_name(&self) -> &'static str {
+        "fan-out"
+    }
 
     fn round(&mut self, view: RoundView<'_, Vec<u64>>) -> Step<Vec<u64>, Self::Output> {
         self.heard

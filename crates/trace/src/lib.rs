@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Deterministic span/event tracing for the round engine.
 //!
@@ -16,8 +17,8 @@
 //! round index, party id, and a per-party step counter. No wall clocks:
 //! the same seed produces byte-identical traces under both executors and
 //! on any machine, so traces are comparable, diffable, and usable as
-//! transcript evidence (the `trace-determinism` lint forbids clock reads
-//! in this crate). Wall-clock enrichment, where wanted, happens in
+//! transcript evidence (the `trace-determinism` bans in this crate's
+//! `clippy.toml` forbid clock reads here). Wall-clock enrichment, where wanted, happens in
 //! `dprbg-bench` which owns real time anyway.
 //!
 //! Recording is per party: each executor drives one [`PartyTracer`]

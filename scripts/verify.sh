@@ -1,22 +1,13 @@
 #!/usr/bin/env bash
-# Hermetic-build verification: offline build + tests + dependency-policy guard.
+# Hermetic-build verification: offline build + tests + clippy + smokes.
 #
 # Usage: scripts/verify.sh
-# Exits non-zero if the build fails, a test fails, or any manifest declares
-# a dependency that is not an in-tree `path` crate (no registry, no git).
+# Exits non-zero if the build fails, a test fails (`tests/hermetic.rs`
+# fails on any lock-file package that is not an in-tree path crate), or
+# clippy reports anything.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-echo "== guard: every dependency must be an in-tree path crate =="
-# Delegates to dprbg-lint's `hermetic` rule (see LINTS.md), which also
-# catches `[dependencies.foo]` subsection tables the old awk guard missed.
-if ! cargo run -p dprbg-lint --offline -q -- --manifests; then
-    echo "dependency-policy guard FAILED: external crates are not allowed" >&2
-    echo "(see 'Dependency policy' in DESIGN.md and LINTS.md)" >&2
-    exit 1
-fi
-echo "ok: manifests declare only path/workspace dependencies"
 
 echo "== build (release, offline) =="
 cargo build --release --offline
@@ -24,33 +15,17 @@ cargo build --release --offline
 echo "== tests (workspace, offline) =="
 cargo test -q --workspace --offline
 
-echo "== lint (clippy, workspace, offline) =="
-cargo clippy --workspace --offline -- -D warnings
-
-echo "== lint (dprbg-lint invariants: zero transport and stale suppressions, <5s budget) =="
-# The release build above already produced the binary; invoking it
-# directly keeps the wall-clock measurement honest (no cargo overhead).
-# Budget: the item-graph analysis of the whole workspace must stay
-# interactive — under 5 seconds end to end.
-lint_t0="$(date +%s%N)"
-lint_report="$(target/release/dprbg-lint --workspace)"
-lint_t1="$(date +%s%N)"
-lint_ms=$(( (lint_t1 - lint_t0) / 1000000 ))
-printf '%s\n' "$lint_report"
-if ! grep -q "0 transport suppressions (required: 0)" <<<"$lint_report"; then
-    echo "transport guard FAILED: allow(transport) pins exist in the workspace" >&2
-    echo "(the blocking transport is retired; port the code instead — see LINTS.md)" >&2
+echo "== lint (clippy, workspace, offline: the static invariants of LINTS.md) =="
+# Lints are errors under -D warnings; what remains a warning is clippy's
+# own config check (a clippy.toml ban path that names no reachable item
+# prints a warning and still exits 0), so any warning fails the stage.
+clippy_log="$(cargo clippy --workspace --offline -- -D warnings 2>&1)" || {
+    printf '%s\n' "$clippy_log" >&2
     exit 1
-fi
-if ! grep -q "0 stale suppressions" <<<"$lint_report"; then
-    echo "stale-allow guard FAILED: dead allow pins exist in the workspace" >&2
-    echo "(a pin that suppresses nothing is a hole; delete it — see LINTS.md)" >&2
-    exit 1
-fi
-echo "ok: workspace lint clean in ${lint_ms}ms"
-if [ "$lint_ms" -ge 5000 ]; then
-    echo "lint FAILED: ${lint_ms}ms exceeds the 5s budget" >&2
-    echo "(the item-graph analysis must stay interactive; profile before growing it)" >&2
+}
+printf '%s\n' "$clippy_log"
+if grep -q '^warning' <<<"$clippy_log"; then
+    echo "clippy FAILED: warnings in the output (see LINTS.md)" >&2
     exit 1
 fi
 
