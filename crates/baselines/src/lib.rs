@@ -23,16 +23,16 @@
 //!   would be to interpolate a number of polynomials which at least
 //!   equals the number of the faults to be tolerated. Coins generated
 //!   this way, however, would still be highly expensive" (§4).
-//! - [`rabin_dealer`] — **Rabin's trusted dealer** \[17\]: pre-generated
-//!   expendable coins, "the approach of \[17\] requires the dealer to
-//!   continuously provide them" (§1.2).
+//!
+//! Rabin's trusted dealer \[17\] needs no code of its own: "the approach
+//! of \[17\] requires the dealer to continuously provide" coins (§1.2),
+//! i.e. one `dprbg_core::TrustedDealer` deal per coin, and its parties'
+//! cost is a bare Coin-Expose (E5's "Rabin\[17\]" row).
 
 pub mod ccd;
 pub mod feldman;
 pub mod from_scratch;
-pub mod rabin_dealer;
 
 pub use ccd::{CcdMachine, CcdMsg, CcdOpts};
 pub use feldman::{FeldmanMachine, FeldmanMsg, FeldmanVerdict};
 pub use from_scratch::{from_scratch_coin, FromScratchMsg};
-pub use rabin_dealer::RabinDealer;

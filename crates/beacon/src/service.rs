@@ -29,6 +29,7 @@ use dprbg_core::{
 };
 use dprbg_field::Field;
 use dprbg_metrics::{CostReport, CostSnapshot, LogicalTime, Registry};
+use dprbg_rng::splitmix64;
 use dprbg_sim::{
     AdaptiveAdversary, Attack, BoxedMachine, ParRunner, RunResult, StepRunner, TraceConfig,
 };
@@ -40,20 +41,10 @@ use crate::reservoir::{DrawOutcome, Reservoir, ReservoirConfig};
 use crate::snapshot::{self, SnapshotError, SnapshotState};
 use crate::supervisor::{EpochDecision, Mode, Supervisor};
 
-/// SplitMix64's finalizer — the service's seed-derivation and digest
-/// mixer. Statistically strong, dependency-free, and (unlike a stateful
-/// RNG) a pure function of snapshotable inputs.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The RNG seed of epoch `epoch` under `master_seed`: a pure function of
 /// snapshotable data, so restored services re-derive identical epochs.
 pub fn epoch_seed(master_seed: u64, epoch: u64) -> u64 {
-    mix64(master_seed ^ mix64(epoch.wrapping_add(1)))
+    splitmix64(master_seed ^ splitmix64(epoch.wrapping_add(1)))
 }
 
 /// Which executor drives the epoch fleet. Both are byte-identical per
@@ -227,7 +218,7 @@ impl<F: Field> BeaconService<F> {
         let wallets = TrustedDealer::deal_wallets::<F>(
             cfg.coin_gen.params,
             initial_coins,
-            mix64(master_seed ^ 0xDEA1),
+            splitmix64(master_seed ^ 0xDEA1),
         );
         BeaconService {
             reservoir: Reservoir::new(cfg.reservoir),
@@ -736,7 +727,7 @@ impl<F: Field> BeaconService<F> {
     ) -> (RunResult<EpochOutcome<F>>, std::collections::BTreeSet<usize>) {
         let max_rounds = self.cfg.max_rounds_per_epoch;
         let tap = adversary.map(|(attack, f)| {
-            let adv = AdaptiveAdversary::new(attack, n, f, mix64(seed ^ 0xBAD));
+            let adv = AdaptiveAdversary::new(attack, n, f, splitmix64(seed ^ 0xBAD));
             let handle = adv.handle();
             (adv, handle)
         });
@@ -821,7 +812,9 @@ impl<F: Field> BeaconService<F> {
     /// A content hash of one trace event, rebased to service-global
     /// rounds.
     fn event_hash(base_round: u64, ev: &Event) -> u64 {
-        let mut h = mix64(ev.party as u64 ^ mix64(base_round + ev.round) ^ ((ev.seq as u64) << 32));
+        let mut h = splitmix64(
+            ev.party as u64 ^ splitmix64(base_round + ev.round) ^ ((ev.seq as u64) << 32),
+        );
         let (tag, a, b) = match &ev.kind {
             EventKind::Begin { phase } => (1u64, Self::str_hash(phase), 0),
             EventKind::Flush { messages, bytes } => (2, *messages, *bytes),
@@ -832,9 +825,9 @@ impl<F: Field> BeaconService<F> {
             ),
             EventKind::Mark { label } => (4, Self::str_hash(label), 0),
         };
-        h = mix64(h ^ tag);
-        h = mix64(h ^ a);
-        mix64(h ^ b)
+        h = splitmix64(h ^ tag);
+        h = splitmix64(h ^ a);
+        splitmix64(h ^ b)
     }
 
     /// FNV-1a over a label's bytes.

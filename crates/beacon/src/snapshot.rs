@@ -43,9 +43,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dprbg_field::Field;
 use dprbg_metrics::{CommStats, CostSnapshot, Registry};
+use dprbg_rng::splitmix64;
 
 use crate::health::{EpochOutcomeTag, HealthRecord, RefillStatus};
-use crate::service::{mix64, BeaconStats};
+use crate::service::BeaconStats;
 use crate::supervisor::Mode;
 
 /// Magic prefix of every beacon snapshot.
@@ -188,7 +189,7 @@ fn checksum(bytes: &[u8]) -> u64 {
     for chunk in bytes.chunks(8) {
         let mut w = [0u8; 8];
         w[..chunk.len()].copy_from_slice(chunk);
-        h = mix64(h ^ u64::from_le_bytes(w) ^ chunk.len() as u64);
+        h = splitmix64(h ^ u64::from_le_bytes(w) ^ chunk.len() as u64);
     }
     h
 }

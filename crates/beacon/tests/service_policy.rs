@@ -5,7 +5,7 @@
 use dprbg_beacon::{
     BeaconConfig, BeaconService, DrawOutcome, EpochDecision, ExecutorKind, Mode, ReservoirConfig,
 };
-use dprbg_core::{CoinGenConfig, Params, RetryPolicy};
+use dprbg_core::{CoinGenConfig, Params, ProtocolError, RetryPolicy};
 use dprbg_field::Gf2k;
 use dprbg_sim::Attack;
 
@@ -144,6 +144,29 @@ fn over_threshold_adversary_triggers_backoff_then_recovery() {
     assert!(stats.refill_failures > 0 || stats.rollbacks > 0);
     assert!(stats.skipped_epochs > 0);
     assert_eq!(svc.supervisor().mode(), Mode::Active, "recovered mode");
+}
+
+#[test]
+fn zero_attempt_retry_policy_fails_closed_and_backs_off() {
+    // A policy allowing no attempt is refused at every refill epoch as a
+    // failed refill (BadParams, no seed popped): the supervisor backs off
+    // as for any other failure, and nothing panics.
+    let mut cfg = config();
+    cfg.wallet_low_water = 40;
+    cfg.retry = RetryPolicy { max_attempts: 0, seed_budget: 8 };
+    let mut svc = BeaconService::<F>::new(cfg, 0xFEED7, 40);
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        let report = svc.run_epoch(ExecutorKind::Step, &[(1, 1)], None).unwrap();
+        let refused = matches!(report.refill, Some(Err(ProtocolError::BadParams { n: 7, t: 1, .. })));
+        seen.push((report.decision, refused));
+    }
+    // Epochs 0, 2 and 5 run and refuse; 1, 3 and 4 back off.
+    let (run, skip) = ((EpochDecision::Run, true), (EpochDecision::Skip, false));
+    assert_eq!(seen, [run, skip, run, skip, skip, run]);
+    let stats = svc.stats();
+    assert_eq!((stats.refills, stats.refill_failures), (0, 3));
+    assert_eq!(svc.wallet_level(), 40 - stats.coins_exposed as usize, "only served coins left");
 }
 
 #[test]

@@ -41,29 +41,20 @@ use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
     BatchOpts, BatchVssMsg, BatchVssVerifyMachine, BitGenMachine, BitGenMode, BitGenMsg,
     BitGenRun, CoinBatch, CoinError, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg,
-    CoinWallet, Params, RefreshMachine, RefreshReport, VssMode, VssVerdict,
+    CoinWallet, Params, RefreshMachine, RefreshReport, TrustedDealer, VssMode, VssVerdict,
 };
 use dprbg_rng::rngs::StdRng;
-use dprbg_rng::SeedableRng;
+use dprbg_rng::{splitmix64, SeedableRng};
 use dprbg_sim::{
     AdaptiveAdversary, Attack, BoxedMachine, CorruptionHandle, MsgTap, ParRunner, PartyId,
     RunResult, ScheduledAdversary, StepRunner, Trace, TraceConfig, WireSize,
 };
 
-use crate::experiments::common::{challenge_coins, seed_wallets, F32};
+use crate::experiments::common::F32;
 
 /// Round backstop for attacked runs (delays stretch protocols, but
 /// nothing legitimate approaches this).
 const MAX_CAMPAIGN_ROUNDS: u64 = 4096;
-
-/// Local seed mixer (SplitMix64 finalizer) for deriving per-episode
-/// seeds from a campaign master seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Seed for episode `i` of a campaign.
 pub fn episode_seed(master_seed: u64, i: u64) -> u64 {
@@ -369,15 +360,16 @@ fn run_episode_inner(
     match protocol {
         Protocol::BitGen => {
             type BgOut = Result<BitGenRun<F32>, CoinError>;
-            let coins = challenge_coins::<F32>(s.n, s.t, seed ^ 0xB17);
+            let coins =
+                TrustedDealer::deal_wallets::<F32>(Params { n: s.n, t: s.t }, 1, seed ^ 0xB17);
             let dealers: Vec<PartyId> = (1..=s.n).collect();
             let machines: Vec<BoxedMachine<BitGenMsg<F32>, BgOut>> = coins
                 .into_iter()
-                .map(|coin| {
+                .map(|mut coin| {
                     Box::new(BitGenMachine::new(
                         s.t,
                         s.m,
-                        coin,
+                        coin.pop().expect("one coin dealt per party"),
                         dealers.clone(),
                         BitGenMode::RandomCoins,
                     )) as _
@@ -409,7 +401,8 @@ fn run_episode_inner(
                 params: Params::p2p_model(s.n, s.t).expect("schedule violates the p2p model"),
                 batch_size: s.m,
             };
-            let mut wallets = seed_wallets::<F32>(s.n, s.t, 6 + s.t, seed ^ 0xC61);
+            let mut wallets =
+                TrustedDealer::deal_wallets::<F32>(cfg.params, 6 + s.t, seed ^ 0xC61);
             type CgOut = (CoinWallet<F32>, Result<CoinBatch<F32>, CoinGenError>);
             let machines: Vec<BoxedMachine<CoinGenMsg<F32>, CgOut>> = (0..s.n)
                 .map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _)
@@ -424,13 +417,15 @@ fn run_episode_inner(
             // the verification traffic.
             let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
             let shares = cheating_batch_deal::<F32, _>(s.n, s.t, s.m, 0, &mut rng);
-            let coins = challenge_coins::<F32>(s.n, s.t, seed ^ 0x5EA1);
+            let coins =
+                TrustedDealer::deal_wallets::<F32>(Params { n: s.n, t: s.t }, 1, seed ^ 0x5EA1);
             let opts = BatchOpts { blinding: true, mode: s.vss_mode };
             let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> =
                 shares
                 .into_iter()
                 .zip(coins)
-                .map(|(sh, coin)| {
+                .map(|(sh, mut coin)| {
+                    let coin = coin.pop().expect("one coin dealt per party");
                     Box::new(BatchVssVerifyMachine::new(s.t, sh, s.m, coin, opts)) as _
                 })
                 .collect();
@@ -444,7 +439,8 @@ fn run_episode_inner(
                 params: Params::p2p_model(s.n, s.t).expect("schedule violates the p2p model"),
                 batch_size: s.m,
             };
-            let mut wallets = seed_wallets::<F32>(s.n, s.t, 6 + s.t, seed ^ 0x5EED);
+            let mut wallets =
+                TrustedDealer::deal_wallets::<F32>(cfg.params, 6 + s.t, seed ^ 0x5EED);
             type RfOut = (CoinWallet<F32>, Result<RefreshReport, CoinGenError>);
             let machines: Vec<BoxedMachine<CoinGenMsg<F32>, RfOut>> = (0..s.n)
                 .map(|_| Box::new(RefreshMachine::new(cfg, wallets.remove(0))) as _)

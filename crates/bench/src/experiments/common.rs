@@ -1,12 +1,11 @@
-//! Shared plumbing for the experiments: the standard field, challenge-coin
-//! dealing, and cost-shaping helpers.
+//! Shared plumbing for the experiments: the standard field, the run
+//! context, and cost-shaping helpers. Coins are dealt out-of-band by
+//! `dprbg_core::TrustedDealer` (the dealing is not part of any measured
+//! protocol, matching the paper's accounting where the k-ary coin is a
+//! "Given").
 
-use dprbg_core::{CoinWallet, SealedShare};
-use dprbg_field::{Field, Gf2k};
+use dprbg_field::Gf2k;
 use dprbg_metrics::{CostReport, CostSnapshot};
-use dprbg_poly::{share_points, share_polynomial};
-use dprbg_rng::rngs::StdRng;
-use dprbg_rng::SeedableRng;
 
 /// The standard experiment field (the paper's `k = 32` working point).
 pub type F32 = Gf2k<32>;
@@ -34,31 +33,6 @@ impl ExperimentCtx {
             full
         }
     }
-}
-
-/// Deal one sealed challenge coin out-of-band (the dealing itself is not
-/// part of any measured protocol, matching the paper's accounting where
-/// the k-ary coin is a "Given").
-pub fn challenge_coins<F: Field>(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let poly = share_polynomial(F::random(&mut rng), t, &mut rng);
-    share_points(&poly, n)
-        .into_iter()
-        .map(|s| SealedShare::of(s.y))
-        .collect()
-}
-
-/// Deal per-party seed wallets out-of-band.
-pub fn seed_wallets<F: Field>(n: usize, t: usize, count: usize, seed: u64) -> Vec<CoinWallet<F>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut wallets: Vec<CoinWallet<F>> = (0..n).map(|_| CoinWallet::new()).collect();
-    for _ in 0..count {
-        let poly = share_polynomial(F::random(&mut rng), t, &mut rng);
-        for (i, w) in wallets.iter_mut().enumerate() {
-            w.push(SealedShare::of(poly.eval(F::element(i as u64 + 1))));
-        }
-    }
-    wallets
 }
 
 /// The paper reports **per-player** costs: the maximum over players of

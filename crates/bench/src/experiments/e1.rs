@@ -18,7 +18,9 @@
 
 use dprbg_baselines::feldman::{Exp, FeldmanVerdict};
 use dprbg_baselines::{CcdMachine, CcdMsg, CcdOpts, FeldmanMachine, FeldmanMsg};
-use dprbg_core::{CoinError, DealtShares, Params, VssMode, VssMsg, VssVerdict, VssVerifyMachine};
+use dprbg_core::{
+    CoinError, DealtShares, Params, TrustedDealer, VssMode, VssMsg, VssVerdict, VssVerifyMachine,
+};
 use dprbg_field::Field;
 use dprbg_metrics::Table;
 use dprbg_poly::Poly;
@@ -26,14 +28,14 @@ use dprbg_sim::{BoxedMachine, StepRunner};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 
-use super::common::{challenge_coins, ExperimentCtx, PlayerCost, F32};
+use super::common::{ExperimentCtx, PlayerCost, F32};
 
 /// Measure this paper's VSS verification for one `(n, t)`. All three
 /// protocols here — ours and both comparators — are sans-IO machine
 /// fleets on the same single-threaded executor, so every column comes
 /// out of one cost-accounting pipeline.
 fn ours(n: usize, t: usize, seed: u64) -> PlayerCost {
-    let coins = challenge_coins::<F32>(n, t, seed);
+    let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let f = Poly::<F32>::random(t, &mut rng);
     let g = Poly::<F32>::random(t, &mut rng);
@@ -43,7 +45,8 @@ fn ours(n: usize, t: usize, seed: u64) -> PlayerCost {
                 alpha: f.eval(F32::element(id as u64)),
                 gamma: g.eval(F32::element(id as u64)),
             };
-            Box::new(VssVerifyMachine::new(t, shares, coins[id - 1], VssMode::Strict)) as _
+            let coin = coins[id - 1].pop().expect("one coin dealt per party");
+            Box::new(VssVerifyMachine::new(t, shares, coin, VssMode::Strict)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);

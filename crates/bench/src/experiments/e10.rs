@@ -14,17 +14,20 @@
 //! accounting: the labels are derived analytically and must line up with
 //! the recorded profile.
 
-use dprbg_core::{CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params};
+use dprbg_core::{
+    CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params,
+    TrustedDealer,
+};
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, RoundProfile, StepRunner};
 
-use super::common::{seed_wallets, ExperimentCtx, F32};
+use super::common::{ExperimentCtx, F32};
 
 /// Run one Coin-Gen and return (per-round profile, attempts).
 pub fn profile(n: usize, t: usize, m: usize, seed: u64) -> (Vec<RoundProfile>, usize) {
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, 4 + t, seed);
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4 + t, seed);
     type CgOut = (CoinWallet<F32>, Result<CoinBatch<F32>, CoinGenError>);
     let machines: Vec<BoxedMachine<CoinGenMsg<F32>, CgOut>> = (0..n)
         .map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _)

@@ -15,11 +15,14 @@
 //! scale would fail the table's unanimity check before any experiment
 //! rendered.
 
-use dprbg_core::{CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params};
+use dprbg_core::{
+    CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params,
+    TrustedDealer,
+};
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, StepRunner};
 
-use super::common::{seed_wallets, ExperimentCtx, F32};
+use super::common::{ExperimentCtx, F32};
 
 /// One sweep point's observable outcome.
 pub struct SweepPoint {
@@ -46,7 +49,7 @@ pub fn run_point(n: usize, t: usize, m: usize, seed: u64) -> SweepPoint {
     type Out = (CoinWallet<F32>, Result<CoinBatch<F32>, CoinGenError>);
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, 4 + t, seed);
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4 + t, seed);
     let machines: Vec<BoxedMachine<CoinGenMsg<F32>, Out>> = (0..n)
         .map(|_| {
             Box::new(CoinGenMachine::new(cfg, wallets.remove(0)))

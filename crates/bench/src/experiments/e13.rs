@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use dprbg_core::{
     CliqueAnnounce, CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet,
-    Params,
+    Params, TrustedDealer,
 };
 use dprbg_field::{clmul, Field, Gf2k};
 use dprbg_metrics::Table;
@@ -43,7 +43,7 @@ use dprbg_rng::{RngExt, SeedableRng};
 use dprbg_sim::{BoxedMachine, ParRunner, StepRunner, TraceConfig};
 use dprbg_trace::{to_chrome_json, validate_chrome_json};
 
-use super::common::{fmt_f, seed_wallets, ExperimentCtx};
+use super::common::{fmt_f, ExperimentCtx};
 
 /// The beacon-scale field: GF(2^8) keeps the n² decodes cheap while
 /// holding 61 distinct evaluation points (same choice as the n = 61
@@ -79,7 +79,7 @@ fn beacon_fleet(
 ) -> Vec<BoxedMachine<CoinGenMsg<F8>, BeaconOut>> {
     let params = Params::p2p_model(n, t).expect("valid beacon parameters");
     let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F8>> = seed_wallets(n, t, 4 + t, seed ^ 0xE13);
+    let mut wallets: Vec<CoinWallet<F8>> = TrustedDealer::deal_wallets(params, 4 + t, seed ^ 0xE13);
     (0..n).map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _).collect()
 }
 

@@ -28,13 +28,13 @@ use std::mem;
 
 use dprbg_core::{
     committee_soundness_error, committee_threshold, elect_committee, CoinGenConfig,
-    CommitteeCoin, CommitteeError, CommitteeMsg, Params,
+    CommitteeCoin, CommitteeError, CommitteeMsg, Params, TrustedDealer,
 };
 use dprbg_field::Field;
 use dprbg_metrics::{CostReport, Table};
 use dprbg_sim::{BoxedMachine, ParRunner, PartyId, StepRunner};
 
-use super::common::{seed_wallets, ExperimentCtx, PlayerCost, F32};
+use super::common::{ExperimentCtx, PlayerCost, F32};
 use crate::chaos::wilson_interval;
 
 type Out = Result<Vec<F32>, CommitteeError>;
@@ -51,9 +51,8 @@ fn fleet(
     cfg: CoinGenConfig,
     wallet_seed: u64,
 ) -> Vec<BoxedMachine<CommitteeMsg<F32>, Out>> {
-    let c = committee.len();
-    let t_c = committee_threshold(c);
-    let mut wallets = seed_wallets::<F32>(c, t_c, 4 + t_c, wallet_seed);
+    let mut wallets =
+        TrustedDealer::deal_wallets::<F32>(cfg.params, 4 + cfg.params.t, wallet_seed);
     (1..=n)
         .map(|id| {
             let wallet = committee

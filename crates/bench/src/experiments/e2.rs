@@ -12,14 +12,16 @@
 //! to the Horner combination's single multiply.
 
 use dprbg_core::batch_vss::{cheating_batch_deal, BatchOpts};
-use dprbg_core::{BatchVssMsg, BatchVssVerifyMachine, CoinError, VssVerdict};
+use dprbg_core::{
+    BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer, VssVerdict,
+};
 use dprbg_field::{Field, Gf2k};
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, StepRunner};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 
-use super::common::{challenge_coins, fmt_f, ExperimentCtx, PlayerCost, F32};
+use super::common::{fmt_f, ExperimentCtx, PlayerCost, F32};
 
 /// The machine fleet E2 measures: `n` verifiers of one honest batch of
 /// `m` sharings, dealt out-of-band (the "Given"). Shared with the
@@ -31,7 +33,7 @@ pub fn fleet_over<F: Field>(
     m: usize,
     seed: u64,
 ) -> Vec<BoxedMachine<BatchVssMsg<F>, Result<VssVerdict, CoinError>>> {
-    let coins = challenge_coins::<F>(n, t, seed);
+    let mut coins = TrustedDealer::deal_wallets::<F>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     // bad_count = 0 → an honest batch.
     let all = cheating_batch_deal::<F, _>(n, t, m, 0, &mut rng);
@@ -41,7 +43,7 @@ pub fn fleet_over<F: Field>(
                 t,
                 all[id - 1].clone(),
                 m,
-                coins[id - 1],
+                coins[id - 1].pop().expect("one coin dealt per party"),
                 BatchOpts::default(),
             )) as _
         })

@@ -11,23 +11,25 @@
 //! parallel instances of Coin-Gen are measured in E4) and report
 //! total and per-coin costs as `M` grows.
 
-use dprbg_core::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, CoinError, Params};
+use dprbg_core::{
+    BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, CoinError, Params, TrustedDealer,
+};
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, PartyId, StepRunner};
 
-use super::common::{challenge_coins, fmt_f, ExperimentCtx, PlayerCost, F32};
+use super::common::{fmt_f, ExperimentCtx, PlayerCost, F32};
 
 /// Measure Bit-Gen with the given dealer set and batch size `m`, on the
 /// single-threaded executor.
 pub fn measure(n: usize, t: usize, m: usize, dealers: &[PartyId], seed: u64) -> PlayerCost {
     type Out = Result<BitGenRun<F32>, CoinError>;
-    let coins = challenge_coins::<F32>(n, t, seed);
+    let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
     let machines: Vec<BoxedMachine<BitGenMsg<F32>, Out>> = (1..=n)
         .map(|id| {
             Box::new(BitGenMachine::new(
                 t,
                 m,
-                coins[id - 1],
+                coins[id - 1].pop().expect("one coin dealt per party"),
                 dealers.to_vec(),
                 BitGenMode::RandomCoins,
             )) as _

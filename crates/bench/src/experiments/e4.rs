@@ -12,11 +12,14 @@
 //! vanishes as the batch grows. This experiment measures the whole
 //! protocol and locates that crossover.
 
-use dprbg_core::{CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params};
+use dprbg_core::{
+    CoinBatch, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet, Params,
+    TrustedDealer,
+};
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, StepRunner};
 
-use super::common::{fmt_f, seed_wallets, ExperimentCtx, PlayerCost, F32};
+use super::common::{fmt_f, ExperimentCtx, PlayerCost, F32};
 
 /// Measure one full Coin-Gen run on the single-threaded executor;
 /// returns (cost, attempts).
@@ -24,7 +27,7 @@ pub fn measure(n: usize, t: usize, m: usize, seed: u64) -> (PlayerCost, usize) {
     type Out = (CoinWallet<F32>, Result<CoinBatch<F32>, CoinGenError>);
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, 4 + t, seed);
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4 + t, seed);
     let machines: Vec<BoxedMachine<CoinGenMsg<F32>, Out>> = (0..n)
         .map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _)
         .collect();

@@ -18,77 +18,27 @@
 
 use dprbg_baselines::{from_scratch_coin, FromScratchMsg};
 use dprbg_core::{
-    CoinError, CoinGenConfig, CoinGenMsg, CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, Params,
-    SealedShare,
+    expose_all, CoinError, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, ExposeMachine,
+    ExposeMsg, ExposeVia, Params, TrustedDealer,
 };
-use dprbg_core::CoinGenMachine;
-use dprbg_field::Field;
-use dprbg_metrics::{Table, WireSize};
-use dprbg_sim::{BoxedMachine, Embeds, MachineExt, RoundMachine, RoundView, Step, StepRunner};
+use dprbg_metrics::Table;
+use dprbg_sim::{BoxedMachine, MachineExt, StepRunner};
 
-use super::common::{challenge_coins, fmt_f, seed_wallets, ExperimentCtx, PlayerCost, F32};
-
-/// Expose every share in a batch, one Coin-Expose after another — each
-/// expose's send goes out in the same round the previous decode lands.
-struct ExposeAllMachine<M, F: Field> {
-    t: usize,
-    /// Remaining shares, last-to-expose first.
-    stack: Vec<SealedShare<F>>,
-    cur: Option<ExposeMachine<M, F>>,
-}
-
-impl<M, F: Field> ExposeAllMachine<M, F> {
-    fn new(t: usize, mut shares: Vec<SealedShare<F>>) -> Self {
-        shares.reverse();
-        ExposeAllMachine { t, stack: shares, cur: None }
-    }
-}
-
-impl<M, F> RoundMachine<M> for ExposeAllMachine<M, F>
-where
-    M: Clone + WireSize + Embeds<ExposeMsg<F>>,
-    F: Field,
-{
-    type Output = Result<(), CoinError>;
-
-    fn phase_name(&self) -> &'static str {
-        "expose-all"
-    }
-
-    fn round(&mut self, mut view: RoundView<'_, M>) -> Step<M, Self::Output> {
-        loop {
-            let mut m = match self.cur.take() {
-                Some(m) => m,
-                None => match self.stack.pop() {
-                    Some(s) => ExposeMachine::new(s, self.t, ExposeVia::PointToPoint),
-                    None => return Step::Done(Ok(())),
-                },
-            };
-            match m.round(view.reborrow()) {
-                Step::Continue(out) => {
-                    self.cur = Some(m);
-                    return Step::Continue(out);
-                }
-                // Next expose starts in the round the previous decode landed.
-                Step::Done(Ok(_)) => continue,
-                Step::Done(Err(e)) => return Step::Done(Err(e)),
-            }
-        }
-    }
-}
+use super::common::{fmt_f, ExperimentCtx, PlayerCost, F32};
 
 /// D-PRBG cost per delivered coin: generate a batch of `m`, expose all —
 /// on the single-threaded executor.
 fn dprbg_per_coin(n: usize, t: usize, m: usize, seed: u64) -> PlayerCost {
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, 4 + t, seed);
-    let machines: Vec<BoxedMachine<CoinGenMsg<F32>, Result<(), CoinError>>> = (0..n)
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4 + t, seed);
+    type Out = Result<Vec<F32>, CoinError>;
+    let machines: Vec<BoxedMachine<CoinGenMsg<F32>, Out>> = (0..n)
         .map(|_| {
             let machine = CoinGenMachine::new(cfg, wallets.remove(0)).then(
                 move |(_wallet, res): (CoinWallet<F32>, _)| {
                     let batch = res.expect("generation succeeds");
-                    ExposeAllMachine::new(t, batch.shares)
+                    expose_all(t, batch.shares)
                 },
             );
             Box::new(machine) as _
@@ -96,7 +46,7 @@ fn dprbg_per_coin(n: usize, t: usize, m: usize, seed: u64) -> PlayerCost {
         .collect();
     let res = StepRunner::new(n, seed).run(machines);
     for out in &res.outputs {
-        assert_eq!(out.as_ref().expect("machine ran"), &Ok(()));
+        assert!(out.as_ref().expect("machine ran").is_ok(), "every expose decodes");
     }
     let mut c = PlayerCost::from_report(&res.report);
     // Per-coin figures.
@@ -124,10 +74,12 @@ fn from_scratch_per_coin(n: usize, t: usize, seed: u64) -> PlayerCost {
 /// Rabin-dealer cost per coin: the parties only expose (the dealing is
 /// the trusted party's) — on the single-threaded executor.
 fn rabin_per_coin(n: usize, t: usize, seed: u64) -> PlayerCost {
-    let coins = challenge_coins::<F32>(n, t, seed);
-    let machines: Vec<BoxedMachine<ExposeMsg<F32>, Result<F32, CoinError>>> = (1..=n)
-        .map(|id| {
-            Box::new(ExposeMachine::new(coins[id - 1], t, ExposeVia::PointToPoint)) as _
+    let coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
+    let machines: Vec<BoxedMachine<ExposeMsg<F32>, Result<F32, CoinError>>> = coins
+        .into_iter()
+        .map(|mut coin| {
+            let coin = coin.pop().expect("one coin dealt per party");
+            Box::new(ExposeMachine::new(coin, t, ExposeVia::PointToPoint)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);

@@ -8,25 +8,26 @@
 //! off"), with coins "generated in batches, according to need" under a
 //! constant low-water trigger.
 //!
-//! The experiment drives a beacon for many epochs as a [`RoundMachine`]
-//! on the single-threaded [`StepRunner`], recording per-window
-//! cost/coin (computation in multiplications and communication in
-//! bytes, including the refills that fall in the window) and reservoir
+//! The experiment drives a beacon for many epochs — a loop over
+//! [`Bootstrap::draw`] — on the single-threaded [`StepRunner`],
+//! recording per-window cost/coin (computation in multiplications and
+//! communication in bytes, including the refills that fall in the
+//! window) and reservoir
 //! levels: the early windows pay generation spikes, the running average
 //! settles, and the reservoir never dries up. Window costs come from
 //! the executor's deterministic trace — each window is a span of
 //! synchronous rounds, and the party-1 per-round cost deltas recorded
 //! by `dprbg-trace` sum to exactly the window's share of the ledger.
 
-use dprbg_core::{
-    BootstrapConfig, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, ExposeMachine,
-    ExposeVia, Params,
-};
+use dprbg_core::{Bootstrap, BootstrapConfig, CoinGenConfig, CoinGenMsg, Params, TrustedDealer};
 use dprbg_metrics::Table;
-use dprbg_sim::{BoxedMachine, RoundMachine, RoundView, Step, StepRunner, TraceConfig};
+use dprbg_sim::{
+    looping, BoxedMachine, LoopControl, MachineExt, RoundMachine, RoundView, Step, StepRunner,
+    TraceConfig,
+};
 use dprbg_trace::EventKind;
 
-use super::common::{fmt_f, seed_wallets, ExperimentCtx, F32};
+use super::common::{fmt_f, ExperimentCtx, F32};
 
 /// Per-window measurements of the beacon at party 1.
 #[derive(Debug, Clone)]
@@ -43,171 +44,57 @@ pub struct WindowTrace {
     pub level: usize,
 }
 
-/// What the beacon machine itself observes per window; costs are filled
-/// in afterwards from the executor's trace via the round span.
-#[derive(Debug, Clone)]
-struct WindowRecord {
-    draws: usize,
-    refills: usize,
-    level: usize,
-    /// First synchronous round attributed to this window (inclusive).
-    start_round: u64,
-    /// Last synchronous round attributed to this window (inclusive).
-    end_round: u64,
-}
+/// One finished draw: the synchronous round it finished in, the refills
+/// run so far, and the reservoir level after it.
+type DrawMark = (u64, usize, usize);
 
-/// The Fig. 1 reservoir as a round machine: draw coins one expose at a
-/// time, running a full Coin-Gen refill whenever a draw would leave the
-/// reservoir at or below the low-water mark — the machine-level twin of
-/// `Bootstrap::draw` driven in a loop.
-struct BeaconMachine {
-    cfg: BootstrapConfig,
-    windows: usize,
-    per: usize,
-    window: usize,
-    draws_in_window: usize,
-    refills_in_window: usize,
-    round_idx: u64,
-    window_start: u64,
-    records: Vec<WindowRecord>,
-    stage: Stage,
-}
+/// A machine that also reports how many rounds past its start it
+/// finished (its successor in a loop starts in that same round).
+struct Elapsed<A>(A);
 
-enum Stage {
-    Idle(CoinWallet<F32>),
-    Refill(CoinGenMachine<CoinGenMsg<F32>, F32>),
-    Expose { expose: ExposeMachine<CoinGenMsg<F32>, F32>, wallet: CoinWallet<F32> },
-    Finished,
-}
+impl<M, A: RoundMachine<M>> RoundMachine<M> for Elapsed<A> {
+    type Output = (A::Output, u64);
 
-impl BeaconMachine {
-    fn new(cfg: BootstrapConfig, wallet: CoinWallet<F32>, windows: usize, per: usize) -> Self {
-        BeaconMachine {
-            cfg,
-            windows,
-            per,
-            window: 0,
-            draws_in_window: 0,
-            refills_in_window: 0,
-            round_idx: 0,
-            window_start: 0,
-            records: Vec::new(),
-            stage: Stage::Idle(wallet),
+    fn round(&mut self, view: RoundView<'_, M>) -> Step<M, Self::Output> {
+        let elapsed = view.round;
+        match self.0.round(view) {
+            Step::Continue(out) => Step::Continue(out),
+            Step::Done(out) => Step::Done((out, elapsed)),
         }
-    }
-
-    /// Start the next draw: refill first if the reservoir is at or below
-    /// low water (Fig. 1's adaptive trigger), else expose the next coin.
-    fn begin_draw(
-        &mut self,
-        wallet: CoinWallet<F32>,
-        view: &mut RoundView<'_, CoinGenMsg<F32>>,
-    ) -> Step<CoinGenMsg<F32>, Vec<WindowRecord>> {
-        if wallet.len() <= self.cfg.low_water {
-            let mut cg = CoinGenMachine::new(self.cfg.coin_gen, wallet);
-            let Step::Continue(out) = cg.round(view.reborrow()) else {
-                unreachable!("coin generation cannot finish before it sends");
-            };
-            self.stage = Stage::Refill(cg);
-            Step::Continue(out)
-        } else {
-            self.expose_next(wallet, view)
-        }
-    }
-
-    fn expose_next(
-        &mut self,
-        mut wallet: CoinWallet<F32>,
-        view: &mut RoundView<'_, CoinGenMsg<F32>>,
-    ) -> Step<CoinGenMsg<F32>, Vec<WindowRecord>> {
-        let share = wallet.pop().expect("reservoir refilled above low water");
-        let t = self.cfg.coin_gen.params.t;
-        let mut expose = ExposeMachine::new(share, t, ExposeVia::PointToPoint);
-        let Step::Continue(out) = expose.round(view.reborrow()) else {
-            unreachable!("coin expose sends before it can decode");
-        };
-        self.stage = Stage::Expose { expose, wallet };
-        Step::Continue(out)
-    }
-
-    /// One coin fully exposed: close the window when it is full, finish
-    /// after the last window, otherwise start the next draw immediately.
-    fn draw_done(
-        &mut self,
-        wallet: CoinWallet<F32>,
-        view: &mut RoundView<'_, CoinGenMsg<F32>>,
-    ) -> Step<CoinGenMsg<F32>, Vec<WindowRecord>> {
-        self.draws_in_window += 1;
-        if self.draws_in_window == self.per {
-            self.records.push(WindowRecord {
-                draws: self.per,
-                refills: self.refills_in_window,
-                level: wallet.len(),
-                start_round: self.window_start,
-                end_round: self.round_idx,
-            });
-            self.window += 1;
-            self.draws_in_window = 0;
-            self.refills_in_window = 0;
-            self.window_start = self.round_idx + 1;
-            if self.window == self.windows {
-                return Step::Done(std::mem::take(&mut self.records));
-            }
-        }
-        self.begin_draw(wallet, view)
-    }
-}
-
-impl RoundMachine<CoinGenMsg<F32>> for BeaconMachine {
-    type Output = Vec<WindowRecord>;
-
-    fn round(
-        &mut self,
-        mut view: RoundView<'_, CoinGenMsg<F32>>,
-    ) -> Step<CoinGenMsg<F32>, Self::Output> {
-        let step = match std::mem::replace(&mut self.stage, Stage::Finished) {
-            Stage::Idle(wallet) => self.begin_draw(wallet, &mut view),
-            Stage::Refill(mut cg) => match cg.round(view.reborrow()) {
-                Step::Continue(out) => {
-                    self.stage = Stage::Refill(cg);
-                    Step::Continue(out)
-                }
-                Step::Done((mut wallet, res)) => {
-                    let batch = res.expect("refill coin generation succeeds");
-                    self.refills_in_window += 1;
-                    wallet.extend(batch.shares);
-                    self.expose_next(wallet, &mut view)
-                }
-            },
-            Stage::Expose { mut expose, wallet } => match expose.round(view.reborrow()) {
-                Step::Continue(out) => {
-                    self.stage = Stage::Expose { expose, wallet };
-                    Step::Continue(out)
-                }
-                Step::Done(res) => {
-                    res.expect("coin expose succeeds");
-                    self.draw_done(wallet, &mut view)
-                }
-            },
-            Stage::Finished => panic!("BeaconMachine driven past completion"),
-        };
-        self.round_idx += 1;
-        step
     }
 
     fn phase_name(&self) -> &'static str {
-        match &self.stage {
-            Stage::Idle(_) => "beacon/draw",
-            Stage::Refill(cg) => cg.phase_name(),
-            Stage::Expose { expose, .. } => expose.phase_name(),
-            Stage::Finished => "beacon/finished",
-        }
+        self.0.phase_name()
     }
+}
+
+/// The Fig. 1 reservoir driven for `draws` draws: a loop over
+/// [`Bootstrap::draw`], which refills whenever a draw would leave the
+/// reservoir at or below the low-water mark.
+fn beacon(
+    boot: Bootstrap<F32>,
+    draws: usize,
+) -> impl RoundMachine<CoinGenMsg<F32>, Output = Vec<DrawMark>> {
+    looping((boot, Vec::new()), move |(boot, mut marks): (Bootstrap<F32>, Vec<DrawMark>)| {
+        if marks.len() == draws {
+            return LoopControl::Break(marks);
+        }
+        LoopControl::Continue(Box::new(Elapsed(boot.draw()).map(
+            move |((boot, res), elapsed)| {
+                res.expect("beacon draw succeeds");
+                let round = marks.last().map_or(0, |m| m.0) + elapsed;
+                marks.push((round, boot.stats().refills, boot.level()));
+                (boot, marks)
+            },
+        )))
+    })
 }
 
 /// Run the beacon for `windows × draws_per_window` draws; returns the
 /// per-window trace (identical at every honest party), with window
-/// costs attributed from the executor's party-1 round spans.
+/// costs attributed from the executor's party-1 round spans. A window
+/// spans the rounds after the previous window's last decode up to and
+/// including its own.
 pub fn trace(
     n: usize,
     t: usize,
@@ -218,29 +105,38 @@ pub fn trace(
 ) -> Vec<WindowTrace> {
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = BootstrapConfig::with_default_low_water(CoinGenConfig { params, batch_size: batch });
-    let mut wallets = seed_wallets::<F32>(n, t, 6, seed);
-    let machines: Vec<BoxedMachine<CoinGenMsg<F32>, Vec<WindowRecord>>> = (0..n)
-        .map(|_| {
-            Box::new(BeaconMachine::new(cfg, wallets.remove(0), windows, draws_per_window))
-                as BoxedMachine<CoinGenMsg<F32>, Vec<WindowRecord>>
-        })
-        .collect();
+    let draws = windows * draws_per_window;
+    let machines: Vec<BoxedMachine<CoinGenMsg<F32>, Vec<DrawMark>>> =
+        TrustedDealer::deal_wallets::<F32>(params, 6, seed)
+            .into_iter()
+            .map(|w| Box::new(beacon(Bootstrap::new(cfg, w), draws)) as _)
+            .collect();
     let mut res = StepRunner::new(n, seed).with_trace(TraceConfig::full()).run(machines);
     let events = res.trace.take().expect("traced run records a trace").events;
-    let records = res.unwrap_all().remove(0);
-    records
-        .into_iter()
-        .map(|rec| {
+    let marks = res.unwrap_all().remove(0);
+    let (mut start, mut refills_before) = (0, 0);
+    marks
+        .chunks(draws_per_window)
+        .map(|window| {
+            let &(end, refills, level) = window.last().expect("windows are non-empty");
             let (mut muls, mut bytes) = (0u64, 0u64);
             for ev in &events {
-                if ev.party == 1 && ev.round >= rec.start_round && ev.round <= rec.end_round {
+                if ev.party == 1 && (start..=end).contains(&ev.round) {
                     if let EventKind::End { cost } = &ev.kind {
                         muls += cost.field_muls;
                         bytes += cost.bytes;
                     }
                 }
             }
-            WindowTrace { draws: rec.draws, muls, bytes, refills: rec.refills, level: rec.level }
+            let w = WindowTrace {
+                draws: window.len(),
+                muls,
+                bytes,
+                refills: refills - refills_before,
+                level,
+            };
+            (start, refills_before) = (end + 1, refills);
+            w
         })
         .collect()
 }

@@ -18,26 +18,26 @@
 use dprbg_core::batch_vss::{cheating_batch_deal, BatchOpts};
 use dprbg_core::{
     BatchVssMsg, BatchVssVerifyMachine, CoinBatch, CoinError, CoinGenConfig, CoinGenError,
-    CoinGenMachine, CoinGenMsg, CoinWallet, Params, RefreshMachine, RefreshReport, VssMode,
-    VssVerdict,
+    CoinGenMachine, CoinGenMsg, CoinWallet, Params, RefreshMachine, RefreshReport, TrustedDealer,
+    VssMode, VssVerdict,
 };
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, StepRunner};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 
-use super::common::{challenge_coins, fmt_f, seed_wallets, ExperimentCtx, PlayerCost, F32};
+use super::common::{fmt_f, ExperimentCtx, PlayerCost, F32};
 
 /// Batch-VSS verification cost with blinding toggled.
 fn batch_cost(n: usize, t: usize, m: usize, blinding: bool, seed: u64) -> PlayerCost {
-    let coins = challenge_coins::<F32>(n, t, seed);
+    let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let all = cheating_batch_deal::<F32, _>(n, t, m, 0, &mut rng);
     let opts = BatchOpts { blinding, mode: VssMode::Strict };
     let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
         .map(|id| {
-            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), m, coins[id - 1], opts))
-                as _
+            let coin = coins[id - 1].pop().expect("one coin dealt per party");
+            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), m, coin, opts)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);
@@ -50,14 +50,14 @@ fn batch_cost(n: usize, t: usize, m: usize, blinding: bool, seed: u64) -> Player
 
 /// Batch-VSS verification cost under the given acceptance mode.
 fn mode_cost(n: usize, t: usize, mode: VssMode, seed: u64) -> PlayerCost {
-    let coins = challenge_coins::<F32>(n, t, seed);
+    let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let all = cheating_batch_deal::<F32, _>(n, t, 16, 0, &mut rng);
     let opts = BatchOpts { blinding: true, mode };
     let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
         .map(|id| {
-            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), 16, coins[id - 1], opts))
-                as _
+            let coin = coins[id - 1].pop().expect("one coin dealt per party");
+            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), 16, coin, opts)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);
@@ -69,7 +69,7 @@ fn gen_vs_refresh(n: usize, t: usize, w: usize, seed: u64) -> (PlayerCost, Playe
     let params = Params::p2p_model(n, t).unwrap();
     // Generate W coins.
     let cfg = CoinGenConfig { params, batch_size: w };
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, 4, seed);
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4, seed);
     type CgOut = (CoinWallet<F32>, Result<CoinBatch<F32>, CoinGenError>);
     let machines: Vec<BoxedMachine<CoinGenMsg<F32>, CgOut>> = (0..n)
         .map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _)
@@ -82,7 +82,7 @@ fn gen_vs_refresh(n: usize, t: usize, w: usize, seed: u64) -> (PlayerCost, Playe
     let gen = PlayerCost::from_report(&report);
 
     // Refresh a wallet of W (+2 for the protocol's own seeds).
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, w + 2, seed + 1);
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, w + 2, seed + 1);
     let cfg = CoinGenConfig { params, batch_size: 0 };
     type RfOut = (CoinWallet<F32>, Result<RefreshReport, CoinGenError>);
     let machines: Vec<BoxedMachine<CoinGenMsg<F32>, RfOut>> = (0..n)

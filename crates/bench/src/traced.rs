@@ -17,12 +17,12 @@
 
 use std::time::Instant;
 
-use dprbg_core::{CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, Params};
+use dprbg_core::{CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, Params, TrustedDealer};
 use dprbg_metrics::Table;
 use dprbg_sim::{BoxedMachine, StepRunner, TraceConfig};
 use dprbg_trace::{render_timeline, to_chrome_json, validate_chrome_json, Trace};
 
-use crate::experiments::common::{seed_wallets, F32};
+use crate::experiments::common::F32;
 use crate::experiments::e2;
 
 /// The fixed seed every traced report run uses: the trace is a protocol
@@ -103,7 +103,7 @@ pub fn traced_e2(m: usize) -> Result<TracedRun, String> {
 fn timed_coin_gen(n: usize, t: usize, m: usize, trace: Option<TraceConfig>) -> f64 {
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F32>> = seed_wallets(n, t, 4 + t, TRACE_SEED);
+    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4 + t, TRACE_SEED);
     let machines: Vec<BoxedMachine<CoinGenMsg<F32>, _>> = (0..n)
         .map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _)
         .collect();

@@ -24,8 +24,7 @@ use dprbg_field::Field;
 use dprbg_sim::{looping, LoopControl, MachineExt, RoundMachine};
 
 use crate::coin::{CoinWallet, ExposeMachine, ExposeVia, SealedShare};
-use crate::coin_gen::{CoinGenConfig, CoinGenWire};
-use crate::dprbg::dprbg_expand;
+use crate::coin_gen::{CoinGenConfig, CoinGenMachine, CoinGenWire};
 use crate::errors::CoinGenError;
 use crate::refresh::{RefreshMachine, RefreshReport};
 
@@ -96,8 +95,8 @@ enum DrawFlow<F: Field> {
 }
 
 impl<F: Field> Bootstrap<F> {
-    /// Start the reservoir from an initial seed wallet (trusted dealer or
-    /// preprocessing — see [`crate::dealer`]).
+    /// Start the reservoir from an initial seed wallet (the one-shot
+    /// trusted dealer — see [`crate::dealer`]).
     pub fn new(cfg: BootstrapConfig, initial: CoinWallet<F>) -> Self {
         Bootstrap { cfg, wallet: initial, stats: BootstrapStats::default() }
     }
@@ -133,15 +132,17 @@ impl<F: Field> Bootstrap<F> {
                 }
                 let cfg = b.cfg.coin_gen;
                 let wallet = mem::take(&mut b.wallet);
-                LoopControl::Continue(Box::new(dprbg_expand::<M, F>(cfg, wallet).map(
+                // One D-PRBG run (§1.1): spend a few seed coins, append M.
+                LoopControl::Continue(Box::new(CoinGenMachine::new(cfg, wallet).map(
                     move |(w, res)| {
                         b.wallet = w;
                         match res {
-                            Ok(run) => {
+                            Ok(batch) => {
                                 b.stats.refills += 1;
-                                b.stats.seeds_consumed += run.seeds_consumed;
-                                b.stats.coins_produced += run.coins_produced;
-                                b.stats.attempts += run.attempts;
+                                b.stats.seeds_consumed += batch.seeds_consumed;
+                                b.stats.coins_produced += batch.len();
+                                b.stats.attempts += batch.attempts;
+                                b.wallet.extend(batch.shares);
                                 Flow::Done(b, Ok(true))
                             }
                             Err(e) => Flow::Done(b, Err(e)),

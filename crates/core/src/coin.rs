@@ -23,7 +23,7 @@ use std::marker::PhantomData;
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
 use dprbg_poly::{bw_decode, Poly};
-use dprbg_sim::{Embeds, RoundMachine, RoundView, Step};
+use dprbg_sim::{looping, Embeds, LoopControl, MachineExt, RoundMachine, RoundView, Step};
 
 use crate::errors::CoinError;
 
@@ -219,6 +219,35 @@ where
     }
 }
 
+/// Coin-Expose over a batch: expose `shares` in order, one
+/// [`ExposeMachine`] after another, and collect the coin values.
+///
+/// Each expose's send goes out in the round the previous decode lands,
+/// so `m` coins take `m + 1` rounds. Every honest party runs this in the
+/// same round with its shares of the same coins. The output is the first
+/// failed expose's [`CoinError`]; the coins after it are never sent.
+pub fn expose_all<M, F>(
+    t: usize,
+    shares: Vec<SealedShare<F>>,
+) -> impl RoundMachine<M, Output = Result<Vec<F>, CoinError>>
+where
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + 'static,
+    F: Field,
+{
+    let mut pending = shares.into_iter();
+    looping(Ok(Vec::new()), move |acc: Result<Vec<F>, CoinError>| match (acc, pending.next()) {
+        (Ok(mut values), Some(share)) => LoopControl::Continue(Box::new(
+            ExposeMachine::new(share, t, ExposeVia::PointToPoint).map(move |res| {
+                res.map(|value| {
+                    values.push(value);
+                    values
+                })
+            }),
+        )),
+        (acc, _) => LoopControl::Break(acc),
+    })
+}
+
 /// Decode a coin value from collected `(party point, share)` pairs.
 ///
 /// Shared by [`ExposeMachine`], committee outsider acceptance, and tests;
@@ -241,11 +270,12 @@ pub fn decode_coin<F: Field>(points: &[(F, F)], t: usize) -> Result<F, CoinError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
     use dprbg_poly::{share_points, share_polynomial};
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::SeedableRng;
-    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, MachineExt, StepRunner};
+    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, RunResult, StepRunner, TraceConfig};
 
     type F = Gf2k<32>;
     type M = ExposeMsg<F>;
@@ -402,6 +432,59 @@ mod tests {
         let res = StepRunner::new(n, 10).run(fleet);
         for id in plan.honest() {
             assert_eq!(res.outputs[id - 1], Some(Some(value)));
+        }
+    }
+
+    /// Deal `m` coins with the trusted dealer: the true values, and each
+    /// party's shares in coin order.
+    fn deal_batch(n: usize, t: usize, m: usize, seed: u64) -> (Vec<F>, Vec<Vec<SealedShare<F>>>) {
+        let params = crate::Params::p2p_model(n, t).unwrap();
+        let (wallets, values) = TrustedDealer::deal_wallets_with_values::<F>(params, m, seed);
+        let pop_all = |mut w: CoinWallet<F>| std::iter::from_fn(move || w.pop().ok()).collect();
+        (values, wallets.into_iter().map(pop_all).collect())
+    }
+
+    /// Run one `expose_all` per party; also return how many rounds the
+    /// machines were stepped (party 1's last traced round, plus one).
+    fn run_expose_all(
+        shares: Vec<Vec<SealedShare<F>>>,
+        t: usize,
+        seed: u64,
+    ) -> (RunResult<Result<Vec<F>, CoinError>>, u64) {
+        let n = shares.len();
+        let fleet: Vec<BoxedMachine<M, _>> =
+            shares.into_iter().map(|s| Box::new(expose_all(t, s)) as _).collect();
+        let res = StepRunner::new(n, seed).with_trace(TraceConfig::full()).run(fleet);
+        let events = &res.trace.as_ref().unwrap().events;
+        let last = events.iter().filter(|e| e.party == 1).map(|e| e.round).max().unwrap();
+        (res, last + 1)
+    }
+
+    #[test]
+    fn expose_all_reveals_the_dealt_values_in_m_plus_one_rounds() {
+        let (n, t, m) = (7, 1, 5);
+        let (values, shares) = deal_batch(n, t, m, 13);
+        let (res, rounds) = run_expose_all(shares, t, 14);
+        assert_eq!(rounds, m as u64 + 1, "each send rides the previous decode's round");
+        for out in res.unwrap_all() {
+            assert_eq!(out, Ok(values.clone()));
+        }
+    }
+
+    #[test]
+    fn expose_all_stops_at_the_first_failed_expose() {
+        // Only party 1 holds a share of coin 2 (1 < t + 1 contributors).
+        let (n, t) = (7, 1);
+        let (_, mut shares) = deal_batch(n, t, 3, 15);
+        for party in shares.iter_mut().skip(1) {
+            party[1] = SealedShare::absent();
+        }
+        let (res, rounds) = run_expose_all(shares, t, 16);
+        assert_eq!(rounds, 3, "coin 1 send, coin 1 decode + coin 2 send, coin 2 decode");
+        // Coin 1 from n senders, coin 2 from one, coin 3 from none.
+        assert_eq!(res.report.comm.messages, (n * n + n) as u64, "coin 3 must never be sent");
+        for out in res.unwrap_all() {
+            assert_eq!(out, Err(CoinError::NotEnoughShares { got: 1, need: 2 }));
         }
     }
 

@@ -6,14 +6,12 @@
 //! remark that in our approach the services of a trusted dealer would be
 //! used only once, and for a small number of coins."
 //!
-//! [`TrustedDealer`] implements the one-shot trusted setup;
-//! [`preprocessing_seed`] implements the dealerless alternative (every
-//! party contributes a random polynomial during a fault-free setup window
-//! and the contributions are summed — the cost "can be amortized over the
-//! entire execution of the system").
+//! [`TrustedDealer`] implements that one-shot trusted setup, and is the
+//! only dealer in the workspace: every test, experiment and service
+//! seeds its wallets through it.
 
 use dprbg_field::Field;
-use dprbg_poly::{share_polynomial, Poly};
+use dprbg_poly::share_polynomial;
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 
@@ -53,45 +51,6 @@ impl TrustedDealer {
         }
         (wallets, values)
     }
-}
-
-/// The dealerless pre-processing alternative: each party contributes a
-/// random degree-≤t polynomial per coin during a trusted setup window,
-/// and coin polynomials are the sums of all contributions (so any single
-/// honest contributor makes the coin uniform).
-///
-/// This simulates the "interpolation of a number m of polynomials"
-/// pre-processing of §1.2. `contribution_seeds[i]` is party `P_{i+1}`'s
-/// local randomness.
-///
-/// # Panics
-///
-/// Panics unless exactly `n` contribution seeds are supplied.
-pub fn preprocessing_seed<F: Field>(
-    params: Params,
-    count: usize,
-    contribution_seeds: &[u64],
-) -> Vec<CoinWallet<F>> {
-    assert_eq!(
-        contribution_seeds.len(),
-        params.n,
-        "one contribution seed per party"
-    );
-    let mut rngs: Vec<StdRng> = contribution_seeds
-        .iter()
-        .map(|&s| StdRng::seed_from_u64(s))
-        .collect();
-    let mut wallets: Vec<CoinWallet<F>> = (0..params.n).map(|_| CoinWallet::new()).collect();
-    for _ in 0..count {
-        let total: Poly<F> = rngs
-            .iter_mut()
-            .map(|rng| Poly::random(params.t, rng))
-            .fold(Poly::zero(), |acc, p| acc.add(&p));
-        for (i, wallet) in wallets.iter_mut().enumerate() {
-            wallet.push(SealedShare::of(total.eval(F::element(i as u64 + 1))));
-        }
-    }
-    wallets
 }
 
 #[cfg(test)]
@@ -140,28 +99,5 @@ mod tests {
         pts[0].1 = F::from_u64(1);
         pts[1].1 = F::from_u64(2);
         assert_eq!(decode_coin(&pts, params.t).unwrap(), values[0]);
-    }
-
-    #[test]
-    fn preprocessing_matches_dealer_shape() {
-        let params = Params::p2p_model(7, 1).unwrap();
-        let seeds: Vec<u64> = (0..7).collect();
-        let mut wallets = preprocessing_seed::<F>(params, 2, &seeds);
-        assert_eq!(wallets.len(), 7);
-        for _ in 0..2 {
-            let pts: Vec<(F, F)> = wallets
-                .iter_mut()
-                .enumerate()
-                .map(|(i, w)| (F::element(i as u64 + 1), w.pop().unwrap().sigma.unwrap()))
-                .collect();
-            decode_coin(&pts, params.t).expect("preprocessed coin decodes");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one contribution seed per party")]
-    fn preprocessing_validates_seed_count() {
-        let params = Params::p2p_model(7, 1).unwrap();
-        let _ = preprocessing_seed::<F>(params, 1, &[1, 2, 3]);
     }
 }

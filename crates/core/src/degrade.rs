@@ -26,6 +26,7 @@ use dprbg_sim::{looping, LoopControl, MachineExt, RoundMachine};
 use crate::coin::CoinWallet;
 use crate::coin_gen::{CoinBatch, CoinGenConfig, CoinGenMachine, CoinGenWire};
 use crate::errors::{CoinGenError, ProtocolError};
+use crate::params::Params;
 
 /// The cheapest possible Coin-Gen run: one challenge coin plus one
 /// leader-election coin.
@@ -34,7 +35,8 @@ pub const MIN_SEEDS_PER_ATTEMPT: usize = 2;
 /// Bounds on a retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum protocol runs (≥ 1; the first run counts as an attempt).
+    /// Maximum protocol runs (the first run counts as an attempt; 0 is
+    /// refused with [`ProtocolError::BadParams`]).
     pub max_attempts: usize,
     /// Total wallet coins the loop may consume across all attempts.
     pub seed_budget: usize,
@@ -79,12 +81,9 @@ struct RetrySt<F: Field> {
 /// The result half of the output carries
 /// [`ProtocolError::SeedBudgetExceeded`] when the budget cannot cover the
 /// next attempt (including a budget below [`MIN_SEEDS_PER_ATTEMPT`] up
-/// front); otherwise the final attempt's error, converted into the
-/// unified taxonomy.
-///
-/// # Panics
-///
-/// If `policy.max_attempts` is zero.
+/// front); [`ProtocolError::BadParams`] when `policy.max_attempts` is
+/// zero, in zero rounds and before any seed is popped; otherwise the
+/// final attempt's error, converted into the unified taxonomy.
 #[allow(clippy::type_complexity, reason = "the retry output tuple is spelled once, here")]
 pub fn coin_gen_with_retry<M: CoinGenWire<F>, F: Field>(
     cfg: CoinGenConfig,
@@ -94,9 +93,13 @@ pub fn coin_gen_with_retry<M: CoinGenWire<F>, F: Field>(
     M,
     Output = (CoinWallet<F>, Result<(CoinBatch<F>, RetryReport), ProtocolError>),
 > {
-    assert!(policy.max_attempts >= 1, "retry policy must allow one attempt");
     let init = RetrySt { wallet, attempts: 0, seeds_spent: 0, before: 0, outcome: None };
     looping(init, move |mut st: RetrySt<F>| {
+        if policy.max_attempts == 0 {
+            let Params { n, t } = cfg.params;
+            let need = "a retry policy must allow at least one attempt";
+            return LoopControl::Break((st.wallet, Err(ProtocolError::BadParams { n, t, need })));
+        }
         if let Some(res) = st.outcome.take() {
             st.seeds_spent += st.before - st.wallet.len();
             st.attempts += 1;
@@ -157,7 +160,6 @@ mod tests {
     use super::*;
     use crate::coin_gen::CoinGenMsg;
     use crate::dealer::TrustedDealer;
-    use crate::params::Params;
     use dprbg_field::Gf2k;
     use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, RoundView, Step, StepRunner};
 
@@ -210,6 +212,30 @@ mod tests {
             assert_eq!(
                 out.unwrap_err(),
                 ProtocolError::SeedBudgetExceeded { spent: 0, budget: 1 }
+            );
+        }
+    }
+
+    #[test]
+    fn zero_attempt_policy_fails_closed() {
+        let n = 7;
+        let t = 1;
+        let cfg = CoinGenConfig { params: Params::p2p_model(n, t).unwrap(), batch_size: 4 };
+        let policy = RetryPolicy { max_attempts: 0, seed_budget: 8 };
+        let machines: Vec<BoxedMachine<M, _>> = wallets(n, t, 8, 160)
+            .into_iter()
+            .map(|w| {
+                Box::new(coin_gen_with_retry::<M, F>(cfg, w, policy).map(|(w, res)| (w.len(), res)))
+                    as _
+            })
+            .collect();
+        let res = StepRunner::new(n, 161).run(machines);
+        assert!(res.rounds.is_empty(), "refused before any message is sent");
+        for (left, out) in res.unwrap_all() {
+            assert_eq!(left, 8usize, "no seed may be popped");
+            assert!(
+                matches!(out, Err(ProtocolError::BadParams { n: 7, t: 1, .. })),
+                "expected BadParams, got {out:?}"
             );
         }
     }

@@ -17,13 +17,13 @@
 //! | Protocol Batch-VSS (Fig. 3), incl. `Batch-VSS(l)` | [`mod@batch_vss`] |
 //! | Protocol Bit-Gen (Fig. 4) | [`bit_gen`] |
 //! | Protocol Coin-Gen (Fig. 5) | [`mod@coin_gen`] |
-//! | Protocol Coin-Expose (Fig. 6) | [`coin`] |
-//! | The D-PRBG abstraction (§1.1) | [`dprbg`] |
+//! | Protocol Coin-Expose (Fig. 6), one coin or a batch | [`coin`] |
+//! | The D-PRBG abstraction (§1.1) | [`CoinGenMachine`] + [`Bootstrap`] |
 //! | Bootstrapping (Fig. 1, §1.2) | [`bootstrap`] |
 //! | Proactive share refresh (§1.2's mobile-adversary setting) | [`refresh`] |
 //! | Common-coin randomized BA (the §1.1 application) | [`app_ba`] |
 //! | Committee-sampled Coin-Gen for large `n` | [`committee`] |
-//! | Initial seed via trusted dealer / preprocessing (§1.2) | [`dealer`] |
+//! | Initial seed via the one-shot trusted dealer (§1.2) | [`dealer`] |
 //!
 //! A **shared (sealed) coin** is a random field element `F(0)` of a
 //! degree-≤t polynomial jointly held as Shamir shares: no coalition of ≤ t
@@ -76,7 +76,6 @@ pub mod coin_gen;
 pub mod committee;
 pub mod dealer;
 pub mod degrade;
-pub mod dprbg;
 mod errors;
 mod params;
 pub mod refresh;
@@ -90,7 +89,9 @@ pub use batch_vss::{
 };
 pub use bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, DealerView};
 pub use bootstrap::{Bootstrap, BootstrapConfig, BootstrapStats};
-pub use coin::{decode_coin, CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
+pub use coin::{
+    decode_coin, expose_all, CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, SealedShare,
+};
 pub use coin_gen::{
     CliqueAnnounce, CoinBatch, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinGenWire,
 };
@@ -98,9 +99,8 @@ pub use committee::{
     committee_soundness_error, committee_threshold, elect_committee, CoinReport, CommitteeCoin,
     CommitteeError, CommitteeMsg,
 };
-pub use dealer::{preprocessing_seed, TrustedDealer};
+pub use dealer::TrustedDealer;
 pub use degrade::{coin_gen_with_retry, RetryPolicy, RetryReport, MIN_SEEDS_PER_ATTEMPT};
-pub use dprbg::{dprbg_expand, DprbgRun};
 pub use errors::{CoinError, CoinGenError, ProtocolError};
 pub use params::Params;
 // The two sub-protocol wire types a custom `CoinGenWire` enum must embed

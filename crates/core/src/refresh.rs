@@ -232,13 +232,12 @@ where
 #[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
-    use crate::coin::{decode_coin, ExposeMachine, ExposeVia};
+    use crate::coin::{decode_coin, expose_all};
     use crate::coin_gen::CoinGenMsg;
     use crate::dealer::TrustedDealer;
-    use crate::errors::CoinError;
     use dprbg_field::Gf2k;
     use dprbg_poly::bw_decode;
-    use dprbg_sim::{looping, BoxedMachine, FaultPlan, LoopControl, MachineExt, StepRunner};
+    use dprbg_sim::{BoxedMachine, FaultPlan, MachineExt, StepRunner};
 
     type F = Gf2k<32>;
     type M = CoinGenMsg<F>;
@@ -250,25 +249,14 @@ mod tests {
         }
     }
 
-    /// Expose every coin left in `w`, one round-trip per coin, collecting
-    /// the decoded values in order.
-    fn expose_all(
-        w: CoinWallet<F>,
+    /// Expose every coin left in `w`, in order.
+    fn expose_wallet(
+        mut w: CoinWallet<F>,
         report: RefreshReport,
         t: usize,
     ) -> impl RoundMachine<M, Output = (RefreshReport, Vec<F>)> {
-        looping((w, report, Vec::new()), move |(mut w, report, vals)| match w.pop() {
-            Err(_) => LoopControl::Break((report, vals)),
-            Ok(s) => LoopControl::Continue(Box::new(
-                ExposeMachine::new(s, t, ExposeVia::PointToPoint).map(
-                    move |r: Result<F, CoinError>| {
-                        let mut vals = vals;
-                        vals.push(r.expect("expose succeeds"));
-                        (w, report, vals)
-                    },
-                ),
-            )),
-        })
+        let shares = std::iter::from_fn(|| w.pop().ok()).collect();
+        expose_all(t, shares).map(move |vals| (report, vals.expect("expose succeeds")))
     }
 
     /// Refresh, then expose every surviving coin to check the values.
@@ -279,7 +267,7 @@ mod tests {
     ) -> BoxedMachine<M, (RefreshReport, Vec<F>)> {
         Box::new(RefreshMachine::new(c, wallet).then(
             move |(w, res): (CoinWallet<F>, Result<RefreshReport, CoinGenError>)| {
-                expose_all(w, res.expect("refresh succeeds"), t)
+                expose_wallet(w, res.expect("refresh succeeds"), t)
             },
         ))
     }
@@ -384,7 +372,7 @@ mod tests {
                                 // The value-shifting dealer must not be in
                                 // the set.
                                 assert!(!report.dealers.contains(&3));
-                                expose_all(w, report, 1)
+                                expose_wallet(w, report, 1)
                             },
                         )
                         .map(|(report, vals)| Some((report.seeds_consumed, vals))),

@@ -139,18 +139,31 @@ pub trait SeedableRng: Sized {
     }
 }
 
-/// SplitMix64 (Steele–Lea–Flood 2014): the standard seed-expansion mixer.
+/// SplitMix64's golden-ratio increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele–Lea–Flood 2014) as a pure function: the output the
+/// stateful generator gives from state `x`. The workspace's one seed and
+/// hash mixer — seed expansion here, per-episode and per-copy seeds in
+/// the chaos harnesses, the beacon's epoch seeds and snapshot checksum.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The stateful SplitMix64 stream: the standard seed-expansion mixer.
 pub(crate) struct SplitMix64 {
     pub(crate) state: u64,
 }
 
 impl SplitMix64 {
     pub(crate) fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 }
 
@@ -178,6 +191,7 @@ mod tests {
         let mut sm = SplitMix64 { state: 1234567 };
         assert_eq!(sm.next(), 6457827717110365317);
         assert_eq!(sm.next(), 3203168211198807973);
+        assert_eq!(splitmix64(1234567), 6457827717110365317);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod proptest;
 pub mod seq;
 mod std_rng;
 
-pub use crate::core::{Rng, RngExt, SeedableRng};
+pub use crate::core::{splitmix64, Rng, RngExt, SeedableRng};
 pub use crate::dist::{SampleRange, StandardUniform};
 
 /// Named generators (mirrors `rand::rngs`).

@@ -47,18 +47,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
+use dprbg_rng::splitmix64;
+
 use crate::adversary::{MsgFate, MsgHop, MsgTap};
 use crate::router::PartyId;
-
-/// SplitMix64: a tiny, high-quality mixer for deterministic per-copy
-/// randomness (seeded, no global state).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// An adaptive attack strategy. See each variant for the corruption rule
 /// (applied at round-boundary folds) and the per-copy fate rule.

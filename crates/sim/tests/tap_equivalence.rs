@@ -16,6 +16,7 @@
 //! `DPRBG_PROPTEST_SEED`.
 
 use dprbg_rng::prelude::*;
+use dprbg_rng::splitmix64;
 use dprbg_sim::{
     BoxedMachine, MsgFate, MsgHop, ParRunner, RoundMachine, RoundView, RunResult, Step, StepRunner,
 };
@@ -53,13 +54,6 @@ impl RoundMachine<u64> for Gossip {
 
 fn fleet(n: usize, rounds: u64) -> Vec<BoxedMachine<u64, Vec<(u64, usize, bool, u64)>>> {
     (0..n).map(|_| Box::new(Gossip { rounds, transcript: Vec::new() }) as _).collect()
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The fate-table shape the property draws: percentage weights for each

@@ -16,12 +16,11 @@
 
 use dprbg::core::batch_vss::{cheating_batch_deal, BatchOpts};
 use dprbg::core::{
-    BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, SealedShare,
+    BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer,
     VssVerdict,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostSnapshot;
-use dprbg::poly::{share_points, share_polynomial};
 use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
@@ -32,20 +31,11 @@ type Out = Result<VssVerdict, CoinError>;
 
 const BATCH: usize = 1024;
 
-/// Deal one challenge coin out-of-band (in a deployment this comes from
-/// the bootstrapped reservoir).
-fn challenge_coins(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let poly = share_polynomial(F::random(&mut rng), t, &mut rng);
-    share_points(&poly, n)
-        .into_iter()
-        .map(|s| SealedShare::of(s.y))
-        .collect()
-}
-
 fn audit(n: usize, t: usize, corrupt_one: bool, seed: u64) -> (VssVerdict, CostSnapshot) {
     let params = Params::broadcast_model(n, t).expect("n >= 3t + 1");
-    let coins = challenge_coins(n, t, seed + 1);
+    // One challenge coin, dealt out-of-band (in a deployment it comes
+    // from the bootstrapped reservoir).
+    let mut coins = TrustedDealer::deal_wallets::<F>(params, 1, seed + 1);
     let opts = BatchOpts::default();
 
     // A cheating dealer prepares its (single-corruption) batch offline.
@@ -54,7 +44,7 @@ fn audit(n: usize, t: usize, corrupt_one: bool, seed: u64) -> (VssVerdict, CostS
 
     let machines: Vec<BoxedMachine<M, Out>> = (1..=n)
         .map(|id| {
-            let coin = coins[id - 1];
+            let coin = coins[id - 1].pop().expect("one coin dealt per party");
             match &bad {
                 // The cheater dealt out-of-band; go straight to the audit.
                 Some(b) => {

@@ -15,13 +15,12 @@
 //! Run with: `cargo run --example proactive_refresh`
 
 use dprbg::core::{
-    BitGenMsg, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, ExposeMachine, ExposeMsg,
-    ExposeVia, Params, SealedShare, TrustedDealer,
+    expose_all, BitGenMsg, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, ExposeMsg,
+    Params, TrustedDealer,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::sim::{
-    from_fn, looping, BoxedMachine, FaultPlan, LoopControl, MachineExt, RoundMachine, RoundView,
-    Step, StepRunner,
+    from_fn, BoxedMachine, FaultPlan, MachineExt, RoundMachine, RoundView, Step, StepRunner,
 };
 
 type F = Gf2k<32>;
@@ -29,24 +28,6 @@ type M = CoinGenMsg<F>;
 type Out = Option<(CoinWallet<F>, Vec<F>)>;
 
 const EPOCHS: usize = 5;
-
-/// Expose the whole batch, one coin per round, so we can display it.
-fn expose_all(t: usize, mut shares: Vec<SealedShare<F>>) -> impl RoundMachine<M, Output = Vec<F>> {
-    shares.reverse();
-    looping(
-        (shares, Vec::new()),
-        move |(mut stack, vals): (Vec<SealedShare<F>>, Vec<F>)| match stack.pop() {
-            Some(s) => LoopControl::Continue(Box::new(
-                ExposeMachine::new(s, t, ExposeVia::PointToPoint).map(move |res| {
-                    let mut vals = vals;
-                    vals.push(res.expect("expose succeeds"));
-                    (stack, vals)
-                }),
-            )),
-            None => LoopControl::Break(vals),
-        },
-    )
-}
 
 /// This epoch's intruder: garbage dealing, a corrupted expose share,
 /// then silence.
@@ -100,9 +81,10 @@ fn main() {
                 let machine = CoinGenMachine::new(cfg, w).then(
                     move |(w, res)| -> BoxedMachine<M, Out> {
                         match res {
-                            Ok(batch) => Box::new(
-                                expose_all(t, batch.shares).map(move |vals| Some((w, vals))),
-                            ),
+                            // Expose the whole batch so we can display it.
+                            Ok(batch) => Box::new(expose_all(t, batch.shares).map(move |vals| {
+                                Some((w, vals.expect("expose succeeds")))
+                            })),
                             Err(_) => Box::new(from_fn(|_| Step::Done(None))),
                         }
                     },

@@ -8,33 +8,12 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dprbg::core::{
-    CoinGenConfig, CoinGenMachine, CoinGenMsg, ExposeMachine, ExposeVia, Params, SealedShare,
-    TrustedDealer,
-};
+use dprbg::core::{expose_all, CoinGenConfig, CoinGenMachine, CoinGenMsg, Params, TrustedDealer};
 use dprbg::field::{Field, Gf2k};
-use dprbg::sim::{looping, BoxedMachine, LoopControl, MachineExt, RoundMachine, StepRunner};
+use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
 
 type F = Gf2k<32>;
 type M = CoinGenMsg<F>;
-
-/// Reveal the batch one coin at a time (each expose is a single round).
-fn expose_all(t: usize, mut shares: Vec<SealedShare<F>>) -> impl RoundMachine<M, Output = Vec<F>> {
-    shares.reverse();
-    looping(
-        (shares, Vec::new()),
-        move |(mut stack, vals): (Vec<SealedShare<F>>, Vec<F>)| match stack.pop() {
-            Some(share) => LoopControl::Continue(Box::new(
-                ExposeMachine::new(share, t, ExposeVia::PointToPoint).map(move |res| {
-                    let mut vals = vals;
-                    vals.push(res.expect("expose succeeds"));
-                    (stack, vals)
-                }),
-            )),
-            None => LoopControl::Break(vals),
-        },
-    )
-}
 
 fn main() {
     let n = 7;
@@ -48,7 +27,8 @@ fn main() {
     let mut wallets = TrustedDealer::deal_wallets::<F>(params, 4, 2026);
 
     // One sans-IO machine per party: stretch the seed with Coin-Gen,
-    // then reveal every sealed coin. The executor carries the messages.
+    // then reveal every sealed coin, one expose round after another. The
+    // executor carries the messages.
     let machines: Vec<BoxedMachine<M, Vec<F>>> = (1..=n)
         .map(|id| {
             let machine = CoinGenMachine::new(cfg, wallets.remove(0)).then(move |(_w, res)| {
@@ -61,7 +41,7 @@ fn main() {
                         coins.attempts
                     );
                 }
-                expose_all(t, coins.shares)
+                expose_all(t, coins.shares).map(|res| res.expect("expose succeeds"))
             });
             Box::new(machine) as BoxedMachine<M, Vec<F>>
         })

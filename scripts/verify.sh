@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Hermetic-build verification: offline build + tests + clippy + smokes.
+# Hermetic-build verification: offline build + tests + examples + clippy
+# + smokes.
 #
 # Usage: scripts/verify.sh
 # Exits non-zero if the build fails, a test fails (`tests/hermetic.rs`
-# fails on any lock-file package that is not an in-tree path crate), or
-# clippy reports anything.
+# fails on any lock-file package that is not an in-tree path crate), an
+# example exits non-zero, or clippy reports anything.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,6 +15,18 @@ cargo build --release --offline
 
 echo "== tests (workspace, offline) =="
 cargo test -q --workspace --offline
+
+echo "== examples (release, offline: every runnable demo exits 0) =="
+# `cargo test` only compiles the examples; they are the tree's only
+# runnable demos, so each one runs here.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    if ! cargo run --release --offline -q --example "$name" >/dev/null; then
+        echo "example FAILED: $name exited non-zero" >&2
+        exit 1
+    fi
+    echo "ok: example $name"
+done
 
 echo "== lint (clippy, workspace, offline: the static invariants of LINTS.md) =="
 # Lints are errors under -D warnings; what remains a warning is clippy's

@@ -21,7 +21,7 @@
 //! | [`poly`] | `dprbg-poly` | polynomials, Lagrange, Berlekamp–Welch, Shamir |
 //! | [`sim`] | `dprbg-sim` | sans-IO round machines, the deterministic executors, the adversary framework |
 //! | [`protocols`] | `dprbg-protocols` | grade-cast, phase-king BA, clique approximation |
-//! | [`baselines`] | `dprbg-baselines` | CCD cut-and-choose, Feldman VSS, from-scratch coin, Rabin dealer |
+//! | [`baselines`] | `dprbg-baselines` | CCD cut-and-choose, Feldman VSS, from-scratch coin |
 //! | [`metrics`] | `dprbg-metrics` | the paper's cost model (additions / messages / bits / rounds) |
 //! | [`trace`] | `dprbg-trace` | deterministic span/event tracing + Chrome-trace export |
 //!

@@ -2,14 +2,13 @@
 //! Byzantine strategies at the model's fault bound.
 
 use dprbg::core::{
-    BitGenMachine, BitGenMode, BitGenMsg, CoinBatch, CoinGenConfig, CoinGenMachine, CoinGenMsg,
-    CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, Params, SealedShare, TrustedDealer,
+    expose_all, BitGenMachine, BitGenMode, BitGenMsg, CoinBatch, CoinGenConfig, CoinGenMachine,
+    CoinGenMsg, CoinWallet, ExposeMsg, Params, TrustedDealer,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::protocols::BaMsg;
 use dprbg::sim::{
-    from_fn, looping, BoxedMachine, FaultPlan, LoopControl, MachineExt, RoundMachine, RoundView,
-    Step, StepRunner,
+    from_fn, BoxedMachine, FaultPlan, MachineExt, RoundView, Step, StepRunner,
 };
 
 type F = Gf2k<32>;
@@ -296,34 +295,15 @@ fn exposed_coins_survive_corrupt_shares() {
     let plan = FaultPlan::explicit(n, vec![5]);
     let all_wallets: Vec<CoinWallet<F>> = (1..=n).map(|_| wallets.remove(0)).collect();
 
-    /// Reveal a batch one coin per round, collecting the values.
-    fn expose_all(
-        t: usize,
-        mut shares: Vec<SealedShare<F>>,
-    ) -> impl RoundMachine<M, Output = Vec<F>> {
-        shares.reverse();
-        looping(
-            (shares, Vec::new()),
-            move |(mut stack, vals): (Vec<SealedShare<F>>, Vec<F>)| match stack.pop() {
-                Some(s) => LoopControl::Continue(Box::new(
-                    ExposeMachine::new(s, t, ExposeVia::PointToPoint).map(move |res| {
-                        let mut vals = vals;
-                        vals.push(res.expect("expose succeeds"));
-                        (stack, vals)
-                    }),
-                )),
-                None => LoopControl::Break(vals),
-            },
-        )
-    }
-
     let machines = plan.machines::<M, Option<Vec<F>>>(
         |id| {
             let w = all_wallets[id - 1].clone();
             let machine = CoinGenMachine::new(cfg, w).then(
                 move |(_w, res)| -> BoxedMachine<M, Option<Vec<F>>> {
                     match res {
-                        Ok(batch) => Box::new(expose_all(1, batch.shares).map(Some)),
+                        Ok(batch) => Box::new(expose_all(1, batch.shares).map(|vals| {
+                            Some(vals.expect("expose succeeds"))
+                        })),
                         Err(_) => Box::new(from_fn(|_| Step::Done(None))),
                     }
                 },

@@ -10,12 +10,11 @@
 //! seeds (and check distinct seeds actually diverge).
 
 use dprbg::core::{
-    CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, ExposeMachine, ExposeVia, Params,
-    SealedShare, TrustedDealer,
+    expose_all, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, Params, TrustedDealer,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostReport;
-use dprbg::sim::{looping, BoxedMachine, LoopControl, MachineExt, RoundMachine, StepRunner};
+use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
 
 type F = Gf2k<32>;
 type M = CoinGenMsg<F>;
@@ -26,24 +25,6 @@ const BATCH: usize = 8;
 
 /// One party's observable outcome of the E2E run.
 type PartyTranscript = (Vec<usize>, usize, Vec<F>);
-
-/// Expose every share of a batch in order, collecting the coin values.
-fn expose_all(t: usize, mut shares: Vec<SealedShare<F>>) -> impl RoundMachine<M, Output = Vec<F>> {
-    shares.reverse();
-    looping(
-        (shares, Vec::new()),
-        move |(mut stack, vals): (Vec<SealedShare<F>>, Vec<F>)| match stack.pop() {
-            Some(s) => LoopControl::Continue(Box::new(
-                ExposeMachine::new(s, t, ExposeVia::PointToPoint).map(move |res| {
-                    let mut vals = vals;
-                    vals.push(res.expect("expose succeeds"));
-                    (stack, vals)
-                }),
-            )),
-            None => LoopControl::Break(vals),
-        },
-    )
-}
 
 /// Run dealing → Coin-Gen → expose-every-coin and serialize what each
 /// party observed, plus the run's aggregated cost report.
@@ -58,7 +39,8 @@ fn coin_pipeline(seed: u64) -> (Vec<u8>, CostReport) {
                 let batch = res.expect("coin generation succeeds");
                 let dealers = batch.dealers.clone();
                 let attempts = batch.attempts;
-                expose_all(T, batch.shares).map(move |values| (dealers, attempts, values))
+                expose_all(T, batch.shares)
+                    .map(move |values| (dealers, attempts, values.expect("expose succeeds")))
             });
             Box::new(machine) as BoxedMachine<M, PartyTranscript>
         })

@@ -2,33 +2,12 @@
 //! pipeline from trusted-dealer seed through sealed batch to exposed,
 //! unanimous coin values — as machine fleets on the stepped executor.
 
-use dprbg::core::{
-    CoinGenConfig, CoinGenMachine, CoinGenMsg, ExposeMachine, ExposeVia, Params, SealedShare,
-    TrustedDealer,
-};
+use dprbg::core::{expose_all, CoinGenConfig, CoinGenMachine, CoinGenMsg, Params, TrustedDealer};
 use dprbg::field::{Field, Gf2k};
-use dprbg::sim::{looping, BoxedMachine, LoopControl, MachineExt, RoundMachine, StepRunner};
+use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
 
 type F = Gf2k<32>;
 type M = CoinGenMsg<F>;
-
-/// Expose every share of a batch in order, collecting the coin values.
-fn expose_all(t: usize, mut shares: Vec<SealedShare<F>>) -> impl RoundMachine<M, Output = Vec<F>> {
-    shares.reverse();
-    looping(
-        (shares, Vec::new()),
-        move |(mut stack, vals): (Vec<SealedShare<F>>, Vec<F>)| match stack.pop() {
-            Some(s) => LoopControl::Continue(Box::new(
-                ExposeMachine::new(s, t, ExposeVia::PointToPoint).map(move |res| {
-                    let mut vals = vals;
-                    vals.push(res.expect("expose succeeds"));
-                    (stack, vals)
-                }),
-            )),
-            None => LoopControl::Break(vals),
-        },
-    )
-}
 
 /// Run the full pipeline; return each party's exposed coin values.
 fn generate_and_expose(n: usize, t: usize, m: usize, seed: u64) -> Vec<Vec<F>> {
@@ -37,9 +16,9 @@ fn generate_and_expose(n: usize, t: usize, m: usize, seed: u64) -> Vec<Vec<F>> {
     let mut wallets = TrustedDealer::deal_wallets::<F>(params, 4 + t, seed);
     let machines: Vec<BoxedMachine<M, Vec<F>>> = (0..n)
         .map(|_| {
-            let machine = CoinGenMachine::new(cfg, wallets.remove(0)).then(move |(_w, res)| {
-                expose_all(t, res.expect("generation succeeds").shares)
-            });
+            let machine = CoinGenMachine::new(cfg, wallets.remove(0))
+                .then(move |(_w, res)| expose_all(t, res.expect("generation succeeds").shares))
+                .map(|vals| vals.expect("expose succeeds"));
             Box::new(machine) as BoxedMachine<M, Vec<F>>
         })
         .collect();

@@ -7,32 +7,13 @@
 //! `Z_q` (≈ 2^61) instead of GF(2^32).
 
 use dprbg::core::{
-    CoinGenConfig, CoinGenMachine, CoinGenMsg, ExposeMachine, ExposeVia, Params, SealedShare,
-    TrustedDealer,
+    expose_all, CoinGenConfig, CoinGenMachine, CoinGenMsg, Params, SealedShare, TrustedDealer,
 };
 use dprbg::field::{Field, Fp, SAFE_PRIME_Q};
-use dprbg::sim::{looping, BoxedMachine, LoopControl, MachineExt, RoundMachine, StepRunner};
+use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
 
 type F = Fp<SAFE_PRIME_Q>;
 type M = CoinGenMsg<F>;
-
-/// Expose every share of a batch in order, collecting the coin values.
-fn expose_all(t: usize, mut shares: Vec<SealedShare<F>>) -> impl RoundMachine<M, Output = Vec<F>> {
-    shares.reverse();
-    looping(
-        (shares, Vec::new()),
-        move |(mut stack, vals): (Vec<SealedShare<F>>, Vec<F>)| match stack.pop() {
-            Some(s) => LoopControl::Continue(Box::new(
-                ExposeMachine::new(s, t, ExposeVia::PointToPoint).map(move |res| {
-                    let mut vals = vals;
-                    vals.push(res.expect("expose succeeds over Z_q"));
-                    (stack, vals)
-                }),
-            )),
-            None => LoopControl::Break(vals),
-        },
-    )
-}
 
 #[test]
 fn coin_gen_over_a_prime_field() {
@@ -44,7 +25,8 @@ fn coin_gen_over_a_prime_field() {
     let machines: Vec<BoxedMachine<M, Vec<F>>> = (0..n)
         .map(|_| {
             let machine = CoinGenMachine::new(cfg, wallets.remove(0))
-                .then(move |(_w, res)| expose_all(t, res.expect("works over Z_q").shares));
+                .then(move |(_w, res)| expose_all(t, res.expect("works over Z_q").shares))
+                .map(|vals| vals.expect("expose succeeds over Z_q"));
             Box::new(machine) as BoxedMachine<M, Vec<F>>
         })
         .collect();

@@ -15,13 +15,12 @@ use dprbg::field::Gf2k;
 use dprbg::metrics::export::to_json_lines;
 use dprbg::metrics::{Histogram, LogicalTime, Registry};
 
-/// splitmix64: the in-tree deterministic stream for property inputs.
+/// The SplitMix64 stream: the in-tree deterministic source of property
+/// inputs.
 fn splitmix(state: &mut u64) -> u64 {
+    let z = dprbg_rng::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 /// A histogram of `len` pseudo-random observations spanning all bucket
