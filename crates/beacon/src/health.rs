@@ -13,9 +13,65 @@
 
 use std::collections::VecDeque;
 
-use dprbg_metrics::Table;
+use dprbg_metrics::{Registry, Table};
 
 use crate::supervisor::Mode;
+
+/// The metrics the beacon records. `record_health` and `note_recovery`
+/// write these names and no others.
+pub(crate) mod metric {
+    pub(crate) const EPOCHS: &str = "beacon_epochs_total";
+    pub(crate) const ROUNDS: &str = "beacon_rounds_total";
+    pub(crate) const COINS_EXPOSED: &str = "beacon_coins_exposed_total";
+    pub(crate) const DRAWS: &str = "beacon_draws_total";
+    pub(crate) const GRANTS: &str = "beacon_grants_total";
+    pub(crate) const REFILLS: &str = "beacon_refills_total";
+    pub(crate) const REFILL_ATTEMPTS: &str = "beacon_refill_attempts_total";
+    pub(crate) const SEEDS_SPENT: &str = "beacon_seeds_spent_total";
+    pub(crate) const ROLLBACKS: &str = "beacon_rollbacks_total";
+    pub(crate) const MODE_TRANSITIONS: &str = "beacon_mode_transitions_total";
+    pub(crate) const RECOVERIES: &str = "beacon_recoveries_total";
+    pub(crate) const RESERVOIR_LEVEL: &str = "beacon_reservoir_level";
+    pub(crate) const WALLET_LEVEL: &str = "beacon_wallet_level";
+    pub(crate) const SUPERVISOR_FAILURES: &str = "beacon_supervisor_failures";
+    pub(crate) const BACKOFF_EXP: &str = "beacon_backoff_exp";
+    pub(crate) const EPOCH_ROUNDS: &str = "beacon_epoch_rounds";
+    pub(crate) const RECOVERY_DEPTH: &str = "beacon_recovery_depth_epochs";
+
+    /// Each metric above with the kind it is recorded as
+    /// ([`MetricValue::kind`](dprbg_metrics::MetricValue::kind)).
+    pub(crate) const KINDS: [(&str, &str); 17] = [
+        (EPOCHS, "counter"),
+        (ROUNDS, "counter"),
+        (COINS_EXPOSED, "counter"),
+        (DRAWS, "counter"),
+        (GRANTS, "counter"),
+        (REFILLS, "counter"),
+        (REFILL_ATTEMPTS, "counter"),
+        (SEEDS_SPENT, "counter"),
+        (ROLLBACKS, "counter"),
+        (MODE_TRANSITIONS, "counter"),
+        (RECOVERIES, "counter"),
+        (RESERVOIR_LEVEL, "gauge"),
+        (WALLET_LEVEL, "gauge"),
+        (SUPERVISOR_FAILURES, "gauge"),
+        (BACKOFF_EXP, "gauge"),
+        (EPOCH_ROUNDS, "histogram"),
+        (RECOVERY_DEPTH, "histogram"),
+    ];
+}
+
+/// Whether every metric in `reg` that the beacon records has the kind the
+/// beacon records it as. A restored registry must pass: the next write to
+/// a metric of another kind would panic.
+pub(crate) fn kinds_match(reg: &Registry) -> bool {
+    reg.iter().all(|(id, value)| {
+        metric::KINDS
+            .iter()
+            .find(|&&(name, _)| name == id.name())
+            .is_none_or(|&(_, kind)| kind == value.kind())
+    })
+}
 
 /// How one driven epoch ended, from the service's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +162,7 @@ pub struct HealthRecord {
 pub struct FlightRecorder {
     records: VecDeque<HealthRecord>,
     capacity: usize,
-    total: u64,
+    pub(crate) total: u64,
 }
 
 impl FlightRecorder {
@@ -151,24 +207,6 @@ impl FlightRecorder {
     /// The retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &HealthRecord> {
         self.records.iter()
-    }
-
-    /// Tear into snapshotable parts `(records oldest-first, total)`.
-    pub(crate) fn parts(&self) -> (Vec<HealthRecord>, u64) {
-        (self.records.iter().copied().collect(), self.total)
-    }
-
-    /// Rebuild from snapshot parts; if a foreign snapshot holds more
-    /// records than `capacity`, the oldest are dropped — exactly what a
-    /// live ring of that capacity would have kept.
-    pub(crate) fn from_parts(capacity: usize, records: Vec<HealthRecord>, total: u64) -> Self {
-        let capacity = capacity.max(1);
-        let skip = records.len().saturating_sub(capacity);
-        FlightRecorder {
-            records: records.into_iter().skip(skip).collect(),
-            capacity,
-            total,
-        }
     }
 
     /// Render the ring as a forensic report table headed by `reason`.
@@ -241,24 +279,6 @@ mod tests {
         assert_eq!(fr.total(), 10);
         let epochs: Vec<u64> = fr.records().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn parts_round_trip() {
-        let mut fr = FlightRecorder::new(3);
-        for e in 0..5 {
-            fr.push(rec(e));
-        }
-        let (records, total) = fr.parts();
-        assert_eq!(fr, FlightRecorder::from_parts(3, records, total));
-    }
-
-    #[test]
-    fn oversized_snapshot_truncates_to_a_live_ring() {
-        let records: Vec<HealthRecord> = (0..8).map(rec).collect();
-        let fr = FlightRecorder::from_parts(4, records, 8);
-        assert_eq!(fr.len(), 4);
-        assert_eq!(fr.records().next().unwrap().epoch, 4);
     }
 
     #[test]

@@ -29,9 +29,16 @@
 //!   degradation once the wallet cannot fund another attempt.
 //! * **Crash recovery** ([`BeaconService::snapshot`] /
 //!   [`BeaconService::restore`]): all cross-epoch state is plain data in
-//!   a versioned, checksummed binary format; a service killed at any
-//!   epoch boundary and restored continues **byte-identically** to one
-//!   that never died, under either executor (property-tested).
+//!   a versioned, checksummed binary format, written straight from the
+//!   service on the workspace's one binary codec
+//!   ([`dprbg_metrics::bin`], which also carries the embedded metric
+//!   registry); a service killed at any epoch boundary and restored
+//!   continues **byte-identically** to one that never died, under either
+//!   executor (property-tested). Restore is total and fails closed: every
+//!   truncation, bit flip, splice or inflated count of the committed
+//!   golden image is an error or a service that keeps running, its
+//!   allocation bounded by the input's length
+//!   (`tests/snapshot_decode.rs`).
 //! * **Health telemetry** ([`BeaconService::health`] /
 //!   [`FlightRecorder`]): every epoch folds into a deterministic metric
 //!   [`Registry`](dprbg_metrics::Registry) (mode transitions, backoff

@@ -69,12 +69,12 @@ impl<F: Field> DrawOutcome<F> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reservoir<F: Field> {
     cfg: ReservoirConfig,
-    coins: std::collections::VecDeque<F>,
+    pub(crate) coins: std::collections::VecDeque<F>,
     /// Round-robin start offset, advanced once per serve pass so no
     /// consumer is permanently first in line.
-    cursor: u32,
+    pub(crate) cursor: u32,
     /// Cumulative grants per consumer id — the fairness ledger.
-    grants: BTreeMap<u32, u64>,
+    pub(crate) grants: BTreeMap<u32, u64>,
 }
 
 impl<F: Field> Reservoir<F> {
@@ -179,22 +179,6 @@ impl<F: Field> Reservoir<F> {
         }
         out
     }
-
-    /// Tear the reservoir into its snapshotable parts
-    /// `(config, coins oldest-first, cursor, grants)`.
-    pub(crate) fn parts(&self) -> (ReservoirConfig, Vec<F>, u32, &BTreeMap<u32, u64>) {
-        (self.cfg, self.coins.iter().copied().collect(), self.cursor, &self.grants)
-    }
-
-    /// Rebuild a reservoir from snapshot parts.
-    pub(crate) fn from_parts(
-        cfg: ReservoirConfig,
-        coins: Vec<F>,
-        cursor: u32,
-        grants: BTreeMap<u32, u64>,
-    ) -> Self {
-        Reservoir { cfg, coins: coins.into(), cursor, grants }
-    }
 }
 
 #[cfg(test)]
@@ -264,14 +248,5 @@ mod tests {
         let mut r = Reservoir::<F>::new(ReservoirConfig::with_capacity(4));
         assert_eq!(r.serve(&[(1, 1)], false), vec![(1, DrawOutcome::WouldBlock)]);
         assert_eq!(r.serve(&[(1, 1)], true), vec![(1, DrawOutcome::Starved)]);
-    }
-
-    #[test]
-    fn parts_round_trip() {
-        let mut r = filled(8, 3);
-        r.serve(&[(7, 2)], false);
-        let (cfg, coins, cursor, grants) = r.parts();
-        let r2 = Reservoir::from_parts(cfg, coins, cursor, grants.clone());
-        assert_eq!(r, r2);
     }
 }

@@ -36,9 +36,8 @@ use dprbg_sim::{
 use dprbg_trace::{Event, EventKind};
 
 use crate::epoch::{BeaconMsg, EpochMachine, EpochOutcome, RefillReport};
-use crate::health::{EpochOutcomeTag, FlightRecorder, HealthRecord, RefillStatus};
+use crate::health::{metric, EpochOutcomeTag, FlightRecorder, HealthRecord, RefillStatus};
 use crate::reservoir::{DrawOutcome, Reservoir, ReservoirConfig};
-use crate::snapshot::{self, SnapshotError, SnapshotState};
 use crate::supervisor::{EpochDecision, Mode, Supervisor};
 
 /// The RNG seed of epoch `epoch` under `master_seed`: a pure function of
@@ -170,30 +169,30 @@ pub struct EpochReport<F: Field> {
 /// The long-running beacon: all cross-epoch state, plain and
 /// snapshotable.
 pub struct BeaconService<F: Field> {
-    cfg: BeaconConfig,
-    master_seed: u64,
-    epoch: u64,
+    pub(crate) cfg: BeaconConfig,
+    pub(crate) master_seed: u64,
+    pub(crate) epoch: u64,
     /// Per-party wallets, lock-step by construction (divergent epochs
     /// roll back).
-    wallets: Vec<CoinWallet<F>>,
-    reservoir: Reservoir<F>,
-    supervisor: Supervisor,
-    stats: BeaconStats,
+    pub(crate) wallets: Vec<CoinWallet<F>>,
+    pub(crate) reservoir: Reservoir<F>,
+    pub(crate) supervisor: Supervisor,
+    pub(crate) stats: BeaconStats,
     /// Cumulative per-party cost ledger across all epochs.
-    ledger: CostReport,
+    pub(crate) ledger: CostReport,
     /// Rounds folded into the trace cursor so far.
-    trace_rounds: u64,
+    pub(crate) trace_rounds: u64,
     /// Events folded into the trace digest so far.
-    trace_events: u64,
+    pub(crate) trace_events: u64,
     /// Order-independent digest of every trace event the service ever
     /// produced (rebased to service-global rounds). Snapshotting the
     /// digest instead of the events keeps snapshots O(1) in run length.
-    trace_digest: u64,
+    pub(crate) trace_digest: u64,
     /// Health-plane registry: counters/gauges/histograms keyed on
     /// logical time, byte-identical across executors.
-    registry: Registry,
+    pub(crate) registry: Registry,
     /// Bounded ring of per-epoch health records (the flight recorder).
-    recorder: FlightRecorder,
+    pub(crate) recorder: FlightRecorder,
 }
 
 /// How many per-epoch [`HealthRecord`]s the flight recorder retains.
@@ -288,9 +287,8 @@ impl<F: Field> BeaconService<F> {
     /// operator/harness after [`BeaconService::restore`] succeeds —
     /// restore itself cannot know how long the process was dead.
     pub fn note_recovery(&mut self, down_epochs: u64) {
-        self.registry.counter_add("beacon_recoveries_total", &[], 1);
-        self.registry
-            .histogram_observe("beacon_recovery_depth_epochs", &[], down_epochs);
+        self.registry.counter_add(metric::RECOVERIES, &[], 1);
+        self.registry.histogram_observe(metric::RECOVERY_DEPTH, &[], down_epochs);
     }
 
     /// Render the flight recorder plus supervisor state as a forensic
@@ -411,13 +409,13 @@ impl<F: Field> BeaconService<F> {
         };
 
         let r = &mut self.registry;
-        r.counter_add("beacon_epochs_total", &[("outcome", outcome.label())], 1);
+        r.counter_add(metric::EPOCHS, &[("outcome", outcome.label())], 1);
         if report.ran {
-            r.counter_add("beacon_rounds_total", &[], report.rounds);
-            r.histogram_observe("beacon_epoch_rounds", &[], report.rounds);
+            r.counter_add(metric::ROUNDS, &[], report.rounds);
+            r.histogram_observe(metric::EPOCH_ROUNDS, &[], report.rounds);
         }
         if report.exposed > 0 {
-            r.counter_add("beacon_coins_exposed_total", &[], report.exposed as u64);
+            r.counter_add(metric::COINS_EXPOSED, &[], report.exposed as u64);
         }
 
         let (mut served, mut would_block, mut starved) = (0u32, 0u32, 0u32);
@@ -436,12 +434,12 @@ impl<F: Field> BeaconService<F> {
             [("coin", served), ("would_block", would_block), ("starved", starved)]
         {
             if count > 0 {
-                r.counter_add("beacon_draws_total", &[("outcome", label)], count as u64);
+                r.counter_add(metric::DRAWS, &[("outcome", label)], count as u64);
             }
         }
         for (consumer, granted) in &grants {
             let consumer = consumer.to_string();
-            r.counter_add("beacon_grants_total", &[("consumer", &consumer)], *granted);
+            r.counter_add(metric::GRANTS, &[("consumer", &consumer)], *granted);
         }
 
         let mut refill_status = RefillStatus::NotScheduled;
@@ -450,33 +448,33 @@ impl<F: Field> BeaconService<F> {
             Some(Ok(rr)) => {
                 refill_status = RefillStatus::Ok;
                 refill_attempts = rr.attempts as u32;
-                r.counter_add("beacon_refills_total", &[("result", "ok")], 1);
-                r.counter_add("beacon_refill_attempts_total", &[], rr.attempts as u64);
-                r.counter_add("beacon_seeds_spent_total", &[], rr.seeds_spent as u64);
+                r.counter_add(metric::REFILLS, &[("result", "ok")], 1);
+                r.counter_add(metric::REFILL_ATTEMPTS, &[], rr.attempts as u64);
+                r.counter_add(metric::SEEDS_SPENT, &[], rr.seeds_spent as u64);
             }
             Some(Err(_)) => {
                 refill_status = RefillStatus::Failed;
-                r.counter_add("beacon_refills_total", &[("result", "failed")], 1);
+                r.counter_add(metric::REFILLS, &[("result", "failed")], 1);
             }
             None => {}
         }
         if report.rolled_back {
-            r.counter_add("beacon_rollbacks_total", &[], 1);
+            r.counter_add(metric::ROLLBACKS, &[], 1);
         }
 
         let mode_after = self.supervisor.mode();
         if mode_after != mode_before {
             r.counter_add(
-                "beacon_mode_transitions_total",
+                metric::MODE_TRANSITIONS,
                 &[("from", mode_before.label()), ("to", mode_after.label())],
                 1,
             );
         }
         let wallet_level = self.wallets.first().map_or(0, CoinWallet::len);
-        r.gauge_set("beacon_reservoir_level", &[], at, self.reservoir.level() as u64);
-        r.gauge_set("beacon_wallet_level", &[], at, wallet_level as u64);
-        r.gauge_set("beacon_supervisor_failures", &[], at, self.supervisor.failures() as u64);
-        r.gauge_set("beacon_backoff_exp", &[], at, self.supervisor.backoff_exp() as u64);
+        r.gauge_set(metric::RESERVOIR_LEVEL, &[], at, self.reservoir.level() as u64);
+        r.gauge_set(metric::WALLET_LEVEL, &[], at, wallet_level as u64);
+        r.gauge_set(metric::SUPERVISOR_FAILURES, &[], at, self.supervisor.failures() as u64);
+        r.gauge_set(metric::BACKOFF_EXP, &[], at, self.supervisor.backoff_exp() as u64);
 
         self.recorder.push(HealthRecord {
             epoch,
@@ -838,93 +836,6 @@ impl<F: Field> BeaconService<F> {
         }
         h
     }
-
-    /// Serialize the entire cross-epoch state into the versioned binary
-    /// snapshot format (the versioned binary codec in `snapshot.rs`).
-    pub fn snapshot(&self) -> Vec<u8> {
-        let state = SnapshotState {
-            n: self.cfg.coin_gen.params.n as u32,
-            field_bits: F::bits(),
-            master_seed: self.master_seed,
-            epoch: self.epoch,
-            wallets: self
-                .wallets
-                .iter()
-                .map(|w| (0..w.len()).map(|i| w.peek_at(i).and_then(|s| s.sigma)).collect())
-                .collect(),
-            reservoir: {
-                let (_, coins, cursor, grants) = self.reservoir.parts();
-                (coins, cursor, grants.clone())
-            },
-            supervisor: {
-                let (mode, failures, max_exp, blamed) = self.supervisor.parts();
-                (mode, failures, max_exp, blamed.clone())
-            },
-            stats: self.stats,
-            trace: (self.trace_rounds, self.trace_events, self.trace_digest),
-            ledger: (
-                self.ledger.per_party.iter().map(|p| p.cost).collect(),
-                self.ledger.comm,
-            ),
-            registry: self.registry.clone(),
-            recorder: self.recorder.parts(),
-        };
-        snapshot::encode(&state)
-    }
-
-    /// Rebuild a service from `cfg` and snapshot `bytes`, continuing
-    /// byte-identically to the service that took the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]: corrupt/truncated/foreign bytes, or a
-    /// snapshot whose embedded parameters (`n`, field width) disagree
-    /// with `cfg`.
-    pub fn restore(cfg: BeaconConfig, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let state: SnapshotState<F> = snapshot::decode(bytes)?;
-        if state.n as usize != cfg.coin_gen.params.n {
-            return Err(SnapshotError::ParamMismatch { field: "party count n" });
-        }
-        if state.field_bits != F::bits() {
-            return Err(SnapshotError::ParamMismatch { field: "field width k" });
-        }
-        let (coins, cursor, grants) = state.reservoir;
-        let (mode, failures, max_exp, blamed) = state.supervisor;
-        let (snaps, comm) = state.ledger;
-        Ok(BeaconService {
-            reservoir: Reservoir::from_parts(cfg.reservoir, coins, cursor, grants),
-            supervisor: Supervisor::from_parts(mode, failures, max_exp, blamed),
-            cfg,
-            master_seed: state.master_seed,
-            epoch: state.epoch,
-            wallets: state
-                .wallets
-                .into_iter()
-                .map(|w| {
-                    w.into_iter()
-                        .map(|sigma| dprbg_core::SealedShare { sigma })
-                        .collect()
-                })
-                .collect(),
-            stats: state.stats,
-            ledger: CostReport {
-                per_party: snaps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, cost)| dprbg_metrics::PartyCost { party: i + 1, cost })
-                    .collect(),
-                comm,
-            },
-            trace_rounds: state.trace.0,
-            trace_events: state.trace.1,
-            trace_digest: state.trace.2,
-            registry: state.registry,
-            recorder: {
-                let (records, total) = state.recorder;
-                FlightRecorder::from_parts(FLIGHT_RECORDER_EPOCHS, records, total)
-            },
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1088,5 +999,25 @@ mod tests {
         let (dump_par, snap_par) = run(ExecutorKind::ParThreads(2));
         assert_eq!(dump_step, dump_par, "the drill's dump must not depend on the executor");
         assert_eq!(snap_step, snap_par, "the drilled service must stay snapshot-identical");
+    }
+
+    #[test]
+    fn every_recorded_metric_is_declared_with_its_kind() {
+        let mut svc = BeaconService::<F>::new(config(), 0xDEC1, 8);
+        svc.note_recovery(2);
+        for _ in 0..4 {
+            svc.run_epoch(ExecutorKind::Step, &[(1, 2), (2, 3)], None).unwrap();
+        }
+        svc.rollback_drill(ExecutorKind::Step);
+        svc.run_epoch(ExecutorKind::Step, &[(1, 1)], None).unwrap();
+        assert!(svc.health().len() >= 15, "the run must exercise most metrics");
+        for (id, value) in svc.health().iter() {
+            assert!(
+                crate::health::metric::KINDS.contains(&(id.name(), value.kind())),
+                "{} ({}) is not declared in health::metric",
+                id.name(),
+                value.kind()
+            );
+        }
     }
 }

@@ -10,9 +10,13 @@
 //!
 //! The format is deliberately dependency-free: explicit little-endian
 //! field writes behind a magic string, a format version, and a trailing
-//! checksum. Decoding is total — every malformed input maps to a
+//! checksum, on the workspace's one binary codec
+//! ([`dprbg_metrics::bin`], which also writes the embedded registry).
+//! Decoding is total — every malformed input maps to a
 //! [`SnapshotError`], never a panic — because restore-time input is
-//! exactly the kind of data a crashed process leaves half-written.
+//! exactly the kind of data a crashed process leaves half-written. Each
+//! count is checked against the remaining bytes before anything is sized
+//! by it, so restoring allocates in proportion to the input.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -39,15 +43,16 @@
 //! checksum   u64 (SplitMix-folded over everything above)
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
-
+use dprbg_core::{CoinWallet, SealedShare};
 use dprbg_field::Field;
-use dprbg_metrics::{CommStats, CostSnapshot, Registry};
+use dprbg_metrics::bin::{DecodeError, Reader, Writer};
+use dprbg_metrics::{CommStats, CostReport, CostSnapshot, PartyCost, Registry};
 use dprbg_rng::splitmix64;
 
-use crate::health::{EpochOutcomeTag, HealthRecord, RefillStatus};
-use crate::service::BeaconStats;
-use crate::supervisor::Mode;
+use crate::health::{self, EpochOutcomeTag, FlightRecorder, HealthRecord, RefillStatus};
+use crate::reservoir::{Reservoir, ReservoirConfig};
+use crate::service::{BeaconConfig, BeaconService, BeaconStats, FLIGHT_RECORDER_EPOCHS};
+use crate::supervisor::{Mode, Supervisor};
 
 /// Magic prefix of every beacon snapshot.
 const MAGIC: &[u8; 8] = b"DPRBGSNP";
@@ -105,78 +110,12 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The decoded (or to-be-encoded) cross-epoch state, field-agnostic
-/// except for the coin values themselves.
-#[derive(Debug)]
-pub(crate) struct SnapshotState<F: Field> {
-    pub n: u32,
-    pub field_bits: u32,
-    pub master_seed: u64,
-    pub epoch: u64,
-    /// Per party, per wallet position: the share value (`None` = absent).
-    pub wallets: Vec<Vec<Option<F>>>,
-    /// `(coins oldest-first, cursor, grants)`.
-    pub reservoir: (Vec<F>, u32, BTreeMap<u32, u64>),
-    /// `(mode, failures, max_exp, blamed)`.
-    pub supervisor: (Mode, u32, u32, BTreeSet<usize>),
-    pub stats: BeaconStats,
-    /// `(rounds, events, digest)`.
-    pub trace: (u64, u64, u64),
-    /// `(per-party cost snapshots, comm totals)`.
-    pub ledger: (Vec<CostSnapshot>, CommStats),
-    /// The health-plane metric registry, embedded as its canonical blob.
-    pub registry: Registry,
-    /// `(flight-recorder records oldest-first, lifetime total)`.
-    pub recorder: (Vec<HealthRecord>, u64),
-}
-
-/// Little-endian writer.
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Little-endian reader over a borrowed snapshot.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(len).ok_or(SnapshotError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => SnapshotError::Truncated,
+            DecodeError::Malformed(field) => SnapshotError::Malformed { field },
+        }
     }
 }
 
@@ -194,126 +133,289 @@ fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encode `state` into the versioned snapshot format.
-pub(crate) fn encode<F: Field>(state: &SnapshotState<F>) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
-    e.buf.extend_from_slice(MAGIC);
-    e.u16(SNAPSHOT_VERSION);
-    e.u32(state.field_bits);
-    e.u32(state.n);
-    e.u64(state.master_seed);
-    e.u64(state.epoch);
+/// Check magic, checksum and version; the reader continues after the
+/// version and stops before the checksum.
+fn open(bytes: &[u8]) -> Result<Reader<'_>, SnapshotError> {
+    if bytes.len() < MAGIC.len() + 8 {
+        return Err(if bytes.starts_with(&MAGIC[..bytes.len().min(8)]) {
+            SnapshotError::Truncated
+        } else {
+            SnapshotError::BadMagic
+        });
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let mut r = Reader::new(body);
+    if r.bytes(MAGIC.len())? != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    if checksum(body) != Reader::new(tail).u64()? {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    let version = r.u16()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion { got: version });
+    }
+    Ok(r)
+}
 
-    for wallet in &state.wallets {
-        e.u32(wallet.len() as u32);
-        for share in wallet {
-            match share {
-                Some(v) => {
-                    e.u8(1);
-                    e.u64(v.to_u64());
-                }
-                None => {
-                    e.u8(0);
-                    e.u64(0);
-                }
-            }
+impl<F: Field> BeaconService<F> {
+    /// Serialize the entire cross-epoch state into the versioned binary
+    /// snapshot format (layout: the `snapshot` module docs).
+    pub fn snapshot(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        w.u32(F::bits());
+        w.len(self.cfg.coin_gen.params.n);
+        w.u64(self.master_seed);
+        w.u64(self.epoch);
+        for wallet in &self.wallets {
+            put_wallet(&mut w, wallet);
         }
+        put_reservoir(&mut w, &self.reservoir);
+        put_supervisor(&mut w, &self.supervisor);
+        for v in stats_fields(&mut { self.stats }) {
+            w.u64(*v);
+        }
+        w.u64(self.trace_rounds);
+        w.u64(self.trace_events);
+        w.u64(self.trace_digest);
+        put_ledger(&mut w, &self.ledger);
+        let registry = self.registry.to_bytes();
+        w.len(registry.len());
+        w.bytes(&registry);
+        put_recorder(&mut w, &self.recorder);
+        let sum = checksum(w.as_bytes());
+        w.u64(sum);
+        w.into_bytes()
     }
 
-    let (coins, cursor, grants) = &state.reservoir;
-    e.u32(coins.len() as u32);
-    for c in coins {
-        e.u64(c.to_u64());
+    /// Rebuild a service from `cfg` and snapshot `bytes`, continuing
+    /// byte-identically to the service that took the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`]: corrupt/truncated/foreign bytes, or a
+    /// snapshot whose embedded parameters (`n`, field width) disagree
+    /// with `cfg`.
+    pub fn restore(cfg: BeaconConfig, bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = open(bytes)?;
+        let field_bits = r.u32()?;
+        // Each party owns at least a wallet length and a ledger entry.
+        let n = r.len(4 + 8 * 8)?;
+        if n == 0 {
+            return Err(SnapshotError::Malformed { field: "party count n" });
+        }
+        if n != cfg.coin_gen.params.n {
+            return Err(SnapshotError::ParamMismatch { field: "party count n" });
+        }
+        if field_bits != F::bits() {
+            return Err(SnapshotError::ParamMismatch { field: "field width k" });
+        }
+        // A struct expression evaluates its fields in the order written:
+        // these are in layout order.
+        let svc = BeaconService {
+            master_seed: r.u64()?,
+            epoch: r.u64()?,
+            wallets: (0..n).map(|_| get_wallet(&mut r)).collect::<Result<_, _>>()?,
+            reservoir: get_reservoir(&mut r, cfg.reservoir)?,
+            supervisor: get_supervisor(&mut r)?,
+            stats: {
+                let mut stats = BeaconStats::default();
+                for v in stats_fields(&mut stats) {
+                    *v = r.u64()?;
+                }
+                stats
+            },
+            trace_rounds: r.u64()?,
+            trace_events: r.u64()?,
+            trace_digest: r.u64()?,
+            ledger: get_ledger(&mut r, n)?,
+            registry: {
+                let len = r.len(1)?;
+                Registry::from_bytes(r.bytes(len)?)
+                    .ok()
+                    .filter(health::kinds_match)
+                    .ok_or(SnapshotError::Malformed { field: "health registry" })?
+            },
+            recorder: get_recorder(&mut r)?,
+            cfg,
+        };
+        r.finish()?;
+        Ok(svc)
     }
-    e.u32(*cursor);
-    e.u32(grants.len() as u32);
-    for (&consumer, &granted) in grants {
-        e.u32(consumer);
-        e.u64(granted);
-    }
+}
 
-    let (mode, failures, max_exp, blamed) = &state.supervisor;
+fn put_wallet<F: Field>(w: &mut Writer, wallet: &CoinWallet<F>) {
+    w.len(wallet.len());
+    for sigma in (0..wallet.len()).map(|i| wallet.peek_at(i).and_then(|s| s.sigma)) {
+        w.u8(u8::from(sigma.is_some()));
+        w.u64(sigma.map_or(0, |v| v.to_u64()));
+    }
+}
+
+fn get_wallet<F: Field>(r: &mut Reader<'_>) -> Result<CoinWallet<F>, SnapshotError> {
+    // Sized once by the checked count: collecting through `Result` would
+    // drop the size hint and regrow the buffer share by share.
+    let n = r.len(1 + 8)?;
+    let mut shares = Vec::with_capacity(n);
+    for _ in 0..n {
+        shares.push(match (r.u8()?, r.u64()?) {
+            (0, _) => SealedShare { sigma: None },
+            (1, raw) => SealedShare::of(F::from_u64(raw)),
+            _ => return Err(SnapshotError::Malformed { field: "share tag" }),
+        });
+    }
+    Ok(shares.into_iter().collect())
+}
+
+fn put_reservoir<F: Field>(w: &mut Writer, res: &Reservoir<F>) {
+    w.len(res.coins.len());
+    for c in &res.coins {
+        w.u64(c.to_u64());
+    }
+    w.u32(res.cursor);
+    w.len(res.grants.len());
+    for (&consumer, &granted) in &res.grants {
+        w.u32(consumer);
+        w.u64(granted);
+    }
+}
+
+fn get_reservoir<F: Field>(
+    r: &mut Reader<'_>,
+    cfg: ReservoirConfig,
+) -> Result<Reservoir<F>, DecodeError> {
+    let mut res = Reservoir::new(cfg);
+    for _ in 0..r.len(8)? {
+        res.coins.push_back(F::from_u64(r.u64()?));
+    }
+    res.cursor = r.u32()?;
+    for _ in 0..r.len(4 + 8)? {
+        res.grants.insert(r.u32()?, r.u64()?);
+    }
+    Ok(res)
+}
+
+fn put_mode(w: &mut Writer, mode: Mode) {
     match mode {
-        Mode::Active => e.u8(0),
+        Mode::Active => w.u8(0),
         Mode::Backoff { until_epoch } => {
-            e.u8(1);
-            e.u64(*until_epoch);
+            w.u8(1);
+            w.u64(until_epoch);
         }
-        Mode::ReadOnly => e.u8(2),
+        Mode::ReadOnly => w.u8(2),
     }
-    e.u32(*failures);
-    e.u32(*max_exp);
-    e.u32(blamed.len() as u32);
-    for &p in blamed {
-        e.u32(p as u32);
+}
+
+fn get_mode(r: &mut Reader<'_>, field: &'static str) -> Result<Mode, SnapshotError> {
+    match r.u8()? {
+        0 => Ok(Mode::Active),
+        1 => Ok(Mode::Backoff { until_epoch: r.u64()? }),
+        2 => Ok(Mode::ReadOnly),
+        _ => Err(SnapshotError::Malformed { field }),
     }
+}
 
-    let s = &state.stats;
-    for v in [
-        s.epochs,
-        s.protocol_epochs,
-        s.skipped_epochs,
-        s.coins_exposed,
-        s.coins_served,
-        s.would_block,
-        s.starved,
-        s.refills,
-        s.refill_failures,
-        s.seeds_spent,
-        s.rollbacks,
-        s.expose_failures,
-        s.rounds,
-    ] {
-        e.u64(v);
+fn put_supervisor(w: &mut Writer, s: &Supervisor) {
+    put_mode(w, s.mode);
+    w.u32(s.failures);
+    w.u32(s.max_exp());
+    w.len(s.blamed.len());
+    for &p in &s.blamed {
+        w.u32(p as u32);
     }
+}
 
-    e.u64(state.trace.0);
-    e.u64(state.trace.1);
-    e.u64(state.trace.2);
+fn get_supervisor(r: &mut Reader<'_>) -> Result<Supervisor, SnapshotError> {
+    let mode = get_mode(r, "supervisor mode tag")?;
+    let failures = r.u32()?;
+    // `new` clamps the exponent, so a crafted snapshot cannot smuggle in
+    // one that would overflow the cooldown shift.
+    let mut s = Supervisor::new(r.u32()?);
+    s.mode = mode;
+    s.failures = failures;
+    for _ in 0..r.len(4)? {
+        s.blamed.insert(r.u32()? as usize);
+    }
+    Ok(s)
+}
 
-    let (snaps, comm) = &state.ledger;
-    e.u32(snaps.len() as u32);
-    for c in snaps {
-        for v in [
-            c.field_adds,
-            c.field_muls,
-            c.field_invs,
-            c.interpolations,
-            c.prg_invocations,
-            c.messages,
-            c.bytes,
-            c.rounds,
-        ] {
-            e.u64(v);
+/// The stats counters, in layout order.
+fn stats_fields(s: &mut BeaconStats) -> [&mut u64; 13] {
+    [
+        &mut s.epochs,
+        &mut s.protocol_epochs,
+        &mut s.skipped_epochs,
+        &mut s.coins_exposed,
+        &mut s.coins_served,
+        &mut s.would_block,
+        &mut s.starved,
+        &mut s.refills,
+        &mut s.refill_failures,
+        &mut s.seeds_spent,
+        &mut s.rollbacks,
+        &mut s.expose_failures,
+        &mut s.rounds,
+    ]
+}
+
+/// A party's cost counters, in layout order.
+fn cost_fields(c: &mut CostSnapshot) -> [&mut u64; 8] {
+    [
+        &mut c.field_adds,
+        &mut c.field_muls,
+        &mut c.field_invs,
+        &mut c.interpolations,
+        &mut c.prg_invocations,
+        &mut c.messages,
+        &mut c.bytes,
+        &mut c.rounds,
+    ]
+}
+
+fn put_ledger(w: &mut Writer, ledger: &CostReport) {
+    w.len(ledger.per_party.len());
+    for party in &ledger.per_party {
+        for v in cost_fields(&mut { party.cost }) {
+            w.u64(*v);
         }
     }
-    e.u64(comm.messages);
-    e.u64(comm.bytes);
-    e.u64(comm.rounds);
+    w.u64(ledger.comm.messages);
+    w.u64(ledger.comm.bytes);
+    w.u64(ledger.comm.rounds);
+}
 
-    let blob = state.registry.to_bytes();
-    e.u32(blob.len() as u32);
-    e.buf.extend_from_slice(&blob);
+fn get_ledger(r: &mut Reader<'_>, n: usize) -> Result<CostReport, SnapshotError> {
+    if r.len(8 * 8)? != n {
+        // One ledger entry per party: merging a wrong-length ledger into
+        // the next epoch's report would panic.
+        return Err(SnapshotError::Malformed { field: "cost ledger" });
+    }
+    let mut per_party = Vec::new();
+    for party in 1..=n {
+        let mut cost = CostSnapshot::default();
+        for v in cost_fields(&mut cost) {
+            *v = r.u64()?;
+        }
+        per_party.push(PartyCost { party, cost });
+    }
+    let comm = CommStats { messages: r.u64()?, bytes: r.u64()?, rounds: r.u64()? };
+    Ok(CostReport { per_party, comm })
+}
 
-    let (records, total) = &state.recorder;
-    e.u32(records.len() as u32);
-    for rec in records {
-        e.u64(rec.epoch);
-        e.u8(match rec.outcome {
+fn put_recorder(w: &mut Writer, recorder: &FlightRecorder) {
+    w.len(recorder.len());
+    for rec in recorder.records() {
+        w.u64(rec.epoch);
+        w.u8(match rec.outcome {
             EpochOutcomeTag::Committed => 0,
             EpochOutcomeTag::Skipped => 1,
             EpochOutcomeTag::RolledBack => 2,
             EpochOutcomeTag::Degraded => 3,
         });
-        match rec.mode {
-            Mode::Active => e.u8(0),
-            Mode::Backoff { until_epoch } => {
-                e.u8(1);
-                e.u64(until_epoch);
-            }
-            Mode::ReadOnly => e.u8(2),
-        }
-        e.u64(rec.rounds);
+        put_mode(w, rec.mode);
+        w.u64(rec.rounds);
         for v in [
             rec.exposed,
             rec.served,
@@ -324,212 +426,54 @@ pub(crate) fn encode<F: Field>(state: &SnapshotState<F>) -> Vec<u8> {
             rec.failures,
             rec.backoff_exp,
         ] {
-            e.u32(v);
+            w.u32(v);
         }
-        e.u8(match rec.refill {
+        w.u8(match rec.refill {
             RefillStatus::NotScheduled => 0,
             RefillStatus::Ok => 1,
             RefillStatus::Failed => 2,
         });
-        e.u32(rec.refill_attempts);
+        w.u32(rec.refill_attempts);
     }
-    e.u64(*total);
-
-    let sum = checksum(&e.buf);
-    e.u64(sum);
-    e.buf
+    w.u64(recorder.total);
 }
 
-/// Decode a snapshot, checking magic, version, structure, and checksum.
-pub(crate) fn decode<F: Field>(bytes: &[u8]) -> Result<SnapshotState<F>, SnapshotError> {
-    // Checksum first: the final 8 bytes must fold from the rest.
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(if bytes.starts_with(&MAGIC[..bytes.len().min(8)]) {
-            SnapshotError::Truncated
-        } else {
-            SnapshotError::BadMagic
+fn get_recorder(r: &mut Reader<'_>) -> Result<FlightRecorder, SnapshotError> {
+    // Pushing through a live ring keeps exactly what a ring of this
+    // build's capacity would: a longer foreign ring loses its oldest.
+    let mut recorder = FlightRecorder::new(FLIGHT_RECORDER_EPOCHS);
+    // A record is at least 8 + 1 + 1 + 8 + 8 × 4 + 1 + 4 bytes.
+    for _ in 0..r.len(55)? {
+        recorder.push(HealthRecord {
+            epoch: r.u64()?,
+            outcome: match r.u8()? {
+                0 => EpochOutcomeTag::Committed,
+                1 => EpochOutcomeTag::Skipped,
+                2 => EpochOutcomeTag::RolledBack,
+                3 => EpochOutcomeTag::Degraded,
+                _ => return Err(SnapshotError::Malformed { field: "health outcome tag" }),
+            },
+            mode: get_mode(r, "health mode tag")?,
+            rounds: r.u64()?,
+            exposed: r.u32()?,
+            served: r.u32()?,
+            would_block: r.u32()?,
+            starved: r.u32()?,
+            wallet_level: r.u32()?,
+            reservoir_level: r.u32()?,
+            failures: r.u32()?,
+            backoff_exp: r.u32()?,
+            refill: match r.u8()? {
+                0 => RefillStatus::NotScheduled,
+                1 => RefillStatus::Ok,
+                2 => RefillStatus::Failed,
+                _ => return Err(SnapshotError::Malformed { field: "health refill tag" }),
+            },
+            refill_attempts: r.u32()?,
         });
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut d = Dec { buf: body, pos: 0 };
-    if d.take(8)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let stored = u64::from_le_bytes([
-        tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-    ]);
-    if checksum(body) != stored {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let version = d.u16()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { got: version });
-    }
-    let field_bits = d.u32()?;
-    let n = d.u32()?;
-    if n == 0 || n > 1 << 20 {
-        return Err(SnapshotError::Malformed { field: "party count n" });
-    }
-    let master_seed = d.u64()?;
-    let epoch = d.u64()?;
-
-    let mut wallets = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let len = d.u32()? as usize;
-        let mut wallet = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            let tag = d.u8()?;
-            let raw = d.u64()?;
-            wallet.push(match tag {
-                0 => None,
-                1 => Some(F::from_u64(raw)),
-                _ => return Err(SnapshotError::Malformed { field: "share tag" }),
-            });
-        }
-        wallets.push(wallet);
-    }
-
-    let coin_count = d.u32()? as usize;
-    let mut coins = Vec::with_capacity(coin_count.min(1 << 16));
-    for _ in 0..coin_count {
-        coins.push(F::from_u64(d.u64()?));
-    }
-    let cursor = d.u32()?;
-    let grant_count = d.u32()? as usize;
-    let mut grants = BTreeMap::new();
-    for _ in 0..grant_count {
-        let consumer = d.u32()?;
-        let granted = d.u64()?;
-        grants.insert(consumer, granted);
-    }
-
-    let mode = match d.u8()? {
-        0 => Mode::Active,
-        1 => Mode::Backoff { until_epoch: d.u64()? },
-        2 => Mode::ReadOnly,
-        _ => return Err(SnapshotError::Malformed { field: "supervisor mode tag" }),
-    };
-    let failures = d.u32()?;
-    let max_exp = d.u32()?;
-    let blamed_count = d.u32()? as usize;
-    let mut blamed = BTreeSet::new();
-    for _ in 0..blamed_count {
-        blamed.insert(d.u32()? as usize);
-    }
-
-    let stats = BeaconStats {
-        epochs: d.u64()?,
-        protocol_epochs: d.u64()?,
-        skipped_epochs: d.u64()?,
-        coins_exposed: d.u64()?,
-        coins_served: d.u64()?,
-        would_block: d.u64()?,
-        starved: d.u64()?,
-        refills: d.u64()?,
-        refill_failures: d.u64()?,
-        seeds_spent: d.u64()?,
-        rollbacks: d.u64()?,
-        expose_failures: d.u64()?,
-        rounds: d.u64()?,
-    };
-
-    let trace = (d.u64()?, d.u64()?, d.u64()?);
-
-    let snap_count = d.u32()? as usize;
-    if snap_count != n as usize {
-        // One ledger entry per party: merging a wrong-length ledger into
-        // the next epoch's report would panic.
-        return Err(SnapshotError::Malformed { field: "cost ledger" });
-    }
-    let mut snaps = Vec::with_capacity(snap_count.min(1 << 16));
-    for _ in 0..snap_count {
-        snaps.push(CostSnapshot {
-            field_adds: d.u64()?,
-            field_muls: d.u64()?,
-            field_invs: d.u64()?,
-            interpolations: d.u64()?,
-            prg_invocations: d.u64()?,
-            messages: d.u64()?,
-            bytes: d.u64()?,
-            rounds: d.u64()?,
-        });
-    }
-    let comm = CommStats { messages: d.u64()?, bytes: d.u64()?, rounds: d.u64()? };
-
-    let blob_len = d.u32()? as usize;
-    let registry = Registry::from_bytes(d.take(blob_len)?)
-        .map_err(|_| SnapshotError::Malformed { field: "health registry" })?;
-
-    let record_count = d.u32()? as usize;
-    let mut records = Vec::with_capacity(record_count.min(1 << 16));
-    for _ in 0..record_count {
-        let epoch = d.u64()?;
-        let outcome = match d.u8()? {
-            0 => EpochOutcomeTag::Committed,
-            1 => EpochOutcomeTag::Skipped,
-            2 => EpochOutcomeTag::RolledBack,
-            3 => EpochOutcomeTag::Degraded,
-            _ => return Err(SnapshotError::Malformed { field: "health outcome tag" }),
-        };
-        let mode = match d.u8()? {
-            0 => Mode::Active,
-            1 => Mode::Backoff { until_epoch: d.u64()? },
-            2 => Mode::ReadOnly,
-            _ => return Err(SnapshotError::Malformed { field: "health mode tag" }),
-        };
-        let rounds = d.u64()?;
-        let exposed = d.u32()?;
-        let served = d.u32()?;
-        let would_block = d.u32()?;
-        let starved = d.u32()?;
-        let wallet_level = d.u32()?;
-        let reservoir_level = d.u32()?;
-        let failures = d.u32()?;
-        let backoff_exp = d.u32()?;
-        let refill = match d.u8()? {
-            0 => RefillStatus::NotScheduled,
-            1 => RefillStatus::Ok,
-            2 => RefillStatus::Failed,
-            _ => return Err(SnapshotError::Malformed { field: "health refill tag" }),
-        };
-        let refill_attempts = d.u32()?;
-        records.push(HealthRecord {
-            epoch,
-            outcome,
-            mode,
-            rounds,
-            exposed,
-            served,
-            would_block,
-            starved,
-            wallet_level,
-            reservoir_level,
-            failures,
-            backoff_exp,
-            refill,
-            refill_attempts,
-        });
-    }
-    let recorder_total = d.u64()?;
-
-    if d.pos != body.len() {
-        return Err(SnapshotError::Malformed { field: "trailing bytes" });
-    }
-
-    Ok(SnapshotState {
-        n,
-        field_bits,
-        master_seed,
-        epoch,
-        wallets,
-        reservoir: (coins, cursor, grants),
-        supervisor: (mode, failures, max_exp, blamed),
-        stats,
-        trace,
-        ledger: (snaps, comm),
-        registry,
-        recorder: (records, recorder_total),
-    })
+    recorder.total = r.u64()?;
+    Ok(recorder)
 }
 
 #[cfg(test)]
@@ -539,176 +483,98 @@ mod tests {
 
     type F = Gf2k<32>;
 
-    fn sample() -> SnapshotState<F> {
-        SnapshotState {
-            n: 7,
-            field_bits: 32,
-            master_seed: 0xD12B6,
-            epoch: 42,
-            wallets: (0..7)
-                .map(|p| {
-                    (0..5)
-                        .map(|i| (i != 2).then(|| F::from_u64(p * 10 + i)))
-                        .collect()
-                })
-                .collect(),
-            reservoir: (
-                vec![F::from_u64(7), F::from_u64(8)],
-                3,
-                [(1u32, 9u64), (4, 2)].into_iter().collect(),
-            ),
-            supervisor: (
-                Mode::Backoff { until_epoch: 44 },
-                2,
-                4,
-                [3usize, 6].into_iter().collect(),
-            ),
-            stats: BeaconStats {
-                epochs: 42,
-                protocol_epochs: 30,
-                coins_served: 55,
-                seeds_spent: 61,
-                ..BeaconStats::default()
+    /// The committed v2 image: `tests/kill_restore.rs`'s service after
+    /// four epochs of its schedule.
+    const GOLDEN: &[u8] = include_bytes!("../tests/golden/snapshot_v2.bin");
+
+    fn config() -> BeaconConfig {
+        BeaconConfig {
+            coin_gen: dprbg_core::CoinGenConfig {
+                params: dprbg_core::Params::p2p_model(7, 1).unwrap(),
+                batch_size: 8,
             },
-            trace: (1234, 56789, 0xFEED_BEEF),
-            ledger: (
-                (0..7)
-                    .map(|i| CostSnapshot {
-                        field_adds: 100 + i,
-                        prg_invocations: 7 * i,
-                        ..CostSnapshot::default()
-                    })
-                    .collect(),
-                CommStats { messages: 900, bytes: 80_000, rounds: 333 },
-            ),
-            registry: {
-                let mut r = Registry::new();
-                r.counter_add("beacon_epochs_total", &[("outcome", "committed")], 30);
-                r.gauge_set(
-                    "beacon_reservoir_level",
-                    &[],
-                    dprbg_metrics::LogicalTime::at_epoch(41),
-                    2,
-                );
-                r.histogram_observe("beacon_epoch_rounds", &[], 6);
-                r.histogram_observe("beacon_epoch_rounds", &[], 9);
-                r
-            },
-            recorder: (
-                vec![
-                    HealthRecord {
-                        epoch: 40,
-                        outcome: EpochOutcomeTag::Committed,
-                        mode: Mode::Active,
-                        rounds: 6,
-                        exposed: 3,
-                        served: 2,
-                        would_block: 1,
-                        starved: 0,
-                        wallet_level: 9,
-                        reservoir_level: 2,
-                        failures: 0,
-                        backoff_exp: 0,
-                        refill: RefillStatus::Ok,
-                        refill_attempts: 1,
-                    },
-                    HealthRecord {
-                        epoch: 41,
-                        outcome: EpochOutcomeTag::Skipped,
-                        mode: Mode::Backoff { until_epoch: 44 },
-                        rounds: 0,
-                        exposed: 0,
-                        served: 0,
-                        would_block: 2,
-                        starved: 0,
-                        wallet_level: 9,
-                        reservoir_level: 2,
-                        failures: 2,
-                        backoff_exp: 1,
-                        refill: RefillStatus::NotScheduled,
-                        refill_attempts: 0,
-                    },
-                ],
-                42,
-            ),
+            reservoir: ReservoirConfig { capacity: 8, low_water: 2 },
+            wallet_low_water: 4,
+            retry: dprbg_core::RetryPolicy { max_attempts: 3, seed_budget: 8 },
+            max_backoff_exp: 3,
+            max_rounds_per_epoch: 4096,
         }
     }
 
-    fn assert_state_eq(a: &SnapshotState<F>, b: &SnapshotState<F>) {
-        assert_eq!(a.n, b.n);
-        assert_eq!(a.field_bits, b.field_bits);
-        assert_eq!(a.master_seed, b.master_seed);
-        assert_eq!(a.epoch, b.epoch);
-        assert_eq!(a.wallets, b.wallets);
-        assert_eq!(a.reservoir, b.reservoir);
-        assert_eq!(a.supervisor, b.supervisor);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(a.registry, b.registry);
-        assert_eq!(a.recorder, b.recorder);
+    fn golden() -> BeaconService<F> {
+        BeaconService::restore(config(), GOLDEN).unwrap()
+    }
+
+    /// Recompute the trailing checksum, so a mutation reaches the
+    /// structural decoder instead of stopping at `ChecksumMismatch`.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let mut w = Writer::new();
+        w.u64(checksum(&bytes[..body]));
+        bytes[body..].copy_from_slice(w.as_bytes());
     }
 
     #[test]
     fn round_trip_is_lossless_and_stable() {
-        let state = sample();
-        let bytes = encode(&state);
-        let back: SnapshotState<F> = decode(&bytes).unwrap();
-        assert_state_eq(&state, &back);
+        let svc = golden();
+        assert!(svc.wallet_level() > 0 && svc.reservoir.level() > 0 && svc.stats.epochs == 4);
+        assert!(!svc.registry.is_empty() && !svc.recorder.is_empty());
+        let bytes = svc.snapshot();
+        assert_eq!(bytes, GOLDEN);
         // Deterministic bytes: encoding the decoded state is identical.
-        assert_eq!(encode(&back), bytes);
+        let back = BeaconService::<F>::restore(config(), &bytes).unwrap();
+        assert_eq!(back.snapshot(), bytes);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = encode(&sample());
+        let mut bytes = GOLDEN.to_vec();
         bytes[0] ^= 0xFF;
-        assert_eq!(decode::<F>(&bytes).unwrap_err(), SnapshotError::BadMagic);
-        assert_eq!(decode::<F>(b"nonsense").unwrap_err(), SnapshotError::BadMagic);
+        let restore = |b: &[u8]| BeaconService::<F>::restore(config(), b).err();
+        assert_eq!(restore(&bytes), Some(SnapshotError::BadMagic));
+        assert_eq!(restore(b"nonsense"), Some(SnapshotError::BadMagic));
     }
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut bytes = encode(&sample());
+        let mut bytes = GOLDEN.to_vec();
         // Stamp version 0x7FEE, then re-seal the checksum so the version
         // check is what fires.
         bytes[8] = 0xEE;
         bytes[9] = 0x7F;
-        let body_len = bytes.len() - 8;
-        let sum = checksum(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
+        reseal(&mut bytes);
         assert_eq!(
-            decode::<F>(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { got: 0x7FEE }
+            BeaconService::<F>::restore(config(), &bytes).err(),
+            Some(SnapshotError::UnsupportedVersion { got: 0x7FEE })
         );
     }
 
     #[test]
     fn every_truncation_is_an_error_never_a_panic() {
-        let bytes = encode(&sample());
-        for len in 0..bytes.len() {
-            let err = decode::<F>(&bytes[..len]).unwrap_err();
+        for len in 0..GOLDEN.len() {
+            let err = BeaconService::<F>::restore(config(), &GOLDEN[..len]).err();
             assert!(
                 matches!(
                     err,
-                    SnapshotError::Truncated
-                        | SnapshotError::BadMagic
-                        | SnapshotError::ChecksumMismatch
+                    Some(
+                        SnapshotError::Truncated
+                            | SnapshotError::BadMagic
+                            | SnapshotError::ChecksumMismatch
+                    )
                 ),
-                "unexpected error at len {len}: {err:?}"
+                "unexpected result at len {len}: {err:?}"
             );
         }
     }
 
     #[test]
     fn bit_flips_fail_the_checksum() {
-        let bytes = encode(&sample());
-        // Flip one bit in every byte position past the magic.
-        for pos in (8..bytes.len() - 8).step_by(7) {
-            let mut bad = bytes.clone();
+        // Flip one bit in every seventh byte position past the magic.
+        for pos in (8..GOLDEN.len() - 8).step_by(7) {
+            let mut bad = GOLDEN.to_vec();
             bad[pos] ^= 0x10;
             assert!(
-                decode::<F>(&bad).is_err(),
+                BeaconService::<F>::restore(config(), &bad).is_err(),
                 "bit flip at {pos} decoded successfully"
             );
         }
@@ -718,31 +584,56 @@ mod tests {
     fn ledger_of_the_wrong_length_is_refused_at_restore() {
         // A checksum-valid snapshot with n − 1 ledger entries used to
         // restore and then panic in the next epoch's ledger merge.
-        let mut state = sample();
-        state.ledger.0.pop();
-        let bytes = encode(&state);
-        let cfg = crate::BeaconConfig {
-            coin_gen: dprbg_core::CoinGenConfig {
-                params: dprbg_core::Params::p2p_model(7, 1).unwrap(),
-                batch_size: 8,
-            },
-            reservoir: crate::ReservoirConfig { capacity: 8, low_water: 2 },
-            wallet_low_water: 0,
-            retry: dprbg_core::RetryPolicy { max_attempts: 3, seed_budget: 8 },
-            max_backoff_exp: 3,
-            max_rounds_per_epoch: 4096,
-        };
+        let mut svc = golden();
+        svc.ledger.per_party.pop();
         assert_eq!(
-            crate::BeaconService::<F>::restore(cfg, &bytes).err(),
+            BeaconService::<F>::restore(config(), &svc.snapshot()).err(),
             Some(SnapshotError::Malformed { field: "cost ledger" })
         );
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let state = sample();
-        let mut bytes = encode(&state);
+        let mut bytes = GOLDEN.to_vec();
         bytes.extend_from_slice(&[0u8; 4]);
-        assert!(decode::<F>(&bytes).is_err());
+        assert!(BeaconService::<F>::restore(config(), &bytes).is_err());
+        // Sealed over the garbage, it reaches the structural check.
+        reseal(&mut bytes);
+        assert_eq!(
+            BeaconService::<F>::restore(config(), &bytes).err(),
+            Some(SnapshotError::Malformed { field: "trailing bytes" })
+        );
+    }
+
+    #[test]
+    fn oversized_snapshot_truncates_to_a_live_ring() {
+        // A foreign build's longer ring restores as the newest
+        // FLIGHT_RECORDER_EPOCHS records, lifetime total intact.
+        let mut svc = golden();
+        let rec = *svc.recorder.records().next().unwrap();
+        svc.recorder = FlightRecorder::new(2 * FLIGHT_RECORDER_EPOCHS);
+        for epoch in 0..(FLIGHT_RECORDER_EPOCHS + 8) as u64 {
+            svc.recorder.push(HealthRecord { epoch, ..rec });
+        }
+        let back = BeaconService::<F>::restore(config(), &svc.snapshot()).unwrap();
+        assert_eq!(back.recorder.len(), FLIGHT_RECORDER_EPOCHS);
+        assert_eq!(back.recorder.records().next().unwrap().epoch, 8);
+        assert_eq!(back.recorder.total(), svc.recorder.total());
+    }
+
+    #[test]
+    fn crafted_backoff_exponent_is_clamped_at_restore() {
+        // The first byte two snapshots differing only in the exponent
+        // disagree on is where the exponent is stored.
+        let mut svc = golden();
+        svc.supervisor = Supervisor::new(62);
+        let other = svc.snapshot();
+        svc.supervisor = Supervisor::new(63);
+        let mut bytes = svc.snapshot();
+        let exp = bytes.iter().zip(&other).position(|(a, b)| a != b).unwrap();
+        bytes[exp..exp + 4].copy_from_slice(&[0xFF; 4]);
+        reseal(&mut bytes);
+        let back = BeaconService::<F>::restore(config(), &bytes).unwrap();
+        assert_eq!(back.supervisor.max_exp(), 63);
     }
 }

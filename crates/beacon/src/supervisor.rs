@@ -63,14 +63,14 @@ pub enum EpochDecision {
 /// backoff, and read-only degradation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Supervisor {
-    mode: Mode,
+    pub(crate) mode: Mode,
     /// Consecutive failed protocol epochs (reset on success).
-    failures: u32,
+    pub(crate) failures: u32,
     /// Cap on the backoff exponent: the longest backoff is
-    /// `2^max_exp` epochs.
+    /// `2^max_exp` epochs. Only [`Supervisor::new`] sets it.
     max_exp: u32,
     /// Parties named by `Aborted { blame }` errors, accumulated.
-    blamed: BTreeSet<usize>,
+    pub(crate) blamed: BTreeSet<usize>,
 }
 
 impl Supervisor {
@@ -95,6 +95,11 @@ impl Supervisor {
     /// Parties blamed by abort errors so far.
     pub fn blamed(&self) -> &BTreeSet<usize> {
         &self.blamed
+    }
+
+    /// The cap on the backoff exponent (at most 63).
+    pub(crate) fn max_exp(&self) -> u32 {
+        self.max_exp
     }
 
     /// The backoff exponent the current failure streak earns: the next
@@ -145,23 +150,6 @@ impl Supervisor {
         let cooldown = 1u64.checked_shl(exp).unwrap_or(u64::MAX);
         self.mode =
             Mode::Backoff { until_epoch: epoch.saturating_add(1).saturating_add(cooldown) };
-    }
-
-    /// Tear into snapshotable parts `(mode, failures, max_exp, blamed)`.
-    pub(crate) fn parts(&self) -> (Mode, u32, u32, &BTreeSet<usize>) {
-        (self.mode, self.failures, self.max_exp, &self.blamed)
-    }
-
-    /// Rebuild from snapshot parts. `max_exp` is clamped exactly as in
-    /// [`Supervisor::new`], so a crafted snapshot cannot smuggle in an
-    /// exponent that would overflow the cooldown shift.
-    pub(crate) fn from_parts(
-        mode: Mode,
-        failures: u32,
-        max_exp: u32,
-        blamed: BTreeSet<usize>,
-    ) -> Self {
-        Supervisor { mode, failures, max_exp: max_exp.min(63), blamed }
     }
 }
 
@@ -234,17 +222,5 @@ mod tests {
         }
         let Mode::Backoff { until_epoch } = s.mode() else { panic!("expected backoff") };
         assert!(until_epoch - 70 >= 1u64 << 63, "cooldown collapsed: {until_epoch}");
-        // The clamp survives a snapshot round-trip with a crafted exponent.
-        let (mode, failures, _, blamed) = s.parts();
-        let restored = Supervisor::from_parts(mode, failures, u32::MAX, blamed.clone());
-        assert_eq!(restored.parts().2, 63);
-    }
-
-    #[test]
-    fn parts_round_trip() {
-        let mut s = Supervisor::new(3);
-        s.on_failure(2, &ProtocolError::Aborted { blame: vec![1], reason: "x" }, 9);
-        let (mode, failures, max_exp, blamed) = s.parts();
-        assert_eq!(s, Supervisor::from_parts(mode, failures, max_exp, blamed.clone()));
     }
 }

@@ -45,11 +45,7 @@ pub fn to_json_lines(reg: &Registry) -> String {
     let mut out = String::new();
     for (id, value) in reg.iter() {
         out.push_str("{\"type\":\"");
-        match value {
-            MetricValue::Counter(_) => out.push_str("counter"),
-            MetricValue::Gauge { .. } => out.push_str("gauge"),
-            MetricValue::Histogram(_) => out.push_str("histogram"),
-        }
+        out.push_str(value.kind());
         out.push_str("\",\"name\":");
         json_string(&mut out, id.name());
         out.push_str(",\"labels\":{");
@@ -113,9 +109,6 @@ pub fn from_json_lines(s: &str) -> Result<Registry, ExportParseError> {
             let v = v.as_str().ok_or_else(|| err("label value not a string"))?;
             labels.push((k.clone(), v.to_string()));
         }
-        if labels.windows(2).any(|w| w[0] > w[1]) {
-            return Err(err("label order"));
-        }
         let value = match kind {
             "counter" => {
                 MetricValue::Counter(get_u64("value").ok_or_else(|| err("missing value"))?)
@@ -133,40 +126,22 @@ pub fn from_json_lines(s: &str) -> Result<Registry, ExportParseError> {
             "histogram" => {
                 let count = get_u64("count").ok_or_else(|| err("missing count"))?;
                 let sum = get_u64("sum").ok_or_else(|| err("missing sum"))?;
-                let buckets =
+                let pairs =
                     obj.get("buckets").and_then(Json::as_arr).ok_or_else(|| err("missing buckets"))?;
-                let mut h = Histogram::new();
-                let mut total = 0u64;
-                let mut last: Option<usize> = None;
-                for b in buckets {
-                    let pair = b.as_arr().ok_or_else(|| err("bucket not a pair"))?;
-                    if pair.len() != 2 {
-                        return Err(err("bucket not a pair"));
-                    }
-                    let idx = pair[0]
-                        .as_u64()
-                        .and_then(|i| usize::try_from(i).ok())
-                        .filter(|&i| i < crate::registry::HISTOGRAM_BUCKETS)
-                        .ok_or_else(|| err("bucket index"))?;
-                    if last.is_some_and(|l| l >= idx) {
-                        return Err(err("bucket order"));
-                    }
-                    last = Some(idx);
-                    let c = pair[1].as_u64().filter(|&c| c > 0).ok_or_else(|| err("bucket count"))?;
-                    h.buckets[idx] = c;
-                    total = total.checked_add(c).ok_or_else(|| err("bucket overflow"))?;
+                let mut buckets = Vec::new();
+                for b in pairs {
+                    let Some([i, c]) = b.as_arr() else { return Err(err("bucket not a pair")) };
+                    buckets.push((
+                        i.as_u64().ok_or_else(|| err("bucket index"))?,
+                        c.as_u64().ok_or_else(|| err("bucket count"))?,
+                    ));
                 }
-                if total != count {
-                    return Err(err("histogram count"));
-                }
-                h.count = count;
-                h.sum = sum;
+                let h = Histogram::from_buckets(count, sum, buckets).map_err(err)?;
                 MetricValue::Histogram(Box::new(h))
             }
             _ => return Err(err("unknown metric type")),
         };
-        reg.insert(MetricId { name: name.to_string(), labels }, value)
-            .map_err(|_| err("metric order"))?;
+        reg.insert(name.to_string(), labels, value).map_err(err)?;
     }
     Ok(reg)
 }
@@ -179,11 +154,7 @@ pub fn to_prometheus(reg: &Registry) -> String {
     let mut last_name: Option<&str> = None;
     for (id, value) in reg.iter() {
         if last_name != Some(id.name()) {
-            out.push_str(&format!("# TYPE {} {}\n", id.name(), match value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge { .. } => "gauge",
-                MetricValue::Histogram(_) => "histogram",
-            }));
+            out.push_str(&format!("# TYPE {} {}\n", id.name(), value.kind()));
             last_name = Some(id.name());
         }
         match value {

@@ -24,7 +24,8 @@
 //! histograms keyed on logical time only (see [`LogicalTime`]), with
 //! associative + commutative merge semantics and canonical byte/JSON/
 //! Prometheus/dashboard exports (see [`export`]; [`json`] is the
-//! workspace's one JSON reader and escaper). The beacon service
+//! workspace's one JSON reader and escaper, [`bin`] its one binary codec,
+//! shared by the registry blob and the beacon snapshot). The beacon service
 //! instruments itself through it; the `registry-determinism` bans in this
 //! crate's `clippy.toml` (LINTS.md) keep wall clocks and iteration
 //! nondeterminism out of it.
@@ -42,6 +43,7 @@
 //! assert_eq!(spent.field_muls, 3);
 //! ```
 
+pub mod bin;
 mod counters;
 pub mod export;
 pub mod json;

@@ -31,7 +31,8 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+
+use crate::bin::{DecodeError, Reader, Writer};
 
 /// A point in protocol-logical time: `(epoch, round, party)`, ordered
 /// lexicographically. Party `0` denotes service-wide (no single party).
@@ -66,8 +67,8 @@ impl LogicalTime {
 /// from the same labels in different orders compare (and serialize) equal.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricId {
-    pub(crate) name: String,
-    pub(crate) labels: Vec<(String, String)>,
+    name: String,
+    labels: Vec<(String, String)>,
 }
 
 impl MetricId {
@@ -102,9 +103,9 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// with the zero histogram as identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Histogram {
-    pub(crate) buckets: [u64; HISTOGRAM_BUCKETS],
-    pub(crate) count: u64,
-    pub(crate) sum: u64,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: u64,
 }
 
 impl Default for Histogram {
@@ -126,6 +127,38 @@ impl Histogram {
         } else {
             64 - value.leading_zeros() as usize
         }
+    }
+
+    /// The histogram of `count` observations summing to `sum` with these
+    /// `(index, occupancy)` buckets, checked as a decoded metric must be:
+    /// indices below [`HISTOGRAM_BUCKETS`] and strictly ascending, no empty
+    /// bucket, and occupancies adding up to `count`. Both decoders (the
+    /// byte blob and the JSON-lines export) build histograms only here.
+    pub(crate) fn from_buckets(
+        count: u64,
+        sum: u64,
+        buckets: impl IntoIterator<Item = (u64, u64)>,
+    ) -> Result<Histogram, &'static str> {
+        let mut h = Histogram { count, sum, ..Histogram::default() };
+        let (mut total, mut next) = (0u64, 0u64);
+        for (i, c) in buckets {
+            if i >= HISTOGRAM_BUCKETS as u64 {
+                return Err("bucket index");
+            }
+            if i < next {
+                return Err("bucket order");
+            }
+            if c == 0 {
+                return Err("empty bucket");
+            }
+            total = total.checked_add(c).ok_or("bucket overflow")?;
+            h.buckets[i as usize] = c;
+            next = i + 1;
+        }
+        if total != count {
+            return Err("histogram count");
+        }
+        Ok(h)
     }
 
     /// Record one observation.
@@ -188,7 +221,8 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    fn kind(&self) -> &'static str {
+    /// The kind's lowercase name: `counter`, `gauge` or `histogram`.
+    pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge { .. } => "gauge",
@@ -197,27 +231,9 @@ impl MetricValue {
     }
 }
 
-/// Why a serialized registry blob failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryDecodeError {
-    /// The blob ended before the declared content did.
-    Truncated,
-    /// A field held a value the format does not allow.
-    Malformed(&'static str),
-}
-
-impl fmt::Display for RegistryDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegistryDecodeError::Truncated => write!(f, "registry blob truncated"),
-            RegistryDecodeError::Malformed(what) => {
-                write!(f, "registry blob malformed: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegistryDecodeError {}
+/// Why a serialized registry blob failed to decode: the codec's
+/// [`DecodeError`].
+pub type RegistryDecodeError = DecodeError;
 
 /// A deterministic registry of named metrics.
 ///
@@ -226,7 +242,7 @@ impl std::error::Error for RegistryDecodeError {}
 /// registries and vice versa.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Registry {
-    pub(crate) metrics: BTreeMap<MetricId, MetricValue>,
+    metrics: BTreeMap<MetricId, MetricValue>,
 }
 
 impl Registry {
@@ -408,17 +424,21 @@ impl Registry {
         }
     }
 
+    /// Add one decoded metric. Both decoders go through here: labels must
+    /// arrive sorted, and metrics in strictly ascending id order, which
+    /// doubles as the duplicate check.
     pub(crate) fn insert(
         &mut self,
-        id: MetricId,
+        name: String,
+        labels: Vec<(String, String)>,
         value: MetricValue,
-    ) -> Result<(), RegistryDecodeError> {
-        // Canonical order doubles as a duplicate check: every insert must
-        // strictly follow the current maximum id.
-        if let Some((last, _)) = self.metrics.iter().next_back() {
-            if *last >= id {
-                return Err(RegistryDecodeError::Malformed("metric order"));
-            }
+    ) -> Result<(), &'static str> {
+        if labels.windows(2).any(|w| w[0] > w[1]) {
+            return Err("label order");
+        }
+        let id = MetricId { name, labels };
+        if self.metrics.keys().next_back().is_some_and(|last| *last >= id) {
+            return Err("metric order");
         }
         self.metrics.insert(id, value);
         Ok(())
@@ -429,165 +449,78 @@ impl Registry {
     /// Equal registries produce equal bytes and vice versa; the beacon
     /// snapshot embeds this blob verbatim.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u32(&mut out, self.metrics.len() as u32);
+        let mut w = Writer::new();
+        w.len(self.metrics.len());
         for (id, value) in &self.metrics {
-            put_str(&mut out, &id.name);
-            put_u32(&mut out, id.labels.len() as u32);
+            w.str(&id.name);
+            w.len(id.labels.len());
             for (k, v) in &id.labels {
-                put_str(&mut out, k);
-                put_str(&mut out, v);
+                w.str(k);
+                w.str(v);
             }
             match value {
                 MetricValue::Counter(v) => {
-                    out.push(0);
-                    put_u64(&mut out, *v);
+                    w.u8(0);
+                    w.u64(*v);
                 }
                 MetricValue::Gauge { at, value } => {
-                    out.push(1);
-                    put_u64(&mut out, at.epoch);
-                    put_u64(&mut out, at.round);
-                    put_u32(&mut out, at.party);
-                    put_u64(&mut out, *value);
+                    w.u8(1);
+                    w.u64(at.epoch);
+                    w.u64(at.round);
+                    w.u32(at.party);
+                    w.u64(*value);
                 }
                 MetricValue::Histogram(h) => {
-                    out.push(2);
-                    put_u64(&mut out, h.count);
-                    put_u64(&mut out, h.sum);
-                    let nonzero: Vec<(usize, u64)> = h.nonzero_buckets().collect();
-                    put_u32(&mut out, nonzero.len() as u32);
-                    for (i, c) in nonzero {
-                        out.push(i as u8);
-                        put_u64(&mut out, c);
+                    w.u8(2);
+                    w.u64(h.count);
+                    w.u64(h.sum);
+                    w.len(h.nonzero_buckets().count());
+                    for (i, c) in h.nonzero_buckets() {
+                        w.u8(i as u8);
+                        w.u64(c);
                     }
                 }
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decode a blob produced by [`Registry::to_bytes`]. Total: every
     /// malformed input is an error, never a panic, and trailing bytes are
     /// rejected.
     pub fn from_bytes(bytes: &[u8]) -> Result<Registry, RegistryDecodeError> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        let count = cur.u32()?;
+        let mut r = Reader::new(bytes);
         let mut reg = Registry::new();
-        for _ in 0..count {
-            let name = cur.string()?;
-            let n_labels = cur.u32()?;
+        // Each count is bounded by its items' smallest encodings: a metric
+        // with an empty name, no labels and a counter; a pair of empty
+        // label strings; a bucket index and occupancy.
+        for _ in 0..r.len(4 + 4 + 1 + 8)? {
+            let name = r.str()?.to_string();
             let mut labels = Vec::new();
-            for _ in 0..n_labels {
-                let k = cur.string()?;
-                let v = cur.string()?;
-                labels.push((k, v));
+            for _ in 0..r.len(4 + 4)? {
+                labels.push((r.str()?.to_string(), r.str()?.to_string()));
             }
-            if labels.windows(2).any(|w| w[0] > w[1]) {
-                return Err(RegistryDecodeError::Malformed("label order"));
-            }
-            let value = match cur.u8()? {
-                0 => MetricValue::Counter(cur.u64()?),
-                1 => {
-                    let epoch = cur.u64()?;
-                    let round = cur.u64()?;
-                    let party = cur.u32()?;
-                    let value = cur.u64()?;
-                    MetricValue::Gauge { at: LogicalTime { epoch, round, party }, value }
-                }
+            let value = match r.u8()? {
+                0 => MetricValue::Counter(r.u64()?),
+                1 => MetricValue::Gauge {
+                    at: LogicalTime { epoch: r.u64()?, round: r.u64()?, party: r.u32()? },
+                    value: r.u64()?,
+                },
                 2 => {
-                    let count = cur.u64()?;
-                    let sum = cur.u64()?;
-                    let nonzero = cur.u32()?;
-                    let mut h = Histogram::new();
-                    let mut total = 0u64;
-                    let mut last: Option<u8> = None;
-                    for _ in 0..nonzero {
-                        let i = cur.u8()?;
-                        if usize::from(i) >= HISTOGRAM_BUCKETS {
-                            return Err(RegistryDecodeError::Malformed("bucket index"));
-                        }
-                        if last.is_some_and(|l| l >= i) {
-                            return Err(RegistryDecodeError::Malformed("bucket order"));
-                        }
-                        last = Some(i);
-                        let c = cur.u64()?;
-                        if c == 0 {
-                            return Err(RegistryDecodeError::Malformed("empty bucket"));
-                        }
-                        h.buckets[usize::from(i)] = c;
-                        total = total
-                            .checked_add(c)
-                            .ok_or(RegistryDecodeError::Malformed("bucket overflow"))?;
-                    }
-                    if total != count {
-                        return Err(RegistryDecodeError::Malformed("histogram count"));
-                    }
-                    h.count = count;
-                    h.sum = sum;
+                    let (count, sum) = (r.u64()?, r.u64()?);
+                    let buckets = (0..r.len(1 + 8)?)
+                        .map(|_| Ok((u64::from(r.u8()?), r.u64()?)))
+                        .collect::<Result<Vec<_>, DecodeError>>()?;
+                    let h = Histogram::from_buckets(count, sum, buckets)
+                        .map_err(DecodeError::Malformed)?;
                     MetricValue::Histogram(Box::new(h))
                 }
-                _ => return Err(RegistryDecodeError::Malformed("metric kind")),
+                _ => return Err(DecodeError::Malformed("metric kind")),
             };
-            reg.insert(MetricId { name, labels }, value)?;
+            reg.insert(name, labels, value).map_err(DecodeError::Malformed)?;
         }
-        if cur.pos != bytes.len() {
-            return Err(RegistryDecodeError::Malformed("trailing bytes"));
-        }
+        r.finish()?;
         Ok(reg)
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], RegistryDecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(RegistryDecodeError::Truncated)?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, RegistryDecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, RegistryDecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, RegistryDecodeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn string(&mut self) -> Result<String, RegistryDecodeError> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| RegistryDecodeError::Malformed("utf-8 string"))
     }
 }
 

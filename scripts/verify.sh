@@ -125,6 +125,12 @@ echo "== benchmark package check (builds against the crates, digests + exact cou
 # runs of one seed — must fail here, not in the benchmark pipeline.
 # Build first so the budget times the check (1/20-size workloads run
 # twice per seed, plus the package's unit tests), not the compiler.
+# Building re-resolves the package's frozen `Cargo.lock` whenever a crate
+# gained a dependency since it was written; restore it on any exit, so a
+# verify run leaves `benchmark/` as committed.
+bench_lock="$(mktemp -t dprbg-bench-lock-XXXXXX)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock" "$trace_out"' EXIT
 bench_cargo=(--release --offline --quiet --manifest-path benchmark/Cargo.toml
     --target-dir "${CARGO_TARGET_DIR:-benchmark/target}")
 if ! { cargo build "${bench_cargo[@]}" && cargo test --no-run "${bench_cargo[@]}"; }; then
