@@ -821,7 +821,6 @@ impl<F: Field> BeaconService<F> {
                 cost.field_adds ^ cost.field_muls.rotate_left(16),
                 cost.prg_invocations ^ cost.messages.rotate_left(16) ^ cost.bytes.rotate_left(32),
             ),
-            EventKind::Mark { label } => (4, Self::str_hash(label), 0),
         };
         h = splitmix64(h ^ tag);
         h = splitmix64(h ^ a);

@@ -39,7 +39,7 @@
 //!            backoff), rounds u64, 8 × u32 (exposed, served,
 //!            would_block, starved, wallet_level, reservoir_level,
 //!            failures, backoff_exp), refill tag u8, attempts u32;
-//!            then lifetime total u64
+//!            then lifetime total u64 (≥ record count)
 //! checksum   u64 (SplitMix-folded over everything above)
 //! ```
 
@@ -443,7 +443,8 @@ fn get_recorder(r: &mut Reader<'_>) -> Result<FlightRecorder, SnapshotError> {
     // build's capacity would: a longer foreign ring loses its oldest.
     let mut recorder = FlightRecorder::new(FLIGHT_RECORDER_EPOCHS);
     // A record is at least 8 + 1 + 1 + 8 + 8 × 4 + 1 + 4 bytes.
-    for _ in 0..r.len(55)? {
+    let held = r.len(55)?;
+    for _ in 0..held {
         recorder.push(HealthRecord {
             epoch: r.u64()?,
             outcome: match r.u8()? {
@@ -473,6 +474,11 @@ fn get_recorder(r: &mut Reader<'_>) -> Result<FlightRecorder, SnapshotError> {
         });
     }
     recorder.total = r.u64()?;
+    // Every record held was pushed once: a lifetime total below the
+    // count would render as "last 5 of 0 epochs".
+    if recorder.total < held as u64 {
+        return Err(SnapshotError::Malformed { field: "flight recorder total" });
+    }
     Ok(recorder)
 }
 
@@ -619,6 +625,21 @@ mod tests {
         assert_eq!(back.recorder.len(), FLIGHT_RECORDER_EPOCHS);
         assert_eq!(back.recorder.records().next().unwrap().epoch, 8);
         assert_eq!(back.recorder.total(), svc.recorder.total());
+    }
+
+    #[test]
+    fn recorder_total_below_its_records_is_refused_at_restore() {
+        // A checksum-valid image whose lifetime total undercounts the
+        // records it holds used to restore and dump "last n of 0 epochs".
+        let mut svc = golden();
+        svc.recorder.total = svc.recorder.len() as u64 - 1;
+        assert_eq!(
+            BeaconService::<F>::restore(config(), &svc.snapshot()).err(),
+            Some(SnapshotError::Malformed { field: "flight recorder total" })
+        );
+        // A total equal to the count is a service that never evicted.
+        svc.recorder.total += 1;
+        assert!(BeaconService::<F>::restore(config(), &svc.snapshot()).is_ok());
     }
 
     #[test]

@@ -11,16 +11,16 @@
 //! below is a usage error (exit status 2), not an empty report.
 //!
 //! `--trace <path>` runs the fixed-seed traced E2 smoke, prints its
-//! per-(round, phase) cost breakdown and text timeline, writes the
-//! Chrome trace-event JSON to `<path>` (load it in Perfetto or
-//! `chrome://tracing`), and reports the E11 tracing-overhead timing.
-//! Combine with `--quick` for the small sweep.
+//! per-(round, phase) cost breakdown, writes the Chrome trace-event JSON
+//! to `<path>` (load it in Perfetto or `chrome://tracing`), and reports
+//! the E11 tracing-overhead timing. Combine with `--quick` for the small
+//! sweep.
 //!
 //! `--health` runs the health-plane smoke: a fixed-seed E15 short soak
-//! rendered through the `dprbg-metrics` exporters (dashboard, JSON
-//! lines, Prometheus), with cross-executor parity, kill/restore
-//! byte-identity, and forced-rollback forensics asserted inline.
-//! Combine with `--quick` for the short soak.
+//! rendered as the registry's dashboard, with the registry bytes' decode
+//! round trip, cross-executor parity, kill/restore byte-identity, and
+//! forced-rollback forensics asserted inline. Combine with `--quick` for
+//! the short soak.
 
 use std::time::Instant;
 

@@ -283,7 +283,7 @@ pub fn run_episode(
 /// [`Outcome::Unsound`] or [`Outcome::GracefulAbort`] episode comes
 /// back with the last `ring_cap` span events per party (phase names and
 /// per-round cost deltas leading up to the failure), ready for the
-/// timeline or Chrome exporters. An [`Outcome::Agreed`] episode needs
+/// Chrome exporter. An [`Outcome::Agreed`] episode needs
 /// no forensics and returns `None`.
 pub fn run_episode_traced(
     protocol: Protocol,

@@ -41,7 +41,7 @@ use dprbg_protocols::{GcMsg, GradeOutput, GradecastMachine};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::{RngExt, SeedableRng};
 use dprbg_sim::{BoxedMachine, ParRunner, StepRunner, TraceConfig};
-use dprbg_trace::{to_chrome_json, validate_chrome_json};
+use dprbg_trace::{chrome_events, to_chrome_json, validate_chrome_events};
 
 use super::common::{fmt_f, ExperimentCtx};
 
@@ -100,7 +100,7 @@ struct ExecutorLeg {
     threads: usize,
     transcripts_identical: bool,
     traces_identical: bool,
-    chrome_round_trip_ok: bool,
+    chrome_export_ok: bool,
 }
 
 /// Timed S-P pairs per executor leg (after the parity pass warmed both).
@@ -119,10 +119,8 @@ fn executor_leg(n: usize, t: usize, m: usize, seed: u64) -> ExecutorLeg {
     let step_trace = stepped.trace.clone().expect("traced step run records a trace");
     let par_trace = parallel.trace.clone().expect("traced parallel run records a trace");
     let traces_identical = step_trace == par_trace;
-    let step_json = to_chrome_json(&step_trace);
-    let par_json = to_chrome_json(&par_trace);
-    let chrome_round_trip_ok =
-        step_json == par_json && validate_chrome_json(&par_json).is_ok();
+    let chrome_export_ok = to_chrome_json(&step_trace) == to_chrome_json(&par_trace)
+        && validate_chrome_events(&chrome_events(&par_trace)).is_ok();
     let transcripts_identical = digest(stepped) == digest(parallel);
 
     // Warm, untraced, interleaved S-P-S-P (fleets dealt outside the
@@ -139,7 +137,7 @@ fn executor_leg(n: usize, t: usize, m: usize, seed: u64) -> ExecutorLeg {
         par_ms += start.elapsed().as_secs_f64() * 1e3 / EXECUTOR_PAIRS as f64;
     }
 
-    ExecutorLeg { step_ms, par_ms, threads, transcripts_identical, traces_identical, chrome_round_trip_ok }
+    ExecutorLeg { step_ms, par_ms, threads, transcripts_identical, traces_identical, chrome_export_ok }
 }
 
 /// Wall-clock of the decode leg, in ms.
@@ -298,7 +296,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
         &[
             "-".into(),
             "-".into(),
-            if leg.chrome_round_trip_ok { "par trace round-trip OK" } else { "TRACE EXPORT BROKEN" }
+            if leg.chrome_export_ok { "par chrome export parity OK" } else { "TRACE EXPORT BROKEN" }
                 .into(),
         ],
     );
@@ -348,7 +346,7 @@ mod tests {
         let leg = executor_leg(31, 5, 2, 7);
         assert!(leg.transcripts_identical, "ParRunner transcript diverged from StepRunner");
         assert!(leg.traces_identical, "ParRunner trace diverged from StepRunner");
-        assert!(leg.chrome_round_trip_ok, "chrome export diverged or failed validation");
+        assert!(leg.chrome_export_ok, "chrome export diverged or its spans do not balance");
         assert!(leg.threads >= 1);
     }
 
@@ -364,7 +362,7 @@ mod tests {
     fn e13_renders() {
         let s = run(&ExperimentCtx::new(true)).render();
         assert!(s.contains("executor parity OK"), "{s}");
-        assert!(s.contains("par trace round-trip OK"), "{s}");
+        assert!(s.contains("par chrome export parity OK"), "{s}");
         assert!(s.contains("backends agree"), "{s}");
         assert!(s.contains("decode parity OK"), "{s}");
         assert!(s.contains("gradecast handle parity OK"), "{s}");

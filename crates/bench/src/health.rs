@@ -1,12 +1,12 @@
 //! `report --health`: the health-plane smoke.
 //!
 //! Drives a fixed-seed, E15-style short soak (n = 7, t = 1, M = 8 under
-//! a composite crash/stampede/adversary schedule) and renders the
-//! beacon's health plane through every exporter: the text dashboard, the
-//! Prometheus-style exposition, and the JSON-lines form (round-tripped
-//! through the parser and re-rendered to prove the format lossless).
-//! Then it re-proves the plane's two determinism claims at smoke scale —
-//! byte-identical exports across `StepRunner` and `ParRunner` at 1, 2
+//! a composite crash/stampede/adversary schedule), renders the beacon's
+//! registry as its text dashboard, and decodes the registry's canonical
+//! bytes back ([`Registry::from_bytes`](dprbg_metrics::Registry::from_bytes),
+//! the path a restore takes) to prove the blob lossless. Then it
+//! re-proves the plane's two determinism claims at smoke scale —
+//! byte-identical registries across `StepRunner` and `ParRunner` at 1, 2
 //! and 8 threads, and a kill/restore replay whose registry and flight
 //! recorder match the uninterrupted run byte for byte — and finally
 //! runs the beacon's rollback fire-drill
@@ -20,7 +20,7 @@
 
 use dprbg_beacon::{BeaconConfig, BeaconService, ExecutorKind, ReservoirConfig};
 use dprbg_core::{CoinGenConfig, Params, RetryPolicy};
-use dprbg_metrics::export::{dashboard, from_json_lines, to_json_lines, to_prometheus};
+use dprbg_metrics::Registry;
 use dprbg_sim::{EpochFault, SoakPlan};
 
 use crate::experiments::common::F32;
@@ -117,8 +117,8 @@ pub fn forced_rollback_forensics() -> String {
 ///
 /// # Panics
 ///
-/// If any determinism check fails: export round-trip, cross-executor
-/// parity, or kill/restore byte-identity.
+/// If any determinism check fails: registry byte round-trip,
+/// cross-executor parity, or kill/restore byte-identity.
 pub fn run_health_report(quick: bool) {
     let epochs: u64 = if quick { 24 } else { 96 };
     let plan = SoakPlan::composite(MASTER_SEED, epochs, 5);
@@ -128,32 +128,26 @@ pub fn run_health_report(quick: bool) {
          faults: {crashes} crashes / {stampedes} stampedes / {adversarial} adversary epochs\n"
     );
 
-    // -- the soak, plus every exporter over its registry ----------------
+    // -- the soak, its dashboard, and its registry bytes decoded back ----
     let svc = soak(ExecutorKind::Step, epochs, &plan, None);
-    println!("{}", dashboard(svc.health(), "beacon health (soak, StepRunner)").render());
+    println!("{}", svc.health().dashboard("beacon health (soak, StepRunner)").render());
 
-    let json = to_json_lines(svc.health());
-    let parsed = from_json_lines(&json).expect("own JSON lines must parse");
-    assert_eq!(to_json_lines(&parsed), json, "JSON round-trip must be lossless");
-    assert_eq!(&parsed, svc.health(), "parsed registry must equal the original");
-    println!("health export round-trip OK ({} JSON lines)\n", json.lines().count());
-
-    let prom = to_prometheus(svc.health());
-    let type_lines: Vec<&str> =
-        prom.lines().filter(|l| l.starts_with("# TYPE")).collect();
-    println!("prometheus exposition: {} lines, families:", prom.lines().count());
-    for l in &type_lines {
-        println!("  {l}");
-    }
-    println!();
+    let bytes = svc.health().to_bytes();
+    let decoded = Registry::from_bytes(&bytes).expect("own registry bytes must decode");
+    assert_eq!(&decoded, svc.health(), "decoded registry must equal the original");
+    println!(
+        "health export round-trip OK (Registry::from_bytes: {} metrics, {} bytes)\n",
+        decoded.len(),
+        bytes.len()
+    );
 
     // -- cross-executor parity ------------------------------------------
     for threads in [1usize, 2, 8] {
         let par = soak(ExecutorKind::ParThreads(threads), epochs, &plan, None);
         assert_eq!(
-            to_json_lines(par.health()),
-            json,
-            "ParRunner({threads} threads) health export diverged from StepRunner"
+            par.health().to_bytes(),
+            bytes,
+            "ParRunner({threads} threads) registry bytes diverged from StepRunner"
         );
     }
     println!("health export executor parity OK (StepRunner vs ParRunner x 1/2/8 threads)\n");
@@ -161,8 +155,8 @@ pub fn run_health_report(quick: bool) {
     // -- kill/restore byte-identity -------------------------------------
     let twin = soak(ExecutorKind::Step, epochs, &plan, Some(epochs / 2));
     assert_eq!(
-        to_json_lines(twin.health()),
-        json,
+        twin.health().to_bytes(),
+        bytes,
         "kill/restore replay's registry diverged from the uninterrupted soak"
     );
     assert_eq!(
@@ -201,6 +195,6 @@ mod tests {
         let plan = SoakPlan::composite(MASTER_SEED, 12, 5);
         let step = soak(ExecutorKind::Step, 12, &plan, None);
         let par = soak(ExecutorKind::ParThreads(2), 12, &plan, None);
-        assert_eq!(to_json_lines(step.health()), to_json_lines(par.health()));
+        assert_eq!(step.health().to_bytes(), par.health().to_bytes());
     }
 }

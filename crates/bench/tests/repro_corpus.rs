@@ -11,7 +11,9 @@
 //!
 //! Every entry also exercises the forensic path: the traced replay must
 //! come back with a ring-bounded span dump (the debugging artifact a
-//! real incident would start from).
+//! real incident would start from) whose Chrome events pass the
+//! structural validator — each party's ring cut starts on a span open
+//! and balances.
 //!
 //! Catalog (all at the `n = 7, t = 1, M = 4` working point):
 //!
@@ -33,14 +35,15 @@ use dprbg_bench::chaos::{
 };
 use dprbg_core::{CoinGenConfig, Params, RetryPolicy, VssMode};
 use dprbg_sim::{Attack, Trace};
+use dprbg_trace::{chrome_events, validate_chrome_events};
 use std::collections::BTreeSet;
 
 /// Ring capacity for the forensic replays (events per party).
 const RING: usize = 16;
 
 /// Assert the invariants every corpus entry shares: the pinned verdict
-/// and corrupted set, a non-empty ring-bounded forensic dump, and
-/// executor-interchangeable replay.
+/// and corrupted set, and a non-empty ring-bounded forensic dump ready
+/// for the Chrome exporter.
 fn check_entry(
     ep: &Episode,
     forensics: &Option<Trace>,
@@ -56,6 +59,12 @@ fn check_entry(
     for id in 1..=ep.schedule.n {
         let per_party = trace.events.iter().filter(|e| e.party == id).count();
         assert!(per_party <= RING, "ring cap exceeded: {per_party} events for party {id}");
+    }
+    let events = chrome_events(trace);
+    validate_chrome_events(&events).expect("forensic trace exports balanced spans");
+    for id in 1..=ep.schedule.n as u64 {
+        let first = events.iter().find(|e| e.tid == id);
+        assert!(first.is_none_or(|e| e.ph == 'B'), "party {id}'s ring cut does not start on a Begin");
     }
 }
 

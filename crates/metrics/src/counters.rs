@@ -56,15 +56,6 @@ pub mod ops {
     pub fn count_prg(n: u64) {
         PRG_INVOCATIONS.with(|c| c.set(c.get() + n));
     }
-
-    /// Reset every computation counter of the current thread to zero.
-    pub fn reset() {
-        FIELD_ADDS.with(|c| c.set(0));
-        FIELD_MULS.with(|c| c.set(0));
-        FIELD_INVS.with(|c| c.set(0));
-        INTERPOLATIONS.with(|c| c.set(0));
-        PRG_INVOCATIONS.with(|c| c.set(0));
-    }
 }
 
 /// Communication-side counters (messages, bytes, rounds).
@@ -82,13 +73,6 @@ pub mod comm {
     #[inline]
     pub fn count_rounds(n: u64) {
         ROUNDS.with(|c| c.set(c.get() + n));
-    }
-
-    /// Reset every communication counter of the current thread to zero.
-    pub fn reset() {
-        MSGS_SENT.with(|c| c.set(0));
-        BYTES_SENT.with(|c| c.set(0));
-        ROUNDS.with(|c| c.set(0));
     }
 }
 
@@ -136,7 +120,8 @@ impl CostSnapshot {
 
     /// The counter deltas accumulated since `earlier` was captured.
     ///
-    /// Saturates at zero if counters were reset in between.
+    /// Saturates at zero where `earlier` is ahead (e.g. it was captured on
+    /// another thread).
     pub fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
         CostSnapshot {
             field_adds: self.field_adds.saturating_sub(earlier.field_adds),
@@ -286,13 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn since_saturates_after_reset() {
+    fn since_saturates_when_earlier_is_ahead() {
         ops::count_add(10);
-        let high = CostSnapshot::capture();
-        ops::reset();
-        comm::reset();
-        let low = CostSnapshot::capture();
-        let d = low.since(&high);
-        assert_eq!(d.field_adds, 0);
+        let ahead = CostSnapshot::capture();
+        assert_eq!(CostSnapshot::default().since(&ahead), CostSnapshot::default());
     }
 }

@@ -19,16 +19,15 @@
 //! of the two deltas; the per-party [`CostSnapshot`]s aggregate into a
 //! [`CostReport`].
 //!
-//! Since PR 10 the crate is also the workspace's *health plane*: a
-//! deterministic [`Registry`] of named counters, gauges, and log2-bucketed
-//! histograms keyed on logical time only (see [`LogicalTime`]), with
-//! associative + commutative merge semantics and canonical byte/JSON/
-//! Prometheus/dashboard exports (see [`export`]; [`json`] is the
-//! workspace's one JSON reader and escaper, [`bin`] its one binary codec,
-//! shared by the registry blob and the beacon snapshot). The beacon service
-//! instruments itself through it; the `registry-determinism` bans in this
-//! crate's `clippy.toml` (LINTS.md) keep wall clocks and iteration
-//! nondeterminism out of it.
+//! The crate is also the workspace's *health plane*: a deterministic
+//! [`Registry`] of named counters, gauges, and log2-bucketed histograms
+//! keyed on logical time only (see [`LogicalTime`]). It has one machine
+//! form, the canonical byte blob ([`Registry::to_bytes`], written with
+//! [`bin`], the workspace's one binary codec, which the beacon snapshot
+//! shares and embeds the blob in), and one human form,
+//! [`Registry::dashboard`]. The beacon service instruments itself through
+//! it; the `registry-determinism` bans in this crate's `clippy.toml`
+//! (LINTS.md) keep wall clocks and iteration nondeterminism out of it.
 //!
 //! # Examples
 //!
@@ -45,16 +44,11 @@
 
 pub mod bin;
 mod counters;
-pub mod export;
-pub mod json;
 mod registry;
 mod report;
 mod wire;
 
 pub use counters::{comm, ops, CostSnapshot, OpsGuard};
-pub use registry::{
-    Histogram, LogicalTime, MetricId, MetricValue, Registry, RegistryDecodeError,
-    HISTOGRAM_BUCKETS,
-};
-pub use report::{CommStats, CostReport, PartyCost, Table, TableRow};
+pub use registry::{Histogram, LogicalTime, MetricId, MetricValue, Registry, HISTOGRAM_BUCKETS};
+pub use report::{CommStats, CostReport, PartyCost, Table};
 pub use wire::WireSize;

@@ -6,16 +6,11 @@
 //! under `StepRunner` and one built under `ParRunner` at any thread count
 //! are byte-identical. Three metric kinds cover the beacon's health story:
 //!
-//! * **counters** — monotone `u64` sums (merge = addition);
-//! * **gauges** — last-writer-wins by [`LogicalTime`]; the merge is a
-//!   semilattice join (max by `(time, value)`), so it is associative,
-//!   commutative, and idempotent regardless of shard arrival order;
-//! * **histograms** — log2-bucketed `u64` distributions (merge =
-//!   componentwise addition).
-//!
-//! All three merges are associative and commutative, so sharded executors
-//! may combine partial registries in any grouping and arrive at the same
-//! state — the property tests in the workspace root assert exactly this.
+//! * **counters** — monotone `u64` sums;
+//! * **gauges** — last-writer-wins by [`LogicalTime`]: a write lands only
+//!   if its `(time, value)` exceeds the stored pair, so a replay of the
+//!   same writes in any order ends in the same state;
+//! * **histograms** — log2-bucketed `u64` distributions.
 //!
 //! # Examples
 //!
@@ -33,6 +28,7 @@
 use std::collections::BTreeMap;
 
 use crate::bin::{DecodeError, Reader, Writer};
+use crate::report::Table;
 
 /// A point in protocol-logical time: `(epoch, round, party)`, ordered
 /// lexicographically. Party `0` denotes service-wide (no single party).
@@ -98,9 +94,6 @@ impl MetricId {
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log2-bucketed `u64` histogram with exact count and sum.
-///
-/// Merging is componentwise addition, hence associative and commutative
-/// with the zero histogram as identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -115,7 +108,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// The empty histogram (merge identity).
+    /// The empty histogram.
     pub fn new() -> Self {
         Histogram::default()
     }
@@ -132,9 +125,8 @@ impl Histogram {
     /// The histogram of `count` observations summing to `sum` with these
     /// `(index, occupancy)` buckets, checked as a decoded metric must be:
     /// indices below [`HISTOGRAM_BUCKETS`] and strictly ascending, no empty
-    /// bucket, and occupancies adding up to `count`. Both decoders (the
-    /// byte blob and the JSON-lines export) build histograms only here.
-    pub(crate) fn from_buckets(
+    /// bucket, and occupancies adding up to `count`.
+    fn from_buckets(
         count: u64,
         sum: u64,
         buckets: impl IntoIterator<Item = (u64, u64)>,
@@ -178,11 +170,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Occupancy of bucket `i` (panics if `i >= HISTOGRAM_BUCKETS`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
     /// The non-empty buckets as `(index, count)` pairs, ascending.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
@@ -191,30 +178,21 @@ impl Histogram {
             .filter(|(_, &c)| c != 0)
             .map(|(i, &c)| (i, c))
     }
-
-    /// Componentwise addition (associative, commutative, zero-identity).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
 }
 
 /// A metric's current state: one of the three supported kinds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MetricValue {
-    /// Monotone sum; merge is addition.
+    /// Monotone sum.
     Counter(u64),
-    /// Last-writer-wins by logical time; merge is max by `(at, value)`.
+    /// Last-writer-wins by logical time: the max `(at, value)` written.
     Gauge {
         /// Logical time of the winning write.
         at: LogicalTime,
         /// The value written at `at`.
         value: u64,
     },
-    /// Log2-bucketed distribution; merge is componentwise addition.
+    /// Log2-bucketed distribution.
     /// Boxed: a histogram is ~40× the size of the other variants, and
     /// most registry entries are counters or gauges.
     Histogram(Box<Histogram>),
@@ -231,10 +209,6 @@ impl MetricValue {
     }
 }
 
-/// Why a serialized registry blob failed to decode: the codec's
-/// [`DecodeError`].
-pub type RegistryDecodeError = DecodeError;
-
 /// A deterministic registry of named metrics.
 ///
 /// Metrics live in a `BTreeMap` keyed by [`MetricId`], so iteration and
@@ -246,7 +220,7 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// The empty registry (merge identity).
+    /// The empty registry.
     pub fn new() -> Self {
         Registry::default()
     }
@@ -288,9 +262,8 @@ impl Registry {
 
     /// Write a gauge observation at logical time `at`.
     ///
-    /// The stored value is the semilattice join: a write only lands if its
-    /// `(at, value)` pair exceeds the current one, which makes replays and
-    /// shard merges order-independent.
+    /// A write only lands if its `(at, value)` pair exceeds the current
+    /// one, which makes replays order-independent.
     ///
     /// # Panics
     ///
@@ -383,51 +356,36 @@ impl Registry {
         }
     }
 
-    /// Merge another registry into this one, kind by kind.
-    ///
-    /// Each kind's merge is associative and commutative (counters and
-    /// histograms add, gauges join by `(at, value)`), so sharded partial
-    /// registries combine to the same state in any grouping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same metric id carries different kinds — that is a
-    /// programming error, in the spirit of [`crate::CostReport::merge`].
-    pub fn merge(&mut self, other: &Registry) {
-        for (id, theirs) in &other.metrics {
-            match self.metrics.entry(id.clone()) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(theirs.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    match (slot.get_mut(), theirs) {
-                        (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += *b,
-                        (
-                            MetricValue::Gauge { at: a_at, value: a },
-                            MetricValue::Gauge { at: b_at, value: b },
-                        ) => {
-                            if (*b_at, *b) > (*a_at, *a) {
-                                *a_at = *b_at;
-                                *a = *b;
-                            }
-                        }
-                        (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                        (mine, theirs) => panic!(
-                            "cannot merge metric `{}`: {} vs {}",
-                            id.name(),
-                            mine.kind(),
-                            theirs.kind()
-                        ),
-                    }
-                }
+    /// Render the registry as a human dashboard [`Table`], one row per
+    /// metric in canonical id order: its kind, headline value, and (for
+    /// gauges) the logical time of the last write.
+    pub fn dashboard(&self, title: &str) -> Table {
+        let mut t = Table::new(title, &["kind", "value", "logical time"]);
+        for (id, value) in &self.metrics {
+            let mut label = id.name.clone();
+            if !id.labels.is_empty() {
+                let pairs: Vec<String> =
+                    id.labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+                label = format!("{label}{{{}}}", pairs.join(","));
             }
+            let (shown, at) = match value {
+                MetricValue::Counter(v) => (v.to_string(), "-".to_string()),
+                MetricValue::Gauge { at, value } => {
+                    (value.to_string(), format!("e{} r{} p{}", at.epoch, at.round, at.party))
+                }
+                MetricValue::Histogram(h) => {
+                    let mean = h.sum.checked_div(h.count).unwrap_or(0);
+                    (format!("n={} sum={} mean~{mean}", h.count, h.sum), "-".to_string())
+                }
+            };
+            t.row(&label, &[value.kind().to_string(), shown, at]);
         }
+        t
     }
 
-    /// Add one decoded metric. Both decoders go through here: labels must
-    /// arrive sorted, and metrics in strictly ascending id order, which
-    /// doubles as the duplicate check.
-    pub(crate) fn insert(
+    /// Add one decoded metric: labels must arrive sorted, and metrics in
+    /// strictly ascending id order, which doubles as the duplicate check.
+    fn insert(
         &mut self,
         name: String,
         labels: Vec<(String, String)>,
@@ -488,7 +446,7 @@ impl Registry {
     /// Decode a blob produced by [`Registry::to_bytes`]. Total: every
     /// malformed input is an error, never a panic, and trailing bytes are
     /// rejected.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Registry, RegistryDecodeError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Registry, DecodeError> {
         let mut r = Reader::new(bytes);
         let mut reg = Registry::new();
         // Each count is bounded by its items' smallest encodings: a metric
@@ -573,41 +531,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_all_kinds() {
-        let mut a = sample();
-        let mut b = Registry::new();
-        b.counter_add("epochs_total", &[("outcome", "committed")], 3);
-        b.gauge_set("reservoir_level", &[], LogicalTime::new(4, 0, 0), 2);
-        b.histogram_observe("epoch_rounds", &[], 7);
-        b.counter_add("rollbacks_total", &[], 1);
-        a.merge(&b);
-        assert_eq!(a.counter("epochs_total", &[("outcome", "committed")]), 8);
-        assert_eq!(a.counter("rollbacks_total", &[]), 1);
-        assert_eq!(a.gauge("reservoir_level", &[]), Some((LogicalTime::new(4, 0, 0), 2)));
-        let h = a.histogram("epoch_rounds", &[]).unwrap();
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket(Histogram::bucket_index(7)), 2);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = sample();
-        let before = a.clone();
-        a.merge(&Registry::new());
-        assert_eq!(a, before);
-        let mut e = Registry::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge metric")]
-    fn merge_rejects_kind_mismatch() {
-        let mut a = Registry::new();
-        a.counter_add("m", &[], 1);
-        let mut b = Registry::new();
-        b.histogram_observe("m", &[], 1);
-        a.merge(&b);
+    fn dashboard_renders_every_metric() {
+        let s = sample().dashboard("beacon health").render();
+        assert!(s.contains("beacon health"));
+        assert!(s.contains("epochs_total{outcome=\"committed\"}"));
+        assert!(s.contains("reservoir_level"));
+        assert!(s.contains("e3 r0 p0"));
+        assert!(s.contains("n=4 sum=1032"));
     }
 
     #[test]
@@ -650,7 +580,7 @@ mod tests {
         bytes.push(0);
         assert_eq!(
             Registry::from_bytes(&bytes),
-            Err(RegistryDecodeError::Malformed("trailing bytes"))
+            Err(DecodeError::Malformed("trailing bytes"))
         );
     }
 
@@ -666,7 +596,7 @@ mod tests {
         bytes.extend_from_slice(&b.to_bytes()[4..]);
         assert_eq!(
             Registry::from_bytes(&bytes),
-            Err(RegistryDecodeError::Malformed("metric order"))
+            Err(DecodeError::Malformed("metric order"))
         );
     }
 
@@ -681,7 +611,7 @@ mod tests {
         bytes[count_at] = 42;
         assert_eq!(
             Registry::from_bytes(&bytes),
-            Err(RegistryDecodeError::Malformed("histogram count"))
+            Err(DecodeError::Malformed("histogram count"))
         );
     }
 }

@@ -62,18 +62,6 @@ impl CostReport {
             .fold(CostSnapshot::default(), |acc, p| acc.plus(&p.cost))
     }
 
-    /// The maximum per-party cost (the paper usually states "per player"
-    /// bounds, which are worst-case over players).
-    pub fn max_party(&self) -> CostSnapshot {
-        let mut best = CostSnapshot::default();
-        for p in &self.per_party {
-            if p.cost.field_adds + p.cost.field_muls > best.field_adds + best.field_muls {
-                best = p.cost;
-            }
-        }
-        best
-    }
-
     /// Merge another execution's report into this one (summing party-wise;
     /// both reports must cover the same number of parties).
     ///
@@ -97,11 +85,11 @@ impl CostReport {
 
 /// One row of a rendered experiment table: a label plus one value per column.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableRow {
+struct TableRow {
     /// Row label (e.g. a parameter setting such as `M=256`).
-    pub label: String,
+    label: String,
     /// Cell values, one per column of the owning [`Table`].
-    pub values: Vec<String>,
+    values: Vec<String>,
 }
 
 /// A plain-text table in the style of the paper's stated-cost comparisons.
@@ -216,12 +204,6 @@ mod tests {
         assert_eq!(r.comm.rounds, 3);
         assert_eq!(r.total().field_adds, 12);
         assert_eq!(r.per_party[1].party, 2);
-    }
-
-    #[test]
-    fn max_party_picks_heaviest() {
-        let r = CostReport::from_snapshots(vec![snap(5, 0, 0, 0), snap(9, 0, 0, 0)]);
-        assert_eq!(r.max_party().field_adds, 9);
     }
 
     #[test]

@@ -26,20 +26,14 @@
 //! for always-on forensics), and the finished streams merge into a
 //! [`Trace`] whose position index doubles as the logical timestamp.
 //!
-//! Exporters: [`to_chrome_json`] writes Chrome trace-event JSON
-//! (loadable in Perfetto / `chrome://tracing`; parseable back with the
-//! in-tree [`parse_chrome_json`]), and [`render_timeline`] writes a
-//! compact per-round text timeline.
+//! The counters stay the source of truth; a trace is a view of them. It
+//! has one export, Chrome trace-event JSON ([`to_chrome_json`], loadable
+//! in Perfetto / `chrome://tracing`), written from its structured form
+//! [`chrome_events`], which [`validate_chrome_events`] checks.
 
 mod chrome;
-mod timeline;
 
-pub use chrome::{
-    chrome_events, emit_chrome_json, parse_chrome_json, to_chrome_json, validate_chrome_json,
-    ChromeEvent,
-};
-pub use dprbg_metrics::json::{parse as parse_json, Json};
-pub use timeline::render_timeline;
+pub use chrome::{chrome_events, to_chrome_json, validate_chrome_events, ChromeEvent};
 
 use std::collections::VecDeque;
 
@@ -84,21 +78,6 @@ pub enum EventKind {
         /// Counter deltas for the span.
         cost: CostSnapshot,
     },
-    /// An instant annotation (adversary fates, classifier verdicts, …).
-    Mark {
-        /// Free-form label.
-        label: String,
-    },
-}
-
-impl EventKind {
-    /// The phase label if this is a span-open event.
-    pub fn phase(&self) -> Option<&str> {
-        match self {
-            EventKind::Begin { phase } => Some(phase),
-            _ => None,
-        }
-    }
 }
 
 /// How much a [`PartyTracer`] retains.
@@ -171,11 +150,6 @@ impl PartyTracer {
     pub fn end(&mut self, round: u64, cost: CostSnapshot) {
         self.open = None;
         self.push(round, EventKind::End { cost });
-    }
-
-    /// Record an instant annotation inside `round`.
-    pub fn mark(&mut self, round: u64, label: &str) {
-        self.push(round, EventKind::Mark { label: label.to_string() });
     }
 
     fn push(&mut self, round: u64, kind: EventKind) {

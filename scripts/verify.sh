@@ -51,13 +51,14 @@ cargo run -p dprbg-bench --release --offline -q --bin report -- e12 --quick
 echo "== backend & executor parity smoke (E8 + E13, fixed seed, quick) =="
 # E8 checks the dispatched carry-less multiply, and the GF(2^k) slice
 # kernels built on it, against the portable reference ladder; E13 asserts ParRunner transcripts/traces are
-# byte-identical to StepRunner, that its Chrome export round-trips, that
+# byte-identical to StepRunner, that both executors' Chrome exports are
+# byte-identical with balanced spans, that
 # per-call and shared-basis decoding agree on clean and dirty words, and
 # that a grade-cast value reaches every grade as the sender's one handle.
 parity_report="$(cargo run -p dprbg-bench --release --offline -q --bin report -- e8 e13 --quick)"
 printf '%s\n' "$parity_report"
 for needle in "backend parity OK" "kernel parity OK" "executor parity OK" \
-    "par trace round-trip OK" "decode parity OK" "gradecast handle parity OK"; do
+    "par chrome export parity OK" "decode parity OK" "gradecast handle parity OK"; do
     if ! grep -q "$needle" <<<"$parity_report"; then
         echo "parity smoke FAILED: missing \"$needle\"" >&2
         exit 1
@@ -86,12 +87,13 @@ if ! grep -q "restore determinism OK" <<<"$beacon_report"; then
     exit 1
 fi
 
-echo "== health-plane smoke (fixed-seed soak, exporters, flight recorder) =="
-# The dprbg-metrics health plane over a short E15-style soak: JSON-lines
-# export must round-trip losslessly, exports must be byte-identical
-# across executors and thread counts, a kill/restore must preserve the
-# flight recorder byte-identically, and the rollback fire-drill must
-# come back with the forensic dump attached.
+echo "== health-plane smoke (fixed-seed soak, registry bytes, flight recorder) =="
+# The dprbg-metrics health plane over a short E15-style soak: the
+# registry's bytes must decode back to the registry (`Registry::from_bytes`,
+# the path a restore takes), be byte-identical across executors and
+# thread counts, a kill/restore must preserve registry and flight
+# recorder byte-identically, and the rollback fire-drill must come back
+# with the forensic dump attached.
 health_report="$(cargo run -p dprbg-bench --release --offline -q --bin report -- --health --quick)"
 printf '%s\n' "$health_report"
 for needle in \
@@ -105,15 +107,17 @@ for needle in \
     fi
 done
 
-echo "== traced E2 smoke (fixed seed, Chrome-trace round trip) =="
+echo "== traced E2 smoke (fixed seed, ledger reconciliation, Chrome-trace export) =="
 trace_out="$(mktemp -t dprbg-trace-XXXXXX.json)"
 trap 'rm -f "$trace_out"' EXIT
-# (Captured rather than piped into `grep -q`: under pipefail an early
-# grep exit would SIGPIPE the producer and fail a green run.)
+# The span deltas must sum to the cost ledger, and the Chrome events must
+# have monotone timestamps and balanced spans per party before the file
+# is written. (Captured rather than piped into `grep -q`: under pipefail
+# an early grep exit would SIGPIPE the producer and fail a green run.)
 trace_report="$(cargo run -p dprbg-bench --release --offline -q --bin report -- --quick --trace "$trace_out")"
 printf '%s\n' "$trace_report"
-if ! grep -q "trace round-trip OK" <<<"$trace_report"; then
-    echo "traced E2 smoke FAILED: Chrome trace did not round-trip" >&2
+if ! grep -q "chrome trace export OK" <<<"$trace_report"; then
+    echo "traced E2 smoke FAILED: missing \"chrome trace export OK\"" >&2
     exit 1
 fi
 

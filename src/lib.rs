@@ -22,8 +22,8 @@
 //! | [`sim`] | `dprbg-sim` | sans-IO round machines, the deterministic executors, the adversary framework |
 //! | [`protocols`] | `dprbg-protocols` | grade-cast, phase-king BA, clique approximation |
 //! | [`baselines`] | `dprbg-baselines` | CCD cut-and-choose, Feldman VSS, from-scratch coin |
-//! | [`metrics`] | `dprbg-metrics` | the paper's cost model (additions / messages / bits / rounds) |
-//! | [`trace`] | `dprbg-trace` | deterministic span/event tracing + Chrome-trace export |
+//! | [`metrics`] | `dprbg-metrics` | the paper's cost model (additions / messages / bits / rounds), the health registry, the binary codec |
+//! | [`trace`] | `dprbg-trace` | deterministic span/event views of the cost counters + Chrome-trace export |
 //!
 //! # Example
 //!

@@ -256,12 +256,13 @@ fn executors_record_identical_logical_traces() {
         assert!(!b.events.is_empty(), "trace captured no events for seed {seed}");
         assert_eq!(b, c, "ParRunner trace diverged from StepRunner for seed {seed}");
 
-        // Byte-identical through the Chrome exporter too, and the export
-        // survives a parse → re-emit round trip.
+        // Byte-identical through the Chrome exporter too, with balanced
+        // spans per party.
         let jb = dprbg::trace::to_chrome_json(&b);
         let jc = dprbg::trace::to_chrome_json(&c);
         assert_eq!(jb, jc, "ParRunner chrome export diverged for seed {seed}");
-        dprbg::trace::validate_chrome_json(&jb).expect("chrome export validates");
+        dprbg::trace::validate_chrome_events(&dprbg::trace::chrome_events(&b))
+            .expect("chrome events validate");
 
         // Trace cost attribution must reconcile exactly with the run's
         // CostReport ledger: span deltas sum to each party's total.
