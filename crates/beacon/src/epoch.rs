@@ -3,9 +3,11 @@
 //! An epoch overlaps the two halves of the paper's amortization story
 //! (§1.2/Fig. 1) instead of running them back to back:
 //!
-//! * the **serve plane** exposes the coins consumers are waiting for —
-//!   one [`ExposeMachine`] per reserved wallet share, all of which finish
-//!   in the two fixed rounds of Coin-Expose (Fig. 6);
+//! * the **serve plane** exposes the coins consumers are waiting for, one
+//!   slot per reserved wallet share, in the two fixed rounds of
+//!   Coin-Expose (Fig. 6): every share goes out in the first round, and
+//!   in the second every slot is decoded through one [`CoinDecoder`], so
+//!   slots exposed by the same senders share one Berlekamp–Welch basis;
 //! * the **gen plane** concurrently replenishes the wallet with a fresh
 //!   Coin-Gen batch under an explicit
 //!   [`RetryPolicy`](dprbg_core::RetryPolicy) (Fig. 5 via
@@ -13,18 +15,16 @@
 //!
 //! Both planes share one synchronous network: their traffic is
 //! multiplexed over [`BeaconMsg`] and the epoch machine demultiplexes
-//! each round's inbox per plane, steps the gen plane first and the serve
-//! slots in ascending order (a fixed RNG draw order, so both executors
-//! stay byte-identical), and merges the plane outboxes with
-//! [`Outbox::append`]. The epoch finishes when every plane is done, so
-//! its wall-clock is `max(2, coin_gen_rounds)` rounds — the pipelining
-//! win over a serial refill-then-serve beacon, whose window costs
-//! `2 + coin_gen_rounds`.
+//! each round's inbox per plane, steps the gen plane first (a fixed RNG
+//! draw order, so both executors stay byte-identical), and queues the
+//! serve shares after the gen plane's sends, in slot order. The epoch
+//! finishes when every plane is done, so its wall-clock is
+//! `max(2, coin_gen_rounds)` rounds — the pipelining win over a serial
+//! refill-then-serve beacon, whose window costs `2 + coin_gen_rounds`.
 
 use dprbg_core::{
-    coin_gen_with_retry, BaMsg, BitGenMsg, CliqueAnnounce, CoinBatch, CoinGenConfig, CoinGenMsg,
-    CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, GcMsg, ProtocolError, RetryPolicy,
-    RetryReport, SealedShare,
+    coin_gen_with_retry, BaMsg, BitGenMsg, CliqueAnnounce, CoinBatch, CoinDecoder, CoinGenConfig,
+    CoinGenMsg, CoinWallet, ExposeMsg, GcMsg, ProtocolError, RetryPolicy, RetryReport, SealedShare,
 };
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
@@ -106,12 +106,6 @@ pub struct EpochOutcome<F: Field> {
     pub refill: Option<Result<RefillReport, ProtocolError>>,
 }
 
-/// The serve plane: one expose per reserved share.
-enum SlotState<F: Field> {
-    Running(ExposeMachine<ExposeMsg<F>, F>),
-    Done,
-}
-
 /// The gen plane's in-flight machine: `coin_gen_with_retry` on the beacon
 /// wire, boxed to its final (remainder wallet, batch-or-blame) pair.
 type GenMachine<F> =
@@ -136,9 +130,19 @@ enum GenState<F: Field> {
 /// wallets in the same state and identical `serve_count` / `refill`
 /// choices — the beacon service derives both deterministically from
 /// snapshotable state, so resumed runs make the same choices.
+///
+/// The serve plane is Coin-Expose (Fig. 6) for every slot at once: the
+/// first round sends each held share to all parties, tagged with its
+/// slot; the second decodes each slot from the first share per sender,
+/// all slots through one [`CoinDecoder`].
 pub struct EpochMachine<F: Field> {
-    serve: Vec<SlotState<F>>,
-    served: Vec<Option<Result<F, CoinError>>>,
+    t: usize,
+    /// This party's share of each slot's coin, in slot order.
+    serve: Vec<SealedShare<F>>,
+    /// Whether the shares have gone out.
+    sent: bool,
+    /// The decoded slots, once the serve plane is done.
+    served: Option<Vec<Result<F, CoinError>>>,
     gen: GenState<F>,
 }
 
@@ -158,12 +162,8 @@ impl<F: Field> EpochMachine<F> {
         serve_count: usize,
         refill: Option<RetryPolicy>,
     ) -> Self {
-        let t = cfg.params.t;
-        let serve: Vec<SlotState<F>> = (0..serve_count)
-            .map(|_| {
-                let share = wallet.pop().unwrap_or_else(|_| SealedShare::absent());
-                SlotState::Running(ExposeMachine::new(share, t, ExposeVia::PointToPoint))
-            })
+        let serve: Vec<SealedShare<F>> = (0..serve_count)
+            .map(|_| wallet.pop().unwrap_or_else(|_| SealedShare::absent()))
             .collect();
         let gen = match refill {
             Some(policy) => GenState::Running(Box::new(coin_gen_with_retry::<BeaconMsg<F>, F>(
@@ -171,13 +171,14 @@ impl<F: Field> EpochMachine<F> {
             ))),
             None => GenState::Idle(wallet),
         };
-        EpochMachine { served: vec![None; serve_count], serve, gen }
+        // With no slots the serve plane has nothing to wait for.
+        let served = serve.is_empty().then(Vec::new);
+        EpochMachine { t: cfg.params.t, serve, sent: false, served, gen }
     }
 
     /// Whether both planes have finished.
     fn all_done(&self) -> bool {
-        matches!(self.gen, GenState::Done(..))
-            && self.serve.iter().all(|s| matches!(s, SlotState::Done))
+        matches!(self.gen, GenState::Done(..)) && self.served.is_some()
     }
 
     /// Collect the finished epoch's outcome, consuming the plane states.
@@ -186,12 +187,7 @@ impl<F: Field> EpochMachine<F> {
             GenState::Done(w, r) => (w, r),
             _ => unreachable!("finish() requires a Done gen plane"),
         };
-        let served = self
-            .served
-            .iter_mut()
-            .map(|s| s.take().unwrap_or(Err(CoinError::WalletEmpty)))
-            .collect();
-        EpochOutcome { wallet, served, refill }
+        EpochOutcome { wallet, served: self.served.take().unwrap_or_default(), refill }
     }
 }
 
@@ -200,20 +196,27 @@ struct Planes<F: Field> {
     /// Gen-plane deliveries, still on the beacon wire (fan-out payloads
     /// shared with the multiplexed inbox).
     gen: Vec<Received<BeaconMsg<F>>>,
-    /// Serve-plane shares per slot.
-    serve: Vec<Vec<Received<ExposeMsg<F>>>>,
+    /// Serve-plane `(sender points, shares)` per slot.
+    serve: Vec<(Vec<F>, Vec<F>)>,
 }
 
 impl<F: Field> Planes<F> {
-    /// Shares for slots `>= serve_count` (malformed traffic) are dropped.
+    /// Shares for slots `>= serve_count` (malformed traffic) are dropped,
+    /// and so is every share after a sender's first for one slot.
     fn split(inbox: &Inbox<BeaconMsg<F>>, serve_count: usize) -> Self {
-        let mut planes = Planes { gen: Vec::new(), serve: vec![Vec::new(); serve_count] };
+        let mut planes =
+            Planes { gen: Vec::new(), serve: vec![(Vec::new(), Vec::new()); serve_count] };
         for r in inbox {
             match r.msg() {
                 BeaconMsg::Gen(_) => planes.gen.push(r.clone()),
-                BeaconMsg::Serve { slot, msg } => {
-                    if let Some(bucket) = planes.serve.get_mut(*slot as usize) {
-                        bucket.push(r.with_msg(*msg));
+                BeaconMsg::Serve { slot, msg: ExposeMsg(y) } => {
+                    if let Some((xs, ys)) = planes.serve.get_mut(*slot as usize) {
+                        // The inbox is sorted by sender.
+                        let x = F::element(r.from as u64);
+                        if xs.last() != Some(&x) {
+                            xs.push(x);
+                            ys.push(*y);
+                        }
                     }
                 }
             }
@@ -227,7 +230,7 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
 
     fn round(&mut self, view: RoundView<'_, BeaconMsg<F>>) -> Step<BeaconMsg<F>, Self::Output> {
         let mut out = view.outbox();
-        let mut planes = Planes::split(view.inbox, self.serve.len());
+        let planes = Planes::split(view.inbox, self.serve.len());
 
         // Gen plane first — the RNG draw order must not depend on which
         // planes happen to still be live.
@@ -268,25 +271,18 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
             self.gen = GenState::Done(wallet, None);
         }
 
-        // Serve plane: slots in ascending order.
-        for (i, slot) in self.serve.iter_mut().enumerate() {
-            if let SlotState::Running(m) = slot {
-                let want = i as u32;
-                let inbox = Inbox::from_messages(std::mem::take(&mut planes.serve[i]));
-                let sub = RoundView {
-                    id: view.id,
-                    n: view.n,
-                    round: view.round,
-                    inbox: &inbox,
-                    rng: &mut *view.rng,
-                };
-                match m.round(sub) {
-                    Step::Continue(o) => {
-                        out.append(o.map(|msg| BeaconMsg::Serve { slot: want, msg }));
-                    }
-                    Step::Done(res) => {
-                        self.served[i] = Some(res);
-                        *slot = SlotState::Done;
+        // Serve plane: every held share goes out in slot order, then
+        // every slot decodes.
+        if self.served.is_none() {
+            if self.sent {
+                let mut decoder = CoinDecoder::new(self.t);
+                self.served =
+                    Some(planes.serve.iter().map(|(xs, ys)| decoder.decode(xs, ys)).collect());
+            } else {
+                self.sent = true;
+                for (slot, share) in (0u32..).zip(&self.serve) {
+                    if let Some(sigma) = share.sigma {
+                        out.send_to_all(BeaconMsg::Serve { slot, msg: ExposeMsg(sigma) });
                     }
                 }
             }
@@ -301,7 +297,7 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
     }
 
     fn phase_name(&self) -> &'static str {
-        match (&self.gen, self.serve.iter().any(|s| matches!(s, SlotState::Running(_)))) {
+        match (&self.gen, self.served.is_none()) {
             (GenState::Running(_), true) => "epoch/gen+serve",
             (GenState::Running(_), false) => "epoch/gen",
             (_, true) => "epoch/serve",
@@ -313,9 +309,10 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dprbg_core::{Params, TrustedDealer};
+    use dprbg_core::{decode_coin, Params, TrustedDealer};
     use dprbg_field::Gf2k;
-    use dprbg_sim::{BoxedMachine, ParRunner, StepRunner};
+    use dprbg_metrics::CostSnapshot;
+    use dprbg_sim::{from_fn, BoxedMachine, MachineExt, ParRunner, StepRunner};
 
     type F = Gf2k<32>;
 
@@ -402,6 +399,86 @@ mod tests {
         for out in StepRunner::new(n, 44).run(fleet).unwrap_all() {
             let served: Vec<F> = out.served.iter().map(|c| *c.as_ref().unwrap()).collect();
             assert_eq!(served, reference);
+        }
+    }
+
+    #[test]
+    fn serve_plane_decodes_each_slot_like_decode_coin_under_mixed_responder_sets() {
+        // Party 7 is corrupt. Slot 0: every party sends. Slot 1: party 7
+        // sends its share, then another one (only the first counts).
+        // Slot 2: party 2 holds no share. Slot 3: only party 1 holds one
+        // (t shares). Slot 4: party 7 lies, so the word reaches the
+        // linear solve. Party 7 also tags a share with slot 9, past the
+        // epoch's serve count, which every party drops.
+        let (n, t, slots) = (7, 1, 5);
+        let dealt = TrustedDealer::deal_wallets::<F>(Params::p2p_model(n, t).unwrap(), slots, 450);
+        let dealt_share =
+            |party: usize, slot: usize| dealt[party - 1].peek_at(slot).unwrap().sigma.unwrap();
+        let lie = |slot: usize| dealt_share(7, slot) + F::from_u64(0xBAD);
+        // The share each party's first message for each slot carries.
+        let counted = |party: usize, slot: usize| match (party, slot) {
+            (2, 2) | (2..=7, 3) => None,
+            (7, 4) => Some(lie(4)),
+            _ => Some(dealt_share(party, slot)),
+        };
+        let mut sends: Vec<(u32, F)> = Vec::new();
+        for slot in 0..slots {
+            sends.extend(counted(7, slot).map(|y| (slot as u32, y)));
+            if slot == 1 {
+                sends.push((1, lie(1)));
+            }
+        }
+        sends.push((9, lie(0)));
+
+        let reference: Vec<Result<F, CoinError>> = (0..slots)
+            .map(|slot| {
+                let points: Vec<(F, F)> = (1..=n)
+                    .filter_map(|p| counted(p, slot).map(|y| (F::element(p as u64), y)))
+                    .collect();
+                decode_coin(&points, t)
+            })
+            .collect();
+        assert!(reference.iter().enumerate().all(|(slot, c)| c.is_ok() == (slot != 3)));
+        assert_eq!(reference[3], Err(CoinError::NotEnoughShares { got: 1, need: 2 }));
+        let dirty: Vec<(F, F)> =
+            (1..=n).map(|p| (F::element(p as u64), counted(p, 4).unwrap())).collect();
+        let before = CostSnapshot::capture();
+        decode_coin(&dirty, t).unwrap();
+        let solve_invs = CostSnapshot::capture().since(&before).field_invs - 1;
+        assert!(solve_invs > 0, "slot 4 must reach the linear solve");
+
+        let fleet = || {
+            let mut fleet: Vec<BoxedMachine<BeaconMsg<F>, Option<EpochOutcome<F>>>> = (1..n)
+                .map(|p| {
+                    let wallet = (0..slots)
+                        .map(|s| counted(p, s).map_or_else(SealedShare::absent, SealedShare::of))
+                        .collect();
+                    Box::new(EpochMachine::new(cfg(n, t), wallet, slots, None).map(Some)) as _
+                })
+                .collect();
+            let sends = sends.clone();
+            fleet.push(Box::new(from_fn(move |view: RoundView<'_, BeaconMsg<F>>| {
+                if view.round > 0 {
+                    return Step::Done(None);
+                }
+                let mut out = view.outbox();
+                for &(slot, y) in &sends {
+                    out.send_to_all(BeaconMsg::Serve { slot, msg: ExposeMsg(y) });
+                }
+                Step::Continue(out)
+            })));
+            fleet
+        };
+        for res in [StepRunner::new(n, 45).run(fleet()), ParRunner::new(n, 45).run(fleet())] {
+            for out in &res.outputs[..n - 1] {
+                let out = out.as_ref().and_then(Option::as_ref).expect("honest parties finish");
+                assert_eq!(out.served, reference);
+            }
+            // Each honest party builds one basis per sender-set change —
+            // slots 0, 2 and 4; slot 1 repeats slot 0's set and slot 3 is
+            // too small to build one — plus the dirty word's solve.
+            let honest = (n - 1) as u64;
+            assert_eq!(res.report.total().field_invs, honest * (3 + solve_invs));
         }
     }
 

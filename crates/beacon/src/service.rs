@@ -18,8 +18,8 @@
 //!    both executors).
 //! 3. **Epochs are transactional.** A protocol epoch commits only when
 //!    every party's outcome is consistent (lock-step wallets, unanimous
-//!    serve/refill results); anything else rolls the wallets back to the
-//!    epoch-start state and lets the [`Supervisor`] decide how to
+//!    serve/refill results); anything else keeps the epoch-start wallets
+//!    (the fleet ran on copies) and lets the [`Supervisor`] decide how to
 //!    proceed. Honest-party disagreement — the one outcome the paper's
 //!    model rules out — is reported as [`BeaconError::Unsound`], never
 //!    papered over.
@@ -540,7 +540,6 @@ impl<F: Field> BeaconService<F> {
         report: &mut EpochReport<F>,
     ) -> Result<Vec<F>, BeaconError> {
         let n = self.cfg.coin_gen.params.n;
-        let before = self.wallets.clone();
         let machines: Vec<BoxedMachine<BeaconMsg<F>, EpochOutcome<F>>> = self
             .wallets
             .iter()
@@ -556,7 +555,7 @@ impl<F: Field> BeaconService<F> {
         if let Some(party) = inject.drill {
             res.outputs[party - 1] = None;
         }
-        self.commit_epoch(epoch, res, &corrupted, before, report)
+        self.commit_epoch(epoch, res, &corrupted, report)
     }
 
     /// Fire-drill for the abort machinery: run one real (adversary-free)
@@ -617,7 +616,6 @@ impl<F: Field> BeaconService<F> {
         epoch: u64,
         res: RunResult<EpochOutcome<F>>,
         corrupted: &std::collections::BTreeSet<usize>,
-        before: Vec<CoinWallet<F>>,
         report: &mut EpochReport<F>,
     ) -> Result<Vec<F>, BeaconError> {
         let n = self.cfg.coin_gen.params.n;
@@ -628,13 +626,13 @@ impl<F: Field> BeaconService<F> {
         // unsound verdict discards the epoch wholesale. Wallets must stay
         // lock-step across *all* parties (a diverged wallet poisons every
         // future expose), each party's surviving shares must descend from
-        // its own pre-epoch wallet, and the parties the adversary did not
-        // touch must agree exactly.
+        // its own pre-epoch wallet (still `self.wallets` until commit),
+        // and the parties the adversary did not touch must agree exactly.
         let honest: Vec<usize> =
             (1..=n).filter(|id| !corrupted.contains(id)).collect();
         let divergent = res.outputs.iter().any(Option::is_none)
             || !Self::lock_step(&res.outputs)
-            || !Self::retention_intact(&res.outputs, &before);
+            || !Self::retention_intact(&res.outputs, &self.wallets);
         if !divergent {
             // All outputs present and lock-step; now honest parties must
             // be *unanimous* — anything else breaks Theorem 1. Checked
@@ -666,8 +664,8 @@ impl<F: Field> BeaconService<F> {
         self.fold_trace(&res);
 
         if divergent {
-            // Adversary-induced divergence: transactional rollback.
-            self.wallets = before;
+            // Adversary-induced divergence: transactional rollback, i.e.
+            // the post-epoch wallets are not adopted.
             self.stats.rollbacks += 1;
             report.rolled_back = true;
             let err = ProtocolError::Aborted {
@@ -912,13 +910,10 @@ mod tests {
         // Fabricate an all-honest epoch whose parties disagree on the
         // served value — unreachable through the fleet (Theorem 1), which
         // is exactly why this path is exercised at the commit layer.
-        let before = svc.wallets.clone();
         let res =
-            fleet_result(outcomes_serving(&before, |i| vec![Ok(F::from_u64(i as u64))]));
+            fleet_result(outcomes_serving(&svc.wallets, |i| vec![Ok(F::from_u64(i as u64))]));
         let mut report = blank_report(1);
-        let err = svc
-            .commit_epoch(1, res, &BTreeSet::new(), before, &mut report)
-            .unwrap_err();
+        let err = svc.commit_epoch(1, res, &BTreeSet::new(), &mut report).unwrap_err();
         assert_eq!(err, BeaconError::Unsound { epoch: 1, detail: "served coin values" });
         assert_eq!(svc.snapshot(), pre_snap, "unsound epoch mutated service state");
         assert_eq!(svc.trace_cursor(), pre_cursor);
@@ -931,8 +926,7 @@ mod tests {
         // transactional rollback now, not poison a later expose.
         let mut svc = BeaconService::<F>::new(config(), 0xFACE2, 6);
         let pre_wallets = svc.wallets.clone();
-        let before = svc.wallets.clone();
-        let mut outputs = outcomes_serving(&before, |_| vec![Ok(F::from_u64(7))]);
+        let mut outputs = outcomes_serving(&pre_wallets, |_| vec![Ok(F::from_u64(7))]);
         // Flip one retained share at party 4: same length, wrong value.
         let out3 = outputs[3].as_mut().unwrap();
         let mut shares: Vec<SealedShare<F>> =
@@ -942,7 +936,7 @@ mod tests {
 
         let mut report = blank_report(0);
         let fresh = svc
-            .commit_epoch(0, fleet_result(outputs), &BTreeSet::new(), before, &mut report)
+            .commit_epoch(0, fleet_result(outputs), &BTreeSet::new(), &mut report)
             .unwrap();
         assert!(fresh.is_empty(), "a rolled-back epoch exposes nothing");
         assert!(report.rolled_back);
@@ -953,9 +947,8 @@ mod tests {
     #[test]
     fn honest_suffix_wallets_pass_the_retention_audit() {
         let svc = BeaconService::<F>::new(config(), 0xFACE3, 6);
-        let before = svc.wallets.clone();
-        let outputs = outcomes_serving(&before, |_| vec![Ok(F::from_u64(7))]);
-        assert!(BeaconService::retention_intact(&outputs, &before));
+        let outputs = outcomes_serving(&svc.wallets, |_| vec![Ok(F::from_u64(7))]);
+        assert!(BeaconService::retention_intact(&outputs, &svc.wallets));
     }
 
     #[test]

@@ -376,6 +376,10 @@ pub fn judge_batch<F: Field>(
                 _ => VssVerdict::Reject,
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one combination word per check: no basis to share"
+        )]
         VssMode::Robust => match bw_decode(points, t, t) {
             Ok(_) => VssVerdict::Accept,
             Err(_) => VssVerdict::Reject,

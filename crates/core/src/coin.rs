@@ -22,7 +22,7 @@ use std::marker::PhantomData;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, Poly};
+use dprbg_poly::{BatchDecoder, BwError};
 use dprbg_sim::{looping, Embeds, LoopControl, MachineExt, RoundMachine, RoundView, Step};
 
 use crate::errors::CoinError;
@@ -198,16 +198,19 @@ where
             }
             return Step::Continue(out);
         }
-        let mut points: Vec<(F, F)> = Vec::new();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for r in view.inbox.iter() {
             if let Some(ExposeMsg(y)) = <M as Embeds<ExposeMsg<F>>>::peek(r.msg()) {
+                // The inbox is sorted by sender: only a sender's first
+                // share counts.
                 let x = F::element(r.from as u64);
-                if points.iter().all(|(px, _)| *px != x) {
-                    points.push((x, *y));
+                if xs.last() != Some(&x) {
+                    xs.push(x);
+                    ys.push(*y);
                 }
             }
         }
-        Step::Done(decode_coin(&points, self.t))
+        Step::Done(CoinDecoder::new(self.t).decode(&xs, &ys))
     }
 
     fn phase_name(&self) -> &'static str {
@@ -248,23 +251,61 @@ where
     })
 }
 
-/// Decode a coin value from collected `(party point, share)` pairs.
+/// Coin-Expose's decode step over a run of coins: Berlekamp–Welch with
+/// the radius policy `e = min(t, ⌊(m − t − 1)/2⌋)`, keeping one
+/// [`BatchDecoder`] while consecutive coins come from the same senders.
 ///
-/// Shared by [`ExposeMachine`], committee outsider acceptance, and tests;
-/// applies the radius policy `e = min(t, ⌊(m − t − 1)/2⌋)` of the
-/// Berlekamp–Welch decoder.
+/// The decoder's Lagrange basis depends only on the senders' points
+/// (`O(t²)` multiplications and one inversion), so decoding many coins
+/// exposed by one responder set — a beacon epoch's serve plane — builds
+/// it once; a coin from a different set rebuilds it. Each coin still
+/// ticks one interpolation, and every result is exactly what decoding
+/// that coin alone returns.
+#[derive(Debug)]
+pub struct CoinDecoder<F: Field> {
+    t: usize,
+    basis: Option<BatchDecoder<F>>,
+}
+
+impl<F: Field> CoinDecoder<F> {
+    /// A decoder for degree-`t` sharings, with no basis built yet.
+    pub fn new(t: usize) -> Self {
+        CoinDecoder { t, basis: None }
+    }
+
+    /// Decode one coin from its senders' points `xs` and their shares
+    /// `ys` (one per sender, same order).
+    ///
+    /// # Errors
+    ///
+    /// See [`ExposeMachine`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `ys` differ in length and `xs` holds at least
+    /// `t + 1` distinct points.
+    pub fn decode(&mut self, xs: &[F], ys: &[F]) -> Result<F, CoinError> {
+        let to_coin_error = |e| match e {
+            BwError::TooFewPoints { got, need } => CoinError::NotEnoughShares { got, need },
+            BwError::DuplicateAbscissa | BwError::DecodingFailed => CoinError::DecodeFailed,
+        };
+        let decoder = match &mut self.basis {
+            Some(d) if d.xs() == xs => d,
+            slot => slot.insert(BatchDecoder::new(xs, self.t, self.t).map_err(to_coin_error)?),
+        };
+        Ok(decoder.decode(ys).map_err(to_coin_error)?.constant_term())
+    }
+}
+
+/// Decode a coin value from collected `(party point, share)` pairs: a
+/// one-coin [`CoinDecoder`].
 ///
 /// # Errors
 ///
 /// See [`ExposeMachine`].
 pub fn decode_coin<F: Field>(points: &[(F, F)], t: usize) -> Result<F, CoinError> {
-    let poly: Poly<F> = bw_decode(points, t, t).map_err(|e| match e {
-        dprbg_poly::BwError::TooFewPoints { got, need } => {
-            CoinError::NotEnoughShares { got, need }
-        }
-        _ => CoinError::DecodeFailed,
-    })?;
-    Ok(poly.constant_term())
+    let (xs, ys): (Vec<F>, Vec<F>) = points.iter().copied().unzip();
+    CoinDecoder::new(t).decode(&xs, &ys)
 }
 
 #[cfg(test)]

@@ -90,7 +90,8 @@ pub use batch_vss::{
 pub use bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, DealerView};
 pub use bootstrap::{Bootstrap, BootstrapConfig, BootstrapStats};
 pub use coin::{
-    decode_coin, expose_all, CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, SealedShare,
+    decode_coin, expose_all, CoinDecoder, CoinWallet, ExposeMachine, ExposeMsg, ExposeVia,
+    SealedShare,
 };
 pub use coin_gen::{
     CliqueAnnounce, CoinBatch, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinGenWire,

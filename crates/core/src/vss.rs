@@ -297,6 +297,10 @@ fn judge<F: Field>(points: &[(F, F)], n: usize, t: usize, mode: VssMode) -> VssV
                 _ => VssVerdict::Reject,
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one broadcast word per check: no basis to share"
+        )]
         VssMode::Robust => match bw_decode(points, t, t) {
             Ok(_) => VssVerdict::Accept,
             Err(_) => VssVerdict::Reject,

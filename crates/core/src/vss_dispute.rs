@@ -262,6 +262,10 @@ where
                     .collect();
                 // "≥ n − t broadcast values lie on F*" is the decoder's
                 // error budget: at most m − (n − t) of the m may be wrong.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one broadcast word, with its own error budget"
+                )]
                 let f_star = points
                     .len()
                     .checked_sub(n - self.t)

@@ -1,7 +1,8 @@
 //! The paper-unit contract of one fault-free Coin-Gen, pinned to the
 //! count: field multiplications, additions, inversions, interpolations,
 //! PRG blocks, messages, bytes and rounds of a fixed-seed run, as exact
-//! literals (first instalment of ROADMAP item 3(b)).
+//! literals (first instalment of ROADMAP item 3(b)) — and the same totals
+//! of one serve-only beacon epoch.
 //!
 //! The literals were captured at the commit *before* the slice-wide field
 //! kernels landed, so a kernel that charges anything but what its scalar
@@ -9,6 +10,7 @@
 //! here instead of drifting the cost model silently. A change that moves a
 //! count on purpose regenerates the literal and says why.
 
+use dprbg::beacon::{BeaconMsg, EpochMachine, EpochOutcome};
 use dprbg::core::{CoinGenConfig, CoinGenMachine, CoinGenMsg, Params, TrustedDealer};
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostSnapshot;
@@ -94,4 +96,38 @@ fn coin_gen_n13_t2_m64_gf2_8_charges_trimmed_polynomials() {
     );
     let gf64 = coin_gen_totals::<Gf2k<64>>(13, 2, 64, 1);
     assert!(gf8.field_muls < gf64.field_muls, "trimmed polynomials evaluate cheaper");
+}
+
+/// One serve-only beacon epoch: 4 coins exposed by all 7 parties. Every
+/// party decodes its 4 slots through one shared Berlekamp–Welch basis,
+/// built once per sender set: 7 inversions, one per party. With a basis
+/// per slot the same epoch cost `field_invs` 28, `field_muls` 980 and
+/// `field_adds` 756; the 3 × 7 basis builds saved are exactly the drop
+/// (15 multiplications and 9 additions each at t = 1). Interpolations
+/// (one per decoded coin), messages, bytes and rounds are unchanged.
+#[test]
+fn serve_only_epoch_n7_t1_4_slots_gf2_32() {
+    let params = Params::p2p_model(7, 1).unwrap();
+    let cfg = CoinGenConfig { params, batch_size: 8 };
+    let fleet: Vec<BoxedMachine<BeaconMsg<Gf2k<32>>, EpochOutcome<Gf2k<32>>>> =
+        TrustedDealer::deal_wallets::<Gf2k<32>>(params, 6, 1)
+            .into_iter()
+            .map(|w| Box::new(EpochMachine::new(cfg, w, 4, None)) as _)
+            .collect();
+    let res = StepRunner::new(7, 1).run(fleet);
+    assert!(res.outputs.iter().flatten().all(|o| o.served.iter().all(Result::is_ok)));
+    let totals = CostSnapshot { rounds: res.report.comm.rounds, ..res.report.total() };
+    assert_eq!(
+        totals,
+        CostSnapshot {
+            field_adds: 567,
+            field_muls: 665,
+            field_invs: 7,
+            interpolations: 28,
+            prg_invocations: 0,
+            messages: 196,
+            bytes: 1568,
+            rounds: 1,
+        }
+    );
 }

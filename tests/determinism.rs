@@ -7,14 +7,17 @@
 //! protocol coin draws — is a pure function of the seed, so two runs from
 //! the same seed must produce **byte-identical coin transcripts** and
 //! **identical cost counters**. These tests pin that contract for three
-//! seeds (and check distinct seeds actually diverge).
+//! seeds (and check distinct seeds actually diverge). The last test pins
+//! the coins a fixed-seed beacon serves under faults to a literal.
 
+use dprbg::beacon::{BeaconConfig, BeaconService, DrawOutcome, ExecutorKind, ReservoirConfig};
 use dprbg::core::{
-    expose_all, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, Params, TrustedDealer,
+    expose_all, CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, Params, RetryPolicy,
+    TrustedDealer,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostReport;
-use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
+use dprbg::sim::{BoxedMachine, EpochFault, MachineExt, SoakPlan, StepRunner};
 
 type F = Gf2k<32>;
 type M = CoinGenMsg<F>;
@@ -95,4 +98,51 @@ fn transcript_has_all_parties_and_coins() {
         "transcript too short: {} < {min_len}",
         bytes.len()
     );
+}
+
+/// Every coin a fixed-seed beacon serves over 200 epochs of E15's soak
+/// (n = 7, t = 1, M = 8; a crash restored from the boundary snapshot, a
+/// stampede or an in-model adversary every 7th epoch), folded with its
+/// epoch and consumer. Beacon digests embed field-op totals and move
+/// whenever a decode gets cheaper; this literal moves only if a served
+/// coin does. Captured before the serve plane shared one decode basis
+/// across its slots.
+#[test]
+fn beacon_soak_serves_the_pinned_coins() {
+    let cfg = BeaconConfig {
+        coin_gen: CoinGenConfig { params: Params::p2p_model(N, T).unwrap(), batch_size: BATCH },
+        reservoir: ReservoirConfig { capacity: 16, low_water: 4 },
+        wallet_low_water: 6,
+        retry: RetryPolicy { max_attempts: 3, seed_budget: 12 },
+        max_backoff_exp: 3,
+        max_rounds_per_epoch: 4096,
+    };
+    let (seed, epochs) = (0xC014_5EED, 200);
+    let plan = SoakPlan::composite(seed, epochs, 7);
+    let mut svc = BeaconService::<F>::new(cfg, seed, 12);
+    let (mut coins, mut digest) = (0u64, 0u64);
+    for e in 0..epochs {
+        let boundary = svc.snapshot();
+        let fault = plan.fault_at(e);
+        if let Some(EpochFault::Crash { down_epochs }) = fault {
+            svc = BeaconService::restore(cfg, &boundary).expect("own snapshot restores");
+            svc.note_recovery(down_epochs);
+        }
+        let mut demands = vec![(1, 1), (2, 1 + (e % 2) as u32)];
+        let mut adversary = None;
+        match fault {
+            Some(EpochFault::Stampede { demand }) => demands.push((9, demand)),
+            Some(EpochFault::Adversary { attack, f }) => adversary = Some((attack, f)),
+            _ => {}
+        }
+        let report = svc.run_epoch(ExecutorKind::Step, &demands, adversary).expect("in-model");
+        for (consumer, draw) in &report.draws {
+            if let DrawOutcome::Coin(c) = draw {
+                coins += 1;
+                let at = dprbg_rng::splitmix64(e ^ (u64::from(*consumer) << 32));
+                digest = dprbg_rng::splitmix64(digest ^ at ^ c.to_u64());
+            }
+        }
+    }
+    assert_eq!((coins, digest), (552, 0x5A91_DE10_0387_6CB1), "served coins moved");
 }
