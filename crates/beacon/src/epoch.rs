@@ -5,9 +5,10 @@
 //!
 //! * the **serve plane** exposes the coins consumers are waiting for, one
 //!   slot per reserved wallet share, in the two fixed rounds of
-//!   Coin-Expose (Fig. 6): every share goes out in the first round, and
-//!   in the second every slot is decoded through one [`CoinDecoder`], so
-//!   slots exposed by the same senders share one Berlekamp–Welch basis;
+//!   Coin-Expose (Fig. 6): in the first round each party sends all its
+//!   shares to everyone in one envelope, and in the second every slot is
+//!   decoded through one [`CoinDecoder`], so slots exposed by the same
+//!   senders share one Berlekamp–Welch basis;
 //! * the **gen plane** concurrently replenishes the wallet with a fresh
 //!   Coin-Gen batch under an explicit
 //!   [`RetryPolicy`](dprbg_core::RetryPolicy) (Fig. 5 via
@@ -17,7 +18,7 @@
 //! multiplexed over [`BeaconMsg`] and the epoch machine demultiplexes
 //! each round's inbox per plane, steps the gen plane first (a fixed RNG
 //! draw order, so both executors stay byte-identical), and queues the
-//! serve shares after the gen plane's sends, in slot order. The epoch
+//! serve envelope after the gen plane's sends. The epoch
 //! finishes when every plane is done, so its wall-clock is
 //! `max(2, coin_gen_rounds)` rounds — the pipelining win over a serial
 //! refill-then-serve beacon, whose window costs `2 + coin_gen_rounds`.
@@ -33,28 +34,24 @@ use dprbg_sim::{BoxedMachine, Embeds, Inbox, Received, RoundMachine, RoundView, 
 use crate::CoinError;
 
 /// The beacon's composite wire type: generation-plane Coin-Gen traffic
-/// and serve-plane expose shares, tagged by serve slot.
+/// and the serve plane's one envelope of expose shares per sender.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BeaconMsg<F: Field> {
     /// Gen-plane traffic (a full Coin-Gen run).
     Gen(CoinGenMsg<F>),
-    /// Serve-plane traffic: the expose share for serve slot `slot`.
-    Serve {
-        /// Which serve slot (0-based, < the epoch's `serve_count`) the
-        /// share belongs to.
-        slot: u32,
-        /// The bare Coin-Expose share.
-        msg: ExposeMsg<F>,
-    },
+    /// Serve-plane traffic: every `(slot, share)` the sender holds this
+    /// epoch, in slot order. A slot is 0-based and below the epoch's
+    /// `serve_count`; receivers drop any other.
+    Serve(Vec<(u32, ExposeMsg<F>)>),
 }
 
 impl<F: Field> WireSize for BeaconMsg<F> {
     fn wire_bytes(&self) -> usize {
         match self {
             BeaconMsg::Gen(m) => m.wire_bytes(),
-            // The slot tag rides on the wire so receivers can route the
-            // share to the right decoder.
-            BeaconMsg::Serve { msg, .. } => 4 + msg.wire_bytes(),
+            // Each share carries its slot tag, so an envelope costs what
+            // one message per share did: only the message count shrinks.
+            BeaconMsg::Serve(shares) => shares.iter().map(|(_, m)| 4 + m.wire_bytes()).sum(),
         }
     }
 }
@@ -75,7 +72,7 @@ macro_rules! embed_gen {
             fn peek(&self) -> Option<&$inner> {
                 match self {
                     BeaconMsg::Gen(g) => g.peek(),
-                    BeaconMsg::Serve { .. } => None,
+                    BeaconMsg::Serve(_) => None,
                 }
             }
         }
@@ -132,9 +129,10 @@ enum GenState<F: Field> {
 /// snapshotable state, so resumed runs make the same choices.
 ///
 /// The serve plane is Coin-Expose (Fig. 6) for every slot at once: the
-/// first round sends each held share to all parties, tagged with its
-/// slot; the second decodes each slot from the first share per sender,
-/// all slots through one [`CoinDecoder`].
+/// first round sends one [`BeaconMsg::Serve`] envelope of every held
+/// `(slot, share)` to all parties (none when the party holds no share);
+/// the second decodes each slot from the first share per sender, all
+/// slots through one [`CoinDecoder`].
 pub struct EpochMachine<F: Field> {
     t: usize,
     /// This party's share of each slot's coin, in slot order.
@@ -196,32 +194,62 @@ struct Planes<F: Field> {
     /// Gen-plane deliveries, still on the beacon wire (fan-out payloads
     /// shared with the multiplexed inbox).
     gen: Vec<Received<BeaconMsg<F>>>,
-    /// Serve-plane `(sender points, shares)` per slot.
-    serve: Vec<(Vec<F>, Vec<F>)>,
+    /// Serve-plane shares as flat `serve_count × n` columns.
+    serve: ServeColumns<F>,
+}
+
+/// Slot `s`'s sender points are `xs[s·n ..][..len[s]]`, in sender order,
+/// and their shares the same range of `ys`.
+struct ServeColumns<F> {
+    n: usize,
+    xs: Vec<F>,
+    ys: Vec<F>,
+    len: Vec<usize>,
+}
+
+impl<F: Field> ServeColumns<F> {
+    /// Slot `s`'s `(sender points, shares)`.
+    fn slot(&self, s: usize) -> (&[F], &[F]) {
+        let row = s * self.n..s * self.n + self.len[s];
+        (&self.xs[row.clone()], &self.ys[row])
+    }
 }
 
 impl<F: Field> Planes<F> {
     /// Shares for slots `>= serve_count` (malformed traffic) are dropped,
-    /// and so is every share after a sender's first for one slot.
-    fn split(inbox: &Inbox<BeaconMsg<F>>, serve_count: usize) -> Self {
-        let mut planes =
-            Planes { gen: Vec::new(), serve: vec![(Vec::new(), Vec::new()); serve_count] };
+    /// and so is every share after a sender's first for one slot, within
+    /// an envelope or across two.
+    fn split(inbox: &Inbox<BeaconMsg<F>>, n: usize, serve_count: usize) -> Self {
+        let cells = serve_count * n;
+        let mut serve = ServeColumns {
+            n,
+            xs: vec![F::zero(); cells],
+            ys: vec![F::zero(); cells],
+            len: vec![0; serve_count],
+        };
+        let mut gen = Vec::new();
         for r in inbox {
             match r.msg() {
-                BeaconMsg::Gen(_) => planes.gen.push(r.clone()),
-                BeaconMsg::Serve { slot, msg: ExposeMsg(y) } => {
-                    if let Some((xs, ys)) = planes.serve.get_mut(*slot as usize) {
-                        // The inbox is sorted by sender.
-                        let x = F::element(r.from as u64);
-                        if xs.last() != Some(&x) {
-                            xs.push(x);
-                            ys.push(*y);
+                BeaconMsg::Gen(_) => gen.push(r.clone()),
+                BeaconMsg::Serve(shares) => {
+                    let x = F::element(r.from as u64);
+                    for &(slot, ExposeMsg(y)) in shares {
+                        let slot = slot as usize;
+                        let Some(len) = serve.len.get_mut(slot) else { continue };
+                        // The inbox is sorted by sender, so a sender's
+                        // first share for a slot is the row's last until
+                        // the next sender's; at most n senders fit a row.
+                        let end = slot * n + *len;
+                        if *len == 0 || serve.xs[end - 1] != x {
+                            serve.xs[end] = x;
+                            serve.ys[end] = y;
+                            *len += 1;
                         }
                     }
                 }
             }
         }
-        planes
+        Planes { gen, serve }
     }
 }
 
@@ -230,7 +258,9 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
 
     fn round(&mut self, view: RoundView<'_, BeaconMsg<F>>) -> Step<BeaconMsg<F>, Self::Output> {
         let mut out = view.outbox();
-        let planes = Planes::split(view.inbox, self.serve.len());
+        // Only the decode round reads the serve columns.
+        let decoding = self.sent && self.served.is_none();
+        let planes = Planes::split(view.inbox, view.n, if decoding { self.serve.len() } else { 0 });
 
         // Gen plane first — the RNG draw order must not depend on which
         // planes happen to still be live.
@@ -271,20 +301,26 @@ impl<F: Field> RoundMachine<BeaconMsg<F>> for EpochMachine<F> {
             self.gen = GenState::Done(wallet, None);
         }
 
-        // Serve plane: every held share goes out in slot order, then
+        // Serve plane: every held share goes out in one envelope, then
         // every slot decodes.
-        if self.served.is_none() {
-            if self.sent {
-                let mut decoder = CoinDecoder::new(self.t);
-                self.served =
-                    Some(planes.serve.iter().map(|(xs, ys)| decoder.decode(xs, ys)).collect());
-            } else {
-                self.sent = true;
-                for (slot, share) in (0u32..).zip(&self.serve) {
-                    if let Some(sigma) = share.sigma {
-                        out.send_to_all(BeaconMsg::Serve { slot, msg: ExposeMsg(sigma) });
-                    }
-                }
+        if decoding {
+            let mut decoder = CoinDecoder::new(self.t);
+            self.served = Some(
+                (0..self.serve.len())
+                    .map(|s| {
+                        let (xs, ys) = planes.serve.slot(s);
+                        decoder.decode(xs, ys)
+                    })
+                    .collect(),
+            );
+        } else if self.served.is_none() {
+            self.sent = true;
+            let shares: Vec<(u32, ExposeMsg<F>)> = (0u32..)
+                .zip(&self.serve)
+                .filter_map(|(slot, share)| share.sigma.map(|y| (slot, ExposeMsg(y))))
+                .collect();
+            if !shares.is_empty() {
+                out.send_to_all(BeaconMsg::Serve(shares));
             }
         }
 
@@ -312,6 +348,7 @@ mod tests {
     use dprbg_core::{decode_coin, Params, TrustedDealer};
     use dprbg_field::Gf2k;
     use dprbg_metrics::CostSnapshot;
+    use dprbg_rng::prelude::*;
     use dprbg_sim::{from_fn, BoxedMachine, MachineExt, ParRunner, StepRunner};
 
     type F = Gf2k<32>;
@@ -404,12 +441,15 @@ mod tests {
 
     #[test]
     fn serve_plane_decodes_each_slot_like_decode_coin_under_mixed_responder_sets() {
-        // Party 7 is corrupt. Slot 0: every party sends. Slot 1: party 7
-        // sends its share, then another one (only the first counts).
-        // Slot 2: party 2 holds no share. Slot 3: only party 1 holds one
-        // (t shares). Slot 4: party 7 lies, so the word reaches the
-        // linear solve. Party 7 also tags a share with slot 9, past the
-        // epoch's serve count, which every party drops.
+        // Party 7 is corrupt and sends two envelopes. Slot 0: every party
+        // sends (party 7's second envelope lies again; only the first
+        // counts). Slot 1: party 7's first envelope holds its share, then
+        // a lie for the same slot (only the first counts). Slot 2: party
+        // 2 holds no share, and party 7's share arrives in its second
+        // envelope only (a new slot there still counts). Slot 3: only
+        // party 1 holds one (t shares). Slot 4: party 7 lies, so the word
+        // reaches the linear solve. Party 7 also tags a share with slot
+        // 9, past the epoch's serve count, which every party drops.
         let (n, t, slots) = (7, 1, 5);
         let dealt = TrustedDealer::deal_wallets::<F>(Params::p2p_model(n, t).unwrap(), slots, 450);
         let dealt_share =
@@ -421,14 +461,13 @@ mod tests {
             (7, 4) => Some(lie(4)),
             _ => Some(dealt_share(party, slot)),
         };
-        let mut sends: Vec<(u32, F)> = Vec::new();
-        for slot in 0..slots {
-            sends.extend(counted(7, slot).map(|y| (slot as u32, y)));
-            if slot == 1 {
-                sends.push((1, lie(1)));
-            }
-        }
-        sends.push((9, lie(0)));
+        let share = |slot: usize, y: F| (slot as u32, ExposeMsg(y));
+        let first: Vec<_> = [0, 1, 4]
+            .into_iter()
+            .map(|slot| share(slot, counted(7, slot).unwrap()))
+            .chain([share(1, lie(1)), share(9, lie(0))])
+            .collect();
+        let second = vec![share(0, lie(0)), share(2, counted(7, 2).unwrap()), share(9, lie(2))];
 
         let reference: Vec<Result<F, CoinError>> = (0..slots)
             .map(|slot| {
@@ -456,14 +495,14 @@ mod tests {
                     Box::new(EpochMachine::new(cfg(n, t), wallet, slots, None).map(Some)) as _
                 })
                 .collect();
-            let sends = sends.clone();
+            let envelopes = [first.clone(), second.clone()];
             fleet.push(Box::new(from_fn(move |view: RoundView<'_, BeaconMsg<F>>| {
                 if view.round > 0 {
                     return Step::Done(None);
                 }
                 let mut out = view.outbox();
-                for &(slot, y) in &sends {
-                    out.send_to_all(BeaconMsg::Serve { slot, msg: ExposeMsg(y) });
+                for shares in &envelopes {
+                    out.send_to_all(BeaconMsg::Serve(shares.clone()));
                 }
                 Step::Continue(out)
             })));
@@ -538,8 +577,134 @@ mod tests {
     }
 
     #[test]
+    fn a_party_holding_no_share_sends_no_serve_envelope() {
+        // Party 1's wallet is empty, so it abstains from both slots: the
+        // other six send one envelope each to all seven parties, and the
+        // six shares per slot still decode.
+        let (n, t, slots) = (7, 1, 2);
+        let mut wallets =
+            TrustedDealer::deal_wallets::<F>(Params::p2p_model(n, t).unwrap(), slots, 460);
+        wallets[0] = std::iter::empty().collect();
+        let fleet: Vec<BoxedMachine<BeaconMsg<F>, EpochOutcome<F>>> = wallets
+            .into_iter()
+            .map(|w| Box::new(EpochMachine::new(cfg(n, t), w, slots, None)) as _)
+            .collect();
+        let res = StepRunner::new(n, 46).run(fleet);
+        let total = res.report.total();
+        assert_eq!(total.messages, ((n - 1) * n) as u64);
+        assert_eq!(total.bytes, ((n - 1) * n * slots * (4 + F::wire_bytes_static())) as u64);
+        for out in res.unwrap_all() {
+            assert!(out.served.iter().all(Result::is_ok));
+        }
+    }
+
+    #[test]
     fn beacon_msg_wire_size_counts_slot_tag() {
-        let m: BeaconMsg<F> = BeaconMsg::Serve { slot: 7, msg: ExposeMsg(F::from_u64(3)) };
-        assert_eq!(m.wire_bytes(), 4 + F::wire_bytes_static());
+        // k shares cost k · (4 + |F|): one envelope saves messages, not
+        // bytes.
+        for k in 0..4u32 {
+            let m: BeaconMsg<F> =
+                BeaconMsg::Serve((0..k).map(|s| (s + 7, ExposeMsg(F::from_u64(3)))).collect());
+            assert_eq!(m.wire_bytes(), k as usize * (4 + F::wire_bytes_static()));
+        }
+    }
+
+    /// Per slot, the first share of each sender in `(from, seq)` order,
+    /// as `(points, shares)`: the nested-`Vec` split the flat columns
+    /// replace.
+    fn reference_split(
+        envelopes: &[(usize, Vec<(u32, ExposeMsg<F>)>)],
+        serve_count: usize,
+    ) -> Vec<(Vec<F>, Vec<F>)> {
+        let mut senders: Vec<usize> = envelopes.iter().map(|&(from, _)| from).collect();
+        senders.dedup();
+        (0..serve_count as u32)
+            .map(|slot| {
+                senders
+                    .iter()
+                    .filter_map(|&from| {
+                        envelopes
+                            .iter()
+                            .filter(|(f, _)| *f == from)
+                            .flat_map(|(_, shares)| shares)
+                            .find(|(s, _)| *s == slot)
+                            .map(|&(_, ExposeMsg(y))| (F::element(from as u64), y))
+                    })
+                    .unzip()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_flat_split_equals_nested_reference(
+            seed: u64,
+            n in 7usize..10,
+            serve_count in 0usize..6,
+        ) {
+            let t = 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dealt = TrustedDealer::deal_wallets::<F>(
+                Params::p2p_model(n, t).unwrap(),
+                serve_count,
+                seed,
+            );
+            // A random sender subset; each sender sends one or two
+            // envelopes of random slots (some repeated, some past
+            // `serve_count`), each share honest or off by one.
+            let mut envelopes: Vec<(usize, Vec<(u32, ExposeMsg<F>)>)> = Vec::new();
+            let senders: Vec<usize> = (1..=n).filter(|_| rng.random_bool(0.8)).collect();
+            for from in senders {
+                for _ in 0..rng.random_range(1usize..3) {
+                    let shares = (0..rng.random_range(0usize..2 * serve_count + 3))
+                        .map(|_| {
+                            let slot = rng.random_range(0..serve_count + 2);
+                            let honest = dealt[from - 1]
+                                .peek_at(slot)
+                                .map_or(F::zero(), |s| s.sigma.unwrap());
+                            let y = if rng.random_bool(0.9) { honest } else { honest + F::one() };
+                            (slot as u32, ExposeMsg(y))
+                        })
+                        .collect();
+                    envelopes.push((from, shares));
+                }
+            }
+            let mut seqs = vec![0u32; n + 1];
+            let inbox = Inbox::from_messages(
+                envelopes
+                    .iter()
+                    .map(|(from, shares)| {
+                        seqs[*from] += 1;
+                        Received::new(*from, false, seqs[*from], BeaconMsg::Serve(shares.clone()))
+                    })
+                    .collect(),
+            );
+
+            let reference = reference_split(&envelopes, serve_count);
+            let planes = Planes::split(&inbox, n, serve_count);
+            prop_assert!(planes.gen.is_empty());
+            for (s, (xs, ys)) in reference.iter().enumerate() {
+                prop_assert_eq!(planes.serve.slot(s), (&xs[..], &ys[..]));
+            }
+
+            // The decode round of a party that already sent serves what
+            // `decode_coin` gives on the reference.
+            let mut machine = EpochMachine::new(cfg(n, t), dealt[0].clone(), serve_count, None);
+            machine.sent = true;
+            let mut party_rng = StdRng::seed_from_u64(seed);
+            let view = RoundView { id: 1, n, round: 1, inbox: &inbox, rng: &mut party_rng };
+            let Step::Done(out) = machine.round(view) else {
+                panic!("the decode round finishes a serve-only epoch")
+            };
+            let expected: Vec<Result<F, CoinError>> = reference
+                .iter()
+                .map(|(xs, ys)| {
+                    let points: Vec<(F, F)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+                    decode_coin(&points, t)
+                })
+                .collect();
+            prop_assert_eq!(out.served, expected);
+        }
     }
 }

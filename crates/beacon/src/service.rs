@@ -614,7 +614,7 @@ impl<F: Field> BeaconService<F> {
     fn commit_epoch(
         &mut self,
         epoch: u64,
-        res: RunResult<EpochOutcome<F>>,
+        mut res: RunResult<EpochOutcome<F>>,
         corrupted: &std::collections::BTreeSet<usize>,
         report: &mut EpochReport<F>,
     ) -> Result<Vec<F>, BeaconError> {
@@ -678,19 +678,20 @@ impl<F: Field> BeaconService<F> {
 
         // Commit: adopt every party's post-epoch wallet, hand the
         // consensus coins back for serving, and convert results into
-        // supervisor policy.
+        // supervisor policy. The consensus party's coins and refill
+        // verdict are taken out before its wallet moves.
         let consensus = res.outputs[honest.first().map_or(1, |&id| id) - 1]
-            .clone()
+            .as_mut()
             .unwrap_or_else(|| unreachable!());
+        let (served, refill) = (std::mem::take(&mut consensus.served), consensus.refill.take());
         self.wallets =
             res.outputs.into_iter().map(|o| o.unwrap_or_else(|| unreachable!()).wallet).collect();
 
-        let ok_coins: Vec<F> = consensus.served.iter().filter_map(|r| (*r).ok()).collect();
-        let failures = consensus.served.len() - ok_coins.len();
+        let ok_coins: Vec<F> = served.iter().filter_map(|r| (*r).ok()).collect();
+        let failures = served.len() - ok_coins.len();
         self.stats.expose_failures += failures as u64;
 
-        report.refill = consensus.refill.clone();
-        match &consensus.refill {
+        match &refill {
             Some(Ok(r)) => {
                 self.stats.refills += 1;
                 self.stats.seeds_spent += r.seeds_spent as u64;
@@ -708,6 +709,7 @@ impl<F: Field> BeaconService<F> {
             }
             None => {}
         }
+        report.refill = refill;
         Ok(ok_coins)
     }
 

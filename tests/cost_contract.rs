@@ -104,19 +104,14 @@ fn coin_gen_n13_t2_m64_gf2_8_charges_trimmed_polynomials() {
 /// per slot the same epoch cost `field_invs` 28, `field_muls` 980 and
 /// `field_adds` 756; the 3 × 7 basis builds saved are exactly the drop
 /// (15 multiplications and 9 additions each at t = 1). Interpolations
-/// (one per decoded coin), messages, bytes and rounds are unchanged.
+/// (one per decoded coin), bytes and rounds are unchanged.
+///
+/// Every party sends its 4 shares in one envelope, so the epoch costs
+/// 7 × 7 = 49 messages; with one message per share it cost 196 for the
+/// same 1 568 bytes (4 + 4 per slot-tagged `GF(2^32)` share).
 #[test]
 fn serve_only_epoch_n7_t1_4_slots_gf2_32() {
-    let params = Params::p2p_model(7, 1).unwrap();
-    let cfg = CoinGenConfig { params, batch_size: 8 };
-    let fleet: Vec<BoxedMachine<BeaconMsg<Gf2k<32>>, EpochOutcome<Gf2k<32>>>> =
-        TrustedDealer::deal_wallets::<Gf2k<32>>(params, 6, 1)
-            .into_iter()
-            .map(|w| Box::new(EpochMachine::new(cfg, w, 4, None)) as _)
-            .collect();
-    let res = StepRunner::new(7, 1).run(fleet);
-    assert!(res.outputs.iter().flatten().all(|o| o.served.iter().all(Result::is_ok)));
-    let totals = CostSnapshot { rounds: res.report.comm.rounds, ..res.report.total() };
+    let totals = serve_only_epoch_totals(7, 4);
     assert_eq!(
         totals,
         CostSnapshot {
@@ -125,9 +120,38 @@ fn serve_only_epoch_n7_t1_4_slots_gf2_32() {
             field_invs: 7,
             interpolations: 28,
             prg_invocations: 0,
-            messages: 196,
+            messages: 49,
             bytes: 1568,
             rounds: 1,
         }
     );
+}
+
+/// Whole-fleet totals of one serve-only beacon epoch at `(n, t = 1)`
+/// exposing `slots` coins over `GF(2^32)`, every slot decoded.
+fn serve_only_epoch_totals(n: usize, slots: usize) -> CostSnapshot {
+    let params = Params::p2p_model(n, 1).unwrap();
+    let cfg = CoinGenConfig { params, batch_size: 8 };
+    let fleet: Vec<BoxedMachine<BeaconMsg<Gf2k<32>>, EpochOutcome<Gf2k<32>>>> =
+        TrustedDealer::deal_wallets::<Gf2k<32>>(params, slots + 2, 1)
+            .into_iter()
+            .map(|w| Box::new(EpochMachine::new(cfg, w, slots, None)) as _)
+            .collect();
+    let res = StepRunner::new(n, 1).run(fleet);
+    assert!(res.outputs.iter().flatten().all(|o| o.served.iter().all(Result::is_ok)));
+    CostSnapshot { rounds: res.report.comm.rounds, ..res.report.total() }
+}
+
+/// The serve wire saves envelopes, not bytes: however many slots an
+/// epoch exposes, each party sends one envelope to each party, and each
+/// share still costs its 4-byte slot tag plus the element.
+#[test]
+fn serve_only_epoch_sends_one_envelope_per_party_pair() {
+    let n = 7;
+    for slots in [1, 4, 33] {
+        let totals = serve_only_epoch_totals(n, slots);
+        assert_eq!(totals.messages, (n * n) as u64, "slots = {slots}");
+        assert_eq!(totals.bytes, (n * n * slots * (4 + 4)) as u64, "slots = {slots}");
+        assert_eq!(totals.rounds, 1, "slots = {slots}");
+    }
 }

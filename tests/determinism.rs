@@ -106,7 +106,11 @@ fn transcript_has_all_parties_and_coins() {
 /// epoch and consumer. Beacon digests embed field-op totals and move
 /// whenever a decode gets cheaper; this literal moves only if a served
 /// coin does. Captured before the serve plane shared one decode basis
-/// across its slots.
+/// across its slots, and before each party sent all its serve shares in
+/// one envelope; neither change moved it. (The soak's random-chaos
+/// adversary now meets one fate per envelope where it met one per
+/// share, so its decoders see other sender sets; the coins are the
+/// same.)
 #[test]
 fn beacon_soak_serves_the_pinned_coins() {
     let cfg = BeaconConfig {
