@@ -5,10 +5,11 @@
 //! interleaving all n machines on the calling thread. This sweep runs
 //! full Coin-Gen at the scales production randomness beacons are
 //! evaluated at and reports the Theorem 2 cost shape directly from the
-//! executor's ledgers: message and byte totals grow ~n², the round count
-//! stays flat in n (it depends only on t's phase-king schedule and the
-//! number of leader attempts), and the per-round delivery peak shows the
-//! grade-cast bulge.
+//! executor's ledgers: message totals grow ~n² and bytes faster (the
+//! grade-cast bundles carry the `O(n⁴k)` term), the round count stays
+//! flat in n (it depends only on t's phase-king schedule and the number
+//! of leader attempts), and the per-round delivery peak is n² — no round
+//! sends more than one envelope per ordered pair of parties.
 //!
 //! Also the regression anchor for the executor itself: every sweep point
 //! is a full protocol run, so `StepRunner` silently breaking agreement at
@@ -39,7 +40,7 @@ pub struct SweepPoint {
     pub messages: u64,
     /// Total payload bytes across the run.
     pub bytes: u64,
-    /// Largest single-round delivery count (the grade-cast bulge).
+    /// Largest single-round delivery count (n²: one envelope per pair).
     pub peak_deliveries: usize,
 }
 
@@ -117,7 +118,8 @@ mod tests {
         let p = run_point(7, 1, 4, 3);
         assert!(p.rounds >= 6 + 1 + 2 * 2, "too few rounds for fig. 5");
         assert!(p.attempts >= 1);
-        assert!(p.peak_deliveries > 0 && p.messages > 0);
+        assert_eq!(p.peak_deliveries, 7 * 7);
+        assert!(p.messages > 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! | [`experiments::e7`] | bootstrapping: steady-state cost ≈ amortized cost; the initial seed is "effectively neglected" (Fig. 1) |
 //! | [`experiments::e8`] | §2: GF(q^l) O(k log k) multiplication vs naive GF(2^k) — the small-k crossover the paper predicts |
 //! | [`experiments::e9`] | ablations of this implementation's choices: blinding, Strict vs Robust acceptance, refresh vs generation |
-//! | [`experiments::e10`] | round anatomy of Coin-Gen: the n³ grade-cast delivery bulge behind Theorem 2's O(n⁴k) term |
+//! | [`experiments::e10`] | round anatomy of Coin-Gen: n² deliveries per round, grade-cast's O(n⁴k) term carried in n-entry bundles |
 //! | [`experiments::e11`] | Coin-Gen at beacon scale (n ≤ 61) on the single-threaded executor |
 //! | [`experiments::e12`] | empirical soundness under adaptive adversaries: the [`chaos`] campaign, zero unsound outcomes at f ≤ t |
 //!

@@ -215,8 +215,11 @@ mod tests {
                     Box::new(reliable_broadcast_machine::<Wire, u64>(sender, v, 2).map(Some))
                 },
                 |_| {
+                    let mut noise = StdRng::seed_from_u64(0xBC00 + trial);
                     Box::new(from_fn(move |view: RoundView<'_, Wire>| {
-                        // Random byzantine noise for a few rounds.
+                        // Random byzantine noise for a few rounds: Echo and
+                        // Vote bundles of 0..=n + 1 entries tagged 0..=n + 1,
+                        // so repeated and out-of-range instances occur.
                         let round = view.round as usize;
                         if round >= 6 {
                             return Step::Done(None);
@@ -224,10 +227,18 @@ mod tests {
                         let mut out = view.outbox();
                         for to in 1..=view.n {
                             if (to + round) % 3 == 0 {
-                                out.send(
-                                    to,
-                                    Wire::Gc(GcMsg::Echo { instance: sender, value: Arc::new(999) }),
-                                );
+                                let bundle = (0..noise.random_range(0..=view.n + 1))
+                                    .map(|_| {
+                                        let instance = noise.random_range(0..=view.n + 1);
+                                        (instance, Arc::new(noise.random_range(998..=1000u64)))
+                                    })
+                                    .collect();
+                                let msg = if noise.random_range(0..2u32) == 0 {
+                                    GcMsg::Echo(bundle)
+                                } else {
+                                    GcMsg::Vote(bundle)
+                                };
+                                out.send(to, Wire::Gc(msg));
                             }
                         }
                         Step::Continue(out)

@@ -17,7 +17,12 @@
 //!    values.**
 //!
 //! All `n` instances (one per sender) run in parallel in three rounds —
-//! exactly how Coin-Gen step 7 uses them.
+//! exactly how Coin-Gen step 7 uses them. A party sends each round's
+//! traffic for every instance in one envelope per recipient: its value,
+//! then one Echo bundle holding every `(instance, value)` it echoes, then
+//! one Vote bundle. Each round is thus at most `n²` messages (Theorem 2's
+//! count), while the bytes stay those of `n³` per-instance messages: a
+//! bundle costs one instance tag plus the value per entry.
 //!
 //! A value travels as one shared handle (`Arc<V>`): the sender wraps it
 //! once, every Echo, Vote and grade forwards the handle it received, and
@@ -29,35 +34,32 @@ use std::mem;
 use std::sync::Arc;
 
 use dprbg_metrics::WireSize;
-use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
+use dprbg_sim::{Embeds, Inbox, PartyId, RoundMachine, RoundView, Step};
 
-/// Wire messages of the parallel grade-cast instances.
+/// Wire messages of the parallel grade-cast instances. An Echo or Vote
+/// bundle lists `(instance, value)` entries, one per instance the sender
+/// echoes or votes for; a party with nothing to say sends no bundle. On
+/// receipt an entry tagged outside `1..=n` is dropped, and a sender's
+/// first entry for an instance is its only voice there — a repeated tag,
+/// in one bundle or a second, counts for nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GcMsg<V> {
     /// Round 1: instance sender's value.
     Value(Arc<V>),
-    /// Round 2: echo of what was received from `instance`'s sender.
-    Echo {
-        /// The instance (sender id) being echoed.
-        instance: PartyId,
-        /// The echoed value.
-        value: Arc<V>,
-    },
-    /// Round 3: vote that ≥ n−t echoes supported `value` in `instance`.
-    Vote {
-        /// The instance (sender id) being voted on.
-        instance: PartyId,
-        /// The supported value.
-        value: Arc<V>,
-    },
+    /// Round 2: echoes of what each instance's sender said.
+    Echo(Vec<(PartyId, Arc<V>)>),
+    /// Round 3: votes for the values that had ≥ n − t echoes.
+    Vote(Vec<(PartyId, Arc<V>)>),
 }
 
 impl<V: WireSize> WireSize for GcMsg<V> {
     fn wire_bytes(&self) -> usize {
         match self {
             GcMsg::Value(v) => v.wire_bytes(),
-            // Instance tags are log n bits; charge one byte.
-            GcMsg::Echo { value, .. } | GcMsg::Vote { value, .. } => 1 + value.wire_bytes(),
+            // Instance tags are log n bits; charge one byte per entry.
+            GcMsg::Echo(entries) | GcMsg::Vote(entries) => {
+                entries.iter().map(|(_, v)| 1 + v.wire_bytes()).sum()
+            }
         }
     }
 }
@@ -101,16 +103,18 @@ fn best_supported<'a, V: Eq>(
     tally.into_iter().max_by_key(|(_, c)| *c)
 }
 
-/// Group one round's `(instance, value)` traffic by instance, borrowing
-/// every value from the inbox.
+/// Group one round's `(instance, value)` bundles by instance, borrowing
+/// every value from the inbox: entries keep inbox `(from, seq)` order,
+/// then bundle order, and tags outside `1..=n` are dropped.
 fn by_instance<'a, M, V: 'a>(
-    view: &RoundView<'a, M>,
-    mut select: impl FnMut(&'a M) -> Option<(PartyId, &'a Arc<V>)>,
+    n: usize,
+    inbox: &'a Inbox<M>,
+    mut select: impl FnMut(&'a M) -> Option<&'a [(PartyId, Arc<V>)]>,
 ) -> Vec<Vec<(PartyId, &'a Arc<V>)>> {
-    let mut groups = vec![Vec::new(); view.n];
-    for r in view.inbox.iter() {
-        if let Some((instance, value)) = select(r.msg()) {
-            if (1..=view.n).contains(&instance) {
+    let mut groups = vec![Vec::new(); n];
+    for r in inbox.iter() {
+        for (instance, value) in select(r.msg()).unwrap_or_default() {
+            if (1..=n).contains(instance) {
                 groups[instance - 1].push((r.from, value));
             }
         }
@@ -181,40 +185,41 @@ where
                         received[r.from - 1].get_or_insert(v);
                     }
                 }
+                let echoes: Vec<_> =
+                    (1..=n).zip(received).filter_map(|(j, v)| Some((j, Arc::clone(v?)))).collect();
                 let mut out = view.outbox();
-                for (j0, v) in received.into_iter().enumerate() {
-                    if let Some(v) = v {
-                        let echo = GcMsg::Echo { instance: j0 + 1, value: Arc::clone(v) };
-                        out.send_to_all(M::wrap(echo));
-                    }
+                if !echoes.is_empty() {
+                    out.send_to_all(M::wrap(GcMsg::Echo(echoes)));
                 }
                 self.phase = GcPhase::Vote;
                 Step::Continue(out)
             }
             GcPhase::Vote => {
-                let echoes = by_instance(&view, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
-                    Some(GcMsg::Echo { instance, value }) => Some((*instance, value)),
-                    _ => None,
-                });
+                let echoes =
+                    by_instance(n, view.inbox, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
+                        Some(GcMsg::Echo(entries)) => Some(entries),
+                        _ => None,
+                    });
+                let votes: Vec<_> = (1..=n)
+                    .zip(&echoes)
+                    .filter_map(|(j, echoes)| match best_supported(n, echoes) {
+                        Some((v, c)) if c >= n - t => Some((j, Arc::clone(v))),
+                        _ => None,
+                    })
+                    .collect();
                 let mut out = view.outbox();
-                for (j0, echoes) in echoes.iter().enumerate() {
-                    if let Some((v, c)) = best_supported(n, echoes) {
-                        if c >= n - t {
-                            out.send_to_all(M::wrap(GcMsg::Vote {
-                                instance: j0 + 1,
-                                value: Arc::clone(v),
-                            }));
-                        }
-                    }
+                if !votes.is_empty() {
+                    out.send_to_all(M::wrap(GcMsg::Vote(votes)));
                 }
                 self.phase = GcPhase::Decide;
                 Step::Continue(out)
             }
             GcPhase::Decide => {
-                let votes = by_instance(&view, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
-                    Some(GcMsg::Vote { instance, value }) => Some((*instance, value)),
-                    _ => None,
-                });
+                let votes =
+                    by_instance(n, view.inbox, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
+                        Some(GcMsg::Vote(entries)) => Some(entries),
+                        _ => None,
+                    });
                 Step::Done(
                     votes
                         .iter()
@@ -247,7 +252,9 @@ where
 mod tests {
     use super::*;
     use dprbg_rng::prelude::*;
-    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, MsgFate, MsgHop, ParRunner, StepRunner};
+    use dprbg_sim::{
+        from_fn, BoxedMachine, FaultPlan, MsgFate, MsgHop, ParRunner, Received, StepRunner,
+    };
 
     type V = u64;
     type M = GcMsg<V>;
@@ -320,6 +327,88 @@ mod tests {
         }
     }
 
+    /// `by_instance`'s reference: flatten every bundle in `(from, seq,
+    /// position)` order, keep the tags in `1..=n`, group by tag.
+    fn by_instance_flattened(n: usize, sent: &[Received<M>]) -> Vec<Vec<(PartyId, Arc<V>)>> {
+        let mut sent: Vec<&Received<M>> = sent.iter().collect();
+        sent.sort_by_key(|r| (r.from, r.seq));
+        let mut groups = vec![Vec::new(); n];
+        for r in sent {
+            if let GcMsg::Echo(entries) = r.msg() {
+                for (j, v) in entries {
+                    if (1..=n).contains(j) {
+                        groups[j - 1].push((r.from, Arc::clone(v)));
+                    }
+                }
+            }
+        }
+        groups
+    }
+
+    proptest! {
+        /// Random inboxes of Echo bundles (and Values, which the selector
+        /// skips): random senders, several bundles per sender, random
+        /// instance subsets with repeats, tags 0 and n + 1, and values that
+        /// are shared handles or private copies. `by_instance` groups the
+        /// same entries, by the same handles, in the same order as the
+        /// flattened reference, and every instance's tally agrees.
+        #[test]
+        fn by_instance_matches_flattened_bundles(
+            seed: u64,
+            n in 1usize..8,
+            messages in 0usize..24,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shared: Vec<Arc<V>> = (0..3).map(Arc::new).collect();
+            let mut seqs = vec![0u32; n];
+            let sent: Vec<Received<M>> = (0..messages)
+                .map(|_| {
+                    let from = rng.random_range(1..=n);
+                    seqs[from - 1] += 1;
+                    let seq = seqs[from - 1];
+                    let value = shared[rng.random_range(0..3usize)].clone();
+                    let msg = if rng.random_range(0..5u32) == 0 {
+                        GcMsg::Value(value)
+                    } else {
+                        GcMsg::Echo(
+                            (0..rng.random_range(0..=n + 2))
+                                .map(|_| {
+                                    let v = &shared[rng.random_range(0..3usize)];
+                                    let v = if rng.random_range(0..2u32) == 0 {
+                                        Arc::clone(v)
+                                    } else {
+                                        Arc::new(**v)
+                                    };
+                                    (rng.random_range(0..=n + 1), v)
+                                })
+                                .collect(),
+                        )
+                    };
+                    Received::new(from, false, seq, msg)
+                })
+                .collect();
+            let expect = by_instance_flattened(n, &sent);
+            let inbox = Inbox::from_messages(sent);
+            let got = by_instance(n, &inbox, |m| match m {
+                GcMsg::Echo(entries) => Some(entries),
+                _ => None,
+            });
+            prop_assert_eq!(got.len(), n);
+            for (got, expect) in got.iter().zip(&expect) {
+                prop_assert_eq!(got.len(), expect.len());
+                for ((p, v), (q, w)) in got.iter().zip(expect) {
+                    prop_assert_eq!(p, q);
+                    prop_assert!(Arc::ptr_eq(v, w));
+                }
+                let owned: Vec<(PartyId, V)> = expect.iter().map(|(p, v)| (*p, **v)).collect();
+                prop_assert_eq!(
+                    best_supported(n, got).map(|(v, c)| (**v, c)),
+                    best_supported_cloning(&owned)
+                );
+            }
+        }
+    }
+
     #[test]
     fn all_honest_full_confidence() {
         let n = 4;
@@ -358,7 +447,7 @@ mod tests {
                         let mut out = view.outbox();
                         for to in 1..=view.n {
                             let v = if to % 2 == 0 { 111 } else { 222 };
-                            out.send(to, GcMsg::Echo { instance: 1, value: Arc::new(v) });
+                            out.send(to, GcMsg::Echo(vec![(1, Arc::new(v))]));
                         }
                         Step::Continue(out)
                     }
@@ -405,7 +494,7 @@ mod tests {
                     2 => {
                         let mut out = view.outbox();
                         for to in 1..=view.n {
-                            out.send(to, GcMsg::Vote { instance: 3, value: Arc::new(999) });
+                            out.send(to, GcMsg::Vote(vec![(3, Arc::new(999))]));
                         }
                         Step::Continue(out)
                     }
@@ -463,22 +552,27 @@ mod tests {
         assert_eq!(best_supported::<u64>(3, &[]), None);
     }
 
-    /// One Echo copy replaced in flight is a distinct allocation, so the
-    /// tally must fall back to `==` for it: an equal-valued replacement
-    /// changes nothing anywhere, a different-valued one moves exactly the
-    /// recipient's tally. Party 3's traffic is dropped so every instance
-    /// sits at the n − t echo threshold and one moved tally is visible:
-    /// party 4 withholds its vote for instance 1, leaving 2 votes (> t,
-    /// < n − t) — confidence 1 at everyone. Identical under every executor.
+    /// One entry of one Echo bundle copy replaced in flight is a distinct
+    /// allocation, so the tally must fall back to `==` for it: an
+    /// equal-valued replacement changes nothing anywhere, a
+    /// different-valued one moves exactly the recipient's tally. Party 3's
+    /// traffic is dropped so every instance sits at the n − t echo
+    /// threshold and one moved tally is visible: party 4 withholds its vote
+    /// for instance 1, leaving 2 votes (> t, < n − t) — confidence 1 at
+    /// everyone. The bundle's other entries still travel as the sender's
+    /// handles. Identical under every executor.
     #[test]
     fn tampered_echo_copy_is_tallied_by_value() {
         let n = 4;
         let tap = |replacement: Option<V>| {
             move |hop: MsgHop<'_, M>| match (hop.from, hop.to, hop.msg, replacement) {
                 (3, ..) => MsgFate::Drop,
-                (2, 4, GcMsg::Echo { instance: 1, .. }, Some(v)) => {
-                    MsgFate::Tamper(GcMsg::Echo { instance: 1, value: Arc::new(v) })
-                }
+                (2, 4, GcMsg::Echo(entries), Some(v)) => MsgFate::Tamper(GcMsg::Echo(
+                    entries
+                        .iter()
+                        .map(|(j, e)| (*j, if *j == 1 { Arc::new(v) } else { Arc::clone(e) }))
+                        .collect(),
+                )),
                 _ => MsgFate::Deliver,
             }
         };
@@ -508,6 +602,132 @@ mod tests {
             assert_eq!(grades(&different.outputs[id - 1]), moved, "party {id}");
         }
         assert_eq!(equal.report, untouched.report);
+    }
+
+    /// Party 4 sends value 400 to parties 1–2 and 401 to party 3, so each
+    /// value has two honest echoes for instance 4 and party 4's own echo
+    /// decides whether one of them reaches n − t = 3. It names instance 4
+    /// twice — in one bundle, or in two bundles — and only its first
+    /// entry is its voice: first 400 makes it 3 echoes (confidence 2 at
+    /// everyone), first 401 a 2–2 split (no vote, confidence 0).
+    #[test]
+    fn repeated_instance_counts_first_entry_only() {
+        let n = 4;
+        let run = |bundles: Vec<Vec<(PartyId, Arc<V>)>>| {
+            let plan = FaultPlan::explicit(n, vec![4]);
+            let machines = plan.machines::<M, Vec<GradeOutput<V>>>(
+                |id| honest(id as u64 * 100),
+                |_| {
+                    let mut bundles = Some(bundles.clone());
+                    Box::new(from_fn(move |view: RoundView<'_, M>| {
+                        let mut out = view.outbox();
+                        match view.round {
+                            0 => {
+                                for to in 1..=view.n {
+                                    let v = if to <= 2 { 400 } else { 401 };
+                                    out.send(to, GcMsg::Value(Arc::new(v)));
+                                }
+                            }
+                            1 => {
+                                for bundle in bundles.take().unwrap_or_default() {
+                                    out.send_to_all(GcMsg::Echo(bundle));
+                                }
+                            }
+                            2 => {}
+                            _ => return Step::Done(vec![]),
+                        }
+                        Step::Continue(out)
+                    }))
+                },
+            );
+            let res = StepRunner::new(n, 8).run(machines);
+            plan.honest().map(|id| grades(&res.outputs[id - 1])).collect::<Vec<_>>()
+        };
+        let others = [(Some(100), 2), (Some(200), 2), (Some(300), 2)];
+        for (first, second, instance_4) in [(400, 401, (Some(400), 2)), (401, 400, (None, 0))] {
+            let (a, b) = ((4, Arc::new(first)), (4, Arc::new(second)));
+            let one_bundle = run(vec![vec![a.clone(), b.clone()]]);
+            let two_bundles = run(vec![vec![a], vec![b]]);
+            for graded in one_bundle.iter().chain(&two_bundles) {
+                assert_eq!(graded[..3], others, "first = {first}");
+                assert_eq!(graded[3], instance_4, "first = {first}");
+            }
+        }
+    }
+
+    /// Entries tagged 0 or n + 1, in Echo and in Vote bundles, are dropped
+    /// on receipt: a party that adds them to otherwise honest bundles
+    /// leaves every grade as in the fault-free run.
+    #[test]
+    fn out_of_range_instance_tags_are_dropped() {
+        let n = 4;
+        let plan = FaultPlan::explicit(n, vec![4]);
+        let bundle = move || -> Vec<(PartyId, Arc<V>)> {
+            let mut entries = vec![(0, Arc::new(7))];
+            entries.extend((1..=n).map(|j| (j, Arc::new(j as u64 * 100))));
+            entries.push((n + 1, Arc::new(7)));
+            entries
+        };
+        let machines = plan.machines::<M, Vec<GradeOutput<V>>>(
+            |id| honest(id as u64 * 100),
+            |_| {
+                Box::new(from_fn(move |view: RoundView<'_, M>| {
+                    let mut out = view.outbox();
+                    match view.round {
+                        0 => out.send_to_all(GcMsg::Value(Arc::new(400))),
+                        1 => out.send_to_all(GcMsg::Echo(bundle())),
+                        2 => out.send_to_all(GcMsg::Vote(bundle())),
+                        _ => return Step::Done(vec![]),
+                    }
+                    Step::Continue(out)
+                }))
+            },
+        );
+        let res = StepRunner::new(n, 9).run(machines);
+        let expect: Vec<_> = (1..=n).map(|j| (Some(j as u64 * 100), 2)).collect();
+        for id in plan.honest() {
+            assert_eq!(grades(&res.outputs[id - 1]), expect, "party {id}");
+        }
+    }
+
+    /// A party with nothing to echo or vote sends no envelope: with no
+    /// sender at all the run is silent, and with one sender every round
+    /// is one envelope per party per recipient (n² messages), not one per
+    /// instance.
+    #[test]
+    fn nothing_to_say_sends_no_envelope() {
+        let n = 4;
+        let silent: Vec<_> =
+            (1..=n).map(|_| Box::new(GradecastMachine::new(None)) as BoxedMachine<M, _>).collect();
+        let res = StepRunner::new(n, 10).run(silent);
+        assert_eq!(res.report.comm.messages, 0);
+        for outputs in res.unwrap_all() {
+            assert_eq!(outputs, vec![GradeOutput::none(); n]);
+        }
+        let one_sender: Vec<_> = (1..=n)
+            .map(|id| {
+                Box::new(GradecastMachine::new((id == 2).then_some(200u64))) as BoxedMachine<M, _>
+            })
+            .collect();
+        let res = StepRunner::new(n, 10).run(one_sender);
+        let deliveries: Vec<usize> = res.rounds.iter().map(|p| p.deliveries).collect();
+        assert_eq!(deliveries, [n, n * n, n * n]);
+        assert_eq!(res.report.comm.messages, (n + 2 * n * n) as u64);
+    }
+
+    /// A Value costs its payload; a k-entry Echo or Vote bundle costs one
+    /// instance tag byte plus the value per entry, so bundling saves
+    /// messages, not bytes.
+    #[test]
+    fn bundle_wire_size_is_tag_plus_value_per_entry() {
+        let value = |len: usize| Arc::new(vec![0u64; len]);
+        assert_eq!(GcMsg::Value(value(3)).wire_bytes(), 24);
+        for k in 0..5 {
+            let entries: Vec<(PartyId, Arc<Vec<u64>>)> = (1..=k).map(|j| (j, value(j))).collect();
+            let expect: usize = (1..=k).map(|j| 1 + 8 * j).sum();
+            assert_eq!(GcMsg::Echo(entries.clone()).wire_bytes(), expect, "k = {k}");
+            assert_eq!(GcMsg::Vote(entries).wire_bytes(), expect, "k = {k}");
+        }
     }
 
     thread_local! {

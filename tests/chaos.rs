@@ -175,15 +175,24 @@ fn coin_gen_withstands_randomized_byzantine_strategies() {
                     .collect(),
             )),
             3 => {
-                let announce = Arc::new(CliqueAnnounce {
-                    pairs: (1..=rng.random_range(0..=n))
-                        .map(|j| (j, Poly::random(rng.random_range(0..4), rng)))
-                        .collect(),
-                });
+                let announce = |rng: &mut StdRng| {
+                    Arc::new(CliqueAnnounce {
+                        pairs: (1..=rng.random_range(0..=n))
+                            .map(|j| (j, Poly::random(rng.random_range(0..4), rng)))
+                            .collect(),
+                    })
+                };
+                // Echo/Vote bundles of 0..=n + 1 entries tagged 0..=n + 1:
+                // empty bundles, repeated and out-of-range instances.
+                let bundle = |rng: &mut StdRng| {
+                    (0..rng.random_range(0..=n + 1))
+                        .map(|_| (rng.random_range(0..=n + 1), announce(rng)))
+                        .collect()
+                };
                 CoinGenMsg::Gc(match rng.random_range(0..3u32) {
-                    0 => GcMsg::Value(announce),
-                    1 => GcMsg::Echo { instance: rng.random_range(1..=n), value: announce },
-                    _ => GcMsg::Vote { instance: rng.random_range(1..=n), value: announce },
+                    0 => GcMsg::Value(announce(rng)),
+                    1 => GcMsg::Echo(bundle(rng)),
+                    _ => GcMsg::Vote(bundle(rng)),
                 })
             }
             4 => CoinGenMsg::Ba(BaMsg::Suggest(rng.random())),

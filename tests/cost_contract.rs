@@ -14,11 +14,21 @@ use dprbg::beacon::{BeaconMsg, EpochMachine, EpochOutcome};
 use dprbg::core::{CoinGenConfig, CoinGenMachine, CoinGenMsg, Params, TrustedDealer};
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostSnapshot;
-use dprbg::sim::{BoxedMachine, MachineExt, StepRunner};
+use dprbg::sim::{BoxedMachine, MachineExt, RunResult, StepRunner};
 
 /// Whole-fleet totals of one fault-free Coin-Gen at `(n, t, M)` over `F`,
 /// wallets and executor both seeded with `seed`.
 fn coin_gen_totals<F: Field>(n: usize, t: usize, m: usize, seed: u64) -> CostSnapshot {
+    let res = coin_gen_run::<F>(n, t, m, seed);
+    let total = res.report.total();
+    // `total()` sums the per-party round counters; the run's round count
+    // is the communication summary's.
+    CostSnapshot { rounds: res.report.comm.rounds, ..total }
+}
+
+/// One fault-free Coin-Gen at `(n, t, M)` over `F`, every party sealing M
+/// coins.
+fn coin_gen_run<F: Field>(n: usize, t: usize, m: usize, seed: u64) -> RunResult<usize> {
     let params = Params::p2p_model(n, t).unwrap();
     let cfg = CoinGenConfig { params, batch_size: m };
     let fleet: Vec<BoxedMachine<CoinGenMsg<F>, usize>> =
@@ -33,12 +43,14 @@ fn coin_gen_totals<F: Field>(n: usize, t: usize, m: usize, seed: u64) -> CostSna
             .collect();
     let res = StepRunner::new(n, seed).run(fleet);
     assert!(res.outputs.iter().all(|o| *o == Some(m)), "every party seals M coins");
-    let total = res.report.total();
-    // `total()` sums the per-party round counters; the run's round count
-    // is the communication summary's.
-    CostSnapshot { rounds: res.report.comm.rounds, ..total }
+    res
 }
 
+/// Grade-cast sends one Echo and one Vote bundle per party per recipient,
+/// so its echo and vote rounds cost n² messages, not n³ (one message per
+/// instance: 1 043 at n = 7 and 5 785 at n = 13 before bundling). Bytes,
+/// field work and rounds are unchanged: a bundle still charges each entry
+/// its 1-byte instance tag.
 #[test]
 fn coin_gen_n7_t1_m8_gf2_32() {
     assert_eq!(
@@ -49,13 +61,14 @@ fn coin_gen_n7_t1_m8_gf2_32() {
             field_invs: 21,
             interpolations: 63,
             prg_invocations: 21,
-            messages: 1043,
+            messages: 455,
             bytes: 50974,
             rounds: 11,
         }
     );
 }
 
+/// `messages` was 5 785 before grade-cast bundling (see above).
 #[test]
 fn coin_gen_n13_t2_m64_gf2_64() {
     assert_eq!(
@@ -66,7 +79,7 @@ fn coin_gen_n13_t2_m64_gf2_64() {
             field_invs: 39,
             interpolations: 195,
             prg_invocations: 325,
-            messages: 5785,
+            messages: 1729,
             bytes: 1598272,
             rounds: 13,
         }
@@ -77,7 +90,7 @@ fn coin_gen_n13_t2_m64_gf2_64() {
 /// probability 1/256, `Poly::new` trims it, and the evaluation is charged
 /// for the shorter polynomial: with 13 × 65 polynomials dealt the run
 /// must come out strictly cheaper than the same run over GF(2^64), and
-/// exactly this much.
+/// exactly this much. `messages` was 5 785 before grade-cast bundling.
 #[test]
 fn coin_gen_n13_t2_m64_gf2_8_charges_trimmed_polynomials() {
     let gf8 = coin_gen_totals::<Gf2k<8>>(13, 2, 64, 1);
@@ -89,13 +102,32 @@ fn coin_gen_n13_t2_m64_gf2_8_charges_trimmed_polynomials() {
             field_invs: 39,
             interpolations: 195,
             prg_invocations: 325,
-            messages: 5785,
+            messages: 1729,
             bytes: 257933,
             rounds: 13,
         }
     );
     let gf64 = coin_gen_totals::<Gf2k<64>>(13, 2, 64, 1);
     assert!(gf8.field_muls < gf64.field_muls, "trimmed polynomials evaluate cheaper");
+}
+
+/// No round of a Coin-Gen delivers more than n² messages: every party
+/// sends at most one envelope to each party per round, grade-cast's echo
+/// and vote rounds included, so nothing is left for a generic per-round
+/// coalescing step in the executor to merge.
+#[test]
+fn coin_gen_rounds_deliver_at_most_n_squared() {
+    for (n, t, m) in [(7, 1, 8), (13, 2, 16)] {
+        let rounds = coin_gen_run::<Gf2k<32>>(n, t, m, 1).rounds;
+        assert!(rounds.len() >= 6, "n = {n}: {} rounds", rounds.len());
+        for (r, p) in rounds.iter().enumerate() {
+            assert!(p.deliveries <= n * n, "n = {n}, round {}: {}", r + 1, p.deliveries);
+        }
+        // Grade-cast's value, echo and vote rounds: one envelope per pair.
+        for p in &rounds[3..6] {
+            assert_eq!(p.deliveries, n * n, "n = {n}");
+        }
+    }
 }
 
 /// One serve-only beacon epoch: 4 coins exposed by all 7 parties. Every
