@@ -8,21 +8,25 @@
 //! ```
 //!
 //! An argument that is neither an experiment name nor one of the flags
-//! below is a usage error (exit status 2), not an empty report.
+//! below is a usage error (exit status 2), not an empty report; so is
+//! mixing experiment names, `--health` and `--trace`, which are three
+//! separate reports.
 //!
 //! `--trace <path>` runs the fixed-seed traced E2 smoke, prints its
-//! per-(round, phase) cost breakdown, writes the Chrome trace-event JSON
-//! to `<path>` (load it in Perfetto or `chrome://tracing`), and reports
-//! the E11 tracing-overhead timing. Combine with `--quick` for the small
-//! sweep.
+//! per-(round, phase) cost breakdown, and writes the Chrome trace-event
+//! JSON to `<path>` (load it in Perfetto or `chrome://tracing`). Combine
+//! with `--quick` for the small sweep.
 //!
 //! `--health` runs the health-plane smoke: a fixed-seed E15 short soak
 //! rendered as the registry's dashboard, with the registry bytes' decode
 //! round trip, cross-executor parity, kill/restore byte-identity, and
 //! forced-rollback forensics asserted inline. Combine with `--quick` for
 //! the short soak.
-
-use std::time::Instant;
+//!
+//! Every report prints counted units only, so its stdout is a pure
+//! function of the arguments: `tests/golden/` pins the three `--quick`
+//! reports byte for byte, and the repository root's `report_full.txt`
+//! the full one.
 
 use dprbg_bench::experiments::{self as ex, ExperimentCtx};
 use dprbg_metrics::Table;
@@ -48,6 +52,16 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("e15", ex::e15::run),
 ];
 
+/// Which report to print; exactly one per invocation.
+enum Mode {
+    /// The experiment tables; an empty selection means all of them.
+    Tables(Vec<&'static str>),
+    /// `--health`: the health-plane smoke.
+    Health,
+    /// `--trace <path>`: the traced E2 smoke, exporting to `path`.
+    Trace(String),
+}
+
 fn usage_error(what: &str) -> ! {
     eprintln!(
         "report: {what}\n\
@@ -59,32 +73,40 @@ fn usage_error(what: &str) -> ! {
 }
 
 fn main() {
-    let (mut quick, mut health, mut trace) = (false, false, None);
-    let mut selected: Vec<&str> = Vec::new();
+    let mut quick = false;
+    let mut mode = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "-q" => quick = true,
-            "--health" => health = true,
+        let next = match arg.as_str() {
+            "--quick" | "-q" => {
+                quick = true;
+                continue;
+            }
+            "--health" => Mode::Health,
             "--trace" => match args.next() {
-                Some(path) => trace = Some(path),
+                Some(path) => Mode::Trace(path),
                 None => usage_error("--trace requires an output path for the Chrome trace JSON"),
             },
             name => match EXPERIMENTS.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)) {
-                Some((n, _)) => selected.push(n),
+                Some((n, _)) => Mode::Tables(vec![n]),
                 None if name.starts_with('-') => usage_error(&format!("unknown flag `{name}`")),
                 None => usage_error(&format!("unknown experiment `{name}`")),
             },
-        }
+        };
+        mode = Some(match (mode, next) {
+            (None, next) => next,
+            (Some(Mode::Tables(mut names)), Mode::Tables(more)) => {
+                names.extend(more);
+                Mode::Tables(names)
+            }
+            _ => usage_error("experiment names, `--health` and `--trace` are separate reports"),
+        });
     }
-    if health {
-        dprbg_bench::health::run_health_report(quick);
-        return;
-    }
-    if let Some(path) = trace {
-        dprbg_bench::traced::run_traced_report(&path, quick);
-        return;
-    }
+    let selected = match mode.unwrap_or(Mode::Tables(Vec::new())) {
+        Mode::Health => return dprbg_bench::health::run_health_report(quick),
+        Mode::Trace(path) => return dprbg_bench::traced::run_traced_report(&path, quick),
+        Mode::Tables(names) => names,
+    };
     let ctx = ExperimentCtx::new(quick);
 
     println!("dprbg experiment report — Bellare–Garay–Rabin, PODC 1996");
@@ -93,7 +115,6 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
 
-    let t0 = Instant::now();
     for (name, run) in EXPERIMENTS {
         if selected.is_empty() || selected.contains(&name) {
             for table in run(&ctx) {
@@ -101,5 +122,4 @@ fn main() {
             }
         }
     }
-    println!("report generated in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -93,3 +93,14 @@ pub fn fmt_f(v: f64) -> String {
         format!("{v:.3}")
     }
 }
+
+/// Assert that each table renders byte for byte as it does in the
+/// checked-in `report --quick` output, `tests/golden/report_quick.txt`.
+#[cfg(test)]
+pub(crate) fn assert_golden(tables: &[dprbg_metrics::Table]) {
+    const GOLDEN: &str = include_str!("../../tests/golden/report_quick.txt");
+    for table in tables {
+        let s = table.render();
+        assert!(GOLDEN.contains(&format!("\n{s}\n")), "not in tests/golden/report_quick.txt:\n{s}");
+    }
+}

@@ -138,6 +138,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e1_shapes_hold() {
@@ -173,5 +174,6 @@ mod tests {
         assert!(s.contains("ours"));
         assert!(s.contains("CCD"));
         assert!(s.contains("Feldman"));
+        assert_golden(&[table]);
     }
 }

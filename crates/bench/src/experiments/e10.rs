@@ -96,6 +96,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e10_round_structure_matches_fig5() {
@@ -126,9 +127,11 @@ mod tests {
 
     #[test]
     fn e10_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
+        let table = run(&ExperimentCtx::new(true));
+        let s = table.render();
         assert!(s.contains("bit-gen: deal"));
         assert!(s.contains("grade-cast: echoes"));
         assert!(s.contains("BA suggest"));
+        assert_golden(&[table]);
     }
 }

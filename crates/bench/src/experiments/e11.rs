@@ -112,6 +112,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e11_point_runs_and_agrees() {
@@ -138,8 +139,10 @@ mod tests {
 
     #[test]
     fn e11_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
+        let table = run(&ExperimentCtx::new(true));
+        let s = table.render();
         assert!(s.contains("E11"));
         assert!(s.contains("n=  7"));
+        assert_golden(&[table]);
     }
 }

@@ -169,18 +169,8 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
     use crate::chaos::Outcome;
-
-    #[test]
-    fn e12_quick_runs_and_holds_its_invariants() {
-        // `run` itself asserts the zero-unsound and failure-reachable
-        // invariants; rendering exercises the table plumbing.
-        let tables = run(&ExperimentCtx::new(true));
-        assert_eq!(tables.len(), 2);
-        for t in &tables {
-            assert!(t.render().contains("E12"));
-        }
-    }
 
     #[test]
     fn break_broadcast_leg_is_unsound_every_time() {
@@ -195,5 +185,17 @@ mod tests {
             );
             assert_eq!(ep.outcome, Outcome::Unsound);
         }
+    }
+
+    #[test]
+    fn e12_quick_runs_and_holds_its_invariants() {
+        // `run` itself asserts the zero-unsound and failure-reachable
+        // invariants; rendering exercises the table plumbing.
+        let tables = run(&ExperimentCtx::new(true));
+        assert_eq!(tables.len(), 2);
+        for t in &tables {
+            assert!(t.render().contains("E12"));
+        }
+        assert_golden(&tables);
     }
 }

@@ -168,14 +168,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn e14_renders_with_parity_and_quorum() {
-        // `run` itself asserts executor parity and quorum success.
-        let s = run(&ExperimentCtx::new(true)).render();
-        assert!(s.contains("committee n=129"));
-        assert!(s.contains("E14"));
-    }
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn sampling_error_shrinks_as_committee_grows() {
@@ -190,5 +183,15 @@ mod tests {
         let small = committee_soundness_error(n, f, 7, committee_threshold(7));
         let large = committee_soundness_error(n, f, 31, committee_threshold(31));
         assert!(large < small, "c=31 gave {large}, c=7 gave {small}");
+    }
+
+    #[test]
+    fn e14_renders_with_parity_and_quorum() {
+        // `run` itself asserts executor parity and quorum success.
+        let table = run(&ExperimentCtx::new(true));
+        let s = table.render();
+        assert!(s.contains("committee n=129"));
+        assert!(s.contains("E14"));
+        assert_golden(&[table]);
     }
 }

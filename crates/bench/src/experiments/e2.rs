@@ -132,6 +132,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e2_shapes_hold() {
@@ -171,13 +172,15 @@ mod tests {
 
     #[test]
     fn e2b_renders() {
-        let s = run_k_sweep(&ExperimentCtx::new(true)).render();
-        assert!(s.contains("k=64"));
+        let table = run_k_sweep(&ExperimentCtx::new(true));
+        assert!(table.render().contains("k=64"));
+        assert_golden(&[table]);
     }
 
     #[test]
     fn e2_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
-        assert!(s.contains("M=256"));
+        let table = run(&ExperimentCtx::new(true));
+        assert!(table.render().contains("M=256"));
+        assert_golden(&[table]);
     }
 }

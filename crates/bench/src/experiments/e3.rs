@@ -84,6 +84,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e3_shapes_hold() {
@@ -108,7 +109,8 @@ mod tests {
 
     #[test]
     fn e3_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
-        assert!(s.contains("M=64"));
+        let table = run(&ExperimentCtx::new(true));
+        assert!(table.render().contains("M=64"));
+        assert_golden(&[table]);
     }
 }

@@ -79,6 +79,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e4_amortization_shape() {
@@ -126,5 +127,6 @@ mod tests {
         let tables = run(&ExperimentCtx::new(true));
         assert_eq!(tables.len(), 2);
         assert!(tables[0].render().contains("M=128"));
+        assert_golden(&tables);
     }
 }

@@ -151,6 +151,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e5_dprbg_beats_from_scratch() {
@@ -168,9 +169,11 @@ mod tests {
 
     #[test]
     fn e5_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
+        let table = run(&ExperimentCtx::new(true));
+        let s = table.render();
         assert!(s.contains("D-PRBG"));
         assert!(s.contains("from-scratch"));
         assert!(s.contains("Rabin"));
+        assert_golden(&[table]);
     }
 }

@@ -201,6 +201,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e6_soundness_within_bounds() {
@@ -226,5 +227,6 @@ mod tests {
         let tables = run(&ExperimentCtx::new(true));
         assert_eq!(tables.len(), 2);
         assert!(tables[0].render().contains("single VSS"));
+        assert_golden(&tables);
     }
 }

@@ -188,6 +188,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e7_self_sufficiency_and_steady_state() {
@@ -220,7 +221,8 @@ mod tests {
 
     #[test]
     fn e7_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
-        assert!(s.contains("running avg"));
+        let table = run(&ExperimentCtx::new(true));
+        assert!(table.render().contains("running avg"));
+        assert_golden(&[table]);
     }
 }

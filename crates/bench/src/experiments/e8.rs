@@ -7,44 +7,20 @@
 //! because of the sizes of the constants involved. So an implementation
 //! should be careful about which method it uses."
 //!
-//! This experiment times all three multiplications at matched field
-//! sizes — naive GF(2^k), schoolbook GF(q^l), and DFT GF(q^l) — and
-//! reports ns/multiplication, locating (a) the GF(2^k)-vs-GF(q^l)
-//! crossover the paper warns about and (b) the naive-vs-DFT crossover
-//! inside GF(q^l) itself. One more row prices a GF(2^k) multiplication
-//! three ways — inside a slice kernel, as a scalar `*`, on the portable
-//! ladder — after checking that the three agree.
+//! This experiment counts the `Z_q` multiplications one GF(q^l)
+//! multiply performs — schoolbook vs DFT — at field sizes matched to
+//! GF(2^k), locating the naive-vs-DFT crossover inside GF(q^l) in the
+//! paper's own unit. One more row checks that the GF(2^k) multiply —
+//! runtime-dispatched carry-less product, slice kernels, scalar
+//! operators — agrees with the portable reference ladder. Wall-clock per
+//! multiply, per backend, is `benchmark/`'s `field.*_ns` ledger.
 
-use std::time::Instant;
-
-use dprbg_field::{clmul, reduction_poly, Field, Gf2k, GfQlParams};
-use dprbg_metrics::Table;
+use dprbg_field::{clmul, reduction_poly, Field, Gf2k, GfQl, GfQlParams};
+use dprbg_metrics::{OpsGuard, Table};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::{RngExt, SeedableRng};
 
-use super::common::{fmt_f, ExperimentCtx};
-
-/// Time `iters` dependent GF(2^k) multiplications; returns ns/mul.
-fn time_gf2k<const K: usize>(iters: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut x = Gf2k::<K>::random(&mut rng);
-    let y = {
-        // Avoid a zero multiplier collapsing the chain.
-        let v = Gf2k::<K>::random(&mut rng);
-        if v.is_zero() {
-            Gf2k::<K>::one()
-        } else {
-            v
-        }
-    };
-    let start = Instant::now();
-    for _ in 0..iters {
-        x *= y;
-    }
-    let elapsed = start.elapsed().as_nanos() as f64 / iters as f64;
-    std::hint::black_box(x);
-    elapsed
-}
+use super::common::ExperimentCtx;
 
 /// One GF(2^K) multiplication on the portable ladder alone — product and
 /// both folds — whatever the CPU offers.
@@ -53,31 +29,6 @@ fn mul_portable<const K: usize>(a: Gf2k<K>, b: Gf2k<K>) -> Gf2k<K> {
         (v & (u128::MAX >> (128 - K))) ^ clmul::clmul_portable((v >> K) as u64, reduction_poly(K))
     };
     Gf2k::from_u64(fold(fold(clmul::clmul_portable(a.to_u64(), b.to_u64()))) as u64)
-}
-
-/// ns per element of the `axpy` slice kernel over `iters` elements, and
-/// ns per portable multiplication over `iters / 16`.
-fn time_kernel_and_portable<const K: usize>(iters: usize, seed: u64) -> (f64, f64) {
-    const LEN: usize = 4096;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let row: Vec<Gf2k<K>> = (0..LEN).map(|_| Gf2k::random(&mut rng)).collect();
-    let mut acc = row.clone();
-    let s = Gf2k::<K>::random(&mut rng);
-    let passes = iters.div_ceil(LEN);
-    let start = Instant::now();
-    for _ in 0..passes {
-        Gf2k::axpy(&mut acc, s, &row);
-    }
-    let kernel = start.elapsed().as_nanos() as f64 / (passes * LEN) as f64;
-    std::hint::black_box(&acc);
-    let mut x = row[0];
-    let start = Instant::now();
-    for _ in 0..iters / 16 {
-        x = mul_portable(x, s);
-    }
-    let portable = start.elapsed().as_nanos() as f64 / (iters / 16) as f64;
-    std::hint::black_box(x);
-    (kernel, portable)
 }
 
 /// One random slice through the multiplying kernels, each checked
@@ -103,74 +54,52 @@ fn kernels_agree<const K: usize>(rng: &mut StdRng) -> bool {
     })
 }
 
-/// Time `iters` dependent GF(q^l) multiplications; returns ns/mul for
-/// `(naive, fft)`.
-fn time_gfql(f: &GfQlParams, iters: usize, seed: u64) -> (f64, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let y = f.random(&mut rng);
-    let mut x = f.random(&mut rng);
-    let start = Instant::now();
-    for _ in 0..iters {
-        x = f.mul_naive(&x, &y);
-    }
-    let naive = start.elapsed().as_nanos() as f64 / iters as f64;
-    std::hint::black_box(&x);
-    let mut x = f.random(&mut rng);
-    let start = Instant::now();
-    for _ in 0..iters {
-        x = f.mul_fft(&x, &y);
-    }
-    let fft = start.elapsed().as_nanos() as f64 / iters as f64;
-    std::hint::black_box(&x);
-    (naive, fft)
+/// `Z_q` multiplications in one GF(q^l) multiply, `(naive, DFT)`, on
+/// dense operands (no zero coefficient, so the schoolbook skips no row).
+/// From the loops: l² + (l − 1) for the schoolbook, 3·N·log2 N + 2N +
+/// (l − 1) for the DFT of size N ≥ 2l − 1.
+fn zq_muls(f: &GfQlParams) -> (u64, u64) {
+    let dense = f.from_coeffs(&(1..=f.l() as u64).collect::<Vec<_>>());
+    let count = |mul: fn(&GfQlParams, &GfQl, &GfQl) -> GfQl| {
+        let guard = OpsGuard::start();
+        mul(f, &dense, &dense);
+        guard.finish().field_muls
+    };
+    (count(GfQlParams::mul_naive), count(GfQlParams::mul_fft))
 }
 
 /// Run E8 and render its table.
 pub fn run(ctx: &ExperimentCtx) -> Table {
-    let iters = if ctx.quick { 20_000 } else { 200_000 };
     let mut table = Table::new(
-        &format!("E8: multiplication cost, ns/mul over {iters} dependent muls (§2 crossover)"),
-        &["~bits", "GF(2^k) naive", "GF(q^l) naive", "GF(q^l) DFT", "DFT wins?"],
+        "E8: Z_q multiplications per GF(q^l) multiply, schoolbook vs DFT (§2 crossover)",
+        &["~bits", "naive", "DFT", "DFT wins?"],
     );
-    // Matched-size pairs: (GF(2^k) timer, GF(q^l) params, label).
-    let rows: Vec<(&str, f64, GfQlParams)> = vec![
-        ("k=16", time_gf2k::<16>(iters, ctx.seed), GfQlParams::new(17, 4).unwrap()),
-        ("k=32", time_gf2k::<32>(iters, ctx.seed + 1), GfQlParams::new(17, 8).unwrap()),
-        ("k=64", time_gf2k::<64>(iters, ctx.seed + 2), GfQlParams::new(97, 16).unwrap()),
+    // GF(q^l) sized to match GF(2^k) at the paper's working points, then
+    // the large extension degrees where the DFT pays.
+    let rows = [
+        ("k=16 | ", 17u64, 4usize),
+        ("k=32 | ", 17, 8),
+        ("k=64 | ", 97, 16),
+        ("      ", 193, 32),
+        ("      ", 769, 64),
     ];
-    for (label, gf2k_ns, params) in rows {
-        let (naive, fft) = time_gfql(&params, iters / 4, ctx.seed + 7);
+    for (label, q, l) in rows {
+        let params = GfQlParams::new(q, l).expect("built-in parameters are valid");
+        let (naive, fft) = zq_muls(&params);
         table.row(
-            &format!("{label} | GF({}^{})", params.q(), params.l()),
+            &format!("{label}GF({q}^{l})"),
             &[
                 params.bits().to_string(),
-                fmt_f(gf2k_ns),
-                fmt_f(naive),
-                fmt_f(fft),
+                naive.to_string(),
+                fft.to_string(),
                 (fft < naive).to_string(),
             ],
         );
     }
-    // Large extension degrees: the asymptotic regime where the DFT pays.
-    for (q, l) in [(193u64, 32usize), (769, 64)] {
-        let params = GfQlParams::new(q, l).unwrap();
-        let (naive, fft) = time_gfql(&params, iters / 8, ctx.seed + 9);
-        table.row(
-            &format!("      GF({q}^{l})"),
-            &[
-                params.bits().to_string(),
-                "-".into(),
-                fmt_f(naive),
-                fmt_f(fft),
-                (fft < naive).to_string(),
-            ],
-        );
-    }
-    // The GF(2^k) column above goes through the runtime-dispatched
-    // carry-less multiply; record which backend ran and check it against
-    // the portable reference ladder — the raw product, and 4 096 random
-    // slices through the kernels — so neither the crossover numbers nor
-    // the row below are ever silently measuring a broken accelerator.
+    // The GF(2^k) multiply goes through the runtime-dispatched carry-less
+    // product; check it against the portable reference ladder — the raw
+    // product, and 4 096 random slices through the kernels — so no
+    // protocol ever runs on a broken accelerator unnoticed.
     let mut rng = StdRng::seed_from_u64(ctx.seed + 11);
     let parity = (0..4096).all(|_| {
         let (a, b) = (rng.random(), rng.random());
@@ -182,37 +111,11 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
             && kernels_agree::<64>(&mut rng)
     });
     table.row(
-        &format!("clmul backend: {}", clmul::backend_name()),
+        "GF(2^k) clmul vs portable",
         &[
             "-".into(),
             if parity { "backend parity OK".into() } else { "BACKEND MISMATCH".into() },
             if kernel_parity { "kernel parity OK".into() } else { "KERNEL MISMATCH".into() },
-            "-".into(),
-            "-".into(),
-        ],
-    );
-    // One GF(2^k) multiplication three ways, k = 8 / 32 / 64: per element
-    // of a slice kernel, per scalar `*`, per portable-ladder multiply.
-    let scalar = [
-        time_gf2k::<8>(iters, ctx.seed + 3),
-        time_gf2k::<32>(iters, ctx.seed + 4),
-        time_gf2k::<64>(iters, ctx.seed + 5),
-    ];
-    let (kernel, portable): (Vec<f64>, Vec<f64>) = [
-        time_kernel_and_portable::<8>(iters, ctx.seed + 3),
-        time_kernel_and_portable::<32>(iters, ctx.seed + 4),
-        time_kernel_and_portable::<64>(iters, ctx.seed + 5),
-    ]
-    .into_iter()
-    .unzip();
-    let per_k = |ns: &[f64]| ns.iter().map(|&v| fmt_f(v)).collect::<Vec<_>>().join(" / ");
-    table.row(
-        "GF(2^k) ns, k = 8 / 32 / 64",
-        &[
-            "-".into(),
-            format!("scalar {}", per_k(&scalar)),
-            format!("kernel {}", per_k(&kernel)),
-            format!("portable {}", per_k(&portable)),
             "-".into(),
         ],
     );
@@ -222,37 +125,30 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
-    fn e8_small_k_prefers_gf2k() {
-        // The paper's practical remark: naive GF(2^k) beats the special
-        // field at small k by a wide margin.
-        let gf2k = time_gf2k::<32>(50_000, 1);
-        let f = GfQlParams::new(17, 8).unwrap();
-        let (naive, fft) = time_gfql(&f, 10_000, 2);
-        assert!(
-            gf2k < naive && gf2k < fft,
-            "GF(2^32): {gf2k:.1} ns vs GF(17^8) naive {naive:.1} / fft {fft:.1}"
-        );
+    fn e8_small_l_prefers_naive() {
+        for (q, l) in [(17, 4), (17, 8), (97, 16), (193, 32)] {
+            let (naive, fft) = zq_muls(&GfQlParams::new(q, l).unwrap());
+            assert!(naive < fft, "GF({q}^{l}): schoolbook {naive} vs DFT {fft}");
+        }
+        assert_eq!(zq_muls(&GfQlParams::new(193, 32).unwrap()), (1_055, 1_311));
     }
 
     #[test]
     fn e8_large_l_prefers_dft() {
-        // The asymptotic side: at l = 64 the O(l log l) DFT beats the
-        // O(l^2) schoolbook inside GF(q^l).
-        let f = GfQlParams::new(769, 64).unwrap();
-        let (naive, fft) = time_gfql(&f, 4_000, 3);
-        assert!(
-            fft < naive,
-            "GF(769^64): fft {fft:.1} ns should beat naive {naive:.1} ns"
-        );
+        let counts = zq_muls(&GfQlParams::new(769, 64).unwrap());
+        assert_eq!(counts, (4_159, 3_007), "GF(769^64): the DFT wins");
     }
 
     #[test]
     fn e8_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
+        let table = run(&ExperimentCtx::new(true));
+        let s = table.render();
         assert!(s.contains("GF(2^k)"));
         assert!(s.contains("backend parity OK"), "{s}");
         assert!(s.contains("kernel parity OK"), "{s}");
+        assert_golden(&[table]);
     }
 }

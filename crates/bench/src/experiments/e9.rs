@@ -182,6 +182,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::assert_golden;
 
     #[test]
     fn e9_blinding_is_cheap() {
@@ -205,8 +206,10 @@ mod tests {
 
     #[test]
     fn e9_renders() {
-        let s = run(&ExperimentCtx::new(true)).render();
+        let table = run(&ExperimentCtx::new(true));
+        let s = table.render();
         assert!(s.contains("blinding"));
         assert!(s.contains("Refresh"));
+        assert_golden(&[table]);
     }
 }

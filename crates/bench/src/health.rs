@@ -14,9 +14,10 @@
 //! flight-recorder dump travels on the
 //! [`EpochReport`](dprbg_beacon::EpochReport) that needs it.
 //!
-//! `scripts/verify.sh` greps the output for the four verdict markers:
-//! `health export round-trip OK`, `health export executor parity OK`,
-//! `flight recorder kill/restore OK`, and `forensic dump OK`.
+//! `tests/golden/health_quick.txt` pins the output, including the four
+//! verdict markers: `health export round-trip OK`, `health export
+//! executor parity OK`, `flight recorder kill/restore OK`, and
+//! `forensic dump OK`.
 
 use dprbg_beacon::{BeaconConfig, BeaconService, ExecutorKind, ReservoirConfig};
 use dprbg_core::{CoinGenConfig, Params, RetryPolicy};

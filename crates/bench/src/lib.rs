@@ -22,8 +22,9 @@
 //!
 //! Wall-clock is not measured here: the repository's one timing harness
 //! is the separate `benchmark/` package (end-to-end workloads plus a
-//! per-layer ledger, see its README). The wall-clock cells that remain in
-//! E8, E13 and E15 are illustrations beside the counted columns.
+//! per-layer ledger, see its README). Every report is therefore a pure
+//! function of its arguments; `tests/golden/` pins the `--quick` ones
+//! byte for byte.
 //!
 //! | Experiment | Paper claim |
 //! |---|---|
@@ -34,11 +35,14 @@
 //! | [`experiments::e5`] | §1.4: D-PRBG vs from-scratch coin vs Rabin's dealer — who wins, by what factor |
 //! | [`experiments::e6`] | soundness error ≤ 1/p, M/p (Lemmas 1, 3, 5); unanimity under t corruptions (Theorem 1) |
 //! | [`experiments::e7`] | bootstrapping: steady-state cost ≈ amortized cost; the initial seed is "effectively neglected" (Fig. 1) |
-//! | [`experiments::e8`] | §2: GF(q^l) O(k log k) multiplication vs naive GF(2^k) — the small-k crossover the paper predicts |
+//! | [`experiments::e8`] | §2: GF(q^l) multiplication, O(l²) schoolbook vs O(l log l) DFT in counted Z_q multiplications — the crossover the paper predicts |
 //! | [`experiments::e9`] | ablations of this implementation's choices: blinding, Strict vs Robust acceptance, refresh vs generation |
 //! | [`experiments::e10`] | round anatomy of Coin-Gen: n² deliveries per round, grade-cast's O(n⁴k) term carried in n-entry bundles |
 //! | [`experiments::e11`] | Coin-Gen at beacon scale (n ≤ 61) on the single-threaded executor |
 //! | [`experiments::e12`] | empirical soundness under adaptive adversaries: the [`chaos`] campaign, zero unsound outcomes at f ≤ t |
+//! | [`experiments::e13`] | not a paper claim: the CLMUL backend, `ParRunner`, shared-basis decoding and grade-cast handles leave every output byte-identical |
+//! | [`experiments::e14`] | committee-sampled Coin-Gen at n ≥ 129: sampling soundness error vs the observed quorum rate |
+//! | [`experiments::e15`] | a crash-recoverable beacon soak under composite faults: coins per epoch, zero unsound, kill/restore byte-identity |
 //!
 //! `report --health` (the [`health`] module) is not a paper table but an
 //! operational smoke: a fixed-seed E15 short soak rendered through the

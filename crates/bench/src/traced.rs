@@ -4,23 +4,16 @@
 //! Chrome events' span structure, and export them as Chrome trace-event
 //! JSON for Perfetto / `chrome://tracing`.
 //!
-//! Two experiments back the report:
+//! The experiment is **E2** (Batch-VSS verification, n = 7, t = 2): small
+//! enough to print its per-round cost breakdown whole, rich enough to show
+//! every protocol phase. What tracing costs in wall-clock is
+//! `benchmark/`'s `trace.full_overhead_ratio`.
 //!
-//! * **E2** (Batch-VSS verification, n = 7, t = 2) supplies the
-//!   per-round cost-breakdown table — small enough to print whole, rich
-//!   enough to show every protocol phase;
-//! * **E11** (Coin-Gen at scale) supplies the overhead check — the same
-//!   run timed with tracing off and on, demonstrating that the disabled
-//!   path costs nothing and the enabled path stays cheap.
-//!
-//! Every check prints a greppable verdict line; `scripts/verify.sh`
-//! pins the export one.
+//! Every check prints a verdict line; `tests/golden/trace_quick.txt`
+//! pins them.
 
-use std::time::Instant;
-
-use dprbg_core::{CoinGenConfig, CoinGenMachine, CoinGenMsg, CoinWallet, Params, TrustedDealer};
 use dprbg_metrics::Table;
-use dprbg_sim::{BoxedMachine, StepRunner, TraceConfig};
+use dprbg_sim::{StepRunner, TraceConfig};
 use dprbg_trace::{chrome_events, to_chrome_json, validate_chrome_events, Trace};
 
 use crate::experiments::common::F32;
@@ -97,39 +90,8 @@ pub fn traced_e2(m: usize) -> Result<TracedRun, String> {
     Ok(TracedRun { table, chrome_json, trace })
 }
 
-/// Time one full Coin-Gen run (the E11 point) with tracing off or on.
-fn timed_coin_gen(n: usize, t: usize, m: usize, trace: Option<TraceConfig>) -> f64 {
-    let params = Params::p2p_model(n, t).unwrap();
-    let cfg = CoinGenConfig { params, batch_size: m };
-    let mut wallets: Vec<CoinWallet<F32>> = TrustedDealer::deal_wallets(params, 4 + t, TRACE_SEED);
-    let machines: Vec<BoxedMachine<CoinGenMsg<F32>, _>> = (0..n)
-        .map(|_| Box::new(CoinGenMachine::new(cfg, wallets.remove(0))) as _)
-        .collect();
-    let mut runner = StepRunner::new(n, TRACE_SEED);
-    if let Some(c) = trace {
-        runner = runner.with_trace(c);
-    }
-    let t0 = Instant::now();
-    let res = runner.run(machines);
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(res.outputs.iter().all(Option::is_some), "coin generation must finish");
-    dt
-}
-
-/// The E11 before/after overhead check: one Coin-Gen point timed with
-/// tracing disabled and enabled. Returns `(untraced_s, traced_s)`.
-pub fn e11_overhead(quick: bool) -> (f64, f64) {
-    let (n, m) = if quick { (13, 4) } else { (31, 8) };
-    let t = (n - 1) / 6;
-    // Warm-up run so neither measurement pays first-touch costs.
-    let _ = timed_coin_gen(n, t, m, None);
-    let untraced = timed_coin_gen(n, t, m, None);
-    let traced = timed_coin_gen(n, t, m, Some(TraceConfig::full()));
-    (untraced, traced)
-}
-
 /// Drive the whole `--trace` report: print the per-round table, write the
-/// Chrome JSON to `path`, and print one greppable verdict line per check.
+/// Chrome JSON to `path`, and print one verdict line per check.
 /// Exits non-zero on any failure.
 pub fn run_traced_report(path: &str, quick: bool) {
     let m = if quick { 16 } else { 64 };
@@ -148,13 +110,8 @@ pub fn run_traced_report(path: &str, quick: bool) {
         std::process::exit(1);
     }
     println!(
-        "chrome trace export OK: {path} ({} bytes; ts monotone, spans balanced per party)",
+        "chrome trace export OK ({} bytes; ts monotone, spans balanced per party)",
         run.chrome_json.len()
-    );
-    let (untraced, traced) = e11_overhead(quick);
-    println!(
-        "E11 timing: untraced {untraced:.3}s, traced {traced:.3}s ({:+.1}% overhead)",
-        (traced / untraced - 1.0) * 100.0
     );
 }
 

@@ -11,17 +11,20 @@
 //! Lidl–Niederreiter Thm. 3.75 when `l` is a power of two and
 //! `q ≡ 1 (mod 4)`), which makes reduction a single fold. Multiplication is
 //! provided both **naively** (`O(l²)` coefficient products) and via a
-//! radix-2 **number-theoretic transform** of size `≥ 2l − 1` (`O(l log l)`),
-//! so experiment E8 can measure the crossover the paper predicts ("in
-//! practice, when k is small, working over GF(2^k) with the naive O(k²)
-//! multiplication is faster … because of the sizes of the constants
-//! involved").
+//! radix-2 **number-theoretic transform** of size `≥ 2l − 1` (`O(l log l)`).
+//! Both tick [`dprbg_metrics::ops::count_mul`] once per `Z_q`
+//! multiplication (the `zq` helpers themselves do not, so [`crate::Fp`]
+//! and inversion counts are unaffected), so experiment E8 reads the
+//! crossover the paper predicts ("in practice, when k is small, working
+//! over GF(2^k) with the naive O(k²) multiplication is faster … because of
+//! the sizes of the constants involved") off counted operations.
 //!
 //! This type is a measurement substrate, not a protocol field: protocols
 //! run over [`crate::Gf2k`] per the paper's own presentation.
 
 use std::fmt;
 
+use dprbg_metrics::ops;
 use dprbg_rng::{Rng, RngExt};
 
 use crate::zq;
@@ -264,6 +267,7 @@ impl GfQlParams {
             }
             for (j, &yj) in y.coeffs.iter().enumerate() {
                 prod[i + j] = zq::add_mod(prod[i + j], zq::mul_mod(xi, yj, self.q), self.q);
+                ops::count_mul(1);
             }
         }
         self.fold(prod)
@@ -284,10 +288,12 @@ impl GfQlParams {
         self.ntt(&mut fy, self.omega);
         for (a, b) in fx.iter_mut().zip(&fy) {
             *a = zq::mul_mod(*a, *b, self.q);
+            ops::count_mul(1);
         }
         self.ntt(&mut fx, self.omega_inv);
         for v in fx.iter_mut() {
             *v = zq::mul_mod(*v, self.n_inv, self.q);
+            ops::count_mul(1);
         }
         fx.truncate(2 * self.l - 1);
         self.fold(fx)
@@ -354,6 +360,7 @@ impl GfQlParams {
                 // x^(l+j) ≡ a · x^j
                 c[i - self.l] =
                     zq::add_mod(c[i - self.l], zq::mul_mod(v, self.a, self.q), self.q);
+                ops::count_mul(1);
             }
         }
         GfQl { coeffs: c }
@@ -390,6 +397,7 @@ impl GfQlParams {
                     v[i + k] = zq::add_mod(u, t, q);
                     v[i + k + len / 2] = zq::sub_mod(u, t, q);
                     w = zq::mul_mod(w, w_len, q);
+                    ops::count_mul(2);
                 }
                 i += len;
             }
