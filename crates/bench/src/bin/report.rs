@@ -19,8 +19,8 @@
 //!
 //! `--health` runs the health-plane smoke: a fixed-seed E15 short soak
 //! rendered as the registry's dashboard, with the registry bytes' decode
-//! round trip, cross-executor parity, kill/restore byte-identity, and
-//! forced-rollback forensics asserted inline. Combine with `--quick` for
+//! round trip, kill/restore byte-identity, and forced-rollback forensics
+//! asserted inline. Combine with `--quick` for
 //! the short soak.
 //!
 //! Every report prints counted units only, so its stdout is a pure
@@ -34,7 +34,7 @@ use dprbg_metrics::Table;
 type Experiment = fn(&ExperimentCtx) -> Vec<Table>;
 
 /// Every experiment the report can run, in print order.
-const EXPERIMENTS: [(&str, Experiment); 15] = [
+const EXPERIMENTS: [(&str, Experiment); 14] = [
     ("e1", |c| vec![ex::e1::run(c)]),
     ("e2", |c| vec![ex::e2::run(c), ex::e2::run_k_sweep(c)]),
     ("e3", |c| vec![ex::e3::run(c)]),
@@ -47,7 +47,6 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("e10", |c| vec![ex::e10::run(c)]),
     ("e11", |c| vec![ex::e11::run(c)]),
     ("e12", ex::e12::run),
-    ("e13", |c| vec![ex::e13::run(c)]),
     ("e14", |c| vec![ex::e14::run(c)]),
     ("e15", ex::e15::run),
 ];
@@ -65,7 +64,7 @@ enum Mode {
 fn usage_error(what: &str) -> ! {
     eprintln!(
         "report: {what}\n\
-         usage: report [--quick] [e1 .. e15]...\n\
+         usage: report [--quick] [e1 .. e12, e14, e15]...\n\
          \x20      report [--quick] --health\n\
          \x20      report [--quick] --trace <chrome-trace.json>"
     );

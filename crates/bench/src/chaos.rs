@@ -39,9 +39,9 @@ use std::collections::BTreeSet;
 
 use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    BatchOpts, BatchVssMsg, BatchVssVerifyMachine, BitGenMachine, BitGenMode, BitGenMsg,
-    BitGenRun, CoinBatch, CoinError, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg,
-    CoinWallet, Params, RefreshMachine, RefreshReport, TrustedDealer, VssMode, VssVerdict,
+    BatchVssMsg, BatchVssVerifyMachine, BitGenMachine, BitGenMode, BitGenMsg, BitGenRun,
+    CoinBatch, CoinError, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet,
+    Params, RefreshMachine, RefreshReport, TrustedDealer, VssMode, VssVerdict,
 };
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::{splitmix64, SeedableRng};
@@ -55,6 +55,17 @@ use crate::experiments::common::F32;
 /// Round backstop for attacked runs (delays stretch protocols, but
 /// nothing legitimate approaches this).
 const MAX_CAMPAIGN_ROUNDS: u64 = 4096;
+
+/// Every strategy the §2/§3 model admits (compare
+/// [`Attack::within_model`]): E12's within-model leg.
+pub const WITHIN_MODEL: [Attack; 6] = [
+    Attack::LeaderEclipse,
+    Attack::DealerDelay { delay: 2 },
+    Attack::Equivocate,
+    Attack::CrashAtRound { round: 3 },
+    Attack::RandomChaos { drop_pct: 20, delay_pct: 20, max_delay: 2 },
+    Attack::Partition { until_round: 2 },
+];
 
 /// Seed for episode `i` of a campaign.
 pub fn episode_seed(master_seed: u64, i: u64) -> u64 {
@@ -419,14 +430,13 @@ fn run_episode_inner(
             let shares = cheating_batch_deal::<F32, _>(s.n, s.t, s.m, 0, &mut rng);
             let coins =
                 TrustedDealer::deal_wallets::<F32>(Params { n: s.n, t: s.t }, 1, seed ^ 0x5EA1);
-            let opts = BatchOpts { blinding: true, mode: s.vss_mode };
             let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> =
                 shares
                 .into_iter()
                 .zip(coins)
                 .map(|(sh, mut coin)| {
                     let coin = coin.pop().expect("one coin dealt per party");
-                    Box::new(BatchVssVerifyMachine::new(s.t, sh, s.m, coin, opts)) as _
+                    Box::new(BatchVssVerifyMachine::new(s.t, sh, s.m, coin, s.vss_mode)) as _
                 })
                 .collect();
             digest_episode(s, legs, seed, machines, executor, trace, |out, _| match out {
@@ -530,6 +540,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExperimentCtx;
 
     #[test]
     fn wilson_interval_brackets_sensibly() {
@@ -548,24 +559,17 @@ mod tests {
         assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
     }
 
-    const WITHIN_MODEL: [Attack; 6] = [
-        Attack::LeaderEclipse,
-        Attack::DealerDelay { delay: 2 },
-        Attack::Equivocate,
-        Attack::CrashAtRound { round: 3 },
-        Attack::RandomChaos { drop_pct: 20, delay_pct: 20, max_delay: 2 },
-        Attack::Partition { until_round: 2 },
-    ];
-
     #[test]
     fn episodes_replay_identically_across_executors() {
-        for protocol in [Protocol::CoinGen, Protocol::BatchVss] {
-            for attack in [
-                Attack::LeaderEclipse,
-                Attack::RandomChaos { drop_pct: 25, delay_pct: 25, max_delay: 2 },
-            ] {
+        // Every protocol under every within-model strategy (plus a
+        // heavier chaos mix), at two fixed seeds and at episode 0 of
+        // E12's own campaign.
+        let e12_episode0 = episode_seed(ExperimentCtx::new(true).seed ^ 0xE12, 0);
+        let heavy_chaos = Attack::RandomChaos { drop_pct: 25, delay_pct: 25, max_delay: 2 };
+        for protocol in Protocol::ALL {
+            for attack in WITHIN_MODEL.into_iter().chain([heavy_chaos]) {
                 let s = Schedule::new(7, 1, 1, 4, attack);
-                for seed in [11, 42] {
+                for seed in [11, 42, e12_episode0] {
                     let a = run_episode(protocol, &s, seed, Executor::Stepped);
                     let c = run_episode(protocol, &s, seed, Executor::Parallel);
                     assert_eq!(

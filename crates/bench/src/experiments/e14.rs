@@ -20,9 +20,10 @@
 //! trial's first delivered coin, mirroring how a deployed beacon would
 //! re-elect from its own output stream.
 //!
-//! Before any numbers are recorded, trial 0 of every row is run on both
-//! executors ([`StepRunner`] and [`ParRunner`]) and asserted identical —
-//! outputs and cost report.
+//! Trials run on [`StepRunner`]; `tests/executors.rs`
+//! (`committee_coin_gen_agrees_across_executors`) holds the pooled
+//! executor to the same outputs and cost report on this table's
+//! `(n, c) = (129, 31)` row.
 
 use std::mem;
 
@@ -32,7 +33,7 @@ use dprbg_core::{
 };
 use dprbg_field::Field;
 use dprbg_metrics::{CostReport, Table};
-use dprbg_sim::{BoxedMachine, ParRunner, PartyId, StepRunner};
+use dprbg_sim::{BoxedMachine, PartyId, StepRunner};
 
 use super::common::{ExperimentCtx, PlayerCost, F32};
 use crate::chaos::wilson_interval;
@@ -65,27 +66,20 @@ fn fleet(
         .collect()
 }
 
-/// One committee-sampled Coin-Gen trial at `(n, c)`, on the chosen
-/// executor.
+/// One committee-sampled Coin-Gen trial at `(n, c)`.
 fn run_trial(
     n: usize,
     c: usize,
     m: usize,
     election_seed: u64,
     run_seed: u64,
-    parallel: bool,
 ) -> (Vec<Option<Out>>, CostReport) {
     let committee = elect_committee(election_seed, n, c);
     let cfg = CoinGenConfig {
         params: Params::p2p_model(c, committee_threshold(c)).expect("c > 6 t_c by construction"),
         batch_size: m,
     };
-    let machines = fleet(n, &committee, cfg, run_seed ^ 0xA11E7);
-    let res = if parallel {
-        ParRunner::new(n, run_seed).with_threads(4).run(machines)
-    } else {
-        StepRunner::new(n, run_seed).run(machines)
-    };
+    let res = StepRunner::new(n, run_seed).run(fleet(n, &committee, cfg, run_seed ^ 0xA11E7));
     (res.outputs, res.report)
 }
 
@@ -101,9 +95,8 @@ fn unanimous(outs: &[Option<Out>]) -> Option<Vec<F32>> {
 ///
 /// # Panics
 ///
-/// If trial 0 of any row diverges between the stepped and the parallel
-/// executor, or if no trial at all reaches quorum (the empirical column
-/// would be meaningless).
+/// If no trial of a row reaches quorum (the empirical column would be
+/// meaningless).
 pub fn run(ctx: &ExperimentCtx) -> Table {
     let m = if ctx.quick { 4 } else { 8 };
     let trials = if ctx.quick { 3 } else { 8 };
@@ -119,19 +112,12 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
         let f = (n - 1) / 6;
         let eps = committee_soundness_error(n, f, c, t_c);
 
-        // Executor parity on trial 0, before anything is recorded.
         let seed0 = ctx.seed ^ 0xE14 ^ n as u64;
-        let (outs_s, report_s) = run_trial(n, c, m, seed0, seed0 + 1, false);
-        let (outs_p, report_p) = run_trial(n, c, m, seed0, seed0 + 1, true);
-        assert_eq!(outs_s, outs_p, "n={n}: ParRunner outputs diverged from StepRunner");
-        assert_eq!(report_s, report_p, "n={n}: cost reports diverged between executors");
-
         let mut successes = 0;
         let mut election_seed = seed0;
         let mut cost: Option<PlayerCost> = None;
         for trial in 0..trials {
-            let (outs, report) =
-                run_trial(n, c, m, election_seed, seed0 + 1 + trial as u64, false);
+            let (outs, report) = run_trial(n, c, m, election_seed, seed0 + 1 + trial as u64);
             if let Some(batch) = unanimous(&outs) {
                 successes += 1;
                 // Self-referential re-election: next committee from this
@@ -187,7 +173,7 @@ mod tests {
 
     #[test]
     fn e14_renders_with_parity_and_quorum() {
-        // `run` itself asserts executor parity and quorum success.
+        // `run` itself asserts quorum success.
         let table = run(&ExperimentCtx::new(true));
         let s = table.render();
         assert!(s.contains("committee n=129"));

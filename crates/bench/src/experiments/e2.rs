@@ -11,9 +11,9 @@
 //! (2), constant bytes (2nk), and per-secret multiplications converging
 //! to the Horner combination's single multiply.
 
-use dprbg_core::batch_vss::{cheating_batch_deal, BatchOpts};
+use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer, VssVerdict,
+    BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer, VssMode, VssVerdict,
 };
 use dprbg_field::{Field, Gf2k};
 use dprbg_metrics::Table;
@@ -44,7 +44,7 @@ pub fn fleet_over<F: Field>(
                 all[id - 1].clone(),
                 m,
                 coins[id - 1].pop().expect("one coin dealt per party"),
-                BatchOpts::default(),
+                VssMode::Strict,
             )) as _
         })
         .collect()

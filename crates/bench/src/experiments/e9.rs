@@ -4,18 +4,15 @@
 //! implementation chooses or extends beyond the paper's literal text,
 //! demonstrating each choice is either free or buys robustness cheaply.
 //!
-//! 1. **Batch blinding** (DESIGN.md deviation #2): the extra masking
-//!    polynomial per batch costs one share per player and one Horner
-//!    step — `O(1/M)` amortized.
-//! 2. **Strict vs. Robust VSS acceptance**: Fig. 2's literal rule cannot
+//! 1. **Strict vs. Robust VSS acceptance**: Fig. 2's literal rule cannot
 //!    distinguish a cheating dealer from a cheating *verifier*; the
 //!    Berlekamp–Welch rule (Bit-Gen's, §4) tolerates ≤ t bad verifiers at
 //!    a modest computation premium.
-//! 3. **Proactive refresh** (§1.2 extension): re-randomizing a wallet of
+//! 2. **Proactive refresh** (§1.2 extension): re-randomizing a wallet of
 //!    W coins costs the same machinery as generating W coins — the
 //!    refresh rides Corollary 3's amortization.
 
-use dprbg_core::batch_vss::{cheating_batch_deal, BatchOpts};
+use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
     BatchVssMsg, BatchVssVerifyMachine, CoinBatch, CoinError, CoinGenConfig, CoinGenError,
     CoinGenMachine, CoinGenMsg, CoinWallet, Params, RefreshMachine, RefreshReport, TrustedDealer,
@@ -28,36 +25,15 @@ use dprbg_rng::SeedableRng;
 
 use super::common::{fmt_f, ExperimentCtx, PlayerCost, F32};
 
-/// Batch-VSS verification cost with blinding toggled.
-fn batch_cost(n: usize, t: usize, m: usize, blinding: bool, seed: u64) -> PlayerCost {
-    let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
-    let mut rng = StdRng::seed_from_u64(seed + 1);
-    let all = cheating_batch_deal::<F32, _>(n, t, m, 0, &mut rng);
-    let opts = BatchOpts { blinding, mode: VssMode::Strict };
-    let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
-        .map(|id| {
-            let coin = coins[id - 1].pop().expect("one coin dealt per party");
-            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), m, coin, opts)) as _
-        })
-        .collect();
-    let res = StepRunner::new(n, seed).run(machines);
-    let report = res.report.clone();
-    for v in res.unwrap_all() {
-        assert_eq!(v.unwrap(), VssVerdict::Accept);
-    }
-    PlayerCost::from_report(&report)
-}
-
 /// Batch-VSS verification cost under the given acceptance mode.
 fn mode_cost(n: usize, t: usize, mode: VssMode, seed: u64) -> PlayerCost {
     let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let all = cheating_batch_deal::<F32, _>(n, t, 16, 0, &mut rng);
-    let opts = BatchOpts { blinding: true, mode };
     let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
         .map(|id| {
             let coin = coins[id - 1].pop().expect("one coin dealt per party");
-            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), 16, coin, opts)) as _
+            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), 16, coin, mode)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);
@@ -105,30 +81,8 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
         "E9: ablations of implementation choices (DESIGN.md)",
         &["muls", "adds", "bytes", "note"],
     );
-    for &m in ctx.sweep(&[16usize, 256], &[16]) {
-        let on = batch_cost(n, t, m, true, ctx.seed + m as u64);
-        let off = batch_cost(n, t, m, false, ctx.seed + m as u64);
-        table.row(
-            &format!("batch M={m}, blinding ON"),
-            &[
-                on.muls.to_string(),
-                on.adds.to_string(),
-                on.bytes.to_string(),
-                "leaks nothing; +1 dealt poly (nk bits)".into(),
-            ],
-        );
-        table.row(
-            &format!("batch M={m}, blinding OFF"),
-            &[
-                off.muls.to_string(),
-                off.adds.to_string(),
-                off.bytes.to_string(),
-                "Fig. 3 verbatim; leaks Σ r^j·s_j".into(),
-            ],
-        );
-    }
-    let strict = mode_cost(7, 2, VssMode::Strict, ctx.seed + 31);
-    let robust = mode_cost(7, 2, VssMode::Robust, ctx.seed + 31);
+    let strict = mode_cost(n, t, VssMode::Strict, ctx.seed + 31);
+    let robust = mode_cost(n, t, VssMode::Robust, ctx.seed + 31);
     table.row(
         "verdict Strict (Fig. 2/3)",
         &[
@@ -185,16 +139,6 @@ mod tests {
     use crate::experiments::common::assert_golden;
 
     #[test]
-    fn e9_blinding_is_cheap() {
-        let m = 64;
-        let on = batch_cost(7, 2, m, true, 1);
-        let off = batch_cost(7, 2, m, false, 1);
-        // One extra Horner step and no extra broadcast traffic.
-        assert!(on.muls <= off.muls + 4, "{} vs {}", on.muls, off.muls);
-        assert_eq!(on.bytes, off.bytes);
-    }
-
-    #[test]
     fn e9_refresh_costs_like_generation() {
         let (gen, refresh) = gen_vs_refresh(7, 1, 8, 2);
         let ratio = refresh.bytes as f64 / gen.bytes as f64;
@@ -208,7 +152,7 @@ mod tests {
     fn e9_renders() {
         let table = run(&ExperimentCtx::new(true));
         let s = table.render();
-        assert!(s.contains("blinding"));
+        assert!(s.contains("Robust"));
         assert!(s.contains("Refresh"));
         assert_golden(&[table]);
     }

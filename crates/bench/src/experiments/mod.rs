@@ -1,4 +1,4 @@
-//! Experiment modules E1–E15 and shared plumbing.
+//! Experiment modules E1–E12, E14 and E15, and shared plumbing.
 
 pub mod common;
 pub mod e1;
@@ -13,7 +13,6 @@ pub mod e9;
 pub mod e10;
 pub mod e11;
 pub mod e12;
-pub mod e13;
 pub mod e14;
 pub mod e15;
 

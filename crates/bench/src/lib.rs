@@ -36,19 +36,25 @@
 //! | [`experiments::e6`] | soundness error ≤ 1/p, M/p (Lemmas 1, 3, 5); unanimity under t corruptions (Theorem 1) |
 //! | [`experiments::e7`] | bootstrapping: steady-state cost ≈ amortized cost; the initial seed is "effectively neglected" (Fig. 1) |
 //! | [`experiments::e8`] | §2: GF(q^l) multiplication, O(l²) schoolbook vs O(l log l) DFT in counted Z_q multiplications — the crossover the paper predicts |
-//! | [`experiments::e9`] | ablations of this implementation's choices: blinding, Strict vs Robust acceptance, refresh vs generation |
+//! | [`experiments::e9`] | ablations of this implementation's choices: Strict vs Robust acceptance, refresh vs generation |
 //! | [`experiments::e10`] | round anatomy of Coin-Gen: n² deliveries per round, grade-cast's O(n⁴k) term carried in n-entry bundles |
 //! | [`experiments::e11`] | Coin-Gen at beacon scale (n ≤ 61) on the single-threaded executor |
 //! | [`experiments::e12`] | empirical soundness under adaptive adversaries: the [`chaos`] campaign, zero unsound outcomes at f ≤ t |
-//! | [`experiments::e13`] | not a paper claim: the CLMUL backend, `ParRunner`, shared-basis decoding and grade-cast handles leave every output byte-identical |
 //! | [`experiments::e14`] | committee-sampled Coin-Gen at n ≥ 129: sampling soundness error vs the observed quorum rate |
 //! | [`experiments::e15`] | a crash-recoverable beacon soak under composite faults: coins per epoch, zero unsound, kill/restore byte-identity |
 //!
+//! There is no E13: its parity verdicts (CLMUL backend, `ParRunner`,
+//! shared-basis decoding, grade-cast handles) are tests in the crates
+//! that own them.
+//!
 //! `report --health` (the [`health`] module) is not a paper table but an
 //! operational smoke: a fixed-seed E15 short soak rendered through the
-//! `dprbg-metrics` health-plane exporters, with cross-executor parity,
-//! kill/restore byte-identity, and forced-rollback forensics asserted
-//! inline.
+//! `dprbg-metrics` health-plane exporters, with kill/restore
+//! byte-identity and forced-rollback forensics asserted inline.
+//!
+//! Every report drives the single-threaded `StepRunner`; that the pooled
+//! `ParRunner` reproduces each run byte for byte is held by tests
+//! (`tests/executors.rs`, the [`chaos`] and [`health`] unit tests).
 
 pub mod chaos;
 pub mod experiments;

@@ -79,6 +79,7 @@ fn unknown_experiment_or_flag_is_a_usage_error() {
     let mixed = "experiment names, `--health` and `--trace` are separate reports";
     for (args, what) in [
         (&["--quick", "e3", "e16"][..], "unknown experiment `e16`"),
+        (&["e13"][..], "unknown experiment `e13`"),
         (&["--quick", "e3", "--timng"], "unknown flag `--timng`"),
         (&["--quick", "e3", "--health"], mixed),
         (&["--health", "--trace", &trace], mixed),

@@ -25,11 +25,10 @@
 //!
 //! **Blinding deviation** (see DESIGN.md): the literal Fig. 3 combination
 //! reveals `F(0) = Σ r^j·s_j`, a known linear relation on secrets that may
-//! be used later as coins. With [`BatchOpts::blinding`] (default **on**)
-//! the dealer also shares one masking polynomial `g` and the combination
-//! becomes `β_i = γ_i + Σ_j r^j·α_{ij}`, exactly extending Fig. 2's
-//! masking idea at `O(1/M)` amortized overhead. Set it to `false` for the
-//! verbatim protocol.
+//! be used later as coins. So the dealer always also shares one masking
+//! polynomial `g` and the combination becomes
+//! `β_i = γ_i + Σ_j r^j·α_{ij}`, exactly extending Fig. 2's masking idea
+//! at `O(1/M)` amortized overhead.
 //!
 //! The `Batch-VSS(l)` variant of the paper — verification restricted to a
 //! designated point subset — is [`judge_batch_subset`].
@@ -53,7 +52,7 @@ pub enum BatchVssMsg<F: Field> {
     Deal {
         /// `α_{i1} … α_{iM}`.
         alphas: Vec<F>,
-        /// `γ_i = g(i)` (zero when blinding is off).
+        /// `γ_i = g(i)`.
         gamma: F,
     },
     /// Coin-Expose traffic for the challenge coin.
@@ -86,31 +85,16 @@ impl<F: Field> Embeds<ExposeMsg<F>> for BatchVssMsg<F> {
     }
 }
 
-/// Options for the batch protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchOpts {
-    /// Add the masking polynomial `g` (see module docs). Default `true`.
-    pub blinding: bool,
-    /// Acceptance rule (strict Fig. 3 vs Berlekamp–Welch-robust).
-    pub mode: VssMode,
-}
-
-impl Default for BatchOpts {
-    fn default() -> Self {
-        BatchOpts { blinding: true, mode: VssMode::Strict }
-    }
-}
-
 /// A party's holdings after the batch dealing round.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchShares<F: Field> {
     /// The `M` secret shares.
     pub alphas: Vec<F>,
-    /// The masking share (zero when blinding is off or dealer silent).
+    /// The masking share (zero when the dealer was silent).
     pub gamma: F,
 }
 
-/// The Horner combination of Fig. 3 step 2 (with optional blinding term):
+/// The Horner combination of Fig. 3 step 2 plus the blinding term:
 /// `β = γ + Σ_{j=1..M} r^j α_j`, computed as
 /// `((…(r·α_M + α_{M−1})·r + …)·r + α_1)·r + γ` — `M` multiplications,
 /// `M` additions.
@@ -156,7 +140,6 @@ pub struct BatchVssDealMachine<M, F: Field> {
     dealer: PartyId,
     secrets: Option<Vec<F>>,
     t: usize,
-    opts: BatchOpts,
     dealt: Option<Vec<Poly<F>>>,
     sent: bool,
     _wire: std::marker::PhantomData<fn() -> M>,
@@ -165,12 +148,11 @@ pub struct BatchVssDealMachine<M, F: Field> {
 impl<M, F: Field> BatchVssDealMachine<M, F> {
     /// A machine for `dealer`'s batch; `secrets` must be `Some` only at
     /// the dealer itself.
-    pub fn new(dealer: PartyId, secrets: Option<Vec<F>>, t: usize, opts: BatchOpts) -> Self {
+    pub fn new(dealer: PartyId, secrets: Option<Vec<F>>, t: usize) -> Self {
         BatchVssDealMachine {
             dealer,
             secrets,
             t,
-            opts,
             dealt: None,
             sent: false,
             _wire: std::marker::PhantomData,
@@ -197,15 +179,9 @@ where
                         coeffs.push(s);
                         coeffs.extend((0..self.t).map(|_| F::random(view.rng)));
                     }
-                    if self.opts.blinding {
-                        coeffs.extend((0..width).map(|_| F::random(view.rng)));
-                    }
-                    let shares = deal_shares(
-                        &coeffs,
-                        secrets.len(),
-                        self.opts.blinding,
-                        &party_points(view.n),
-                    );
+                    coeffs.extend((0..width).map(|_| F::random(view.rng)));
+                    let shares =
+                        deal_shares(&coeffs, secrets.len(), true, &party_points(view.n));
                     for (i, (alphas, gamma)) in (1..=view.n).zip(shares) {
                         out.send(
                             i,
@@ -215,12 +191,9 @@ where
                             }),
                         );
                     }
-                    // The secret polynomials, then the blind (zero when
-                    // blinding is off).
-                    let mut dealt: Vec<Poly<F>> =
-                        coeffs.chunks(width).map(|f| Poly::new(f.to_vec())).collect();
-                    dealt.resize(secrets.len() + 1, Poly::zero());
-                    self.dealt = Some(dealt);
+                    // The secret polynomials, then the blind.
+                    self.dealt =
+                        Some(coeffs.chunks(width).map(|f| Poly::new(f.to_vec())).collect());
                 }
             }
             return Step::Continue(out);
@@ -262,7 +235,7 @@ pub struct BatchVssVerifyMachine<M, F: Field> {
     t: usize,
     shares: BatchShares<F>,
     expected_m: usize,
-    opts: BatchOpts,
+    mode: VssMode,
     stage: BvStage<M, F>,
 }
 
@@ -276,19 +249,20 @@ enum BvStage<M, F: Field> {
 
 impl<M, F: Field> BatchVssVerifyMachine<M, F> {
     /// A machine verifying `shares` against an expected batch size, with
-    /// `coin` as the challenge.
+    /// `coin` as the challenge and `mode` as the acceptance rule (strict
+    /// Fig. 3 vs Berlekamp–Welch-robust).
     pub fn new(
         t: usize,
         shares: BatchShares<F>,
         expected_m: usize,
         coin: SealedShare<F>,
-        opts: BatchOpts,
+        mode: VssMode,
     ) -> Self {
         BatchVssVerifyMachine {
             t,
             shares,
             expected_m,
-            opts,
+            mode,
             stage: BvStage::Expose(ExposeMachine::new(coin, t, ExposeVia::Broadcast)),
         }
     }
@@ -340,7 +314,7 @@ where
                         }
                     }
                 }
-                Step::Done(Ok(judge_batch(&points, view.n, self.t, self.opts.mode)))
+                Step::Done(Ok(judge_batch(&points, view.n, self.t, self.mode)))
             }
             #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             BvStage::Finished => panic!("BatchVssVerifyMachine driven past completion"),
@@ -482,7 +456,6 @@ mod tests {
         t: usize,
         m: usize,
         seed: u64,
-        opts: BatchOpts,
     ) -> Vec<Result<VssVerdict, CoinError>> {
         let coins = coin_shares(n, t, seed + 1000);
         let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
@@ -490,9 +463,9 @@ mod tests {
                 let coin = coins[id - 1];
                 let secrets: Option<Vec<F>> =
                     (id == 1).then(|| (0..m as u64).map(F::from_u64).collect());
-                Box::new(BatchVssDealMachine::new(1, secrets, t, opts).then(
+                Box::new(BatchVssDealMachine::new(1, secrets, t).then(
                     move |(shares, _): (BatchShares<F>, _)| {
-                        BatchVssVerifyMachine::new(t, shares, m, coin, opts)
+                        BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict)
                     },
                 )) as BoxedMachine<M, _>
             })
@@ -502,11 +475,8 @@ mod tests {
 
     #[test]
     fn honest_batch_accepted() {
-        for blinding in [true, false] {
-            let opts = BatchOpts { blinding, mode: VssMode::Strict };
-            for out in run_batch(7, 2, 16, 3, opts) {
-                assert_eq!(out.unwrap(), VssVerdict::Accept);
-            }
+        for out in run_batch(7, 2, 16, 3) {
+            assert_eq!(out.unwrap(), VssVerdict::Accept);
         }
     }
 
@@ -524,7 +494,7 @@ mod tests {
             .map(|id| {
                 let coin = coins[id - 1];
                 let shares = all_shares[id - 1].clone();
-                Box::new(BatchVssVerifyMachine::new(t, shares, m, coin, BatchOpts::default()))
+                Box::new(BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict))
                     as BoxedMachine<M, _>
             })
             .collect();
@@ -544,13 +514,11 @@ mod tests {
                 let coin = coins[id - 1];
                 let secrets: Option<Vec<F>> =
                     (id == 1).then(|| (0..4u64).map(F::from_u64).collect());
-                Box::new(
-                    BatchVssDealMachine::new(1, secrets, t, BatchOpts::default()).then(
-                        move |(shares, _): (BatchShares<F>, _)| {
-                            BatchVssVerifyMachine::new(t, shares, 8, coin, BatchOpts::default())
-                        },
-                    ),
-                ) as BoxedMachine<M, _>
+                Box::new(BatchVssDealMachine::new(1, secrets, t).then(
+                    move |(shares, _): (BatchShares<F>, _)| {
+                        BatchVssVerifyMachine::new(t, shares, 8, coin, VssMode::Strict)
+                    },
+                )) as BoxedMachine<M, _>
             })
             .collect();
         for out in StepRunner::new(n, 12).run(fleet).unwrap_all() {
@@ -572,7 +540,7 @@ mod tests {
                 .map(|id| {
                     let coin = coins[id - 1];
                     let shares = all[id - 1].clone();
-                    Box::new(BatchVssVerifyMachine::new(t, shares, m, coin, BatchOpts::default()))
+                    Box::new(BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict))
                         as BoxedMachine<M, _>
                 })
                 .collect();

@@ -84,8 +84,7 @@ pub mod vss_dispute;
 
 pub use app_ba::{common_coin_ba, CcbaOutcome, CcbaVote};
 pub use batch_vss::{
-    horner_combine, BatchOpts, BatchShares, BatchVssDealMachine, BatchVssMsg,
-    BatchVssVerifyMachine,
+    horner_combine, BatchShares, BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine,
 };
 pub use bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, DealerView};
 pub use bootstrap::{Bootstrap, BootstrapConfig, BootstrapStats};

@@ -142,8 +142,8 @@ pub fn clmul(a: u64, b: u64) -> u128 {
 /// The name of the backend [`clmul`], the `Gf2k` multiply and the `Gf2k`
 /// slice kernels dispatch to on this machine (they share one probe).
 ///
-/// `"pclmulqdq"` or `"portable"` — reported by experiment E8/E13 so the
-/// speedup tables say what they measured.
+/// `"pclmulqdq"` or `"portable"` — recorded in `benchmark/`'s result
+/// JSON, so a timing says which backend it measured.
 #[must_use]
 pub fn backend_name() -> &'static str {
     if has_pclmulqdq() {

@@ -280,6 +280,41 @@ mod tests {
         check::<dprbg_field::Fp<101>>(101);
     }
 
+    /// 32 clean words at n = 13, t = 2 under the widest radius
+    /// (n − t − 1)/2, then the first 4 with t values overwritten each (the
+    /// linear solve): per-call `bw_decode` returns the dealt polynomial
+    /// for every word, and one shared-basis decoder returns the same.
+    #[test]
+    fn e13_batch_decode_agrees_with_naive() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (n, t) = (13, 2);
+        let e_max = (n - t - 1) / 2;
+        let xs = abscissas(n as u64);
+        let polys: Vec<Poly<F>> = (0..32).map(|_| Poly::random(t, &mut rng)).collect();
+        let clean: Vec<Vec<F>> = polys.iter().map(|f| word_of(f, &xs)).collect();
+        let dirty: Vec<Vec<F>> = clean[..4]
+            .iter()
+            .map(|ys| {
+                let mut ys = ys.clone();
+                for _ in 0..t {
+                    ys[rng.random_range(0..n)] = F::random(&mut rng);
+                }
+                ys
+            })
+            .collect();
+        let per_call = |ys: &Vec<F>| {
+            let points: Vec<(F, F)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+            bw_decode(&points, t, e_max)
+        };
+        let dec = BatchDecoder::new(&xs, t, e_max).unwrap();
+        for batch in [&clean, &dirty] {
+            let naive: Vec<_> = batch.iter().map(per_call).collect();
+            let dealt: Vec<_> = polys[..batch.len()].iter().cloned().map(Ok).collect();
+            assert_eq!(naive, dealt, "bw_decode must return the dealt polynomials");
+            assert_eq!(dec.decode_many(batch), naive, "BatchDecoder must reproduce bw_decode");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]

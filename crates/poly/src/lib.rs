@@ -49,7 +49,6 @@ mod shamir;
 
 pub use batch::BatchDecoder;
 pub use berlekamp_welch::{bw_decode, BwError};
-pub use lagrange::{interpolate, lagrange_eval_at_zero, InterpolateError};
-pub use linalg::{solve_linear, Matrix};
+pub use lagrange::{interpolate, InterpolateError};
 pub use poly::{eval_batch, Poly};
 pub use shamir::{reconstruct_secret, share_points, share_polynomial, Share, ShamirError};

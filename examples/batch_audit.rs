@@ -14,10 +14,10 @@
 //!
 //! Run with: `cargo run --example batch_audit`
 
-use dprbg::core::batch_vss::{cheating_batch_deal, BatchOpts};
+use dprbg::core::batch_vss::cheating_batch_deal;
 use dprbg::core::{
     BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer,
-    VssVerdict,
+    VssMode, VssVerdict,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostSnapshot;
@@ -36,7 +36,7 @@ fn audit(n: usize, t: usize, corrupt_one: bool, seed: u64) -> (VssVerdict, CostS
     // One challenge coin, dealt out-of-band (in a deployment it comes
     // from the bootstrapped reservoir).
     let mut coins = TrustedDealer::deal_wallets::<F>(params, 1, seed + 1);
-    let opts = BatchOpts::default();
+    let mode = VssMode::Strict;
 
     // A cheating dealer prepares its (single-corruption) batch offline.
     let mut rng = StdRng::seed_from_u64(seed + 2);
@@ -49,15 +49,15 @@ fn audit(n: usize, t: usize, corrupt_one: bool, seed: u64) -> (VssVerdict, CostS
                 // The cheater dealt out-of-band; go straight to the audit.
                 Some(b) => {
                     let shares = b[id - 1].clone();
-                    Box::new(BatchVssVerifyMachine::new(params.t, shares, BATCH, coin, opts))
+                    Box::new(BatchVssVerifyMachine::new(params.t, shares, BATCH, coin, mode))
                         as BoxedMachine<M, Out>
                 }
                 None => {
                     let secrets: Option<Vec<F>> =
                         (id == 1).then(|| (0..BATCH as u64).map(F::from_u64).collect());
-                    let machine = BatchVssDealMachine::new(1, secrets, params.t, opts).then(
+                    let machine = BatchVssDealMachine::new(1, secrets, params.t).then(
                         move |(shares, _polys)| {
-                            BatchVssVerifyMachine::new(params.t, shares, BATCH, coin, opts)
+                            BatchVssVerifyMachine::new(params.t, shares, BATCH, coin, mode)
                         },
                     );
                     Box::new(machine) as BoxedMachine<M, Out>

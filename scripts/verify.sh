@@ -52,8 +52,8 @@ echo "== full report (release, offline: byte-identical to report_full.txt) =="
 # Every report prints counted units only, so its stdout is a pure
 # function of its arguments. The workspace test stage pins the three
 # `--quick` reports (crates/bench/tests/golden/, every verdict line
-# included); this stage pins the full sweep, which alone runs E13's
-# n = 61 executor parity and E14's n >= 129 committees.
+# included); this stage pins the full sweeps, which alone run E11 at
+# n = 61 and E14's n = 201 committee.
 full_report="$(mktemp -t dprbg-report-XXXXXX.txt)"
 trap 'rm -f "$full_report"' EXIT
 cargo run -p dprbg-bench --release --offline -q --bin report >"$full_report"

@@ -4,11 +4,12 @@
 //! deterministic single-threaded [`StepRunner`] and the work-stealing
 //! `ParRunner`: byte-identical transcripts, identical [`CostReport`]s,
 //! identical per-round delivery profiles, identical logical traces.
-//! A large-n smoke test then exercises the scale the executors exist
-//! for: full Coin-Gen at n = 61, t = 10. Committee-sampled Coin-Gen
-//! and the ported baseline protocols get the same parity treatment,
-//! and the committee election itself is pinned as deterministic and
-//! unbiased.
+//! Large-n smoke tests then exercise the scale the executors exist
+//! for: full Coin-Gen at n = 61, t = 10, and a traced run at n = 31
+//! whose Chrome exports must match too. Committee-sampled Coin-Gen (up
+//! to E14's committee of 31 in 129) gets the same parity treatment,
+//! the ported baseline protocols run on the step executor, and the
+//! committee election itself is pinned as deterministic and unbiased.
 
 use std::collections::VecDeque;
 
@@ -21,7 +22,9 @@ use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostReport;
 use dprbg::sim::{
     BoxedMachine, ParRunner, RoundMachine, RoundProfile, RoundView, RunResult, Step, StepRunner,
+    TraceConfig,
 };
+use dprbg::trace::{chrome_events, to_chrome_json, validate_chrome_events};
 
 type F = Gf2k<32>;
 type M = CoinGenMsg<F>;
@@ -32,7 +35,8 @@ const BATCH: usize = 8;
 
 /// One party's observable outcome: agreed dealers, leader-election
 /// attempts, and every coin in the batch exposed to a value.
-type PartyTranscript = (Vec<usize>, usize, Vec<F>);
+type Transcript<G> = (Vec<usize>, usize, Vec<G>);
+type PartyTranscript = Transcript<F>;
 
 /// Coin-Gen followed by Coin-Expose of every sealed coin, as a single
 /// composed round machine.
@@ -63,7 +67,7 @@ impl<G: Field> PartyMachine<G> {
 }
 
 impl<G: Field> RoundMachine<CoinGenMsg<G>> for PartyMachine<G> {
-    type Output = (Vec<usize>, usize, Vec<G>);
+    type Output = Transcript<G>;
 
     fn round(&mut self, mut view: RoundView<'_, CoinGenMsg<G>>) -> Step<CoinGenMsg<G>, Self::Output> {
         match std::mem::replace(&mut self.stage, Stage::Finished) {
@@ -127,16 +131,23 @@ impl<G: Field> RoundMachine<CoinGenMsg<G>> for PartyMachine<G> {
     }
 }
 
+/// A Coin-Gen-then-expose fleet at `(n, t)` with batch `m`, each wallet
+/// holding `coins` sealed coins dealt from `wallet_seed`.
+fn coin_fleet<G: Field>(
+    n: usize,
+    t: usize,
+    m: usize,
+    coins: usize,
+    wallet_seed: u64,
+) -> Vec<BoxedMachine<CoinGenMsg<G>, Transcript<G>>> {
+    let params = Params::p2p_model(n, t).unwrap();
+    let cfg = CoinGenConfig { params, batch_size: m };
+    let mut wallets: Vec<CoinWallet<G>> = TrustedDealer::deal_wallets(params, coins, wallet_seed);
+    (1..=n).map(|_| Box::new(PartyMachine::new(cfg, wallets.remove(0))) as _).collect()
+}
+
 fn machine_fleet(seed: u64) -> Vec<BoxedMachine<M, PartyTranscript>> {
-    let params = Params::p2p_model(N, T).unwrap();
-    let cfg = CoinGenConfig { params, batch_size: BATCH };
-    let mut wallets: Vec<CoinWallet<F>> =
-        TrustedDealer::deal_wallets::<F>(params, 4 + T, seed ^ 0xA11CE);
-    (1..=N)
-        .map(|_| {
-            Box::new(PartyMachine::new(cfg, wallets.remove(0))) as BoxedMachine<M, PartyTranscript>
-        })
-        .collect()
+    coin_fleet(N, T, BATCH, 4 + T, seed ^ 0xA11CE)
 }
 
 /// Canonical transcript bytes, same encoding as `tests/determinism.rs`.
@@ -198,27 +209,11 @@ fn step_runner_runs_coin_gen_at_n61() {
     type G = Gf2k<8>;
     const BIG_N: usize = 61;
     const BIG_T: usize = 10;
-    let params = Params::p2p_model(BIG_N, BIG_T).unwrap();
-    let cfg = CoinGenConfig { params, batch_size: 2 };
-    let mut wallets: Vec<CoinWallet<G>> = TrustedDealer::deal_wallets::<G>(params, 4, 61);
-    let machines: Vec<BoxedMachine<CoinGenMsg<G>, (Vec<usize>, usize, Vec<G>)>> = (1..=BIG_N)
-        .map(|_| {
-            Box::new(PartyMachine::new(cfg, wallets.remove(0)))
-                as BoxedMachine<CoinGenMsg<G>, (Vec<usize>, usize, Vec<G>)>
-        })
-        .collect();
-    let res = StepRunner::new(BIG_N, 1996).run(machines);
+    let res = StepRunner::new(BIG_N, 1996).run(coin_fleet::<G>(BIG_N, BIG_T, 2, 4, 61));
 
     // The work-stealing pool must reproduce the n = 61 run byte for byte —
     // this is the scale it exists for.
-    let mut wallets: Vec<CoinWallet<G>> = TrustedDealer::deal_wallets::<G>(params, 4, 61);
-    let machines: Vec<BoxedMachine<CoinGenMsg<G>, (Vec<usize>, usize, Vec<G>)>> = (1..=BIG_N)
-        .map(|_| {
-            Box::new(PartyMachine::new(cfg, wallets.remove(0)))
-                as BoxedMachine<CoinGenMsg<G>, (Vec<usize>, usize, Vec<G>)>
-        })
-        .collect();
-    let par = ParRunner::new(BIG_N, 1996).run(machines);
+    let par = ParRunner::new(BIG_N, 1996).run(coin_fleet::<G>(BIG_N, BIG_T, 2, 4, 61));
     assert_eq!(res.report, par.report, "ParRunner cost report diverged at n = 61");
     assert_eq!(res.rounds, par.rounds, "ParRunner round profile diverged at n = 61");
     assert_eq!(res.outputs, par.outputs, "ParRunner outputs diverged at n = 61");
@@ -243,11 +238,32 @@ fn step_runner_runs_coin_gen_at_n61() {
 }
 
 #[test]
+fn e13_executors_are_byte_identical_at_beacon_scale() {
+    // Beacon scale, traced: full Coin-Gen plus expose at n = 31, t = 5
+    // over GF(2^8) under both executors. Outputs, cost reports, round
+    // profiles, logical traces and their Chrome exports must be
+    // byte-identical, and the export's spans must balance.
+    type G = Gf2k<8>;
+    let (n, t, seed) = (31, 5, 7);
+    let fleet = || coin_fleet::<G>(n, t, 2, 4 + t, seed ^ 0xE13);
+    let stepped = StepRunner::new(n, seed).with_trace(TraceConfig::full()).run(fleet());
+    let parallel = ParRunner::new(n, seed).with_trace(TraceConfig::full()).run(fleet());
+    assert_eq!(stepped.outputs, parallel.outputs, "ParRunner outputs diverged at n = {n}");
+    assert_eq!(stepped.report, parallel.report, "ParRunner cost report diverged at n = {n}");
+    assert_eq!(stepped.rounds, parallel.rounds, "ParRunner round profile diverged at n = {n}");
+    let step_trace = stepped.trace.expect("traced step run records a trace");
+    let par_trace = parallel.trace.expect("traced parallel run records a trace");
+    assert_eq!(step_trace, par_trace, "ParRunner trace diverged from StepRunner");
+    assert_eq!(to_chrome_json(&step_trace), to_chrome_json(&par_trace));
+    validate_chrome_events(&chrome_events(&par_trace)).expect("chrome spans balance");
+}
+
+#[test]
 fn executors_record_identical_logical_traces() {
     // A fixed-seed Coin-Gen run traced under both executors must produce
     // byte-identical logical traces — same spans, same phase names, same
     // per-(party, round, phase) cost deltas, same flush stats.
-    let cfg = dprbg::sim::TraceConfig::full();
+    let cfg = TraceConfig::full();
     for seed in [42u64, 1996] {
         let stepped = StepRunner::new(N, seed).with_trace(cfg).run(machine_fleet(seed));
         let parallel = ParRunner::new(N, seed).with_trace(cfg).run(machine_fleet(seed));
@@ -258,11 +274,10 @@ fn executors_record_identical_logical_traces() {
 
         // Byte-identical through the Chrome exporter too, with balanced
         // spans per party.
-        let jb = dprbg::trace::to_chrome_json(&b);
-        let jc = dprbg::trace::to_chrome_json(&c);
+        let jb = to_chrome_json(&b);
+        let jc = to_chrome_json(&c);
         assert_eq!(jb, jc, "ParRunner chrome export diverged for seed {seed}");
-        dprbg::trace::validate_chrome_events(&dprbg::trace::chrome_events(&b))
-            .expect("chrome events validate");
+        validate_chrome_events(&chrome_events(&b)).expect("chrome events validate");
 
         // Trace cost attribution must reconcile exactly with the run's
         // CostReport ledger: span deltas sum to each party's total.
@@ -316,11 +331,12 @@ fn committee_fleet(
 
 #[test]
 fn committee_coin_gen_agrees_across_executors() {
-    // Committee of 13 inside 31 parties: the stepped and the parallel
-    // executor must agree on every party's delivered batch and on the
-    // cost ledger, and the quorum must actually deliver.
-    let (n, c, m) = (31, 13, 4);
-    for seed in [5u64, 77] {
+    // Committees of 13 inside 31 parties, and E14's committee of 31
+    // inside 129: the stepped and the parallel executor must agree on
+    // every party's delivered batch and on the cost ledger, and the
+    // quorum must actually deliver.
+    let m = 4;
+    for (n, c, seed) in [(31, 13, 5u64), (31, 13, 77), (129, 31, 0xE14)] {
         let stepped = StepRunner::new(n, seed).run(committee_fleet(n, c, m, seed, seed + 1));
         let parallel =
             ParRunner::new(n, seed).with_threads(4).run(committee_fleet(n, c, m, seed, seed + 1));

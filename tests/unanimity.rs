@@ -2,7 +2,6 @@
 //! in the system view the same coin" — and, more broadly, all honest
 //! players reach the same verdicts and values in every sub-protocol.
 
-use dprbg::core::batch_vss::BatchOpts;
 use dprbg::core::{
     vss_machine, BatchShares, BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine, CoinError,
     DealtShares, ExposeMachine, ExposeMsg, ExposeVia, SealedShare, VssMode, VssMsg,
@@ -194,14 +193,14 @@ fn batch_vss_verdict_uniform_with_partial_corruption() {
                 .labelled("perturbing-dealer");
                 let machine = deal
                     .then(move |shares| {
-                        BatchVssVerifyMachine::new(t, shares, m, coin, BatchOpts::default())
+                        BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict)
                     })
                     .map(|res| res.ok());
                 Box::new(machine) as BoxedMachine<BatchVssMsg<F>, Option<VssVerdict>>
             } else {
-                let machine = BatchVssDealMachine::new(1, None, t, BatchOpts::default())
+                let machine = BatchVssDealMachine::new(1, None, t)
                     .then(move |(shares, _)| {
-                        BatchVssVerifyMachine::new(t, shares, m, coin, BatchOpts::default())
+                        BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict)
                     })
                     .map(|res| res.ok());
                 Box::new(machine) as BoxedMachine<BatchVssMsg<F>, Option<VssVerdict>>
