@@ -381,9 +381,10 @@ pub fn judge_batch_subset<F: Field>(
     if sub.len() <= t || sub.len() < subset.len() {
         return VssVerdict::Reject;
     }
+    let (xs, ys): (Vec<F>, Vec<F>) = sub[t + 1..].iter().copied().unzip();
     match interpolate(&sub[..t + 1]) {
         Ok(f) if f.degree().is_none_or(|d| d <= t)
-            && sub[t + 1..].iter().all(|&(x, y)| f.eval(x) == y) =>
+            && F::matching_prefix(f.coeffs(), &xs, &ys) == xs.len() =>
         {
             VssVerdict::Accept
         }

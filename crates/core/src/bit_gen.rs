@@ -103,6 +103,26 @@ pub struct DealerView<F: Field> {
     /// `F(x)` if step 5 succeeded (degree ≤ t, ≥ n − t agreement), else
     /// `⊥`.
     pub check_poly: Option<Poly<F>>,
+    /// Whether the decode was clean: every received β lies on
+    /// `check_poly`, as the decoder's clean path verified. `false` when
+    /// `check_poly` is `⊥` or some β is off it.
+    pub clean: bool,
+}
+
+impl<F: Field> DealerView<F> {
+    /// The parties among `at` (0-based) whose β in this instance lies on
+    /// `f`. A clean view answers for its own `check_poly` without
+    /// evaluating anything; any other `f` is evaluated with one
+    /// [`Field::eval_points`] over exactly the points in `at`.
+    pub(crate) fn fitters(&self, f: &Poly<F>, points: &[F], at: Vec<usize>) -> Vec<usize> {
+        if self.clean && self.check_poly.as_ref() == Some(f) {
+            return at.into_iter().filter(|&j| self.betas[j].is_some()).collect();
+        }
+        let xs: Vec<F> = at.iter().map(|&j| points[j]).collect();
+        let mut ys = vec![F::zero(); xs.len()];
+        F::eval_points(f.coeffs(), &xs, &mut ys);
+        at.into_iter().zip(ys).filter(|&(j, y)| self.betas[j] == Some(y)).map(|(j, _)| j).collect()
+    }
 }
 
 /// The result of running the `n` parallel Bit-Gen instances.
@@ -220,6 +240,7 @@ where
                         my_beta: None,
                         betas: vec![None; n],
                         check_poly: None,
+                        clean: false,
                     })
                     .collect();
                 for rcv in view.inbox.iter() {
@@ -296,7 +317,9 @@ where
                 let points = party_points(n);
                 let mut decoder = None;
                 for v in views.iter_mut() {
-                    v.check_poly = decode_instance(&v.betas, &points, self.t, &mut decoder);
+                    (v.check_poly, v.clean) =
+                        decode_instance(&v.betas, &points, self.t, &mut decoder)
+                            .map_or((None, false), |(f, clean)| (Some(f), clean));
                     if self.mode == BitGenMode::ZeroRefresh {
                         // Zero sharings: the combination must vanish at the
                         // origin, or the dealer is shifting coin values.
@@ -304,7 +327,7 @@ where
                             .as_ref()
                             .is_some_and(|f| !f.constant_term().is_zero())
                         {
-                            v.check_poly = None;
+                            (v.check_poly, v.clean) = (None, false);
                         }
                     }
                 }
@@ -327,7 +350,8 @@ where
 }
 
 /// Fig. 4 step 5: decode `F(x)` from the received combinations; `Some`
-/// iff `deg F ≤ t` and at least `n − t` received values lie on `F`.
+/// iff `deg F ≤ t` and at least `n − t` received values lie on `F`, with
+/// whether all of them do (see [`BatchDecoder::decode_flagged`]).
 ///
 /// With `m` values received, "≥ `n − t` agree" is "≤ `m − (n − t)` are
 /// wrong": the acceptance threshold is the decoder's error budget, so a
@@ -339,14 +363,14 @@ fn decode_instance<F: Field>(
     points: &[F],
     t: usize,
     decoder: &mut Option<BatchDecoder<F>>,
-) -> Option<Poly<F>> {
+) -> Option<(Poly<F>, bool)> {
     let (xs, ys): (Vec<F>, Vec<F>) =
         betas.iter().zip(points).filter_map(|(b, &x)| b.map(|y| (x, y))).unzip();
     let budget = xs.len().checked_sub(points.len() - t)?;
     if decoder.as_ref().is_none_or(|d| d.xs() != xs) {
         *decoder = BatchDecoder::new(&xs, t, t.min(budget)).ok();
     }
-    decoder.as_ref()?.decode(&ys).ok()
+    decoder.as_ref()?.decode_flagged(&ys).ok()
 }
 
 #[cfg(test)]

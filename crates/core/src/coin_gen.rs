@@ -325,6 +325,10 @@ where
                     // (then, w.h.p., each of my individual shares is
                     // correct — the random-challenge argument).
                     let my_point = F::element(view.id as u64);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "each adopted F_j at my own point only"
+                    )]
                     let i_fit = announce.pairs.iter().all(|(j, f)| {
                         run.views[j - 1].my_beta == Some(f.eval(my_point))
                             && run.views[j - 1].alphas.len() == m
@@ -492,19 +496,7 @@ where
         match mem::replace(&mut self.stage, AgStage::Finished) {
             AgStage::Start => {
                 // Steps 4–5: the agreement graph.
-                let mut digraph = DiGraph::new(n);
-                for v in &self.run.views {
-                    if let Some(f) = &v.check_poly {
-                        for k in 1..=n {
-                            if let Some(beta) = v.betas[k - 1] {
-                                if f.eval(self.points[k - 1]) == beta {
-                                    digraph.add_edge(v.dealer, k);
-                                }
-                            }
-                        }
-                    }
-                }
-                let graph = digraph.mutual();
+                let graph = agreement_digraph(&self.run, &self.points).mutual();
 
                 // Step 6: the clique approximation.
                 let clique = approx_clique(&graph);
@@ -624,21 +616,46 @@ where
     }
 }
 
+/// Step 4's directed graph `G'`: edge `j → k` iff `F_j ≠ ⊥` and `P_k`'s
+/// β in instance `j` lies on `F_j`. Bit-Gen's decoder has already checked
+/// every β of a clean instance against `F_j`, so only the other instances
+/// are evaluated, at the points that sent a β.
+fn agreement_digraph<F: Field>(run: &BitGenRun<F>, points: &[F]) -> DiGraph {
+    let n = points.len();
+    let mut digraph = DiGraph::new(n);
+    for v in &run.views {
+        if let Some(f) = &v.check_poly {
+            let mut sent: Vec<usize> = (0..n).collect();
+            sent.retain(|&k| v.betas[k].is_some());
+            for k in v.fitters(f, points, sent) {
+                digraph.add_edge(v.dealer, k + 1);
+            }
+        }
+    }
+    digraph
+}
+
 /// Condition (iii) of step 10: how many players' combinations — in *my*
 /// view of the Bit-Gen exchanges — satisfy every announced dealer's
 /// polynomial.
+///
+/// Pair by pair, only the players that fit every earlier pair are checked
+/// — the points a per-player short-circuit would evaluate. An announced
+/// `F_k` equal to my own clean `check_poly_k` is answered by Bit-Gen's
+/// decode without evaluating it.
 fn count_universal_fitters<F: Field>(
     announce: &CliqueAnnounce<F>,
     run: &BitGenRun<F>,
     points: &[F],
 ) -> usize {
-    points
-        .iter()
-        .enumerate()
-        .filter(|&(j, &x)| {
-            announce.pairs.iter().all(|(k, f)| run.views[k - 1].betas[j] == Some(f.eval(x)))
-        })
-        .count()
+    let mut alive: Vec<usize> = (0..points.len()).collect();
+    for (k, f) in &announce.pairs {
+        if alive.is_empty() {
+            break;
+        }
+        alive = run.views[k - 1].fitters(f, points, alive);
+    }
+    alive.len()
 }
 
 #[cfg(test)]
@@ -650,6 +667,9 @@ mod tests {
     use crate::coin::decode_coin;
     use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
+    use dprbg_rng::prelude::*;
+    use dprbg_rng::rngs::StdRng;
+    use dprbg_rng::{RngExt, SeedableRng};
     use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, MachineExt, StepRunner};
 
     type F = Gf2k<32>;
@@ -899,6 +919,7 @@ mod tests {
                     my_beta: Some(zero),
                     betas: vec![Some(zero); n],
                     check_poly: Some(Poly::zero()),
+                    clean: true,
                 })
                 .collect(),
         };
@@ -919,6 +940,298 @@ mod tests {
                 .collect();
             for out in StepRunner::new(n, 50).run(fleet).unwrap_all() {
                 assert_eq!(out.unwrap_err(), CoinGenError::NoAgreement { attempts: 1 }, "j = {j}");
+            }
+        }
+    }
+
+    /// Step 4 as first written: one scalar evaluation per (dealer, party
+    /// that sent a β), whatever Bit-Gen's decode already checked.
+    fn reference_digraph(run: &BitGenRun<F>, points: &[F]) -> DiGraph {
+        let n = points.len();
+        let mut digraph = DiGraph::new(n);
+        for v in &run.views {
+            if let Some(f) = &v.check_poly {
+                for k in 1..=n {
+                    if let Some(beta) = v.betas[k - 1] {
+                        if f.eval(points[k - 1]) == beta {
+                            digraph.add_edge(v.dealer, k);
+                        }
+                    }
+                }
+            }
+        }
+        digraph
+    }
+
+    /// Step 10(iii) as first written: per point, one scalar evaluation per
+    /// announced pair up to the first that does not fit.
+    fn reference_fitters(announce: &CliqueAnnounce<F>, run: &BitGenRun<F>, points: &[F]) -> usize {
+        points
+            .iter()
+            .enumerate()
+            .filter(|&(j, &x)| {
+                announce.pairs.iter().all(|(k, f)| run.views[k - 1].betas[j] == Some(f.eval(x)))
+            })
+            .count()
+    }
+
+    fn cost<T>(f: impl FnOnce() -> T) -> (T, dprbg_metrics::CostSnapshot) {
+        let guard = dprbg_metrics::OpsGuard::start();
+        let out = f();
+        (out, guard.finish())
+    }
+
+    /// Who misbehaves in one Bit-Gen run (roles may coincide).
+    #[derive(Default)]
+    struct BitGenFaults {
+        /// Deals one degree-(t + 1) polynomial among its M.
+        high_degree: Option<PartyId>,
+        /// Deals a valid sharing shifted by 1 (in `ZeroRefresh`, `F(0) ≠ 0`).
+        shifted: Option<PartyId>,
+        /// Deals nothing: its instance is ⊥ everywhere.
+        skipped_dealer: Option<PartyId>,
+        /// Sends no β at all.
+        silent: Option<PartyId>,
+        /// Per dealer: keep (0), garble (1) or skip (2) this sender's β.
+        garbage: Option<(PartyId, Vec<u8>)>,
+    }
+
+    /// Every party's Bit-Gen view of one run at `(n, t, M = 3)` under
+    /// `faults`; every party runs the honest machine, with what the
+    /// faulty ones send rewritten.
+    fn bit_gen_runs(
+        n: usize,
+        t: usize,
+        mode: BitGenMode,
+        seed: u64,
+        faults: &BitGenFaults,
+    ) -> Vec<BitGenRun<F>> {
+        type Bm = BitGenMsg<F>;
+        let m = 3;
+        let params = Params::p2p_model(n, t).unwrap();
+        let mut wallets = TrustedDealer::deal_wallets::<F>(params, 1, seed);
+        let dealers: Vec<PartyId> =
+            (1..=n).filter(|&d| faults.skipped_dealer != Some(d)).collect();
+        let fleet: Vec<BoxedMachine<Bm, Option<BitGenRun<F>>>> = (1..=n)
+            .map(|id| {
+                let coin = wallets[id - 1].pop().unwrap();
+                let mut inner = BitGenMachine::new(t, m, coin, dealers.clone(), mode);
+                let high_degree = faults.high_degree == Some(id);
+                let shifted = faults.shifted == Some(id);
+                let silent = faults.silent == Some(id);
+                let garbage = faults.garbage.clone().filter(|(g, _)| *g == id).map(|(_, a)| a);
+                Box::new(from_fn(move |mut view: dprbg_sim::RoundView<'_, Bm>| {
+                    let out = match inner.round(view.reborrow()) {
+                        Step::Continue(out) => out,
+                        Step::Done(r) => return Step::Done(r.ok()),
+                    };
+                    Step::Continue(match view.round {
+                        0 if high_degree => {
+                            let mut polys: Vec<Poly<F>> =
+                                (0..m - 1).map(|_| Poly::random(t, view.rng)).collect();
+                            polys.push(Poly::random(t + 1, view.rng));
+                            let blind = Poly::random(t, view.rng);
+                            let mut deal = view.outbox();
+                            for i in 1..=view.n {
+                                let x = F::element(i as u64);
+                                let alphas = polys.iter().map(|f| f.eval(x)).collect();
+                                deal.send(i, BitGenMsg::Deal { alphas, gamma: blind.eval(x) });
+                            }
+                            deal
+                        }
+                        0 if shifted => out.map(|msg| match msg {
+                            BitGenMsg::Deal { mut alphas, gamma } => {
+                                alphas[0] += F::one();
+                                BitGenMsg::Deal { alphas, gamma }
+                            }
+                            other => other,
+                        }),
+                        2 if silent => view.outbox(),
+                        2 => match &garbage {
+                            Some(actions) => out.map(|msg| match msg {
+                                BitGenMsg::Betas(entries) => BitGenMsg::Betas(
+                                    entries
+                                        .into_iter()
+                                        .filter(|(d, _)| actions[d - 1] != 2)
+                                        .map(|(d, b)| match actions[d - 1] {
+                                            1 => (d, b + F::one()),
+                                            _ => (d, b),
+                                        })
+                                        .collect(),
+                                ),
+                                other => other,
+                            }),
+                            None => out,
+                        },
+                        _ => out,
+                    })
+                })) as _
+            })
+            .collect();
+        StepRunner::new(n, seed).run(fleet).unwrap_all().into_iter().map(Option::unwrap).collect()
+    }
+
+    /// Each party's own announcement: every dealer it decoded.
+    fn own_announce(run: &BitGenRun<F>) -> CliqueAnnounce<F> {
+        CliqueAnnounce {
+            pairs: run
+                .views
+                .iter()
+                .filter_map(|v| v.check_poly.clone().map(|f| (v.dealer, f)))
+                .collect(),
+        }
+    }
+
+    /// `announce` with the polynomial of every pair whose index is in
+    /// `which` moved off the party's own (by a constant).
+    fn perturbed(
+        announce: &CliqueAnnounce<F>,
+        which: impl Fn(usize) -> bool,
+    ) -> CliqueAnnounce<F> {
+        let one = Poly::constant(F::one());
+        CliqueAnnounce {
+            pairs: announce
+                .pairs
+                .iter()
+                .enumerate()
+                .map(|(i, (j, f))| (*j, if which(i) { f.add(&one) } else { f.clone() }))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Under any mix of faulty dealers and β senders, in either Bit-Gen
+        /// mode, steps 4 and 10 read off Bit-Gen's decode exactly what the
+        /// scalar loops compute: the same agreement graph, and the same
+        /// fitter count for the party's own announcement, every other
+        /// party's, and one whose polynomials differ from its own.
+        #[test]
+        fn prop_agreement_checks_equal_the_scalar_reference(
+            seed: u64,
+            shape in 0usize..4,
+            roles in 0u64..1 << 20
+        ) {
+            let (n, t) = if shape % 2 == 0 { (7, 1) } else { (13, 2) };
+            let mode = if shape < 2 { BitGenMode::RandomCoins } else { BitGenMode::ZeroRefresh };
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Four bits per role: one says whether it is played, three pick the party.
+            let role = |i: u32| {
+                let bits = (roles >> (4 * i)) & 0xF;
+                (bits & 1 == 1).then(|| 1 + (bits >> 1) as usize % n)
+            };
+            let faults = BitGenFaults {
+                high_degree: role(0),
+                shifted: role(1),
+                skipped_dealer: role(2),
+                silent: role(3),
+                garbage: role(4).map(|g| (g, (0..n).map(|_| rng.random_range(0..3u8)).collect())),
+            };
+            let runs = bit_gen_runs(n, t, mode, seed, &faults);
+            let points = party_points::<F>(n);
+            for (i, run) in runs.iter().enumerate() {
+                prop_assert!(
+                    agreement_digraph(run, &points) == reference_digraph(run, &points),
+                    "party {}: agreement graph", i + 1
+                );
+                let own = own_announce(run);
+                let pick = rng.random_range(0..own.pairs.len().max(1));
+                let mut announces: Vec<CliqueAnnounce<F>> = runs.iter().map(own_announce).collect();
+                announces.push(perturbed(&own, |p| p == pick));
+                announces.push(perturbed(&own, |p| p % 2 == 1));
+                for a in &announces {
+                    let fit = count_universal_fitters(a, run, &points);
+                    let reference = reference_fitters(a, run, &points);
+                    prop_assert!(
+                        fit == reference,
+                        "party {}: {} fitters, reference {}", i + 1, fit, reference
+                    );
+                }
+            }
+        }
+    }
+
+    /// In a fault-free run every instance decodes clean at every party and
+    /// every announcement carries the polynomials each party decoded, so
+    /// steps 4 and 10 evaluate nothing — where the scalar loops paid
+    /// n²(t + 1) multiplications each.
+    #[test]
+    fn fault_free_agreement_checks_charge_no_field_ops() {
+        let none = BitGenFaults::default();
+        for (n, t) in [(7, 1), (13, 2)] {
+            for mode in [BitGenMode::RandomCoins, BitGenMode::ZeroRefresh] {
+                let runs = bit_gen_runs(n, t, mode, 5, &none);
+                let points = party_points::<F>(n);
+                let scalar = (n * n * (t + 1)) as u64;
+                for run in &runs {
+                    assert!(run.views.iter().all(|v| v.clean));
+                    let (graph, price) = cost(|| agreement_digraph(run, &points));
+                    let (reference, old_price) = cost(|| reference_digraph(run, &points));
+                    assert_eq!(graph, reference);
+                    assert_eq!((price.field_muls, price.field_adds), (0, 0), "n = {n}, {mode:?}");
+                    assert_eq!(old_price.field_muls, scalar, "n = {n}, {mode:?}");
+                    for leader in &runs {
+                        let a = own_announce(leader);
+                        let (fit, price) = cost(|| count_universal_fitters(&a, run, &points));
+                        let (_, old_price) = cost(|| reference_fitters(&a, run, &points));
+                        assert_eq!(fit, n);
+                        assert_eq!((price.field_muls, price.field_adds), (0, 0), "n = {n}");
+                        assert_eq!(old_price.field_muls, scalar, "n = {n}, {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where Bit-Gen's decode cannot answer — an instance with a β off
+    /// `F_j`, or an announced `F_k` that is not the party's own — the
+    /// slice kernel evaluates exactly the points the scalar loops
+    /// evaluated, at exactly their price.
+    #[test]
+    fn dirty_agreement_checks_charge_what_the_reference_charges() {
+        let (n, t) = (13, 2);
+        let faults = BitGenFaults {
+            high_degree: Some(1),
+            silent: Some(2),
+            // Garble dealers 1–4's β, skip 5–6's, keep the rest.
+            garbage: Some((4, [vec![1; 4], vec![2; 2], vec![0; n - 6]].concat())),
+            ..BitGenFaults::default()
+        };
+        let runs = bit_gen_runs(n, t, BitGenMode::RandomCoins, 9, &faults);
+        let points = party_points::<F>(n);
+        for (i, run) in runs.iter().enumerate() {
+            let dirty = run.views.iter().filter(|v| v.check_poly.is_some() && !v.clean).count();
+            assert!(dirty > 0, "party {}: some instance decodes with a β off F_j", i + 1);
+
+            // Step 4: the dirty instances cost what the reference pays for them.
+            let mut dirty_only = run.clone();
+            for v in dirty_only.views.iter_mut().filter(|v| v.clean) {
+                v.check_poly = None;
+            }
+            let (graph, price) = cost(|| agreement_digraph(run, &points));
+            let (_, old_price) = cost(|| reference_digraph(&dirty_only, &points));
+            assert_eq!(graph, reference_digraph(run, &points));
+            assert_eq!(price, old_price, "party {}", i + 1);
+            assert!(price.field_muls > 0);
+
+            // With no view clean, every evaluation is the reference's.
+            let mut unflagged = run.clone();
+            unflagged.views.iter_mut().for_each(|v| v.clean = false);
+            let (graph, price) = cost(|| agreement_digraph(&unflagged, &points));
+            let (reference, old_price) = cost(|| reference_digraph(&unflagged, &points));
+            assert_eq!((graph, price), (reference, old_price), "party {}", i + 1);
+
+            // Step 10: announcements that match nothing the party decoded.
+            let own = own_announce(run);
+            for a in [perturbed(&own, |_| true), own.clone()] {
+                for view in [run, &unflagged] {
+                    if std::ptr::eq(view, run) && a == own {
+                        continue; // the shortcut case, priced by the fault-free test
+                    }
+                    let (fit, price) = cost(|| count_universal_fitters(&a, view, &points));
+                    let (reference, old_price) = cost(|| reference_fitters(&a, view, &points));
+                    assert_eq!((fit, price), (reference, old_price), "party {}", i + 1);
+                }
             }
         }
     }

@@ -11,7 +11,7 @@
 //! seeds its wallets through it.
 
 use dprbg_field::Field;
-use dprbg_poly::share_polynomial;
+use dprbg_poly::{share_points, share_polynomial};
 use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 
@@ -44,8 +44,8 @@ impl TrustedDealer {
         for _ in 0..count {
             let value = F::random(&mut rng);
             let poly = share_polynomial(value, params.t, &mut rng);
-            for (i, wallet) in wallets.iter_mut().enumerate() {
-                wallet.push(SealedShare::of(poly.eval(F::element(i as u64 + 1))));
+            for (wallet, share) in wallets.iter_mut().zip(share_points(&poly, params.n)) {
+                wallet.push(SealedShare::of(share.y));
             }
             values.push(value);
         }

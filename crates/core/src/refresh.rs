@@ -175,6 +175,10 @@ where
                     // `h + consumed_by_loop`.
                     let offset = agreement.seeds_consumed;
                     let my_point = F::element(view.id as u64);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "each adopted F_j at my own point only"
+                    )]
                     let i_fit = announce.pairs.iter().all(|(j, f)| {
                         run.views[j - 1].my_beta == Some(f.eval(my_point))
                             && run.views[j - 1].alphas.len() == w_upper

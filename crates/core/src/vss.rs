@@ -342,11 +342,10 @@ pub fn cheating_high_degree_deal<F: Field, R: Rng + ?Sized>(
 ) -> (Vec<DealtShares<F>>, Poly<F>, Poly<F>) {
     let f = Poly::random(bad_degree, rng);
     let g = Poly::random(t, rng);
-    let shares = (1..=n as u64)
-        .map(|i| DealtShares {
-            alpha: f.eval(F::element(i)),
-            gamma: g.eval(F::element(i)),
-        })
+    let shares = share_points(&f, n)
+        .into_iter()
+        .zip(share_points(&g, n))
+        .map(|(a, c)| DealtShares { alpha: a.y, gamma: c.y })
         .collect();
     (shares, f, g)
 }

@@ -35,7 +35,7 @@ use std::mem;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, Poly};
+use dprbg_poly::{bw_decode, share_points, Poly};
 use dprbg_sim::{Embeds, MachineExt, PartyId, RoundMachine, RoundView, Step};
 
 use crate::coin::{ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
@@ -194,6 +194,10 @@ impl<M, F: Field> VssDisputeMachine<M, F> {
             let x = F::element(i as u64);
             let answer = pairs.iter().find(|(j, _, _)| *j == i);
             match answer {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one opened outlier checked against F*, one point"
+                )]
                 Some(&(_, alpha, gamma)) if alpha + r * gamma == f_star.eval(x) => {
                     if i == view.id {
                         // Adopt the publicly consistent pair.
@@ -272,7 +276,9 @@ where
                     .and_then(|budget| bw_decode(&points, self.t, self.t.min(budget)).ok());
                 let outliers: Vec<PartyId> = match &f_star {
                     Some(f) => (1..=n)
-                        .filter(|&i| betas[i - 1] != Some(f.eval(F::element(i as u64))))
+                        .zip(share_points(f, n))
+                        .filter(|&(i, s)| betas[i - 1] != Some(s.y))
+                        .map(|(i, _)| i)
                         .collect(),
                     // No majority: nothing to open, but the round is still
                     // burned below so all parties stay in lock-step.
@@ -284,12 +290,15 @@ where
                 let mut out = view.outbox();
                 if view.id == self.dealer && !outliers.is_empty() {
                     if let Some((f, g)) = &self.dealer_polys {
+                        let xs: Vec<F> = outliers.iter().map(|&i| F::element(i as u64)).collect();
+                        let mut alphas = vec![F::zero(); xs.len()];
+                        let mut gammas = vec![F::zero(); xs.len()];
+                        F::eval_points(f.coeffs(), &xs, &mut alphas);
+                        F::eval_points(g.coeffs(), &xs, &mut gammas);
                         let pairs: Vec<(PartyId, F, F)> = outliers
                             .iter()
-                            .map(|&i| {
-                                let x = F::element(i as u64);
-                                (i, f.eval(x), g.eval(x))
-                            })
+                            .zip(alphas.into_iter().zip(gammas))
+                            .map(|(&i, (alpha, gamma))| (i, alpha, gamma))
                             .collect();
                         out.broadcast(<M as Embeds<DisputeVssMsg<F>>>::wrap(
                             DisputeVssMsg::Open(pairs),

@@ -88,14 +88,32 @@ impl<F: Field> BatchDecoder<F> {
     ///
     /// Panics if `ys.len()` differs from the decoder's abscissa count.
     pub fn decode(&self, ys: &[F]) -> Result<Poly<F>, BwError> {
+        self.decode_flagged(ys).map(|(f, _)| f)
+    }
+
+    /// [`decode`](Self::decode), also saying whether the word was clean:
+    /// `true` iff every point lies on the returned polynomial, i.e. the
+    /// candidate was accepted without the linear solve. A solved word
+    /// always has a point off its result (a degree-≤`t` polynomial
+    /// through all `m > t` points would be the candidate), so the flag
+    /// certifies every `(x, y)` without another evaluation.
+    ///
+    /// # Errors
+    ///
+    /// See [`BwError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ys.len()` differs from the decoder's abscissa count.
+    pub fn decode_flagged(&self, ys: &[F]) -> Result<(Poly<F>, bool), BwError> {
         assert_eq!(ys.len(), self.xs.len(), "one y-value per abscissa");
         ops::count_interpolation(1);
         let candidate = self.basis.combine(ys.iter().copied());
         if F::matching_prefix(candidate.coeffs(), &self.xs, ys) == ys.len() {
-            return Ok(candidate);
+            return Ok((candidate, true));
         }
         let points: Vec<(F, F)> = self.xs.iter().copied().zip(ys.iter().copied()).collect();
-        solve_in_radius(&points, self.t, self.e_max)
+        solve_in_radius(&points, self.t, self.e_max).map(|f| (f, false))
     }
 
     /// Decode many words in one call.

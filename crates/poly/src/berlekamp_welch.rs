@@ -118,6 +118,10 @@ pub(crate) fn solve_in_radius<F: Field>(
     }
     // Accept only if the number of disagreeing points is within radius —
     // this is what makes the answer unique for m ≥ t + 2e + 1.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the decode the serve plane runs, pinned as it stands"
+    )]
     let disagreements = points.iter().filter(|&&(x, y)| f.eval(x) != y).count();
     if disagreements > e {
         return Err(BwError::DecodingFailed);

@@ -88,6 +88,10 @@ pub fn share_points<F: Field>(poly: &Poly<F>, n: usize) -> Vec<Share<F>> {
 /// # Errors
 ///
 /// See [`ShamirError`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the consistency check of error-free shares, pinned as it stands"
+)]
 pub fn reconstruct_secret<F: Field>(shares: &[Share<F>], t: usize) -> Result<F, ShamirError> {
     if shares.len() < t + 1 {
         return Err(ShamirError::NotEnoughShares {

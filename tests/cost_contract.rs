@@ -51,13 +51,19 @@ fn coin_gen_run<F: Field>(n: usize, t: usize, m: usize, seed: u64) -> RunResult<
 /// instance: 1 043 at n = 7 and 5 785 at n = 13 before bundling). Bytes,
 /// field work and rounds are unchanged: a bundle still charges each entry
 /// its 1-byte instance tag.
+///
+/// `field_muls` and `field_adds` were 4 319 and 4 508 while Coin-Gen's
+/// steps 5 and 10 re-evaluated every check polynomial that Bit-Gen's
+/// decoder had already verified. The drop, 1 372 of each, is exactly those
+/// evaluations: n parties × 2 steps × n polynomials × n points × (t + 1)
+/// coefficients.
 #[test]
 fn coin_gen_n7_t1_m8_gf2_32() {
     assert_eq!(
         coin_gen_totals::<Gf2k<32>>(7, 1, 8, 1),
         CostSnapshot {
-            field_adds: 4508,
-            field_muls: 4319,
+            field_adds: 3136,
+            field_muls: 2947,
             field_invs: 21,
             interpolations: 63,
             prg_invocations: 21,
@@ -69,13 +75,16 @@ fn coin_gen_n7_t1_m8_gf2_32() {
 }
 
 /// `messages` was 5 785 before grade-cast bundling (see above).
+/// `field_muls` and `field_adds` were 68 575 and 78 624 before steps 5 and
+/// 10 reused Bit-Gen's decode; the drop, 13 182 of each, is exactly the
+/// step-5/10 evaluations (13 × 2 × 13 × 13 × 3).
 #[test]
 fn coin_gen_n13_t2_m64_gf2_64() {
     assert_eq!(
         coin_gen_totals::<Gf2k<64>>(13, 2, 64, 1),
         CostSnapshot {
-            field_adds: 78624,
-            field_muls: 68575,
+            field_adds: 65442,
+            field_muls: 55393,
             field_invs: 39,
             interpolations: 195,
             prg_invocations: 325,
@@ -91,14 +100,17 @@ fn coin_gen_n13_t2_m64_gf2_64() {
 /// for the shorter polynomial: with 13 × 65 polynomials dealt the run
 /// must come out strictly cheaper than the same run over GF(2^64), and
 /// exactly this much. `messages` was 5 785 before grade-cast bundling.
+/// `field_muls` and `field_adds` were 68 549 and 78 598 before steps 5 and
+/// 10 reused Bit-Gen's decode; the drop, 13 182 of each, is exactly the
+/// step-5/10 evaluations, as over GF(2^64).
 #[test]
 fn coin_gen_n13_t2_m64_gf2_8_charges_trimmed_polynomials() {
     let gf8 = coin_gen_totals::<Gf2k<8>>(13, 2, 64, 1);
     assert_eq!(
         gf8,
         CostSnapshot {
-            field_adds: 78598,
-            field_muls: 68549,
+            field_adds: 65416,
+            field_muls: 55367,
             field_invs: 39,
             interpolations: 195,
             prg_invocations: 325,
