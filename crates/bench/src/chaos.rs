@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 
 use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    BatchVssMsg, BatchVssVerifyMachine, BitGenMachine, BitGenMode, BitGenMsg, BitGenRun,
+    batch_vss_verify, BitGenMachine, BitGenMode, BitGenMsg, BitGenRun,
     CoinBatch, CoinError, CoinGenConfig, CoinGenError, CoinGenMachine, CoinGenMsg, CoinWallet,
     Params, RefreshMachine, RefreshReport, TrustedDealer, VssMode, VssVerdict,
 };
@@ -430,13 +430,13 @@ fn run_episode_inner(
             let shares = cheating_batch_deal::<F32, _>(s.n, s.t, s.m, 0, &mut rng);
             let coins =
                 TrustedDealer::deal_wallets::<F32>(Params { n: s.n, t: s.t }, 1, seed ^ 0x5EA1);
-            let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> =
+            let machines: Vec<BoxedMachine<BitGenMsg<F32>, Result<VssVerdict, CoinError>>> =
                 shares
                 .into_iter()
                 .zip(coins)
                 .map(|(sh, mut coin)| {
                     let coin = coin.pop().expect("one coin dealt per party");
-                    Box::new(BatchVssVerifyMachine::new(s.t, sh, s.m, coin, s.vss_mode)) as _
+                    Box::new(batch_vss_verify(s.t, sh, s.m, coin, s.vss_mode)) as _
                 })
                 .collect();
             digest_episode(s, legs, seed, machines, executor, trace, |out, _| match out {

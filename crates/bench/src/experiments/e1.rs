@@ -14,12 +14,14 @@
 //! The dealing round is excluded from our VSS's numbers exactly as in
 //! Lemma 2 (shares are a "Given"); CCD and Feldman verify *during*
 //! dealing, so their dealing traffic is included — noted in
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md. Fig. 2 runs as Fig. 3 at `M = 1`, so each player
+//! reveals `γ + r·α` and the "ours" rows count E2's `M = 1` additions.
 
 use dprbg_baselines::feldman::{Exp, FeldmanVerdict};
 use dprbg_baselines::{CcdMachine, CcdMsg, CcdOpts, FeldmanMachine, FeldmanMsg};
 use dprbg_core::{
-    CoinError, DealtShares, Params, TrustedDealer, VssMode, VssMsg, VssVerdict, VssVerifyMachine,
+    batch_vss_verify, BatchShares, BitGenMsg, CoinError, Params, TrustedDealer, VssMode,
+    VssVerdict,
 };
 use dprbg_field::Field;
 use dprbg_metrics::Table;
@@ -39,14 +41,15 @@ fn ours(n: usize, t: usize, seed: u64) -> PlayerCost {
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let f = Poly::<F32>::random(t, &mut rng);
     let g = Poly::<F32>::random(t, &mut rng);
-    let machines: Vec<BoxedMachine<VssMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
+    let machines: Vec<BoxedMachine<BitGenMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
         .map(|id| {
-            let shares = DealtShares {
-                alpha: f.eval(F32::element(id as u64)),
+            let shares = BatchShares {
+                alphas: vec![f.eval(F32::element(id as u64))],
                 gamma: g.eval(F32::element(id as u64)),
             };
             let coin = coins[id - 1].pop().expect("one coin dealt per party");
-            Box::new(VssVerifyMachine::new(t, shares, coin, VssMode::Strict)) as _
+            // Fig. 2 is Fig. 3 at M = 1.
+            Box::new(batch_vss_verify(t, shares, 1, coin, VssMode::Strict)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);

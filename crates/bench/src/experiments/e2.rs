@@ -13,7 +13,7 @@
 
 use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer, VssMode, VssVerdict,
+    batch_vss_verify, BitGenMsg, CoinError, Params, TrustedDealer, VssMode, VssVerdict,
 };
 use dprbg_field::{Field, Gf2k};
 use dprbg_metrics::Table;
@@ -32,14 +32,14 @@ pub fn fleet_over<F: Field>(
     t: usize,
     m: usize,
     seed: u64,
-) -> Vec<BoxedMachine<BatchVssMsg<F>, Result<VssVerdict, CoinError>>> {
+) -> Vec<BoxedMachine<BitGenMsg<F>, Result<VssVerdict, CoinError>>> {
     let mut coins = TrustedDealer::deal_wallets::<F>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     // bad_count = 0 → an honest batch.
     let all = cheating_batch_deal::<F, _>(n, t, m, 0, &mut rng);
     (1..=n)
         .map(|id| {
-            Box::new(BatchVssVerifyMachine::new(
+            Box::new(batch_vss_verify(
                 t,
                 all[id - 1].clone(),
                 m,

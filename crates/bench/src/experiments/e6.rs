@@ -20,9 +20,9 @@
 //! corrupted *share* does not make its holder's decoder dishonest)
 //! reconstructs the dealt value.
 
-use dprbg_core::batch_vss::{cheating_batch_deal, judge_batch};
+use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    CoinError, ExposeMachine, ExposeMsg, ExposeVia, SealedShare, VssMode, VssVerdict,
+    judge, Acceptance, CoinError, ExposeMachine, ExposeMsg, ExposeVia, SealedShare, VssVerdict,
 };
 use dprbg_field::{Field, Gf2k};
 use dprbg_metrics::Table;
@@ -45,17 +45,11 @@ pub fn batch_cheat_rate(n: usize, t: usize, m: usize, bad: usize, trials: usize,
     for _ in 0..trials {
         let shares = cheating_batch_deal::<F8, _>(n, t, m, bad, &mut rng);
         let r = F8::random(&mut rng);
-        let pts: Vec<(F8, F8)> = shares
+        let betas: Vec<Option<F8>> = shares
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                (
-                    F8::element(i as u64 + 1),
-                    dprbg_core::horner_combine(&s.alphas, s.gamma, r),
-                )
-            })
+            .map(|s| Some(dprbg_core::horner_combine(&s.alphas, s.gamma, r)))
             .collect();
-        if judge_batch(&pts, n, t, VssMode::Strict) == VssVerdict::Accept {
+        if judge(&betas, t, &Acceptance::Strict) == VssVerdict::Accept {
             accepts += 1;
         }
     }
@@ -121,17 +115,13 @@ pub fn single_vss_cheat_rate(n: usize, t: usize, trials: usize, seed: u64) -> f6
         let f = Poly::<F8>::random(t + 1, &mut rng);
         let g = Poly::<F8>::random(t, &mut rng);
         let r = F8::random(&mut rng);
-        let pts: Vec<(F8, F8)> = (1..=n as u64)
+        let betas: Vec<Option<F8>> = (1..=n as u64)
             .map(|i| {
                 let x = F8::element(i);
-                (x, f.eval(x) + r * g.eval(x))
+                Some(f.eval(x) + r * g.eval(x))
             })
             .collect();
-        let verdict = match dprbg_poly::interpolate(&pts) {
-            Ok(p) if p.degree().is_none_or(|d| d <= t) => VssVerdict::Accept,
-            _ => VssVerdict::Reject,
-        };
-        if verdict == VssVerdict::Accept {
+        if judge(&betas, t, &Acceptance::Strict) == VssVerdict::Accept {
             accepts += 1;
         }
     }

@@ -14,7 +14,7 @@
 
 use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    BatchVssMsg, BatchVssVerifyMachine, CoinBatch, CoinError, CoinGenConfig, CoinGenError,
+    batch_vss_verify, BitGenMsg, CoinBatch, CoinError, CoinGenConfig, CoinGenError,
     CoinGenMachine, CoinGenMsg, CoinWallet, Params, RefreshMachine, RefreshReport, TrustedDealer,
     VssMode, VssVerdict,
 };
@@ -30,10 +30,10 @@ fn mode_cost(n: usize, t: usize, mode: VssMode, seed: u64) -> PlayerCost {
     let mut coins = TrustedDealer::deal_wallets::<F32>(Params { n, t }, 1, seed);
     let mut rng = StdRng::seed_from_u64(seed + 1);
     let all = cheating_batch_deal::<F32, _>(n, t, 16, 0, &mut rng);
-    let machines: Vec<BoxedMachine<BatchVssMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
+    let machines: Vec<BoxedMachine<BitGenMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
         .map(|id| {
             let coin = coins[id - 1].pop().expect("one coin dealt per party");
-            Box::new(BatchVssVerifyMachine::new(t, all[id - 1].clone(), 16, coin, mode)) as _
+            Box::new(batch_vss_verify(t, all[id - 1].clone(), 16, coin, mode)) as _
         })
         .collect();
     let res = StepRunner::new(n, seed).run(machines);

@@ -30,65 +30,27 @@
 //! `β_i = γ_i + Σ_j r^j·α_{ij}`, exactly extending Fig. 2's masking idea
 //! at `O(1/M)` amortized overhead.
 //!
-//! The `Batch-VSS(l)` variant of the paper — verification restricted to a
-//! designated point subset — is [`judge_batch_subset`].
-
-use std::mem;
+//! The protocol runs on Bit-Gen's machine ([`BitGenMachine`], one dealer,
+//! broadcast transport): [`batch_vss`] deals and verifies,
+//! [`batch_vss_verify`] verifies held shares. The `Batch-VSS(l)` variant
+//! of the paper — verification restricted to a designated point subset —
+//! is the acceptance rule [`Acceptance::Subset`].
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, eval_batch, interpolate, Poly};
-use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 use dprbg_rng::Rng;
+use dprbg_sim::{Embeds, MachineExt, PartyId, RoundMachine};
 
-use crate::coin::{ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
+use crate::bit_gen::{deal_shares, party_points, Acceptance, BitGenMachine, BitGenMsg, BitGenRun, Start};
+use crate::coin::{ExposeMsg, SealedShare};
 use crate::errors::CoinError;
-pub use crate::vss::{VssMode, VssVerdict};
+use crate::vss::VssVerdict;
 
-/// Wire messages of Protocol Batch-VSS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchVssMsg<F: Field> {
-    /// Dealing round: the `M` secret shares plus the masking share.
-    Deal {
-        /// `α_{i1} … α_{iM}`.
-        alphas: Vec<F>,
-        /// `γ_i = g(i)`.
-        gamma: F,
-    },
-    /// Coin-Expose traffic for the challenge coin.
-    Expose(ExposeMsg<F>),
-    /// The combined verification share `β_i`.
-    Beta(F),
-}
-
-impl<F: Field> WireSize for BatchVssMsg<F> {
-    fn wire_bytes(&self) -> usize {
-        match self {
-            BatchVssMsg::Deal { alphas, gamma } => {
-                alphas.wire_bytes() + gamma.wire_bytes()
-            }
-            BatchVssMsg::Expose(e) => e.wire_bytes(),
-            BatchVssMsg::Beta(b) => b.wire_bytes(),
-        }
-    }
-}
-
-impl<F: Field> Embeds<ExposeMsg<F>> for BatchVssMsg<F> {
-    fn wrap(inner: ExposeMsg<F>) -> Self {
-        BatchVssMsg::Expose(inner)
-    }
-    fn peek(&self) -> Option<&ExposeMsg<F>> {
-        match self {
-            BatchVssMsg::Expose(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// A party's holdings after the batch dealing round.
+/// A party's holdings in one dealer's sharing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchShares<F: Field> {
-    /// The `M` secret shares.
+    /// The `M` secret shares (empty when the dealer was silent or sent a
+    /// malformed vector).
     pub alphas: Vec<F>,
     /// The masking share (zero when the dealer was silent).
     pub gamma: F,
@@ -104,296 +66,61 @@ pub fn horner_combine<F: Field>(alphas: &[F], gamma: F, r: F) -> F {
     sum + gamma
 }
 
-/// The evaluation points of parties `1..=n`.
-pub(crate) fn party_points<F: Field>(n: usize) -> Vec<F> {
-    (1..=n as u64).map(F::element).collect()
-}
-
-/// The dealing step shared by Fig. 3 and Fig. 4: evaluate a dealer's `m`
-/// secret polynomials — and, if `blinded`, the masking polynomial drawn
-/// after them — at every party point, and yield each party's
-/// `(α_{i1} … α_{iM}, γ_i)` in point order (`γ_i = 0` unblinded).
-///
-/// `coeffs` is the dealer's coefficient buffer: the polynomials one after
-/// another, equally many coefficients each, constant term first.
-pub(crate) fn deal_shares<F: Field>(
-    coeffs: &[F],
-    m: usize,
-    blinded: bool,
-    points: &[F],
-) -> impl Iterator<Item = (Vec<F>, F)> {
-    let polys = m + usize::from(blinded);
-    let values = eval_batch(coeffs, polys, points);
-    (0..points.len()).map(move |p| {
-        let row = &values[p * polys..(p + 1) * polys];
-        (row[..m].to_vec(), row.get(m).copied().unwrap_or_else(F::zero))
+/// The verdict on `dealer`'s instance and this party's shares in it (a
+/// dealer that is not a party is rejected).
+pub(crate) fn outcome<F: Field>(run: BitGenRun<F>, dealer: PartyId) -> (VssVerdict, BatchShares<F>) {
+    run.into_view(dealer).map_or((VssVerdict::Reject, BatchShares::default()), |v| {
+        (VssVerdict::of(v.check_poly.is_some()), BatchShares { alphas: v.alphas, gamma: v.gamma })
     })
 }
 
-/// The batch dealing round as a sans-IO round machine: one `Continue`
-/// (the dealer's share vectors), then `Done` with this party's holdings
-/// `(my shares, dealer polynomials if dealer)`.
-///
-/// One round; the dealer's message to each player is `Mk` bits (Lemma 6's
-/// "n messages each of size Mk").
-pub struct BatchVssDealMachine<M, F: Field> {
+/// Protocol Batch-VSS (Fig. 3), dealing included — 3 rounds. `dealer`
+/// shares `secrets_if_dealer` (`Some` only at the dealer itself) and every
+/// party checks the batch of `m` under `rule`; a dealer that shares any
+/// other number of secrets is rejected. The output carries the verdict
+/// with the shares this party now holds, and propagates [`CoinError`]
+/// from the challenge expose.
+pub fn batch_vss<M, F>(
     dealer: PartyId,
-    secrets: Option<Vec<F>>,
+    secrets_if_dealer: Option<Vec<F>>,
     t: usize,
-    dealt: Option<Vec<Poly<F>>>,
-    sent: bool,
-    _wire: std::marker::PhantomData<fn() -> M>,
-}
-
-impl<M, F: Field> BatchVssDealMachine<M, F> {
-    /// A machine for `dealer`'s batch; `secrets` must be `Some` only at
-    /// the dealer itself.
-    pub fn new(dealer: PartyId, secrets: Option<Vec<F>>, t: usize) -> Self {
-        BatchVssDealMachine {
-            dealer,
-            secrets,
-            t,
-            dealt: None,
-            sent: false,
-            _wire: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<M, F> RoundMachine<M> for BatchVssDealMachine<M, F>
+    m: usize,
+    coin: SealedShare<F>,
+    rule: impl Into<Acceptance>,
+) -> impl RoundMachine<M, Output = Result<(VssVerdict, BatchShares<F>), CoinError>>
 where
-    M: Clone + WireSize + Embeds<BatchVssMsg<F>>,
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BitGenMsg<F>>,
     F: Field,
 {
-    type Output = (BatchShares<F>, Option<Vec<Poly<F>>>);
-
-    fn round(&mut self, view: RoundView<'_, M>) -> Step<M, Self::Output> {
-        if !self.sent {
-            self.sent = true;
-            let mut out = view.outbox();
-            if view.id == self.dealer {
-                if let Some(secrets) = self.secrets.take() {
-                    let width = self.t + 1;
-                    let mut coeffs = Vec::with_capacity((secrets.len() + 1) * width);
-                    for &s in &secrets {
-                        coeffs.push(s);
-                        coeffs.extend((0..self.t).map(|_| F::random(view.rng)));
-                    }
-                    coeffs.extend((0..width).map(|_| F::random(view.rng)));
-                    let shares =
-                        deal_shares(&coeffs, secrets.len(), true, &party_points(view.n));
-                    for (i, (alphas, gamma)) in (1..=view.n).zip(shares) {
-                        out.send(
-                            i,
-                            <M as Embeds<BatchVssMsg<F>>>::wrap(BatchVssMsg::Deal {
-                                alphas,
-                                gamma,
-                            }),
-                        );
-                    }
-                    // The secret polynomials, then the blind.
-                    self.dealt =
-                        Some(coeffs.chunks(width).map(|f| Poly::new(f.to_vec())).collect());
-                }
-            }
-            return Step::Continue(out);
-        }
-        let shares = view
-            .inbox
-            .first_from(self.dealer)
-            .and_then(|r| <M as Embeds<BatchVssMsg<F>>>::peek(r.msg()))
-            .and_then(|m| match m {
-                BatchVssMsg::Deal { alphas, gamma } => Some(BatchShares {
-                    alphas: alphas.clone(),
-                    gamma: *gamma,
-                }),
-                _ => None,
-            })
-            .unwrap_or_default();
-        Step::Done((shares, self.dealt.take()))
-    }
-
-    fn phase_name(&self) -> &'static str {
-        if self.sent {
-            "batch-vss/record"
-        } else {
-            "batch-vss/deal"
-        }
-    }
+    let start = Start::Deal(secrets_if_dealer);
+    BitGenMachine::broadcast(dealer, t, m, coin, rule.into(), start)
+        .map(move |res| res.map(|run| outcome(run, dealer)))
 }
 
-/// Steps 1–4 of Fig. 3 as a sans-IO round machine: the challenge expose
-/// (an embedded [`ExposeMachine`] over the broadcast channel), the
-/// combination broadcast, then the interpolation verdict — all `M`
-/// sharings verified with one interpolation in 2 rounds.
-///
-/// `expected_m` is the batch size every player expects; a dealer that
-/// sent a different number of shares is rejected outright. Consumes one
-/// sealed challenge coin. The output propagates [`CoinError`] from the
-/// challenge expose.
-pub struct BatchVssVerifyMachine<M, F: Field> {
+/// Steps 1–4 of Fig. 3 from shares this party already holds (the
+/// "Given"): challenge expose, combination broadcast, verdict — all `m`
+/// sharings verified with one interpolation in 2 rounds. A share vector
+/// of any other length is withheld, which fails the strict rule. The
+/// combination goes out untagged, so the dealer's identity plays no part.
+pub fn batch_vss_verify<M, F>(
     t: usize,
     shares: BatchShares<F>,
-    expected_m: usize,
-    mode: VssMode,
-    stage: BvStage<M, F>,
-}
-
-enum BvStage<M, F: Field> {
-    /// Step 1 in flight (two calls: share send, then decode + beta send).
-    Expose(ExposeMachine<M, F>),
-    /// Inbox holds the broadcast betas; judge.
-    Betas,
-    Finished,
-}
-
-impl<M, F: Field> BatchVssVerifyMachine<M, F> {
-    /// A machine verifying `shares` against an expected batch size, with
-    /// `coin` as the challenge and `mode` as the acceptance rule (strict
-    /// Fig. 3 vs Berlekamp–Welch-robust).
-    pub fn new(
-        t: usize,
-        shares: BatchShares<F>,
-        expected_m: usize,
-        coin: SealedShare<F>,
-        mode: VssMode,
-    ) -> Self {
-        BatchVssVerifyMachine {
-            t,
-            shares,
-            expected_m,
-            mode,
-            stage: BvStage::Expose(ExposeMachine::new(coin, t, ExposeVia::Broadcast)),
-        }
-    }
-}
-
-impl<M, F> RoundMachine<M> for BatchVssVerifyMachine<M, F>
+    m: usize,
+    coin: SealedShare<F>,
+    rule: impl Into<Acceptance>,
+) -> impl RoundMachine<M, Output = Result<VssVerdict, CoinError>>
 where
-    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BatchVssMsg<F>>,
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BitGenMsg<F>>,
     F: Field,
 {
-    type Output = Result<VssVerdict, CoinError>;
-
-    fn round(&mut self, mut view: RoundView<'_, M>) -> Step<M, Self::Output> {
-        match mem::replace(&mut self.stage, BvStage::Finished) {
-            BvStage::Expose(mut expose) => match expose.round(view.reborrow()) {
-                Step::Continue(out) => {
-                    self.stage = BvStage::Expose(expose);
-                    Step::Continue(out)
-                }
-                Step::Done(Err(e)) => Step::Done(Err(e)),
-                Step::Done(Ok(r)) => {
-                    // A malformed share vector means a misbehaving dealer;
-                    // broadcast a *random* combination so the malformed
-                    // instance cannot fit any low-degree polynomial
-                    // (all-zero fallbacks would themselves interpolate to
-                    // a valid sharing).
-                    let beta = if self.shares.alphas.len() == self.expected_m {
-                        horner_combine(&self.shares.alphas, self.shares.gamma, r)
-                    } else {
-                        F::random(view.rng)
-                    };
-                    let mut out = view.outbox();
-                    out.broadcast(<M as Embeds<BatchVssMsg<F>>>::wrap(BatchVssMsg::Beta(
-                        beta,
-                    )));
-                    self.stage = BvStage::Betas;
-                    Step::Continue(out)
-                }
-            },
-            BvStage::Betas => {
-                let mut points: Vec<(F, F)> = Vec::new();
-                for rcv in view.inbox.broadcasts() {
-                    if let Some(BatchVssMsg::Beta(b)) =
-                        <M as Embeds<BatchVssMsg<F>>>::peek(rcv.msg())
-                    {
-                        let x = F::element(rcv.from as u64);
-                        if points.iter().all(|(px, _)| *px != x) {
-                            points.push((x, *b));
-                        }
-                    }
-                }
-                Step::Done(Ok(judge_batch(&points, view.n, self.t, self.mode)))
-            }
-            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
-            BvStage::Finished => panic!("BatchVssVerifyMachine driven past completion"),
-        }
-    }
-
-    fn phase_name(&self) -> &'static str {
-        match &self.stage {
-            BvStage::Expose(expose) => match expose.phase_name() {
-                "expose/send" => "batch-vss/challenge",
-                _ => "batch-vss/combine",
-            },
-            BvStage::Betas => "batch-vss/judge",
-            BvStage::Finished => "batch-vss/finished",
-        }
-    }
-}
-
-/// Step 4's decision from the collected combination points.
-pub fn judge_batch<F: Field>(
-    points: &[(F, F)],
-    n: usize,
-    t: usize,
-    mode: VssMode,
-) -> VssVerdict {
-    match mode {
-        VssMode::Strict => {
-            if points.len() < n {
-                return VssVerdict::Reject;
-            }
-            match interpolate(points) {
-                Ok(f) if f.degree().is_none_or(|d| d <= t) => VssVerdict::Accept,
-                _ => VssVerdict::Reject,
-            }
-        }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "one combination word per check: no basis to share"
-        )]
-        VssMode::Robust => match bw_decode(points, t, t) {
-            Ok(_) => VssVerdict::Accept,
-            Err(_) => VssVerdict::Reject,
-        },
-    }
-}
-
-/// The `Batch-VSS(l)` variant: accept iff some degree-≤t polynomial
-/// passes through the combination values of the *designated subset* of
-/// points (the paper: "accept if there is a polynomial F(x) of degree at
-/// most t, which for some given l … satisfies F(i_j) = β_{i_j}").
-///
-/// Used when only a subset of players' shares must be validated (e.g. a
-/// clique in Coin-Gen). The subset must contain at least `t + 1` points.
-pub fn judge_batch_subset<F: Field>(
-    points: &[(F, F)],
-    subset: &[PartyId],
-    t: usize,
-) -> VssVerdict {
-    let sub: Vec<(F, F)> = points
-        .iter()
-        .filter(|(x, _)| subset.iter().any(|&p| F::element(p as u64) == *x))
-        .copied()
-        .collect();
-    if sub.len() <= t || sub.len() < subset.len() {
-        return VssVerdict::Reject;
-    }
-    let (xs, ys): (Vec<F>, Vec<F>) = sub[t + 1..].iter().copied().unzip();
-    match interpolate(&sub[..t + 1]) {
-        Ok(f) if f.degree().is_none_or(|d| d <= t)
-            && F::matching_prefix(f.coeffs(), &xs, &ys) == xs.len() =>
-        {
-            VssVerdict::Accept
-        }
-        _ => VssVerdict::Reject,
-    }
+    // Any party's slot can hold the shares; the first is always there.
+    BitGenMachine::broadcast(1, t, m, coin, rule.into(), Start::Held(shares))
+        .map(|res| res.map(|run| outcome(run, 1).0))
 }
 
 /// A cheating dealer's batch for soundness tests: `bad_count` of the `M`
-/// polynomials have degree `t + 1`, the rest are honest.
+/// polynomials have degree `t + 1`, the rest are honest (`M = 1` is a
+/// single VSS dealing).
 pub fn cheating_batch_deal<F: Field, R: Rng + ?Sized>(
     n: usize,
     t: usize,
@@ -416,22 +143,19 @@ pub fn cheating_batch_deal<F: Field, R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::bit_gen::judge;
+    use crate::dealer::TrustedDealer;
+    use crate::vss::VssMode;
     use dprbg_field::Gf2k;
-    use dprbg_poly::{share_points as sp, share_polynomial as spoly};
+    use dprbg_poly::Poly;
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::SeedableRng;
-    use dprbg_sim::{BoxedMachine, MachineExt, StepRunner};
+    use dprbg_sim::{BoxedMachine, StepRunner};
 
     type F = Gf2k<32>;
-    type M = BatchVssMsg<F>;
-
-    fn coin_shares(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let poly = spoly(F::random(&mut rng), t, &mut rng);
-        sp(&poly, n).into_iter().map(|s| SealedShare::of(s.y)).collect()
-    }
+    type M = BitGenMsg<F>;
 
     #[test]
     fn horner_matches_direct_sum() {
@@ -450,33 +174,49 @@ mod tests {
         assert_eq!(horner_combine(&[], gamma, r), gamma);
     }
 
-    /// Deal then verify, composed with [`MachineExt::then`] exactly as
-    /// straight-line protocol code would sequence the two phases.
+    /// Deal then verify, dealer 1 sharing `dealt` secrets and everyone
+    /// checking a batch of `m`.
     fn run_batch(
         n: usize,
         t: usize,
+        dealt: usize,
         m: usize,
         seed: u64,
     ) -> Vec<Result<VssVerdict, CoinError>> {
-        let coins = coin_shares(n, t, seed + 1000);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, seed + 1000);
         let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
             .map(|id| {
-                let coin = coins[id - 1];
-                let secrets: Option<Vec<F>> =
-                    (id == 1).then(|| (0..m as u64).map(F::from_u64).collect());
-                Box::new(BatchVssDealMachine::new(1, secrets, t).then(
-                    move |(shares, _): (BatchShares<F>, _)| {
-                        BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict)
-                    },
-                )) as BoxedMachine<M, _>
+                let secrets = (id == 1).then(|| (0..dealt as u64).map(F::from_u64).collect());
+                Box::new(
+                    batch_vss(1, secrets, t, m, coins[id - 1], VssMode::Strict)
+                        .map(|res| res.map(|(v, _)| v)),
+                ) as BoxedMachine<M, _>
             })
             .collect();
         StepRunner::new(n, seed).run(fleet).unwrap_all()
     }
 
+    /// Verify-only fleet over `shares[id - 1]`, dealt out of band.
+    pub(crate) fn verify_fleet(
+        t: usize,
+        m: usize,
+        shares: Vec<BatchShares<F>>,
+        coin_seed: u64,
+        rule: &Acceptance,
+    ) -> Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> {
+        let coins = TrustedDealer::coin_shares::<F>(shares.len(), t, coin_seed);
+        shares
+            .into_iter()
+            .zip(coins)
+            .map(|(s, coin)| {
+                Box::new(batch_vss_verify(t, s, m, coin, rule.clone())) as BoxedMachine<M, _>
+            })
+            .collect()
+    }
+
     #[test]
     fn honest_batch_accepted() {
-        for out in run_batch(7, 2, 16, 3) {
+        for out in run_batch(7, 2, 16, 16, 3) {
             assert_eq!(out.unwrap(), VssVerdict::Accept);
         }
     }
@@ -484,21 +224,10 @@ mod tests {
     #[test]
     fn single_bad_polynomial_in_large_batch_rejected() {
         // One corrupt polynomial among M = 32 must sink the whole batch.
-        let n = 7;
-        let t = 2;
-        let m = 32;
-        let coins = coin_shares(n, t, 7);
+        let (n, t, m) = (7, 2, 32);
         let mut rng = StdRng::seed_from_u64(8);
         let all_shares = cheating_batch_deal::<F, _>(n, t, m, 1, &mut rng);
-        // Dealing happened out-of-band; every party verifies directly.
-        let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
-            .map(|id| {
-                let coin = coins[id - 1];
-                let shares = all_shares[id - 1].clone();
-                Box::new(BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict))
-                    as BoxedMachine<M, _>
-            })
-            .collect();
+        let fleet = verify_fleet(t, m, all_shares, 7, &Acceptance::Strict);
         for out in StepRunner::new(n, 9).run(fleet).unwrap_all() {
             assert_eq!(out.unwrap(), VssVerdict::Reject);
         }
@@ -507,22 +236,7 @@ mod tests {
     #[test]
     fn wrong_batch_size_rejected() {
         // Dealer sends 4 shares where 8 are expected.
-        let n = 4;
-        let t = 1;
-        let coins = coin_shares(n, t, 11);
-        let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
-            .map(|id| {
-                let coin = coins[id - 1];
-                let secrets: Option<Vec<F>> =
-                    (id == 1).then(|| (0..4u64).map(F::from_u64).collect());
-                Box::new(BatchVssDealMachine::new(1, secrets, t).then(
-                    move |(shares, _): (BatchShares<F>, _)| {
-                        BatchVssVerifyMachine::new(t, shares, 8, coin, VssMode::Strict)
-                    },
-                )) as BoxedMachine<M, _>
-            })
-            .collect();
-        for out in StepRunner::new(n, 12).run(fleet).unwrap_all() {
+        for out in run_batch(4, 1, 4, 8, 11) {
             assert_eq!(out.unwrap(), VssVerdict::Reject);
         }
     }
@@ -531,21 +245,11 @@ mod tests {
     fn batch_communication_is_constant_in_m() {
         // Lemma 4: the verification phase is 2 rounds and 2n messages of
         // size k regardless of M.
-        let n = 7;
-        let t = 2;
+        let (n, t) = (7, 2);
         for m in [1usize, 64] {
-            let coins = coin_shares(n, t, 13);
             let mut rng = StdRng::seed_from_u64(14);
             let all = cheating_batch_deal::<F, _>(n, t, m, 0, &mut rng); // 0 bad = honest
-            let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
-                .map(|id| {
-                    let coin = coins[id - 1];
-                    let shares = all[id - 1].clone();
-                    Box::new(BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict))
-                        as BoxedMachine<M, _>
-                })
-                .collect();
-            let res = StepRunner::new(n, 15).run(fleet);
+            let res = StepRunner::new(n, 15).run(verify_fleet(t, m, all, 13, &Acceptance::Strict));
             assert_eq!(res.report.comm.rounds, 2);
             assert_eq!(res.report.comm.messages as usize, 2 * n, "M = {m}");
             assert_eq!(res.report.comm.bytes as usize, 2 * n * 4, "M = {m}");
@@ -560,26 +264,16 @@ mod tests {
         // Lemma 3: acceptance probability ≤ M/p. Over GF(2^8) with
         // M = 8, the bound is 8/256 = 1/32 ≈ 3%. Measure it.
         type F8 = Gf2k<8>;
-        let n = 4;
-        let t = 1;
-        let m = 8;
+        let (n, t, m) = (4, 1, 8);
         let mut rng = StdRng::seed_from_u64(99);
         let trials = 3000;
         let mut accepts = 0;
         for _ in 0..trials {
             let shares = cheating_batch_deal::<F8, _>(n, t, m, m, &mut rng);
             let r = F8::random(&mut rng);
-            let pts: Vec<(F8, F8)> = shares
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    (
-                        F8::element(i as u64 + 1),
-                        horner_combine(&s.alphas, s.gamma, r),
-                    )
-                })
-                .collect();
-            if judge_batch(&pts, n, t, VssMode::Strict) == VssVerdict::Accept {
+            let betas: Vec<Option<F8>> =
+                shares.iter().map(|s| Some(horner_combine(&s.alphas, s.gamma, r))).collect();
+            if judge(&betas, t, &Acceptance::Strict) == VssVerdict::Accept {
                 accepts += 1;
             }
         }
@@ -592,22 +286,35 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let t = 2;
         let f = Poly::<F>::random(t, &mut rng);
-        let mut pts: Vec<(F, F)> = (1..=7u64)
-            .map(|i| (F::element(i), f.eval(F::element(i))))
-            .collect();
+        let xs: Vec<F> = party_points(7);
+        let mut ys = vec![F::zero(); 7];
+        F::eval_points(f.coeffs(), &xs, &mut ys);
+        let mut betas: Vec<Option<F>> = ys.into_iter().map(Some).collect();
+        let subset = Acceptance::Subset(vec![1, 2, 3, 4, 5]);
         // Corrupt a point *outside* the subset: subset check still accepts.
-        pts[6].1 += F::one();
-        let subset = vec![1usize, 2, 3, 4, 5];
-        assert_eq!(judge_batch_subset(&pts, &subset, t), VssVerdict::Accept);
-        // Corrupt a point *inside* the subset: reject.
-        pts[2].1 += F::one();
-        assert_eq!(judge_batch_subset(&pts, &subset, t), VssVerdict::Reject);
+        betas[6] = betas[6].map(|b| b + F::one());
+        assert_eq!(judge(&betas, t, &subset), VssVerdict::Accept);
+        assert_eq!(judge(&betas, t, &Acceptance::Strict), VssVerdict::Reject);
         // Subset with a missing point: reject.
-        assert_eq!(
-            judge_batch_subset(&pts[..4], &[1, 2, 3, 4, 5], t),
-            VssVerdict::Reject
-        );
+        let mut missing = betas.clone();
+        missing[4] = None;
+        assert_eq!(judge(&missing, t, &subset), VssVerdict::Reject);
         // Subset too small to determine a polynomial: reject.
-        assert_eq!(judge_batch_subset(&pts, &[1, 2], t), VssVerdict::Reject);
+        assert_eq!(judge(&betas, t, &Acceptance::Subset(vec![1, 2])), VssVerdict::Reject);
+        // Corrupt a point *inside* the subset: reject.
+        betas[2] = betas[2].map(|b| b + F::one());
+        assert_eq!(judge(&betas, t, &subset), VssVerdict::Reject);
+
+        // The machine under the same rule: party 7's masking share is off
+        // the dealing, so only the subset rule accepts.
+        let n = 7;
+        for (rule, expected) in [(subset, VssVerdict::Accept), (Acceptance::Strict, VssVerdict::Reject)] {
+            let mut all = cheating_batch_deal::<F, _>(n, t, 4, 0, &mut rng);
+            all[6].gamma += F::one();
+            let fleet = verify_fleet(t, 4, all, 22, &rule);
+            for out in StepRunner::new(n, 23).run(fleet).unwrap_all() {
+                assert_eq!(out.unwrap(), expected, "{rule:?}");
+            }
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Protocol Bit-Gen (Fig. 4): sealed-bit generation, point-to-point model.
+//! Protocol Bit-Gen (Fig. 4): sealed-bit generation, point-to-point model
+//! — and the one sharing-check machine Figs. 2 and 3 run on too.
 //!
 //! §4 model: `n ≥ 6t + 1`, **no broadcast channel**. "Bit-Gen enables a
 //! dealer to share M secrets, while allowing the players to verify that
@@ -28,19 +29,39 @@
 //!
 //! Like Batch-VSS, the combination is blinded with one extra masking
 //! polynomial per dealer by default (see DESIGN.md deviation #2).
+//!
+//! # One machine for Figs. 2, 3 and 4
+//!
+//! Fig. 2 is Fig. 3 at `M = 1`, and Fig. 4 is Fig. 3's check run over
+//! private channels with a Berlekamp–Welch verdict. [`BitGenMachine`] is
+//! that check — deal, expose the challenge, combine, exchange `β`, judge —
+//! and each figure is one of its constructors:
+//!
+//! | Constructor | Dealers | `M` | Transport | Acceptance |
+//! |---|---|---|---|---|
+//! | [`vss`](crate::vss::vss()) | one | 1 | broadcast | [`VssMode`] |
+//! | [`batch_vss`](crate::batch_vss::batch_vss()) | one | `M` | broadcast | [`VssMode`], or Batch-VSS(l)'s subset |
+//! | [`BitGenMachine::new`] | any set | `M` | point to point | robust |
+//!
+//! Fig. 3 at any `M` (so Fig. 2 too) also has a verify-only entry from
+//! held shares, [`batch_vss_verify`](crate::batch_vss::batch_vss_verify).
+//! Every verdict goes through one judge, [`judge`] (see [`Acceptance`]).
 
 use std::mem;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{BatchDecoder, Poly};
+use dprbg_poly::{eval_batch, interpolate, BatchDecoder, Poly};
+use dprbg_rng::rngs::StdRng;
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
-use crate::batch_vss::{deal_shares, party_points};
+use crate::batch_vss::BatchShares;
 use crate::coin::{ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
 use crate::errors::CoinError;
+use crate::vss::{VssMode, VssVerdict};
 
-/// Wire messages of the `n` parallel Bit-Gen instances.
+/// Wire messages of the sharing check (the `n` parallel Bit-Gen
+/// instances, or one VSS / Batch-VSS instance).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BitGenMsg<F: Field> {
     /// Round 1: the dealer's share vector for the recipient (instance =
@@ -53,9 +74,12 @@ pub enum BitGenMsg<F: Field> {
     },
     /// Coin-Expose traffic for the shared challenge.
     Expose(ExposeMsg<F>),
-    /// Round 3: the sender's combined shares, one entry per dealer
-    /// instance it holds valid shares in (batched into a single message
-    /// of size ≈ nk — Theorem 2's "n² messages of size kn").
+    /// Broadcast transport: the sender's combination in the one instance
+    /// (Lemmas 2 and 4 count it as `k` bits).
+    Beta(F),
+    /// Point-to-point transport: the sender's combined shares, one entry
+    /// per dealer instance it holds valid shares in (batched into a single
+    /// message of size ≈ nk — Theorem 2's "n² messages of size kn").
     Betas(Vec<(PartyId, F)>),
 }
 
@@ -64,6 +88,7 @@ impl<F: Field> WireSize for BitGenMsg<F> {
         match self {
             BitGenMsg::Deal { alphas, gamma } => alphas.wire_bytes() + gamma.wire_bytes(),
             BitGenMsg::Expose(e) => e.wire_bytes(),
+            BitGenMsg::Beta(b) => b.wire_bytes(),
             // Dealer tags are log n bits; charge one byte per entry.
             BitGenMsg::Betas(entries) => {
                 entries.iter().map(|(_, b)| 1 + b.wire_bytes()).sum()
@@ -84,8 +109,8 @@ impl<F: Field> Embeds<ExposeMsg<F>> for BitGenMsg<F> {
     }
 }
 
-/// This party's record of one dealer's Bit-Gen instance — the `(F(x), S)`
-/// output of Fig. 4 plus the shares the party must keep for Coin-Expose.
+/// This party's record of one dealer's instance — the `(F(x), S)` output
+/// of Fig. 4 plus the shares the party must keep for Coin-Expose.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DealerView<F: Field> {
     /// The instance's dealer.
@@ -100,8 +125,8 @@ pub struct DealerView<F: Field> {
     pub my_beta: Option<F>,
     /// The set `S`: combination values received, indexed by party − 1.
     pub betas: Vec<Option<F>>,
-    /// `F(x)` if step 5 succeeded (degree ≤ t, ≥ n − t agreement), else
-    /// `⊥`.
+    /// `F(x)` if the instance was accepted (Fig. 4: degree ≤ t, ≥ n − t
+    /// agreement), else `⊥`.
     pub check_poly: Option<Poly<F>>,
     /// Whether the decode was clean: every received β lies on
     /// `check_poly`, as the decoder's clean path verified. `false` when
@@ -110,6 +135,18 @@ pub struct DealerView<F: Field> {
 }
 
 impl<F: Field> DealerView<F> {
+    pub(crate) fn empty(dealer: PartyId, n: usize) -> Self {
+        DealerView {
+            dealer,
+            alphas: Vec::new(),
+            gamma: F::zero(),
+            my_beta: None,
+            betas: vec![None; n],
+            check_poly: None,
+            clean: false,
+        }
+    }
+
     /// The parties among `at` (0-based) whose β in this instance lies on
     /// `f`. A clean view answers for its own `check_poly` without
     /// evaluating anything; any other `f` is evaluated with one
@@ -125,13 +162,21 @@ impl<F: Field> DealerView<F> {
     }
 }
 
-/// The result of running the `n` parallel Bit-Gen instances.
+/// The result of running the sharing check: one view per possible
+/// dealer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitGenRun<F: Field> {
     /// The exposed challenge `r`.
     pub r: F,
     /// One view per dealer instance, indexed by dealer − 1.
     pub views: Vec<DealerView<F>>,
+}
+
+impl<F: Field> BitGenRun<F> {
+    /// `dealer`'s instance, or `None` if `dealer` is not a party.
+    pub(crate) fn into_view(self, dealer: PartyId) -> Option<DealerView<F>> {
+        self.views.into_iter().nth(dealer.checked_sub(1)?)
+    }
 }
 
 /// What the dealers share — fresh random coins (Coin-Gen) or zero
@@ -147,37 +192,91 @@ pub enum BitGenMode {
     ZeroRefresh,
 }
 
-/// The `n` parallel Bit-Gen instances (Fig. 4) as a sans-IO round
-/// machine: deal, challenge expose (an embedded [`ExposeMachine`]), and
-/// combination exchange — Lemma 6's exact 3 rounds, one `Continue` each.
+/// When an instance is accepted: the last step of Figs. 2, 3 and 4.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Acceptance {
+    /// Figs. 2 and 3 verbatim: all `n` combinations lie on one degree-≤t
+    /// polynomial (interpolated through all `n`).
+    Strict,
+    /// Fig. 4 step 5: some degree-≤t polynomial fits ≥ `n − t` of the
+    /// received combinations (Berlekamp–Welch, error budget
+    /// `min(t, m − (n − t))` for `m` received).
+    Robust,
+    /// `Batch-VSS(l)`: a degree-≤t polynomial passes through the
+    /// combinations of the designated parties (at least `t + 1`, all of
+    /// them received); nobody else's value is looked at.
+    Subset(Vec<PartyId>),
+}
+
+impl From<VssMode> for Acceptance {
+    fn from(mode: VssMode) -> Self {
+        match mode {
+            VssMode::Strict => Acceptance::Strict,
+            VssMode::Robust => Acceptance::Robust,
+        }
+    }
+}
+
+/// What a dealer deals, in the order its coefficients are drawn.
+#[derive(Debug, Clone)]
+pub(crate) enum Secrets<F> {
+    /// `M` random secrets, then the blind: `(M + 1)(t + 1)` draws.
+    Random,
+    /// `M` sharings of zero, unblinded.
+    Zero,
+    /// The given secrets (present at the dealer only), then the blind.
+    Given(Option<Vec<F>>),
+}
+
+/// Trace labels of the stages (deal, record, challenge, combine, judge,
+/// finished) per transport: Bit-Gen's over point to point, Batch-VSS's
+/// over broadcast. Bit-Gen names each stage after the round it finishes.
+const POINT_TO_POINT_PHASES: [&str; 6] = [
+    "bit-gen/deal", "bit-gen/record", "bit-gen/record",
+    "bit-gen/challenge", "bit-gen/combine", "bit-gen/finished",
+];
+const BROADCAST_PHASES: [&str; 6] = [
+    "batch-vss/deal", "batch-vss/record", "batch-vss/challenge",
+    "batch-vss/combine", "batch-vss/judge", "batch-vss/finished",
+];
+
+/// The sharing check as a sans-IO round machine: deal, challenge expose
+/// (an embedded [`ExposeMachine`]), combination exchange, verdict —
+/// Lemma 6's exact 3 rounds, one `Continue` each (2 for the verify-only
+/// entries, which start at the challenge).
 ///
-/// Every party in `dealers` acts as a dealer of `m` sealed secrets, all
-/// instances sharing one challenge coin (Coin-Gen step 3: "using the same
-/// coin r for all invocations"). The output propagates [`CoinError`] from
-/// the challenge expose.
+/// Every party in `dealers` deals `m` secrets, all instances sharing one
+/// challenge coin (Coin-Gen step 3: "using the same coin r for all
+/// invocations"). The output propagates [`CoinError`] from the challenge
+/// expose. The module docs list the constructors.
 pub struct BitGenMachine<M, F: Field> {
     t: usize,
     m: usize,
     dealers: Vec<PartyId>,
-    mode: BitGenMode,
-    stage: BgStage<M, F>,
+    secrets: Secrets<F>,
+    rule: Acceptance,
+    via: ExposeVia,
+    stage: Stage<M, F>,
 }
 
-enum BgStage<M, F: Field> {
+enum Stage<M, F: Field> {
     /// First call: deal (if a dealer) and bank the challenge share.
     Deal { coin: SealedShare<F> },
     /// Inbox holds deals: record them, then start the challenge expose.
-    Deals { coin: SealedShare<F> },
+    Record { coin: SealedShare<F> },
+    /// Verify-only: the shares are held already; start the challenge.
+    Challenge { coin: SealedShare<F>, held: BatchShares<F> },
     /// Inbox holds expose shares: decode `r`, send the combinations.
-    Expose { expose: ExposeMachine<M, F>, views: Vec<DealerView<F>> },
-    /// Inbox holds combinations: fill `S` and decode every instance.
-    Betas { r: F, views: Vec<DealerView<F>> },
+    Combine { expose: ExposeMachine<M, F>, views: Vec<DealerView<F>> },
+    /// Inbox holds combinations: fill `S` and judge every instance.
+    Judge { r: F, views: Vec<DealerView<F>> },
     Finished,
 }
 
 impl<M, F: Field> BitGenMachine<M, F> {
-    /// A machine running the parallel instances dealt by `dealers`, `m`
-    /// secrets each, sharing the challenge `coin`.
+    /// Protocol Bit-Gen (Fig. 4): the parallel instances dealt by
+    /// `dealers`, `m` secrets each, sharing the challenge `coin`, over
+    /// point-to-point channels with the robust verdict.
     pub fn new(
         t: usize,
         m: usize,
@@ -185,8 +284,54 @@ impl<M, F: Field> BitGenMachine<M, F> {
         dealers: Vec<PartyId>,
         mode: BitGenMode,
     ) -> Self {
-        BitGenMachine { t, m, dealers, mode, stage: BgStage::Deal { coin } }
+        let secrets = match mode {
+            BitGenMode::RandomCoins => Secrets::Random,
+            BitGenMode::ZeroRefresh => Secrets::Zero,
+        };
+        BitGenMachine {
+            t,
+            m,
+            dealers,
+            secrets,
+            rule: Acceptance::Robust,
+            via: ExposeVia::PointToPoint,
+            stage: Stage::Deal { coin },
+        }
     }
+
+    /// One dealer's sharing checked over the §3 broadcast channel (Figs. 2
+    /// and 3), dealt by this machine or verified from held shares.
+    pub(crate) fn broadcast(
+        dealer: PartyId,
+        t: usize,
+        m: usize,
+        coin: SealedShare<F>,
+        rule: Acceptance,
+        start: Start<F>,
+    ) -> Self {
+        let (secrets, stage) = match start {
+            Start::Deal(secrets) => (Secrets::Given(secrets), Stage::Deal { coin }),
+            Start::Held(held) => (Secrets::Given(None), Stage::Challenge { coin, held }),
+        };
+        BitGenMachine {
+            t,
+            m,
+            dealers: vec![dealer],
+            secrets,
+            rule,
+            via: ExposeVia::Broadcast,
+            stage,
+        }
+    }
+}
+
+/// Where a single-dealer check starts.
+pub(crate) enum Start<F: Field> {
+    /// The dealing round, with the secrets at the dealer (`None`
+    /// elsewhere, or at a dealer that stays silent).
+    Deal(Option<Vec<F>>),
+    /// The challenge, with the shares this party already holds.
+    Held(BatchShares<F>),
 }
 
 impl<M, F> RoundMachine<M> for BitGenMachine<M, F>
@@ -198,52 +343,35 @@ where
 
     fn round(&mut self, mut view: RoundView<'_, M>) -> Step<M, Self::Output> {
         let n = view.n;
-        match mem::replace(&mut self.stage, BgStage::Finished) {
-            BgStage::Deal { coin } => {
-                // Round 1: deal. Each dealer samples M secret polynomials
-                // and one masking polynomial — t + 1 coefficients each,
-                // drawn polynomial by polynomial into one buffer — and
-                // sends each player its share vector.
+        match mem::replace(&mut self.stage, Stage::Finished) {
+            Stage::Deal { coin } => {
+                // Round 1: deal. Each dealer draws its secret polynomials
+                // and the masking polynomial — t + 1 coefficients each,
+                // polynomial by polynomial into one buffer — and sends
+                // each player its share vector.
                 let mut out = view.outbox();
                 if self.dealers.contains(&view.id) {
-                    let width = self.t + 1;
-                    let coeffs: Vec<F> = match self.mode {
-                        BitGenMode::RandomCoins => {
-                            (0..(self.m + 1) * width).map(|_| F::random(view.rng)).collect()
+                    if let Some((coeffs, m)) = self.coefficients(view.rng) {
+                        let blinded = !matches!(self.secrets, Secrets::Zero);
+                        let shares = deal_shares(&coeffs, m, blinded, &party_points(n));
+                        for (i, (alphas, gamma)) in (1..=n).zip(shares) {
+                            out.send(
+                                i,
+                                <M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Deal {
+                                    alphas,
+                                    gamma,
+                                }),
+                            );
                         }
-                        // Zero sharings: constant term zero, and no
-                        // blinding — the revealed combination's constant
-                        // term is zero by construction and the z's are
-                        // pure masking randomness.
-                        BitGenMode::ZeroRefresh => (0..self.m * width)
-                            .map(|i| if i % width == 0 { F::zero() } else { F::random(view.rng) })
-                            .collect(),
-                    };
-                    let blinded = self.mode == BitGenMode::RandomCoins;
-                    let shares = deal_shares(&coeffs, self.m, blinded, &party_points(n));
-                    for (i, (alphas, gamma)) in (1..=n).zip(shares) {
-                        out.send(
-                            i,
-                            <M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Deal { alphas, gamma }),
-                        );
                     }
                 }
-                self.stage = BgStage::Deals { coin };
+                self.stage = Stage::Record { coin };
                 Step::Continue(out)
             }
-            BgStage::Deals { coin } => {
-                let mut views: Vec<DealerView<F>> = (1..=n)
-                    .map(|dealer| DealerView {
-                        dealer,
-                        alphas: Vec::new(),
-                        gamma: F::zero(),
-                        my_beta: None,
-                        betas: vec![None; n],
-                        check_poly: None,
-                        clean: false,
-                    })
-                    .collect();
-                for rcv in view.inbox.iter() {
+            Stage::Record { coin } => {
+                let mut views: Vec<DealerView<F>> =
+                    (1..=n).map(|dealer| DealerView::empty(dealer, n)).collect();
+                for rcv in view.inbox.iter().filter(|r| self.dealers.contains(&r.from)) {
                     if let Some(BitGenMsg::Deal { alphas, gamma }) =
                         <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg())
                     {
@@ -254,26 +382,28 @@ where
                         }
                     }
                 }
-
-                // Round 2: the shared challenge.
-                let mut expose = ExposeMachine::new(coin, self.t, ExposeVia::PointToPoint);
-                let Step::Continue(out) = expose.round(view.reborrow()) else {
-                    unreachable!("expose sends on its first call")
-                };
-                self.stage = BgStage::Expose { expose, views };
-                Step::Continue(out)
+                self.challenge(coin, views, view)
             }
-            BgStage::Expose { mut expose, mut views } => {
+            Stage::Challenge { coin, held } => {
+                let mut views: Vec<DealerView<F>> =
+                    (1..=n).map(|dealer| DealerView::empty(dealer, n)).collect();
+                if held.alphas.len() == self.m {
+                    if let Some(slot) = self.instance(&mut views) {
+                        (slot.alphas, slot.gamma) = (held.alphas, held.gamma);
+                    }
+                }
+                self.challenge(coin, views, view)
+            }
+            Stage::Combine { mut expose, mut views } => {
                 let r = match expose.round(view.reborrow()) {
                     Step::Done(Ok(r)) => r,
                     Step::Done(Err(e)) => return Step::Done(Err(e)),
                     Step::Continue(_) => unreachable!("expose decodes on its second call"),
                 };
 
-                // Round 3: combine every instance this party holds shares
-                // in — one pass, the Horner chains advancing together under
-                // the shared challenge — and exchange (n² messages of size
-                // k).
+                // Combine every instance this party holds shares in — one
+                // pass, the Horner chains advancing together under the
+                // shared challenge — and send the combinations.
                 let m = self.m;
                 let rows: Vec<&[F]> =
                     views.iter().map(|v| &v.alphas[..]).filter(|a| a.len() == m).collect();
@@ -282,45 +412,44 @@ where
                 for (v, sum) in views.iter_mut().filter(|v| v.alphas.len() == m).zip(sums) {
                     v.my_beta = Some(sum + v.gamma);
                 }
-                let entries: Vec<(PartyId, F)> = views
-                    .iter()
-                    .filter_map(|v| v.my_beta.map(|b| (v.dealer, b)))
-                    .collect();
                 let mut out = view.outbox();
-                if !entries.is_empty() {
-                    out.send_to_all(<M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Betas(
-                        entries,
-                    )));
-                }
-                self.stage = BgStage::Betas { r, views };
-                Step::Continue(out)
-            }
-            BgStage::Betas { r, mut views } => {
-                for rcv in view.inbox.iter() {
-                    if let Some(BitGenMsg::Betas(entries)) =
-                        <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg())
-                    {
-                        for (dealer, beta) in entries {
-                            if (1..=n).contains(dealer) {
-                                let slot = &mut views[dealer - 1].betas[rcv.from - 1];
-                                if slot.is_none() {
-                                    *slot = Some(*beta);
-                                }
-                            }
+                match self.via {
+                    // One instance, one untagged value on the broadcast
+                    // channel (2n messages of k bits in all, Lemmas 2 and 4).
+                    ExposeVia::Broadcast => {
+                        if let Some(b) = self.instance(&mut views).and_then(|v| v.my_beta) {
+                            out.broadcast(<M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Beta(b)));
+                        }
+                    }
+                    // Every instance in one message per recipient (n²
+                    // messages of size ≈ nk).
+                    ExposeVia::PointToPoint => {
+                        let entries: Vec<(PartyId, F)> = views
+                            .iter()
+                            .filter_map(|v| v.my_beta.map(|b| (v.dealer, b)))
+                            .collect();
+                        if !entries.is_empty() {
+                            out.send_to_all(<M as Embeds<BitGenMsg<F>>>::wrap(
+                                BitGenMsg::Betas(entries),
+                            ));
                         }
                     }
                 }
-
-                // Step 5: Berlekamp–Welch per instance. The instances share
-                // one decoder for as long as the same parties sent a β —
-                // every instance, unless a sender skipped some dealers.
+                self.stage = Stage::Judge { r, views };
+                Step::Continue(out)
+            }
+            Stage::Judge { r, mut views } => {
+                self.record_betas(&view, &mut views);
+                // The instances share one decoder for as long as the same
+                // parties sent a β — every instance, unless a sender
+                // skipped some dealers.
                 let points = party_points(n);
                 let mut decoder = None;
                 for v in views.iter_mut() {
                     (v.check_poly, v.clean) =
-                        decode_instance(&v.betas, &points, self.t, &mut decoder)
+                        accept(&v.betas, &points, self.t, &self.rule, &mut decoder)
                             .map_or((None, false), |(f, clean)| (Some(f), clean));
-                    if self.mode == BitGenMode::ZeroRefresh {
+                    if matches!(self.secrets, Secrets::Zero) {
                         // Zero sharings: the combination must vanish at the
                         // origin, or the dealer is shifting coin values.
                         if v.check_poly
@@ -334,17 +463,153 @@ where
                 Step::Done(Ok(BitGenRun { r, views }))
             }
             #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
-            BgStage::Finished => panic!("BitGenMachine driven past completion"),
+            Stage::Finished => panic!("BitGenMachine driven past completion"),
         }
     }
 
     fn phase_name(&self) -> &'static str {
-        match &self.stage {
-            BgStage::Deal { .. } => "bit-gen/deal",
-            BgStage::Deals { .. } => "bit-gen/record",
-            BgStage::Expose { .. } => "bit-gen/challenge",
-            BgStage::Betas { .. } => "bit-gen/combine",
-            BgStage::Finished => "bit-gen/finished",
+        let phases = match self.via {
+            ExposeVia::Broadcast => &BROADCAST_PHASES,
+            ExposeVia::PointToPoint => &POINT_TO_POINT_PHASES,
+        };
+        phases[match &self.stage {
+            Stage::Deal { .. } => 0,
+            Stage::Record { .. } => 1,
+            Stage::Challenge { .. } => 2,
+            Stage::Combine { .. } => 3,
+            Stage::Judge { .. } => 4,
+            Stage::Finished => 5,
+        }]
+    }
+}
+
+impl<M, F> BitGenMachine<M, F>
+where
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BitGenMsg<F>>,
+    F: Field,
+{
+    /// This dealer's coefficient buffer and polynomial count, drawn in the
+    /// order [`Secrets`] documents; `None` if there is nothing to deal.
+    fn coefficients(&mut self, rng: &mut StdRng) -> Option<(Vec<F>, usize)> {
+        let (t, m) = (self.t, self.m);
+        let width = t + 1;
+        match &mut self.secrets {
+            Secrets::Random => Some(((0..(m + 1) * width).map(|_| F::random(rng)).collect(), m)),
+            // Zero sharings: constant term zero, and no blinding — the
+            // revealed combination's constant term is zero by
+            // construction and the z's are pure masking randomness.
+            Secrets::Zero => Some((
+                (0..m * width)
+                    .map(|i| if i % width == 0 { F::zero() } else { F::random(rng) })
+                    .collect(),
+                m,
+            )),
+            Secrets::Given(secrets) => secrets.take().map(|secrets| {
+                let mut coeffs = Vec::with_capacity((secrets.len() + 1) * width);
+                for &s in &secrets {
+                    coeffs.push(s);
+                    coeffs.extend((0..t).map(|_| F::random(rng)));
+                }
+                coeffs.extend((0..width).map(|_| F::random(rng)));
+                (coeffs, secrets.len())
+            }),
+        }
+    }
+
+    /// The broadcast transport's one instance, if its dealer is a party.
+    fn instance<'v>(&self, views: &'v mut [DealerView<F>]) -> Option<&'v mut DealerView<F>> {
+        views.get_mut(self.dealers.first()?.checked_sub(1)?)
+    }
+
+    /// Round 2: the shared challenge, from the shares recorded in `views`.
+    fn challenge(
+        &mut self,
+        coin: SealedShare<F>,
+        views: Vec<DealerView<F>>,
+        mut view: RoundView<'_, M>,
+    ) -> Step<M, Result<BitGenRun<F>, CoinError>> {
+        let mut expose = ExposeMachine::new(coin, self.t, self.via);
+        let Step::Continue(out) = expose.round(view.reborrow()) else {
+            unreachable!("expose sends on its first call")
+        };
+        self.stage = Stage::Combine { expose, views };
+        Step::Continue(out)
+    }
+
+    /// Fill each instance's `S` with the first combination every party
+    /// sent in it, off the channel the transport names.
+    fn record_betas(&self, view: &RoundView<'_, M>, views: &mut [DealerView<F>]) {
+        let n = view.n;
+        let mut record = |dealer: PartyId, from: PartyId, beta: F| {
+            if (1..=n).contains(&dealer) {
+                let slot = &mut views[dealer - 1].betas[from - 1];
+                if slot.is_none() {
+                    *slot = Some(beta);
+                }
+            }
+        };
+        match self.via {
+            ExposeVia::Broadcast => {
+                let Some(&dealer) = self.dealers.first() else { return };
+                for rcv in view.inbox.broadcasts() {
+                    if let Some(BitGenMsg::Beta(b)) = <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg()) {
+                        record(dealer, rcv.from, *b);
+                    }
+                }
+            }
+            ExposeVia::PointToPoint => {
+                for rcv in view.inbox.iter() {
+                    if let Some(BitGenMsg::Betas(entries)) =
+                        <M as Embeds<BitGenMsg<F>>>::peek(rcv.msg())
+                    {
+                        for &(dealer, beta) in entries {
+                            record(dealer, rcv.from, beta);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The verdict on one instance from its received combinations `betas`
+/// (indexed by party − 1, `None` where nothing arrived) under `rule`:
+/// the judge of Figs. 2, 3 and 4 outside a machine (see [`Acceptance`]).
+pub fn judge<F: Field>(betas: &[Option<F>], t: usize, rule: &Acceptance) -> VssVerdict {
+    VssVerdict::of(accept(betas, &party_points(betas.len()), t, rule, &mut None).is_some())
+}
+
+/// The one acceptance path: `F(x)` with whether every received value
+/// lies on it, or `None` for `⊥`. `points` are the `n` party points;
+/// `decoder` is reused by the robust rule when it was built for the same
+/// senders.
+fn accept<F: Field>(
+    betas: &[Option<F>],
+    points: &[F],
+    t: usize,
+    rule: &Acceptance,
+    decoder: &mut Option<BatchDecoder<F>>,
+) -> Option<(Poly<F>, bool)> {
+    match rule {
+        Acceptance::Strict => {
+            // A withheld combination leaves no full interpolation: reject.
+            let all: Vec<(F, F)> =
+                betas.iter().zip(points).map(|(b, &x)| b.map(|y| (x, y))).collect::<Option<_>>()?;
+            let f = interpolate(&all).ok().filter(|f| f.degree().is_none_or(|d| d <= t))?;
+            Some((f, true))
+        }
+        Acceptance::Robust => decode_instance(betas, points, t, decoder),
+        Acceptance::Subset(subset) => {
+            let sub: Vec<(F, F)> = subset
+                .iter()
+                .map(|&p| Some((*points.get(p.checked_sub(1)?)?, betas[p - 1]?)))
+                .collect::<Option<_>>()?;
+            if sub.len() <= t {
+                return None;
+            }
+            let (xs, ys): (Vec<F>, Vec<F>) = sub[t + 1..].iter().copied().unzip();
+            let f = interpolate(&sub[..=t]).ok()?;
+            (F::matching_prefix(f.coeffs(), &xs, &ys) == xs.len()).then_some((f, false))
         }
     }
 }
@@ -373,26 +638,71 @@ fn decode_instance<F: Field>(
     decoder.as_ref()?.decode_flagged(&ys).ok()
 }
 
+/// The evaluation points of parties `1..=n`.
+pub(crate) fn party_points<F: Field>(n: usize) -> Vec<F> {
+    (1..=n as u64).map(F::element).collect()
+}
+
+/// The dealing step: evaluate a dealer's `m` secret polynomials — and, if
+/// `blinded`, the masking polynomial drawn after them — at every party
+/// point, and yield each party's `(α_{i1} … α_{iM}, γ_i)` in point order
+/// (`γ_i = 0` unblinded).
+///
+/// `coeffs` is the dealer's coefficient buffer: the polynomials one after
+/// another, equally many coefficients each, constant term first.
+pub(crate) fn deal_shares<F: Field>(
+    coeffs: &[F],
+    m: usize,
+    blinded: bool,
+    points: &[F],
+) -> impl Iterator<Item = (Vec<F>, F)> {
+    let polys = m + usize::from(blinded);
+    let values = eval_batch(coeffs, polys, points);
+    (0..points.len()).map(move |p| {
+        let row = &values[p * polys..(p + 1) * polys];
+        (row[..m].to_vec(), row.get(m).copied().unwrap_or_else(F::zero))
+    })
+}
+
+/// `inner`, with what it sends in each round rewritten by
+/// `edit(round, view, out)`: a faulty party of the tests.
+#[cfg(test)]
+pub(crate) fn rewriting<M, A: RoundMachine<M>>(
+    mut inner: A,
+    mut edit: impl FnMut(u64, &mut RoundView<'_, M>, dprbg_sim::Outbox<M>) -> dprbg_sim::Outbox<M>,
+) -> impl RoundMachine<M, Output = A::Output> {
+    dprbg_sim::from_fn(move |mut view: RoundView<'_, M>| match inner.round(view.reborrow()) {
+        Step::Continue(out) => Step::Continue(edit(view.round, &mut view, out)),
+        done => done,
+    })
+}
+
+/// A dealer's round-1 messages sharing one degree-(t+1) polynomial among
+/// its `m` (the cheating dealer of the soundness tests).
+#[cfg(test)]
+pub(crate) fn high_degree_deal<M, F>(view: &mut RoundView<'_, M>, t: usize, m: usize) -> dprbg_sim::Outbox<M>
+where
+    M: Clone + WireSize + Embeds<BitGenMsg<F>>,
+    F: Field,
+{
+    let n = view.n;
+    let mut deal = view.outbox();
+    for (i, s) in (1..=n).zip(crate::batch_vss::cheating_batch_deal::<F, _>(n, t, m, 1, view.rng)) {
+        deal.send(i, <M as Embeds<BitGenMsg<F>>>::wrap(BitGenMsg::Deal { alphas: s.alphas, gamma: s.gamma }));
+    }
+    deal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
-    use dprbg_poly::{share_points, share_polynomial};
-    use dprbg_rng::rngs::StdRng;
-    use dprbg_rng::SeedableRng;
-    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, MachineExt, StepRunner};
+    use dprbg_sim::{BoxedMachine, FaultPlan, MachineExt, Outbox, StepRunner};
 
     type F = Gf2k<32>;
     type M = BitGenMsg<F>;
-
-    fn coin_shares(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let poly = share_polynomial(F::random(&mut rng), t, &mut rng);
-        share_points(&poly, n)
-            .into_iter()
-            .map(|s| SealedShare::of(s.y))
-            .collect()
-    }
+    type Out = Option<BitGenRun<F>>;
 
     fn machine(
         t: usize,
@@ -409,10 +719,33 @@ mod tests {
         m: usize,
         seed: u64,
     ) -> Vec<Result<BitGenRun<F>, CoinError>> {
-        let coins = coin_shares(n, t, seed + 500);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, seed + 500);
         let dealers: Vec<PartyId> = (1..=n).collect();
         let fleet = (1..=n).map(|id| machine(t, m, coins[id - 1], &dealers)).collect();
         StepRunner::new(n, seed).run(fleet).unwrap_all()
+    }
+
+    /// An honest party's machine, or a faulty one's: the honest machine
+    /// with what it sends in each round rewritten by `edit`.
+    fn honest_or_rewritten(
+        n: usize,
+        faulty: Vec<PartyId>,
+        honest: impl Fn(PartyId) -> BitGenMachine<M, F>,
+        edit: impl Fn(PartyId, u64, &mut RoundView<'_, M>, Outbox<M>) -> Outbox<M>
+            + Clone
+            + Send
+            + 'static,
+    ) -> (FaultPlan, Vec<BoxedMachine<M, Out>>) {
+        let plan = FaultPlan::explicit(n, faulty);
+        let fleet = plan.machines::<M, Out>(
+            |id| Box::new(honest(id).map(|r: Result<BitGenRun<F>, CoinError>| r.ok())),
+            |id| {
+                let edit = edit.clone();
+                let inner = honest(id).map(|r: Result<BitGenRun<F>, CoinError>| r.ok());
+                Box::new(rewriting(inner, move |round, view, out| edit(id, round, view, out)))
+            },
+        );
+        (plan, fleet)
     }
 
     #[test]
@@ -466,57 +799,14 @@ mod tests {
     #[test]
     fn cheating_dealer_detected_by_all_honest() {
         // Dealer 1 shares a degree-(t+1) polynomial among its M.
-        let n = 7;
-        let t = 1;
-        let m = 4;
-        let coins = coin_shares(n, t, 10);
-        let plan = FaultPlan::explicit(n, vec![1]);
+        let (n, t, m) = (7, 1, 4);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 10);
         let dealers: Vec<PartyId> = (1..=n).collect();
-        let fleet = plan.machines::<M, Option<BitGenRun<F>>>(
-            |id| {
-                let coin = coins[id - 1];
-                let dealers = dealers.clone();
-                Box::new(
-                    BitGenMachine::new(t, m, coin, dealers, BitGenMode::RandomCoins)
-                        .map(|r: Result<BitGenRun<F>, CoinError>| r.ok()),
-                )
-            },
-            |id| {
-                let coin = coins[id - 1];
-                Box::new(from_fn(move |view: RoundView<'_, M>| {
-                    let n = view.n;
-                    let mut out = view.outbox();
-                    match view.round {
-                        0 => {
-                            // Deal one high-degree polynomial among honest
-                            // ones.
-                            let mut polys: Vec<Poly<F>> =
-                                (0..m - 1).map(|_| Poly::random(t, view.rng)).collect();
-                            polys.push(Poly::random(t + 1, view.rng));
-                            let blind = Poly::random(t, view.rng);
-                            for i in 1..=n {
-                                let x = F::element(i as u64);
-                                out.send(
-                                    i,
-                                    BitGenMsg::Deal {
-                                        alphas: polys.iter().map(|f| f.eval(x)).collect(),
-                                        gamma: blind.eval(x),
-                                    },
-                                );
-                            }
-                            Step::Continue(out)
-                        }
-                        1 => {
-                            // Participate honestly in the challenge expose.
-                            if let Some(sigma) = coin.sigma {
-                                out.send_to_all(BitGenMsg::Expose(ExposeMsg(sigma)));
-                            }
-                            Step::Continue(out)
-                        }
-                        _ => Step::Done(None),
-                    }
-                }))
-            },
+        let (plan, fleet) = honest_or_rewritten(
+            n,
+            vec![1],
+            |id| BitGenMachine::new(t, m, coins[id - 1], dealers.clone(), BitGenMode::RandomCoins),
+            move |_, round, view, out| if round == 0 { high_degree_deal(view, t, m) } else { out },
         );
         let res = StepRunner::new(n, 11).run(fleet);
         for id in plan.honest() {
@@ -534,38 +824,24 @@ mod tests {
 
     #[test]
     fn byzantine_beta_senders_cannot_break_honest_instances() {
-        let n = 7;
-        let t = 1;
-        let m = 2;
-        let coins = coin_shares(n, t, 20);
-        let plan = FaultPlan::explicit(n, vec![4]);
-        let dealers: Vec<PartyId> = plan.honest().collect();
-        let fleet = plan.machines::<M, Option<BitGenRun<F>>>(
-            |id| {
-                let coin = coins[id - 1];
-                let dealers = dealers.clone();
-                Box::new(
-                    BitGenMachine::new(t, m, coin, dealers, BitGenMode::RandomCoins)
-                        .map(|r: Result<BitGenRun<F>, CoinError>| r.ok()),
-                )
-            },
-            |_| {
-                Box::new(from_fn(move |view: RoundView<'_, M>| {
-                    let n = view.n;
-                    let mut out = view.outbox();
-                    match view.round {
-                        // No dealing, skip the expose.
-                        0 | 1 => Step::Continue(out),
-                        2 => {
-                            // Round 3: garbage betas in every instance.
-                            let garbage: Vec<(PartyId, F)> =
-                                (1..=n).map(|d| (d, F::from_u64(0xBAD))).collect();
-                            out.send_to_all(BitGenMsg::Betas(garbage));
-                            Step::Continue(out)
-                        }
-                        _ => Step::Done(None),
-                    }
-                }))
+        // Party 4 does not deal, skips the expose, and sends garbage β in
+        // every instance.
+        let (n, t, m) = (7, 1, 2);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 20);
+        let dealers: Vec<PartyId> = (1..=n).filter(|&d| d != 4).collect();
+        let (plan, fleet) = honest_or_rewritten(
+            n,
+            vec![4],
+            |id| BitGenMachine::new(t, m, coins[id - 1], dealers.clone(), BitGenMode::RandomCoins),
+            |_, round, view, out| match round {
+                1 => view.outbox(),
+                2 => {
+                    let mut garbage = view.outbox();
+                    let entries = (1..=view.n).map(|d| (d, F::from_u64(0xBAD))).collect();
+                    garbage.send_to_all(BitGenMsg::Betas(entries));
+                    garbage
+                }
+                _ => out,
             },
         );
         let res = StepRunner::new(n, 21).run(fleet);
@@ -618,55 +894,26 @@ mod tests {
         const SILENT: PartyId = 2;
         const GARBAGE: PartyId = 4;
         let m = 3;
-        let coins = coin_shares(n, t, 60);
-        let plan = FaultPlan::explicit(n, vec![HIGH_DEGREE, SILENT, GARBAGE]);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 60);
         let dealers: Vec<PartyId> = (1..=n).collect();
-        let honest = |id: PartyId| {
-            BitGenMachine::new(t, m, coins[id - 1], dealers.clone(), BitGenMode::RandomCoins)
-        };
-        let fleet = plan.machines::<M, Option<BitGenRun<F>>>(
-            |id| Box::new(honest(id).map(|r: Result<BitGenRun<F>, CoinError>| r.ok())),
-            |id| {
-                // The honest machine, with what it sends rewritten.
-                let mut inner = honest(id);
-                Box::new(from_fn(move |mut view: RoundView<'_, M>| {
-                    let out = match inner.round(view.reborrow()) {
-                        Step::Continue(out) => out,
-                        Step::Done(r) => return Step::Done(r.ok()),
-                    };
-                    Step::Continue(match (id, view.round) {
-                        (HIGH_DEGREE, 0) => {
-                            let mut polys: Vec<Poly<F>> =
-                                (0..m - 1).map(|_| Poly::random(t, view.rng)).collect();
-                            polys.push(Poly::random(t + 1, view.rng));
-                            let blind = Poly::random(t, view.rng);
-                            let mut deal = view.outbox();
-                            for i in 1..=n {
-                                let x = F::element(i as u64);
-                                deal.send(
-                                    i,
-                                    BitGenMsg::Deal {
-                                        alphas: polys.iter().map(|f| f.eval(x)).collect(),
-                                        gamma: blind.eval(x),
-                                    },
-                                );
-                            }
-                            deal
-                        }
-                        (SILENT, 2) => view.outbox(),
-                        (GARBAGE, 2) => out.map(|msg| match msg {
-                            BitGenMsg::Betas(entries) => BitGenMsg::Betas(
-                                entries
-                                    .into_iter()
-                                    .filter(|(d, _)| d % 3 != 1)
-                                    .map(|(d, b)| (d, if d % 3 == 0 { F::from_u64(0xBAD) } else { b }))
-                                    .collect(),
-                            ),
-                            other => other,
-                        }),
-                        _ => out,
-                    })
-                }))
+        let (plan, fleet) = honest_or_rewritten(
+            n,
+            vec![HIGH_DEGREE, SILENT, GARBAGE],
+            |id| BitGenMachine::new(t, m, coins[id - 1], dealers.clone(), BitGenMode::RandomCoins),
+            move |id, round, view, out| match (id, round) {
+                (HIGH_DEGREE, 0) => high_degree_deal(view, t, m),
+                (SILENT, 2) => view.outbox(),
+                (GARBAGE, 2) => out.map(|msg| match msg {
+                    BitGenMsg::Betas(entries) => BitGenMsg::Betas(
+                        entries
+                            .into_iter()
+                            .filter(|(d, _)| d % 3 != 1)
+                            .map(|(d, b)| (d, if d % 3 == 0 { F::from_u64(0xBAD) } else { b }))
+                            .collect(),
+                    ),
+                    other => other,
+                }),
+                _ => out,
             },
         );
         let res = StepRunner::new(n, 61).run(fleet);
@@ -713,7 +960,7 @@ mod tests {
         // Inversions per party: one for the challenge expose's candidate,
         // one for the shared basis of all n instance decodes.
         let (n, t, m) = (7, 1, 2);
-        let coins = coin_shares(n, t, 70);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 70);
         let dealers: Vec<PartyId> = (1..=n).collect();
         for crashed in [None, Some(3)] {
             let fleet = (1..=n)
@@ -746,7 +993,7 @@ mod tests {
         let n = 7;
         let t = 1;
         let m = 2;
-        let coins = coin_shares(n, t, 30);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 30);
         // Only parties 2..=n deal; instance 1 must come out ⊥ everywhere.
         let dealers: Vec<PartyId> = (2..=n).collect();
         let fleet = (1..=n).map(|id| machine(t, m, coins[id - 1], &dealers)).collect();
@@ -765,7 +1012,7 @@ mod tests {
         let t = 1;
         let m = 8;
         let res = {
-            let coins = coin_shares(n, t, 40);
+            let coins = TrustedDealer::coin_shares::<F>(n, t, 40);
             let dealers: Vec<PartyId> = (1..=n).collect();
             let fleet = (1..=n).map(|id| machine(t, m, coins[id - 1], &dealers)).collect();
             StepRunner::new(n, 41).run(fleet)

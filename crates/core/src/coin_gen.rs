@@ -41,7 +41,7 @@ use dprbg_protocols::{
 };
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
-use crate::batch_vss::party_points;
+use crate::bit_gen::party_points;
 use crate::bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun};
 use crate::coin::{CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
 use crate::errors::CoinGenError;
@@ -1026,19 +1026,7 @@ mod tests {
                         Step::Done(r) => return Step::Done(r.ok()),
                     };
                     Step::Continue(match view.round {
-                        0 if high_degree => {
-                            let mut polys: Vec<Poly<F>> =
-                                (0..m - 1).map(|_| Poly::random(t, view.rng)).collect();
-                            polys.push(Poly::random(t + 1, view.rng));
-                            let blind = Poly::random(t, view.rng);
-                            let mut deal = view.outbox();
-                            for i in 1..=view.n {
-                                let x = F::element(i as u64);
-                                let alphas = polys.iter().map(|f| f.eval(x)).collect();
-                                deal.send(i, BitGenMsg::Deal { alphas, gamma: blind.eval(x) });
-                            }
-                            deal
-                        }
+                        0 if high_degree => crate::bit_gen::high_degree_deal(&mut view, t, m),
                         0 if shifted => out.map(|msg| match msg {
                             BitGenMsg::Deal { mut alphas, gamma } => {
                                 alphas[0] += F::one();

@@ -51,6 +51,16 @@ impl TrustedDealer {
         }
         (wallets, values)
     }
+
+    /// Each party's share of one dealt coin, in party order — the
+    /// challenge coin of a single protocol run in this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn coin_shares<F: Field>(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
+        Self::deal_wallets::<F>(Params { n, t }, 1, seed)
+            .iter()
+            .map(|w| *w.peek_at(0).expect("one coin dealt"))
+            .collect()
+    }
 }
 
 #[cfg(test)]

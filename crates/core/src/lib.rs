@@ -12,10 +12,11 @@
 //!
 //! | Paper artifact | Module |
 //! |---|---|
-//! | Protocol VSS (Fig. 2) | [`mod@vss`] |
+//! | Protocol VSS (Fig. 2) = Fig. 3 at `M = 1` | [`vss()`] in [`mod@vss`] |
 //! | VSS dispute resolution (§3.1's "two rounds of broadcast") | [`vss_dispute`] |
-//! | Protocol Batch-VSS (Fig. 3), incl. `Batch-VSS(l)` | [`mod@batch_vss`] |
-//! | Protocol Bit-Gen (Fig. 4) | [`bit_gen`] |
+//! | Protocol Batch-VSS (Fig. 3); verify-only from held shares; `Batch-VSS(l)` | [`batch_vss()`]; [`batch_vss_verify`]; [`Acceptance::Subset`] in [`mod@batch_vss`] |
+//! | Protocol Bit-Gen (Fig. 4) | [`BitGenMachine::new`] in [`mod@bit_gen`] |
+//! | The one sharing-check machine Figs. 2–4 construct, and its judge | [`BitGenMachine`], [`judge`] |
 //! | Protocol Coin-Gen (Fig. 5) | [`mod@coin_gen`] |
 //! | Protocol Coin-Expose (Fig. 6), one coin or a batch | [`coin`] |
 //! | The D-PRBG abstraction (§1.1) | [`CoinGenMachine`] + [`Bootstrap`] |
@@ -83,10 +84,10 @@ pub mod vss;
 pub mod vss_dispute;
 
 pub use app_ba::{common_coin_ba, CcbaOutcome, CcbaVote};
-pub use batch_vss::{
-    horner_combine, BatchShares, BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine,
+pub use batch_vss::{batch_vss, batch_vss_verify, horner_combine, BatchShares};
+pub use bit_gen::{
+    judge, Acceptance, BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, DealerView,
 };
-pub use bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun, DealerView};
 pub use bootstrap::{Bootstrap, BootstrapConfig, BootstrapStats};
 pub use coin::{
     decode_coin, expose_all, CoinDecoder, CoinWallet, ExposeMachine, ExposeMsg, ExposeVia,
@@ -107,9 +108,7 @@ pub use params::Params;
 // that are not defined in this crate.
 pub use dprbg_protocols::{BaMsg, GcMsg};
 pub use refresh::{RefreshMachine, RefreshReport};
-pub use vss::{
-    vss_machine, DealtShares, VssDealMachine, VssMode, VssMsg, VssVerdict, VssVerifyMachine,
-};
+pub use vss::{vss, VssMode, VssVerdict};
 pub use vss_dispute::{
     vss_dispute_or_blame, DisputeOutcome, DisputeVssMsg, VssDisputeMachine,
 };

@@ -27,64 +27,25 @@
 //! `Robust` accepts iff a degree-≤t polynomial matches ≥ `n − t` of the
 //! broadcasts (the Bit-Gen-style rule, §4), so ≤ t faulty *verifiers*
 //! cannot frame an honest dealer.
-
-use std::mem;
+//!
+//! Fig. 2 is Fig. 3 at `M = 1`, and runs as such on Bit-Gen's machine
+//! ([`crate::BitGenMachine`], one dealer, broadcast transport): [`vss`]
+//! deals and verifies, and Fig. 3's
+//! [`batch_vss_verify`](crate::batch_vss::batch_vss_verify) at `M = 1`
+//! verifies held shares (steps 2–4: 2 rounds, the two interpolations of
+//! Lemma 2). One visible consequence: the revealed combination is Fig.
+//! 3's `γ_i + r·α_i` rather than Fig. 2's `α_i + r·γ_i` — the same
+//! blinding, Lemma 3's soundness bound at `M = 1`, one more addition.
+//! (E6a plays Fig. 2's own combination, not this one.)
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, interpolate, share_points, share_polynomial, Poly};
-use dprbg_sim::{Embeds, MachineExt, PartyId, RoundMachine, RoundView, Step};
-use dprbg_rng::Rng;
+use dprbg_sim::{Embeds, MachineExt, PartyId, RoundMachine};
 
-use crate::coin::{ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
+use crate::batch_vss::{outcome, BatchShares};
+use crate::bit_gen::{BitGenMachine, BitGenMsg, Start};
+use crate::coin::{ExposeMsg, SealedShare};
 use crate::errors::CoinError;
-
-/// Wire messages of Protocol VSS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VssMsg<F: Field> {
-    /// Dealing round: the secret share and the masking share.
-    Deal {
-        /// `α_i = f(i)`.
-        alpha: F,
-        /// `γ_i = g(i)`.
-        gamma: F,
-    },
-    /// Coin-Expose traffic for the challenge coin.
-    Expose(ExposeMsg<F>),
-    /// The blinded verification share `β_i = α_i + r·γ_i`.
-    Beta(F),
-}
-
-impl<F: Field> WireSize for VssMsg<F> {
-    fn wire_bytes(&self) -> usize {
-        match self {
-            VssMsg::Deal { alpha, gamma } => alpha.wire_bytes() + gamma.wire_bytes(),
-            VssMsg::Expose(e) => e.wire_bytes(),
-            VssMsg::Beta(b) => b.wire_bytes(),
-        }
-    }
-}
-
-impl<F: Field> Embeds<ExposeMsg<F>> for VssMsg<F> {
-    fn wrap(inner: ExposeMsg<F>) -> Self {
-        VssMsg::Expose(inner)
-    }
-    fn peek(&self) -> Option<&ExposeMsg<F>> {
-        match self {
-            VssMsg::Expose(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// A party's holdings after the dealing round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DealtShares<F: Field> {
-    /// The secret share `α_i` (zero if the dealer sent nothing).
-    pub alpha: F,
-    /// The masking share `γ_i`.
-    pub gamma: F,
-}
 
 /// The verification outcome (all honest players output the same verdict
 /// when the broadcasts are consistent).
@@ -94,6 +55,12 @@ pub enum VssVerdict {
     Accept,
     /// No valid sharing — the dealer is disqualified.
     Reject,
+}
+
+impl VssVerdict {
+    pub(crate) fn of(accepted: bool) -> Self {
+        if accepted { VssVerdict::Accept } else { VssVerdict::Reject }
+    }
 }
 
 /// Acceptance rule for step 4 — see the module docs.
@@ -107,280 +74,55 @@ pub enum VssMode {
     Robust,
 }
 
-/// The dealing round (the "Given" of Fig. 2 plus its step 1) as a
-/// sans-IO round machine: one `Continue` (the dealer's shares), then
-/// `Done` with `(my shares, dealer polynomials if dealer)`.
-///
-/// If the machine was built with a secret *and* this party is `dealer`,
-/// it acts as the dealer `D`: it samples the secret polynomial `f` (with
-/// `f(0)` = the secret) and the masking polynomial `g`, and privately
-/// sends `(f(i), g(i))` to each player. Everyone outputs their received
-/// shares (zeros if the dealer stayed silent — a silent dealer is
-/// rejected later with certainty).
-pub struct VssDealMachine<M, F: Field> {
-    dealer: PartyId,
-    secret: Option<F>,
-    t: usize,
-    dealt: Option<(Poly<F>, Poly<F>)>,
-    sent: bool,
-    _wire: std::marker::PhantomData<fn() -> M>,
-}
-
-impl<M, F: Field> VssDealMachine<M, F> {
-    /// A machine for `dealer`'s sharing; `secret_if_dealer` must be
-    /// `Some` only at the dealer itself.
-    pub fn new(dealer: PartyId, secret_if_dealer: Option<F>, t: usize) -> Self {
-        VssDealMachine {
-            dealer,
-            secret: secret_if_dealer,
-            t,
-            dealt: None,
-            sent: false,
-            _wire: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<M, F> RoundMachine<M> for VssDealMachine<M, F>
-where
-    M: Clone + WireSize + Embeds<VssMsg<F>>,
-    F: Field,
-{
-    type Output = (DealtShares<F>, Option<(Poly<F>, Poly<F>)>);
-
-    fn round(&mut self, view: RoundView<'_, M>) -> Step<M, Self::Output> {
-        if !self.sent {
-            self.sent = true;
-            let mut out = view.outbox();
-            if view.id == self.dealer {
-                if let Some(secret) = self.secret.take() {
-                    let f = share_polynomial(secret, self.t, view.rng);
-                    let g = Poly::random(self.t, view.rng);
-                    for (i, (fs, gs)) in share_points(&f, view.n)
-                        .into_iter()
-                        .zip(share_points(&g, view.n))
-                        .enumerate()
-                    {
-                        out.send(
-                            i + 1,
-                            <M as Embeds<VssMsg<F>>>::wrap(VssMsg::Deal {
-                                alpha: fs.y,
-                                gamma: gs.y,
-                            }),
-                        );
-                    }
-                    self.dealt = Some((f, g));
-                }
-            }
-            return Step::Continue(out);
-        }
-        let shares = view
-            .inbox
-            .first_from(self.dealer)
-            .and_then(|r| <M as Embeds<VssMsg<F>>>::peek(r.msg()))
-            .and_then(|m| match m {
-                VssMsg::Deal { alpha, gamma } => {
-                    Some(DealtShares { alpha: *alpha, gamma: *gamma })
-                }
-                _ => None,
-            })
-            .unwrap_or_default();
-        Step::Done((shares, self.dealt.take()))
-    }
-
-    fn phase_name(&self) -> &'static str {
-        if self.sent {
-            "vss/record"
-        } else {
-            "vss/deal"
-        }
-    }
-}
-
-/// Steps 2–4 of Fig. 2 (the verification proper) as a sans-IO round
-/// machine: the challenge expose (an embedded [`ExposeMachine`] over the
-/// broadcast channel), the blinded-share broadcast, then the
-/// interpolation verdict — 2 rounds, plus the two interpolations of
-/// Lemma 2. Consumes one sealed challenge coin; the output propagates
-/// [`CoinError`] if the challenge coin cannot be exposed.
-pub struct VssVerifyMachine<M, F: Field> {
-    t: usize,
-    shares: DealtShares<F>,
-    mode: VssMode,
-    stage: VvStage<M, F>,
-}
-
-enum VvStage<M, F: Field> {
-    /// Step 2 in flight (two calls: share send, then decode + beta send).
-    Expose(ExposeMachine<M, F>),
-    /// Inbox holds the broadcast betas; judge.
-    Betas,
-    Finished,
-}
-
-impl<M, F: Field> VssVerifyMachine<M, F> {
-    /// A machine verifying `shares` with `coin` as the challenge.
-    pub fn new(t: usize, shares: DealtShares<F>, coin: SealedShare<F>, mode: VssMode) -> Self {
-        VssVerifyMachine {
-            t,
-            shares,
-            mode,
-            stage: VvStage::Expose(ExposeMachine::new(coin, t, ExposeVia::Broadcast)),
-        }
-    }
-}
-
-impl<M, F> RoundMachine<M> for VssVerifyMachine<M, F>
-where
-    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<VssMsg<F>>,
-    F: Field,
-{
-    type Output = Result<VssVerdict, CoinError>;
-
-    fn round(&mut self, mut view: RoundView<'_, M>) -> Step<M, Self::Output> {
-        match mem::replace(&mut self.stage, VvStage::Finished) {
-            VvStage::Expose(mut expose) => match expose.round(view.reborrow()) {
-                Step::Continue(out) => {
-                    self.stage = VvStage::Expose(expose);
-                    Step::Continue(out)
-                }
-                Step::Done(Err(e)) => Step::Done(Err(e)),
-                Step::Done(Ok(r)) => {
-                    // Step 3: broadcast the blinded share β_i = α_i + r·γ_i.
-                    let beta = self.shares.alpha + r * self.shares.gamma;
-                    let mut out = view.outbox();
-                    out.broadcast(<M as Embeds<VssMsg<F>>>::wrap(VssMsg::Beta(beta)));
-                    self.stage = VvStage::Betas;
-                    Step::Continue(out)
-                }
-            },
-            VvStage::Betas => {
-                let mut points: Vec<(F, F)> = Vec::new();
-                for rcv in view.inbox.broadcasts() {
-                    if let Some(VssMsg::Beta(b)) = <M as Embeds<VssMsg<F>>>::peek(rcv.msg()) {
-                        let x = F::element(rcv.from as u64);
-                        if points.iter().all(|(px, _)| *px != x) {
-                            points.push((x, *b));
-                        }
-                    }
-                }
-                Step::Done(Ok(judge(&points, view.n, self.t, self.mode)))
-            }
-            #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
-            VvStage::Finished => panic!("VssVerifyMachine driven past completion"),
-        }
-    }
-
-    fn phase_name(&self) -> &'static str {
-        match &self.stage {
-            VvStage::Expose(expose) => match expose.phase_name() {
-                "expose/send" => "vss/challenge",
-                _ => "vss/combine",
-            },
-            VvStage::Betas => "vss/judge",
-            VvStage::Finished => "vss/finished",
-        }
-    }
-}
-
-/// Step 4's acceptance decision from the collected broadcast points.
-fn judge<F: Field>(points: &[(F, F)], n: usize, t: usize, mode: VssMode) -> VssVerdict {
-    match mode {
-        VssMode::Strict => {
-            if points.len() < n {
-                // Someone withheld their broadcast: no full interpolation
-                // exists, the sharing cannot be validated.
-                return VssVerdict::Reject;
-            }
-            match interpolate(points) {
-                Ok(f) if f.degree().is_none_or(|d| d <= t) => VssVerdict::Accept,
-                _ => VssVerdict::Reject,
-            }
-        }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "one broadcast word per check: no basis to share"
-        )]
-        VssMode::Robust => match bw_decode(points, t, t) {
-            Ok(_) => VssVerdict::Accept,
-            Err(_) => VssVerdict::Reject,
-        },
-    }
-}
-
-/// The complete protocol — dealing + verification, 3 rounds — composed
-/// from [`VssDealMachine`] and [`VssVerifyMachine`] with
-/// [`MachineExt::then`]. The output carries the verdict together with the
-/// shares this party now holds, and propagates [`CoinError`] from the
+/// Protocol VSS (Fig. 2), dealing included — 3 rounds. `dealer` shares
+/// `secret_if_dealer` (`Some` only at the dealer itself; a dealer without
+/// one stays silent and is rejected). The output carries the verdict with
+/// the shares this party now holds, and propagates [`CoinError`] from the
 /// challenge expose.
-pub fn vss_machine<M, F>(
+pub fn vss<M, F>(
     dealer: PartyId,
     secret_if_dealer: Option<F>,
     t: usize,
     coin: SealedShare<F>,
     mode: VssMode,
-) -> impl RoundMachine<M, Output = Result<(VssVerdict, DealtShares<F>), CoinError>>
+) -> impl RoundMachine<M, Output = Result<(VssVerdict, BatchShares<F>), CoinError>>
 where
-    M: Clone + Send + WireSize + Embeds<ExposeMsg<F>> + Embeds<VssMsg<F>> + 'static,
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BitGenMsg<F>>,
     F: Field,
 {
-    VssDealMachine::new(dealer, secret_if_dealer, t).then(move |(shares, _)| {
-        VssVerifyMachine::new(t, shares, coin, mode)
-            .map(move |res| res.map(|verdict| (verdict, shares)))
-    })
-}
-
-/// A cheating dealer's strategy used by soundness tests and the E6
-/// experiment: deal shares of a degree-`bad_degree` polynomial (with
-/// `bad_degree > t` there is no valid sharing) and an honest masking
-/// polynomial, then follow the protocol.
-pub fn cheating_high_degree_deal<F: Field, R: Rng + ?Sized>(
-    n: usize,
-    t: usize,
-    bad_degree: usize,
-    rng: &mut R,
-) -> (Vec<DealtShares<F>>, Poly<F>, Poly<F>) {
-    let f = Poly::random(bad_degree, rng);
-    let g = Poly::random(t, rng);
-    let shares = share_points(&f, n)
-        .into_iter()
-        .zip(share_points(&g, n))
-        .map(|(a, c)| DealtShares { alpha: a.y, gamma: c.y })
-        .collect();
-    (shares, f, g)
+    let start = Start::Deal(secret_if_dealer.map(|s| vec![s]));
+    BitGenMachine::broadcast(dealer, t, 1, coin, mode.into(), start)
+        .map(move |res| res.map(|run| outcome(run, dealer)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch_vss::tests::verify_fleet;
+    use crate::batch_vss::{cheating_batch_deal, horner_combine};
+    use crate::bit_gen::{judge, party_points, rewriting, Acceptance};
+    use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
-    use dprbg_poly::{share_points as sp, share_polynomial as spoly};
+    use dprbg_poly::{share_polynomial as spoly, Poly};
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::SeedableRng;
-    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, StepRunner};
+    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, RoundView, Step, StepRunner};
 
     type F = Gf2k<32>;
-    type M = VssMsg<F>;
-
-    fn coin_shares(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let poly = spoly(F::random(&mut rng), t, &mut rng);
-        sp(&poly, n).into_iter().map(|s| SealedShare::of(s.y)).collect()
-    }
+    type M = BitGenMsg<F>;
 
     fn run_vss(
         n: usize,
         t: usize,
         seed: u64,
         mode: VssMode,
-    ) -> Vec<Result<(VssVerdict, DealtShares<F>), CoinError>> {
-        let coins = coin_shares(n, t, seed.wrapping_add(1000));
-        let fleet: Vec<BoxedMachine<M, Result<(VssVerdict, DealtShares<F>), CoinError>>> =
+    ) -> Vec<Result<(VssVerdict, BatchShares<F>), CoinError>> {
+        let coins = TrustedDealer::coin_shares::<F>(n, t, seed.wrapping_add(1000));
+        let fleet: Vec<BoxedMachine<M, Result<(VssVerdict, BatchShares<F>), CoinError>>> =
             (1..=n)
                 .map(|id| {
                     let secret = (id == 1).then(|| F::from_u64(0xC0FFEE));
-                    Box::new(vss_machine(1, secret, t, coins[id - 1], mode))
-                        as BoxedMachine<M, _>
+                    Box::new(vss(1, secret, t, coins[id - 1], mode)) as BoxedMachine<M, _>
                 })
                 .collect();
         StepRunner::new(n, seed).run(fleet).unwrap_all()
@@ -404,7 +146,7 @@ mod tests {
             .enumerate()
             .map(|(i, o)| dprbg_poly::Share {
                 x: F::element(i as u64 + 1),
-                y: o.as_ref().unwrap().1.alpha,
+                y: o.as_ref().unwrap().1.alphas[0],
             })
             .collect();
         assert_eq!(
@@ -415,24 +157,14 @@ mod tests {
 
     #[test]
     fn high_degree_dealer_rejected() {
-        // Dealer shares a degree-(t+2) polynomial: every honest party must
-        // reject (w.p. 1 − 1/p; the challenge field is 2^32 so the test is
-        // deterministic in practice).
-        let n = 7;
-        let t = 2;
-        let coins = coin_shares(n, t, 42);
+        // Dealer shares a degree-(t+1) polynomial: every honest party must
+        // reject (w.p. 1 − 2/p; the challenge field is 2^32 so the test is
+        // deterministic in practice). Dealing already happened
+        // out-of-band (cheating dealer); every party verifies directly.
+        let (n, t) = (7, 2);
         let mut rng = StdRng::seed_from_u64(43);
-        let (bad_shares, _, _) = cheating_high_degree_deal::<F, _>(n, t, t + 2, &mut rng);
-        // Dealing already happened out-of-band (cheating dealer); every
-        // party verifies directly.
-        let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
-            .map(|id| {
-                let coin = coins[id - 1];
-                let share = bad_shares[id - 1];
-                Box::new(VssVerifyMachine::new(t, share, coin, VssMode::Strict))
-                    as BoxedMachine<M, _>
-            })
-            .collect();
+        let bad_shares = cheating_batch_deal::<F, _>(n, t, 1, 1, &mut rng);
+        let fleet = verify_fleet(t, 1, bad_shares, 42, &Acceptance::Strict);
         for out in StepRunner::new(n, 44).run(fleet).unwrap_all() {
             assert_eq!(out.unwrap(), VssVerdict::Reject);
         }
@@ -442,7 +174,7 @@ mod tests {
     fn silent_dealer_rejected() {
         let n = 4;
         let t = 1;
-        let coins = coin_shares(n, t, 50);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 50);
         let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
             .map(|id| {
                 let coin = coins[id - 1];
@@ -453,8 +185,7 @@ mod tests {
                     })) as BoxedMachine<M, _>
                 } else {
                     Box::new(
-                        vss_machine(1, None, t, coin, VssMode::Strict)
-                            .map(|res| res.map(|(v, _)| v)),
+                        vss(1, None, t, coin, VssMode::Strict).map(|res| res.map(|(v, _)| v)),
                     )
                 }
             })
@@ -473,38 +204,22 @@ mod tests {
         let t = 2;
         for (mode, expected) in [(VssMode::Strict, VssVerdict::Reject), (VssMode::Robust, VssVerdict::Accept)]
         {
-            let coins = coin_shares(n, t, 60);
+            let coins = TrustedDealer::coin_shares::<F>(n, t, 60);
             let plan = FaultPlan::explicit(n, vec![5]);
             let fleet = plan.machines::<M, Option<VssVerdict>>(
                 |id| {
                     let coin = coins[id - 1];
                     let secret = (id == 1).then(|| F::from_u64(7));
-                    Box::new(
-                        vss_machine(1, secret, t, coin, mode)
-                            .map(|res| res.ok().map(|(v, _)| v)),
-                    )
+                    Box::new(vss(1, secret, t, coin, mode).map(|res| res.ok().map(|(v, _)| v)))
                 },
                 |id| {
-                    let coin = coins[id - 1];
-                    Box::new(from_fn(move |view: RoundView<'_, M>| {
-                        let mut out = view.outbox();
-                        match view.round {
-                            // Sit out the dealing round.
-                            0 => Step::Continue(out),
-                            1 => {
-                                // Expose the challenge honestly…
-                                if let Some(sigma) = coin.sigma {
-                                    out.broadcast(VssMsg::Expose(ExposeMsg(sigma)));
-                                }
-                                Step::Continue(out)
-                            }
-                            2 => {
-                                // …then broadcast a garbage β.
-                                out.broadcast(VssMsg::Beta(F::from_u64(0xBAD)));
-                                Step::Continue(out)
-                            }
-                            _ => Step::Done(None),
-                        }
+                    // Honest up to the β, which it replaces with garbage.
+                    let honest = vss(1, None, t, coins[id - 1], mode);
+                    Box::new(rewriting(honest.map(|_| None), |_, _, out| {
+                        out.map(|msg| match msg {
+                            BitGenMsg::Beta(_) => BitGenMsg::Beta(F::from_u64(0xBAD)),
+                            other => other,
+                        })
                     }))
                 },
             );
@@ -520,27 +235,54 @@ mod tests {
     }
 
     #[test]
+    fn robust_mode_accepts_only_at_n_minus_t_fits() {
+        // n = 7, t = 2: Robust accepts iff some degree-≤2 polynomial fits
+        // at least n − t = 5 of the broadcasts that arrived.
+        let (n, t) = (7, 2);
+        let mut rng = StdRng::seed_from_u64(80);
+        let f = Poly::<F>::random(t, &mut rng);
+        let mut on_f = vec![F::zero(); n];
+        F::eval_points(f.coeffs(), &party_points(n), &mut on_f);
+        let robust = Acceptance::from(VssMode::Robust);
+        let verdict = |received: &[(usize, F)]| {
+            let mut betas = vec![None; n];
+            for &(i, b) in received {
+                betas[i] = Some(b);
+            }
+            judge(&betas, t, &robust)
+        };
+        let off = |i: usize| (i, on_f[i] + F::one());
+        let on = |i: usize| (i, on_f[i]);
+        // Two withheld, four of the five on f: only 4 < n − t fit.
+        assert_eq!(verdict(&[on(0), on(1), on(2), on(3), off(4)]), VssVerdict::Reject);
+        // Only t + 1 arbitrary values: any three fit some polynomial.
+        let arbitrary: Vec<(usize, F)> = (0..=t).map(|i| (i, F::random(&mut rng))).collect();
+        assert_eq!(verdict(&arbitrary), VssVerdict::Reject);
+        // At the threshold: one withheld, five of six on f.
+        assert_eq!(verdict(&[on(0), on(1), on(2), on(3), on(4), off(5)]), VssVerdict::Accept);
+        // All n present: the budget is t, as before.
+        assert_eq!(
+            verdict(&[on(0), on(1), on(2), on(3), on(4), off(5), off(6)]),
+            VssVerdict::Accept
+        );
+    }
+
+    #[test]
     fn verification_takes_two_rounds_and_2n_messages() {
         // Lemma 2's communication claim, measured: 2 rounds, 2n messages
         // of size k each (n expose shares + n broadcasts), 2nk bits.
         let n = 7;
         let t = 2;
-        let coins = coin_shares(n, t, 70);
         let mut rng = StdRng::seed_from_u64(71);
         let f = spoly(F::from_u64(5), t, &mut rng);
-        let g = dprbg_poly::Poly::random(t, &mut rng);
-        let fleet: Vec<BoxedMachine<M, Result<VssVerdict, CoinError>>> = (1..=n)
+        let g = Poly::random(t, &mut rng);
+        let shares = (1..=n)
             .map(|id| {
-                let coin = coins[id - 1];
-                let shares = DealtShares {
-                    alpha: f.eval(F::element(id as u64)),
-                    gamma: g.eval(F::element(id as u64)),
-                };
-                Box::new(VssVerifyMachine::new(t, shares, coin, VssMode::Strict))
-                    as BoxedMachine<M, _>
+                let x = F::element(id as u64);
+                BatchShares { alphas: vec![f.eval(x)], gamma: g.eval(x) }
             })
             .collect();
-        let res = StepRunner::new(n, 72).run(fleet);
+        let res = StepRunner::new(n, 72).run(verify_fleet(t, 1, shares, 70, &Acceptance::Strict));
         assert_eq!(res.report.comm.rounds, 2);
         assert_eq!(res.report.comm.messages as usize, 2 * n);
         assert_eq!(res.report.comm.bytes as usize, 2 * n * 4); // k = 32 bits
@@ -561,14 +303,11 @@ mod tests {
         let trials = 2000;
         let mut accepts = 0;
         for _ in 0..trials {
-            let (shares, _, _) = cheating_high_degree_deal::<F8, _>(n, t, t + 1, &mut rng);
+            let shares = cheating_batch_deal::<F8, _>(n, t, 1, 1, &mut rng);
             let r = F8::random(&mut rng);
-            let pts: Vec<(F8, F8)> = shares
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (F8::element(i as u64 + 1), s.alpha + r * s.gamma))
-                .collect();
-            if judge(&pts, n, t, VssMode::Strict) == VssVerdict::Accept {
+            let betas: Vec<Option<F8>> =
+                shares.iter().map(|s| Some(horner_combine(&s.alphas, s.gamma, r))).collect();
+            if judge(&betas, t, &Acceptance::Strict) == VssVerdict::Accept {
                 accepts += 1;
             }
         }

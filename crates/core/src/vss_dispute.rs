@@ -12,14 +12,14 @@
 //! **all n positions** of the sharing are publicly consistent:
 //!
 //! 1. (Fig. 2 steps 2–3.) The challenge `r` is exposed and everyone
-//!    broadcasts `β_i = α_i + r·γ_i`.
+//!    broadcasts `β_i = γ_i + r·α_i`.
 //! 2. Everyone Berlekamp–Welch-decodes the majority polynomial `F*`
 //!    (degree ≤ t, ≥ n − t agreement; no such polynomial ⇒ the dealer is
 //!    disqualified outright). The *outliers* — positions whose broadcast
 //!    does not lie on `F*` — are publicly identifiable.
 //! 3. Second broadcast round: the **dealer** publishes the dealt pair
 //!    `(α_i, γ_i)` for every outlier position. Everyone checks
-//!    `α_i + r·γ_i = F*(i)`; any missing or unfitting pair disqualifies
+//!    `γ_i + r·α_i = F*(i)`; any missing or unfitting pair disqualifies
 //!    the dealer. An outlier player adopts the published pair as its
 //!    share (its original one was either never sent or provably
 //!    worthless).
@@ -30,56 +30,65 @@
 //! — the guarantee the paper's strict model wants. The disputed
 //! positions' shares become public, which is inherent to any complaint
 //! mechanism (only provably-misbehaving positions are opened).
+//!
+//! Steps 1–2 are Fig. 2's check with the robust rule, run on Bit-Gen's
+//! machine ([`BitGenMachine`], one dealer, broadcast transport); this
+//! module adds the opening round.
 
 use std::mem;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{bw_decode, share_points, Poly};
+use dprbg_poly::Poly;
 use dprbg_sim::{Embeds, MachineExt, PartyId, RoundMachine, RoundView, Step};
 
-use crate::coin::{ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
+use crate::batch_vss::{horner_combine, BatchShares};
+use crate::bit_gen::{party_points, Acceptance, BitGenMachine, BitGenMsg, DealerView, Start};
+use crate::coin::{ExposeMsg, SealedShare};
 use crate::errors::{CoinError, ProtocolError};
-use crate::vss::{DealtShares, VssVerdict};
+use crate::vss::VssVerdict;
 
-/// Wire messages of the dispute-resolving VSS (a superset of Fig. 2's).
+/// Wire messages of the dispute-resolving VSS: Fig. 2's, plus the
+/// dealer's opening.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DisputeVssMsg<F: Field> {
-    /// Dealing: the secret and masking shares.
-    Deal {
-        /// `α_i = f(i)`.
-        alpha: F,
-        /// `γ_i = g(i)`.
-        gamma: F,
-    },
-    /// Coin-Expose traffic.
-    Expose(ExposeMsg<F>),
-    /// The blinded verification share.
-    Beta(F),
-    /// The dealer's published pairs for the outlier positions.
-    Open(Vec<(PartyId, F, F)>),
+    /// The sharing check's traffic (expose shares and `β`s).
+    Check(BitGenMsg<F>),
+    /// The dealer's published shares for the outlier positions.
+    Open(Vec<(PartyId, BatchShares<F>)>),
 }
 
 impl<F: Field> WireSize for DisputeVssMsg<F> {
     fn wire_bytes(&self) -> usize {
         match self {
-            DisputeVssMsg::Deal { alpha, gamma } => alpha.wire_bytes() + gamma.wire_bytes(),
-            DisputeVssMsg::Expose(e) => e.wire_bytes(),
-            DisputeVssMsg::Beta(b) => b.wire_bytes(),
-            DisputeVssMsg::Open(pairs) => {
-                pairs.iter().map(|(_, a, g)| 1 + a.wire_bytes() + g.wire_bytes()).sum()
-            }
+            DisputeVssMsg::Check(c) => c.wire_bytes(),
+            DisputeVssMsg::Open(opened) => opened
+                .iter()
+                .map(|(_, s)| 1 + s.alphas.wire_bytes() + s.gamma.wire_bytes())
+                .sum(),
+        }
+    }
+}
+
+impl<F: Field> Embeds<BitGenMsg<F>> for DisputeVssMsg<F> {
+    fn wrap(inner: BitGenMsg<F>) -> Self {
+        DisputeVssMsg::Check(inner)
+    }
+    fn peek(&self) -> Option<&BitGenMsg<F>> {
+        match self {
+            DisputeVssMsg::Check(c) => Some(c),
+            DisputeVssMsg::Open(_) => None,
         }
     }
 }
 
 impl<F: Field> Embeds<ExposeMsg<F>> for DisputeVssMsg<F> {
     fn wrap(inner: ExposeMsg<F>) -> Self {
-        DisputeVssMsg::Expose(inner)
+        DisputeVssMsg::Check(BitGenMsg::Expose(inner))
     }
     fn peek(&self) -> Option<&ExposeMsg<F>> {
         match self {
-            DisputeVssMsg::Expose(e) => Some(e),
+            DisputeVssMsg::Check(BitGenMsg::Expose(e)) => Some(e),
             _ => None,
         }
     }
@@ -91,7 +100,7 @@ pub struct DisputeOutcome<F: Field> {
     /// Accept iff all n positions ended consistent.
     pub verdict: VssVerdict,
     /// My (possibly replaced) shares after resolution.
-    pub shares: DealtShares<F>,
+    pub shares: BatchShares<F>,
     /// The outlier positions whose shares were publicly opened.
     pub opened: Vec<PartyId>,
 }
@@ -99,8 +108,9 @@ pub struct DisputeOutcome<F: Field> {
 /// Dispute-resolving verification — Fig. 2 steps 2–4 plus the second
 /// broadcast round of §3.1's remark — as a sans-IO round machine.
 /// 3 rounds; consumes one challenge coin. The dealing must already have
-/// happened ([`crate::vss::VssDealMachine`] semantics; pass the dealer's
-/// polynomials when this party dealt so it can answer disputes).
+/// happened; `dealt` is the dealer's record of every party's shares
+/// (`Some` only at the dealer) so it can answer disputes. A position the
+/// record does not hold goes unanswered.
 ///
 /// Every path through the protocol takes the same number of rounds (a
 /// disqualified dealer still burns the dispute round) so fleets of these
@@ -108,118 +118,72 @@ pub struct DisputeOutcome<F: Field> {
 /// propagates [`CoinError`] from the challenge expose.
 pub struct VssDisputeMachine<M, F: Field> {
     dealer: PartyId,
-    dealer_polys: Option<(Poly<F>, Poly<F>)>,
-    t: usize,
-    shares: DealtShares<F>,
+    dealt: Option<Vec<BatchShares<F>>>,
     stage: DvStage<M, F>,
 }
 
 enum DvStage<M, F: Field> {
-    /// Fig. 2 step 2 in flight (two calls: share send, then decode +
-    /// beta broadcast).
-    Expose(ExposeMachine<M, F>),
-    /// Inbox holds the broadcast betas: find `F*`, open disputes.
-    Betas { r: F },
+    /// Fig. 2's check in flight, robust rule: ends with the majority
+    /// polynomial `F*` (or `⊥`) and every broadcast `β`.
+    Check(BitGenMachine<M, F>),
     /// Inbox holds the dealer's openings: judge.
-    Dispute { r: F, f_star: Option<Poly<F>>, outliers: Vec<PartyId> },
+    Dispute { r: F, f_star: Option<Poly<F>>, outliers: Vec<PartyId>, shares: BatchShares<F> },
     Finished,
 }
 
 impl<M, F: Field> VssDisputeMachine<M, F> {
     /// A machine verifying `shares` from `dealer` with `coin` as the
-    /// challenge; `dealer_polys` must be `Some` only at the dealer.
+    /// challenge; `dealt` must be `Some` only at the dealer.
     pub fn new(
         dealer: PartyId,
-        dealer_polys: Option<(Poly<F>, Poly<F>)>,
+        dealt: Option<Vec<BatchShares<F>>>,
         t: usize,
-        shares: DealtShares<F>,
+        shares: BatchShares<F>,
         coin: SealedShare<F>,
     ) -> Self {
-        VssDisputeMachine {
-            dealer,
-            dealer_polys,
-            t,
-            shares,
-            stage: DvStage::Expose(ExposeMachine::new(coin, t, ExposeVia::Broadcast)),
-        }
+        let check =
+            BitGenMachine::broadcast(dealer, t, 1, coin, Acceptance::Robust, Start::Held(shares));
+        VssDisputeMachine { dealer, dealt, stage: DvStage::Check(check) }
     }
+}
 
-    fn judge(
-        &self,
-        view: &RoundView<'_, M>,
-        r: F,
-        f_star: Option<Poly<F>>,
-        outliers: Vec<PartyId>,
-    ) -> DisputeOutcome<F>
-    where
-        M: Clone + WireSize + Embeds<DisputeVssMsg<F>>,
-    {
-        let Some(f_star) = f_star else {
-            // No consistent majority existed: the dealer was disqualified
-            // outright (the dispute round was burned for lock-step).
-            return DisputeOutcome {
-                verdict: VssVerdict::Reject,
-                shares: self.shares,
-                opened: Vec::new(),
-            };
-        };
-        if outliers.is_empty() {
-            return DisputeOutcome {
-                verdict: VssVerdict::Accept,
-                shares: self.shares,
-                opened: outliers,
-            };
-        }
-
-        let published = view
-            .inbox
-            .broadcasts()
-            .filter(|rcv| rcv.from == self.dealer)
-            .find_map(|rcv| match <M as Embeds<DisputeVssMsg<F>>>::peek(rcv.msg()) {
-                Some(DisputeVssMsg::Open(pairs)) => Some(pairs.clone()),
-                _ => None,
-            });
-        let Some(pairs) = published else {
-            // Dealer refused to answer the dispute.
-            return DisputeOutcome {
-                verdict: VssVerdict::Reject,
-                shares: self.shares,
-                opened: outliers,
-            };
-        };
-
-        // Every outlier must be answered with a pair fitting F*.
-        let mut my_new_shares = self.shares;
-        for &i in &outliers {
-            let x = F::element(i as u64);
-            let answer = pairs.iter().find(|(j, _, _)| *j == i);
-            match answer {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "one opened outlier checked against F*, one point"
-                )]
-                Some(&(_, alpha, gamma)) if alpha + r * gamma == f_star.eval(x) => {
-                    if i == view.id {
-                        // Adopt the publicly consistent pair.
-                        my_new_shares = DealtShares { alpha, gamma };
-                    }
+/// The dispute round's verdict from the dealer's openings.
+fn judge_openings<F: Field>(
+    id: PartyId,
+    r: F,
+    f_star: Option<Poly<F>>,
+    outliers: Vec<PartyId>,
+    mut shares: BatchShares<F>,
+    opened: Option<&[(PartyId, BatchShares<F>)]>,
+) -> DisputeOutcome<F> {
+    // No consistent majority existed: the dealer was disqualified
+    // outright (the dispute round was burned for lock-step).
+    let Some(f_star) = f_star else {
+        return DisputeOutcome { verdict: VssVerdict::Reject, shares, opened: Vec::new() };
+    };
+    // Every outlier must be answered with shares whose combination lies
+    // on F* (a dealer that refused to answer answered none).
+    let xs: Vec<F> = outliers.iter().map(|&i| F::element(i as u64)).collect();
+    let mut on_f = vec![F::zero(); xs.len()];
+    F::eval_points(f_star.coeffs(), &xs, &mut on_f);
+    let answered = outliers.iter().zip(on_f).all(|(&i, y)| {
+        match opened.and_then(|o| o.iter().find(|(j, _)| *j == i)) {
+            Some((_, s)) if s.alphas.len() == 1 && horner_combine(&s.alphas, s.gamma, r) == y => {
+                if i == id {
+                    // Adopt the publicly consistent shares.
+                    shares = s.clone();
                 }
-                _ => {
-                    return DisputeOutcome {
-                        verdict: VssVerdict::Reject,
-                        shares: my_new_shares,
-                        opened: outliers,
-                    };
-                }
+                true
             }
+            _ => false,
         }
-        DisputeOutcome { verdict: VssVerdict::Accept, shares: my_new_shares, opened: outliers }
-    }
+    });
+    DisputeOutcome { verdict: VssVerdict::of(answered), shares, opened: outliers }
 }
 
 impl<M, F> RoundMachine<M> for VssDisputeMachine<M, F>
 where
-    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<DisputeVssMsg<F>>,
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BitGenMsg<F>> + Embeds<DisputeVssMsg<F>>,
     F: Field,
 {
     type Output = Result<DisputeOutcome<F>, CoinError>;
@@ -227,59 +191,26 @@ where
     fn round(&mut self, mut view: RoundView<'_, M>) -> Step<M, Self::Output> {
         let n = view.n;
         match mem::replace(&mut self.stage, DvStage::Finished) {
-            DvStage::Expose(mut expose) => match expose.round(view.reborrow()) {
-                Step::Continue(out) => {
-                    self.stage = DvStage::Expose(expose);
-                    Step::Continue(out)
-                }
-                Step::Done(Err(e)) => Step::Done(Err(e)),
-                Step::Done(Ok(r)) => {
-                    // Fig. 2 step 3: broadcast β_i.
-                    let beta = self.shares.alpha + r * self.shares.gamma;
-                    let mut out = view.outbox();
-                    out.broadcast(<M as Embeds<DisputeVssMsg<F>>>::wrap(DisputeVssMsg::Beta(
-                        beta,
-                    )));
-                    self.stage = DvStage::Betas { r };
-                    Step::Continue(out)
-                }
-            },
-            DvStage::Betas { r } => {
-                let mut betas: Vec<Option<F>> = vec![None; n];
-                for rcv in view.inbox.broadcasts() {
-                    if let Some(DisputeVssMsg::Beta(b)) =
-                        <M as Embeds<DisputeVssMsg<F>>>::peek(rcv.msg())
-                    {
-                        if betas[rcv.from - 1].is_none() {
-                            betas[rcv.from - 1] = Some(*b);
-                        }
+            DvStage::Check(mut check) => {
+                let run = match check.round(view.reborrow()) {
+                    Step::Continue(out) => {
+                        self.stage = DvStage::Check(check);
+                        return Step::Continue(out);
                     }
-                }
-
+                    Step::Done(Err(e)) => return Step::Done(Err(e)),
+                    Step::Done(Ok(run)) => run,
+                };
                 // The majority polynomial F* and the outlier set (public:
                 // everyone computes the same ones from the same
                 // broadcasts).
-                let points: Vec<(F, F)> = betas
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| b.map(|y| (F::element(i as u64 + 1), y)))
-                    .collect();
-                // "≥ n − t broadcast values lie on F*" is the decoder's
-                // error budget: at most m − (n − t) of the m may be wrong.
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "one broadcast word, with its own error budget"
-                )]
-                let f_star = points
-                    .len()
-                    .checked_sub(n - self.t)
-                    .and_then(|budget| bw_decode(&points, self.t, self.t.min(budget)).ok());
-                let outliers: Vec<PartyId> = match &f_star {
-                    Some(f) => (1..=n)
-                        .zip(share_points(f, n))
-                        .filter(|&(i, s)| betas[i - 1] != Some(s.y))
-                        .map(|(i, _)| i)
-                        .collect(),
+                let r = run.r;
+                let mine =
+                    run.into_view(self.dealer).unwrap_or_else(|| DealerView::empty(self.dealer, n));
+                let outliers: Vec<PartyId> = match &mine.check_poly {
+                    Some(f) => {
+                        let fit = mine.fitters(f, &party_points(n), (0..n).collect());
+                        (1..=n).filter(|i| !fit.contains(&(i - 1))).collect()
+                    }
                     // No majority: nothing to open, but the round is still
                     // burned below so all parties stay in lock-step.
                     None => Vec::new(),
@@ -289,27 +220,31 @@ where
                 // positions.
                 let mut out = view.outbox();
                 if view.id == self.dealer && !outliers.is_empty() {
-                    if let Some((f, g)) = &self.dealer_polys {
-                        let xs: Vec<F> = outliers.iter().map(|&i| F::element(i as u64)).collect();
-                        let mut alphas = vec![F::zero(); xs.len()];
-                        let mut gammas = vec![F::zero(); xs.len()];
-                        F::eval_points(f.coeffs(), &xs, &mut alphas);
-                        F::eval_points(g.coeffs(), &xs, &mut gammas);
-                        let pairs: Vec<(PartyId, F, F)> = outliers
+                    if let Some(dealt) = &self.dealt {
+                        let opened = outliers
                             .iter()
-                            .zip(alphas.into_iter().zip(gammas))
-                            .map(|(&i, (alpha, gamma))| (i, alpha, gamma))
+                            .filter_map(|&i| Some((i, dealt.get(i - 1)?.clone())))
                             .collect();
                         out.broadcast(<M as Embeds<DisputeVssMsg<F>>>::wrap(
-                            DisputeVssMsg::Open(pairs),
+                            DisputeVssMsg::Open(opened),
                         ));
                     }
                 }
-                self.stage = DvStage::Dispute { r, f_star, outliers };
+                let shares = BatchShares { alphas: mine.alphas, gamma: mine.gamma };
+                self.stage =
+                    DvStage::Dispute { r, f_star: mine.check_poly, outliers, shares };
                 Step::Continue(out)
             }
-            DvStage::Dispute { r, f_star, outliers } => {
-                Step::Done(Ok(self.judge(&view, r, f_star, outliers)))
+            DvStage::Dispute { r, f_star, outliers, shares } => {
+                let opened = view
+                    .inbox
+                    .broadcasts()
+                    .filter(|rcv| rcv.from == self.dealer)
+                    .find_map(|rcv| match <M as Embeds<DisputeVssMsg<F>>>::peek(rcv.msg()) {
+                        Some(DisputeVssMsg::Open(opened)) => Some(&opened[..]),
+                        _ => None,
+                    });
+                Step::Done(Ok(judge_openings(view.id, r, f_star, outliers, shares, opened)))
             }
             #[expect(clippy::panic, reason = "driver contract: round() is never called after Done")]
             DvStage::Finished => panic!("VssDisputeMachine driven past completion"),
@@ -318,11 +253,7 @@ where
 
     fn phase_name(&self) -> &'static str {
         match &self.stage {
-            DvStage::Expose(expose) => match expose.phase_name() {
-                "expose/send" => "vss-dispute/challenge",
-                _ => "vss-dispute/betas",
-            },
-            DvStage::Betas { .. } => "vss-dispute/open",
+            DvStage::Check(check) => check.phase_name(),
             DvStage::Dispute { .. } => "vss-dispute/judge",
             DvStage::Finished => "vss-dispute/finished",
         }
@@ -341,16 +272,16 @@ where
 /// [`ProtocolError::Coin`] if the challenge expose fails.
 pub fn vss_dispute_or_blame<M, F>(
     dealer: PartyId,
-    dealer_polys: Option<(Poly<F>, Poly<F>)>,
+    dealt: Option<Vec<BatchShares<F>>>,
     t: usize,
-    shares: DealtShares<F>,
+    shares: BatchShares<F>,
     coin: SealedShare<F>,
 ) -> impl RoundMachine<M, Output = Result<DisputeOutcome<F>, ProtocolError>>
 where
-    M: Clone + Send + WireSize + Embeds<ExposeMsg<F>> + Embeds<DisputeVssMsg<F>> + 'static,
+    M: Clone + WireSize + Embeds<ExposeMsg<F>> + Embeds<BitGenMsg<F>> + Embeds<DisputeVssMsg<F>>,
     F: Field,
 {
-    VssDisputeMachine::new(dealer, dealer_polys, t, shares, coin).map(move |res| {
+    VssDisputeMachine::new(dealer, dealt, t, shares, coin).map(move |res| {
         let outcome = res?;
         match outcome.verdict {
             VssVerdict::Accept => Ok(outcome),
@@ -365,52 +296,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch_vss::cheating_batch_deal;
     use crate::dealer::TrustedDealer;
-    use crate::params::Params;
     use dprbg_field::Gf2k;
-    use dprbg_poly::{share_points, share_polynomial};
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::SeedableRng;
-    use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, StepRunner};
+    use crate::bit_gen::rewriting;
+    use dprbg_sim::{BoxedMachine, FaultPlan, StepRunner};
 
     type F = Gf2k<32>;
     type M = DisputeVssMsg<F>;
 
-    fn coin_shares(n: usize, t: usize, seed: u64) -> Vec<SealedShare<F>> {
-        let params = Params::broadcast_model(n, t).unwrap();
-        TrustedDealer::deal_wallets::<F>(params, 1, seed)
-            .into_iter()
-            .map(|mut w| w.pop().unwrap())
-            .collect()
+    /// Dealing helper: every party's shares of one honest (`bad = 0`) or
+    /// degree-(t+1) (`bad = 1`) sharing.
+    fn deal(n: usize, t: usize, bad: usize, seed: u64) -> Vec<BatchShares<F>> {
+        cheating_batch_deal(n, t, 1, bad, &mut StdRng::seed_from_u64(seed))
     }
 
-    /// Dealing helper: honest f, g evaluated per party.
-    fn deal(n: usize, t: usize, seed: u64) -> (Poly<F>, Poly<F>, Vec<DealtShares<F>>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = share_polynomial(F::from_u64(0xD15B), t, &mut rng);
-        let g = Poly::random(t, &mut rng);
-        let shares = share_points(&f, n)
-            .into_iter()
-            .zip(share_points(&g, n))
-            .map(|(a, b)| DealtShares { alpha: a.y, gamma: b.y })
-            .collect();
-        (f, g, shares)
-    }
-
-    /// A fleet of dispute machines: party 1 deals (holds the polynomials
-    /// when `answering` is true), everyone verifies `shares[id - 1]`.
+    /// A fleet of dispute machines: party 1 deals (holds the dealt record
+    /// when `answering` is true), everyone verifies `held[id - 1]`.
     fn fleet(
-        f: &Poly<F>,
-        g: &Poly<F>,
+        dealt: &[BatchShares<F>],
         answering: bool,
         t: usize,
-        shares: &[DealtShares<F>],
-        coins: &[SealedShare<F>],
+        held: &[BatchShares<F>],
+        coin_seed: u64,
     ) -> Vec<BoxedMachine<M, Result<DisputeOutcome<F>, CoinError>>> {
-        (1..=shares.len())
+        let coins = TrustedDealer::coin_shares::<F>(held.len(), t, coin_seed);
+        (1..=held.len())
             .map(|id| {
-                let polys = (answering && id == 1).then(|| (f.clone(), g.clone()));
-                Box::new(VssDisputeMachine::new(1, polys, t, shares[id - 1], coins[id - 1]))
+                let record = (answering && id == 1).then(|| dealt.to_vec());
+                Box::new(VssDisputeMachine::new(1, record, t, held[id - 1].clone(), coins[id - 1]))
                     as BoxedMachine<M, _>
             })
             .collect()
@@ -418,11 +334,9 @@ mod tests {
 
     #[test]
     fn no_disputes_all_honest() {
-        let n = 7;
-        let t = 2;
-        let coins = coin_shares(n, t, 1);
-        let (f, g, shares) = deal(n, t, 2);
-        let res = StepRunner::new(n, 3).run(fleet(&f, &g, true, t, &shares, &coins));
+        let (n, t) = (7, 2);
+        let shares = deal(n, t, 0, 2);
+        let res = StepRunner::new(n, 3).run(fleet(&shares, true, t, &shares, 1));
         for out in res.unwrap_all() {
             let o = out.unwrap();
             assert_eq!(o.verdict, VssVerdict::Accept);
@@ -435,36 +349,28 @@ mod tests {
         // Party 5 broadcasts a garbage β (this frames the dealer under
         // strict Fig. 2); with disputes, the dealer republishes position
         // 5 and is accepted by everyone.
-        let n = 7;
-        let t = 2;
-        let coins = coin_shares(n, t, 10);
-        let (f, g, shares) = deal(n, t, 11);
+        let (n, t) = (7, 2);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 10);
+        let shares = deal(n, t, 0, 11);
         let plan = FaultPlan::explicit(n, vec![5]);
         let machines = plan.machines::<M, Option<DisputeOutcome<F>>>(
             |id| {
-                let polys = (id == 1).then(|| (f.clone(), g.clone()));
+                let record = (id == 1).then(|| shares.clone());
                 Box::new(
-                    VssDisputeMachine::new(1, polys, t, shares[id - 1], coins[id - 1])
+                    VssDisputeMachine::new(1, record, t, shares[id - 1].clone(), coins[id - 1])
                         .map(|r: Result<DisputeOutcome<F>, CoinError>| r.ok()),
                 )
             },
             |id| {
-                let sigma = coins[id - 1].sigma;
-                Box::new(from_fn(move |view: RoundView<'_, M>| match view.round {
-                    0 => {
-                        let mut out = view.outbox();
-                        if let Some(s) = sigma {
-                            out.broadcast(DisputeVssMsg::Expose(ExposeMsg(s)));
+                // Honest up to the β, which it replaces with garbage.
+                let honest = VssDisputeMachine::new(1, None, t, shares[id - 1].clone(), coins[id - 1]);
+                Box::new(rewriting(honest.map(|_| None), |_, _, out| {
+                    out.map(|msg| match msg {
+                        DisputeVssMsg::Check(BitGenMsg::Beta(_)) => {
+                            DisputeVssMsg::Check(BitGenMsg::Beta(F::from_u64(0xBAD)))
                         }
-                        Step::Continue(out)
-                    }
-                    1 => {
-                        let mut out = view.outbox();
-                        out.broadcast(DisputeVssMsg::Beta(F::from_u64(0xBAD)));
-                        Step::Continue(out)
-                    }
-                    2 => Step::Continue(view.outbox()),
-                    _ => Step::Done(None),
+                        other => other,
+                    })
                 }))
             },
         );
@@ -482,56 +388,59 @@ mod tests {
         // a consistent polynomial: party 3 shows up as the outlier, the
         // dealer must open position 3, and party 3 ends holding the
         // consistent share.
-        let n = 7;
-        let t = 2;
-        let coins = coin_shares(n, t, 20);
-        let (f, g, mut shares) = deal(n, t, 21);
-        shares[2].alpha += F::one(); // the lie to party 3
-        let res = StepRunner::new(n, 22).run(fleet(&f, &g, true, t, &shares, &coins));
+        let (n, t) = (7, 2);
+        let dealt = deal(n, t, 0, 21);
+        let mut held = dealt.clone();
+        held[2].alphas[0] += F::one(); // the lie to party 3
+        let res = StepRunner::new(n, 22).run(fleet(&dealt, true, t, &held, 20));
         let outs = res.unwrap_all();
         for (i, out) in outs.iter().enumerate() {
             let o = out.as_ref().unwrap();
             assert_eq!(o.verdict, VssVerdict::Accept, "party {}", i + 1);
             assert_eq!(o.opened, vec![3]);
         }
-        // Party 3's corrected share lies on f now.
-        let corrected = outs[2].as_ref().unwrap().shares;
-        assert_eq!(corrected.alpha, f.eval(F::element(3)));
+        // Party 3's corrected share is the dealt one now.
+        assert_eq!(outs[2].as_ref().unwrap().shares, dealt[2]);
     }
 
     #[test]
     fn unresponsive_dealer_rejected() {
         // Party 5 garbles its β and the dealer refuses to open: reject.
-        let n = 7;
-        let t = 2;
-        let coins = coin_shares(n, t, 30);
-        let (f, g, mut shares) = deal(n, t, 31);
-        shares[4].alpha += F::one();
-        // Nobody holds dealer polynomials: the dealer cannot (will not)
+        let (n, t) = (7, 2);
+        let dealt = deal(n, t, 0, 31);
+        let mut held = dealt.clone();
+        held[4].alphas[0] += F::one();
+        // Nobody holds the dealt record: the dealer cannot (will not)
         // answer the dispute.
-        let res = StepRunner::new(n, 32).run(fleet(&f, &g, false, t, &shares, &coins));
+        let res = StepRunner::new(n, 32).run(fleet(&dealt, false, t, &held, 30));
         for out in res.unwrap_all() {
             assert_eq!(out.unwrap().verdict, VssVerdict::Reject);
         }
     }
 
     #[test]
+    fn short_dealt_record_leaves_positions_unanswered() {
+        // The dealer's record holds n − 1 entries and position 7 is the
+        // outlier: the dealer cannot open it, so everyone rejects.
+        let (n, t) = (7, 2);
+        let dealt = deal(n, t, 0, 36);
+        let mut held = dealt.clone();
+        held[6].alphas[0] += F::one();
+        let res = StepRunner::new(n, 37).run(fleet(&dealt[..n - 1], true, t, &held, 35));
+        for out in res.unwrap_all() {
+            let o = out.unwrap();
+            assert_eq!(o.verdict, VssVerdict::Reject);
+            assert_eq!(o.opened, vec![7]);
+        }
+    }
+
+    #[test]
     fn degree_cheating_dealer_still_rejected() {
-        // A dealer committing to a degree-(t+2) polynomial cannot be
+        // A dealer committing to a degree-(t+1) polynomial cannot be
         // saved by disputes: no majority F* exists.
-        let n = 7;
-        let t = 2;
-        let coins = coin_shares(n, t, 40);
-        let mut rng = StdRng::seed_from_u64(41);
-        let f = Poly::<F>::random(t + 2, &mut rng);
-        let g = Poly::<F>::random(t, &mut rng);
-        let shares: Vec<DealtShares<F>> = (1..=n)
-            .map(|id| {
-                let x = F::element(id as u64);
-                DealtShares { alpha: f.eval(x), gamma: g.eval(x) }
-            })
-            .collect();
-        let res = StepRunner::new(n, 42).run(fleet(&f, &g, true, t, &shares, &coins));
+        let (n, t) = (7, 2);
+        let shares = deal(n, t, 1, 41);
+        let res = StepRunner::new(n, 42).run(fleet(&shares, true, t, &shares, 40));
         for out in res.unwrap_all() {
             assert_eq!(out.unwrap().verdict, VssVerdict::Reject);
         }
@@ -539,15 +448,14 @@ mod tests {
 
     #[test]
     fn blame_wrapper_accepts_honest_and_convicts_cheater() {
-        let n = 7;
-        let t = 2;
+        let (n, t) = (7, 2);
         // Honest dealer: wrapper passes the outcome through.
-        let coins = coin_shares(n, t, 50);
-        let (f, g, shares) = deal(n, t, 51);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 50);
+        let shares = deal(n, t, 0, 51);
         let machines: Vec<BoxedMachine<M, Result<DisputeOutcome<F>, ProtocolError>>> = (1..=n)
             .map(|id| {
-                let polys = (id == 1).then(|| (f.clone(), g.clone()));
-                Box::new(vss_dispute_or_blame(1, polys, t, shares[id - 1], coins[id - 1]))
+                let record = (id == 1).then(|| shares.clone());
+                Box::new(vss_dispute_or_blame(1, record, t, shares[id - 1].clone(), coins[id - 1]))
                     as BoxedMachine<M, _>
             })
             .collect();
@@ -557,12 +465,12 @@ mod tests {
 
         // Unresponsive dealer with a garbled position: every honest party
         // gets Aborted blaming the dealer.
-        let coins = coin_shares(n, t, 53);
-        let (_, _, mut shares) = deal(n, t, 54);
-        shares[4].alpha += F::one();
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 53);
+        let mut shares = deal(n, t, 0, 54);
+        shares[4].alphas[0] += F::one();
         let machines: Vec<BoxedMachine<M, Result<DisputeOutcome<F>, ProtocolError>>> = (1..=n)
             .map(|id| {
-                Box::new(vss_dispute_or_blame(1, None, t, shares[id - 1], coins[id - 1]))
+                Box::new(vss_dispute_or_blame(1, None, t, shares[id - 1].clone(), coins[id - 1]))
                     as BoxedMachine<M, _>
             })
             .collect();

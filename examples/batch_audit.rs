@@ -16,8 +16,8 @@
 
 use dprbg::core::batch_vss::cheating_batch_deal;
 use dprbg::core::{
-    BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine, CoinError, Params, TrustedDealer,
-    VssMode, VssVerdict,
+    batch_vss, batch_vss_verify, BitGenMsg, CoinError, Params, TrustedDealer, VssMode,
+    VssVerdict,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostSnapshot;
@@ -26,7 +26,7 @@ use dprbg_rng::rngs::StdRng;
 use dprbg_rng::SeedableRng;
 
 type F = Gf2k<32>;
-type M = BatchVssMsg<F>;
+type M = BitGenMsg<F>;
 type Out = Result<VssVerdict, CoinError>;
 
 const BATCH: usize = 1024;
@@ -49,17 +49,14 @@ fn audit(n: usize, t: usize, corrupt_one: bool, seed: u64) -> (VssVerdict, CostS
                 // The cheater dealt out-of-band; go straight to the audit.
                 Some(b) => {
                     let shares = b[id - 1].clone();
-                    Box::new(BatchVssVerifyMachine::new(params.t, shares, BATCH, coin, mode))
+                    Box::new(batch_vss_verify(params.t, shares, BATCH, coin, mode))
                         as BoxedMachine<M, Out>
                 }
                 None => {
                     let secrets: Option<Vec<F>> =
                         (id == 1).then(|| (0..BATCH as u64).map(F::from_u64).collect());
-                    let machine = BatchVssDealMachine::new(1, secrets, params.t).then(
-                        move |(shares, _polys)| {
-                            BatchVssVerifyMachine::new(params.t, shares, BATCH, coin, mode)
-                        },
-                    );
+                    let machine = batch_vss(1, secrets, params.t, BATCH, coin, mode)
+                        .map(|res| res.map(|(verdict, _shares)| verdict));
                     Box::new(machine) as BoxedMachine<M, Out>
                 }
             }

@@ -16,8 +16,8 @@
 //! Run with: `cargo run --example dispute_resolution`
 
 use dprbg::core::{
-    DealtShares, DisputeVssMsg, ExposeMachine, ExposeVia, Params, SealedShare, VssDisputeMachine,
-    VssVerdict,
+    BatchShares, BitGenMsg, DisputeVssMsg, ExposeMachine, ExposeVia, Params, SealedShare,
+    VssDisputeMachine, VssVerdict,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::poly::{share_points, share_polynomial, Poly};
@@ -41,10 +41,10 @@ fn main() {
     let secret = F::from_u64(0x5EC2E7);
     let f = share_polynomial(secret, t, &mut rng);
     let g = Poly::random(t, &mut rng);
-    let shares: Vec<DealtShares<F>> = share_points(&f, n)
+    let shares: Vec<BatchShares<F>> = share_points(&f, n)
         .into_iter()
         .zip(share_points(&g, n))
-        .map(|(a, b)| DealtShares { alpha: a.y, gamma: b.y })
+        .map(|(a, b)| BatchShares { alphas: vec![a.y], gamma: b.y })
         .collect();
 
     // One sealed challenge coin.
@@ -59,9 +59,11 @@ fn main() {
     let machines = plan.machines::<M, Out>(
         |id| {
             let coin = coins[id - 1];
-            let my = shares[id - 1];
-            let polys = (id == 1).then(|| (f.clone(), g.clone()));
-            let machine = VssDisputeMachine::new(1, polys, t, my, coin)
+            let my = shares[id - 1].clone();
+            // The dealer keeps its record of what it dealt, to answer
+            // disputes.
+            let dealt = (id == 1).then(|| shares.clone());
+            let machine = VssDisputeMachine::new(1, dealt, t, my, coin)
                 .map(|res| res.ok().map(|out| (out.verdict, out.opened)));
             Box::new(machine) as BoxedMachine<M, Out>
         },
@@ -77,7 +79,8 @@ fn main() {
                         round += 1;
                         if round == 1 {
                             let mut out = view.outbox();
-                            out.broadcast(DisputeVssMsg::Beta(F::from_u64(id as u64 * 0xBAD)));
+                            let garbage = BitGenMsg::Beta(F::from_u64(id as u64 * 0xBAD));
+                            out.broadcast(DisputeVssMsg::Check(garbage));
                             Step::Continue(out)
                         } else {
                             Step::Done(None)

@@ -39,7 +39,7 @@ fn coin_gen_over_a_prime_field() {
 
 #[test]
 fn vss_over_a_prime_field() {
-    use dprbg::core::{vss_machine, VssMode, VssMsg, VssVerdict};
+    use dprbg::core::{vss, BitGenMsg, VssMode, VssVerdict};
     use dprbg::poly::{share_points, share_polynomial};
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::SeedableRng;
@@ -52,13 +52,13 @@ fn vss_over_a_prime_field() {
         .into_iter()
         .map(|s| SealedShare::of(s.y))
         .collect();
-    let machines: Vec<BoxedMachine<VssMsg<F>, Option<VssVerdict>>> = (1..=n)
+    let machines: Vec<BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>> = (1..=n)
         .map(|id| {
             let coin = coins[id - 1];
             let secret = (id == 1).then(|| F::from_u64(0x5EC));
-            let machine = vss_machine(1, secret, t, coin, VssMode::Strict)
+            let machine = vss(1, secret, t, coin, VssMode::Strict)
                 .map(|res| res.ok().map(|(v, _)| v));
-            Box::new(machine) as BoxedMachine<VssMsg<F>, Option<VssVerdict>>
+            Box::new(machine) as BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>
         })
         .collect();
     for out in StepRunner::new(n, 64).run(machines).unwrap_all() {

@@ -3,9 +3,8 @@
 //! players reach the same verdicts and values in every sub-protocol.
 
 use dprbg::core::{
-    vss_machine, BatchShares, BatchVssDealMachine, BatchVssMsg, BatchVssVerifyMachine, CoinError,
-    DealtShares, ExposeMachine, ExposeMsg, ExposeVia, SealedShare, VssMode, VssMsg,
-    VssVerdict, VssVerifyMachine,
+    batch_vss, batch_vss_verify, vss, BatchShares, BitGenMsg, CoinError,
+    ExposeMachine, ExposeMsg, ExposeVia, SealedShare, VssMode, VssVerdict,
 };
 use dprbg::field::{Field, Gf2k};
 use dprbg::poly::{share_points, share_polynomial, Poly};
@@ -108,14 +107,14 @@ fn vss_verdicts_are_uniform_across_honest_parties() {
     for trial in 0..8u64 {
         let cheat = rng.random::<bool>();
         let (_, coins) = coin_shares(n, t, 300 + trial);
-        let machines: Vec<BoxedMachine<VssMsg<F>, Option<VssVerdict>>> = (1..=n)
+        let machines: Vec<BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>> = (1..=n)
             .map(|id| {
                 let coin = coins[id - 1];
                 if id == 1 && cheat {
                     // Deal a wrong-degree polynomial manually, keep our own
                     // shares, then verify like everyone else.
-                    let mut my: Option<DealtShares<F>> = None;
-                    let deal = from_fn(move |view: RoundView<'_, VssMsg<F>>| {
+                    let mut my: Option<BatchShares<F>> = None;
+                    let deal = from_fn(move |view: RoundView<'_, BitGenMsg<F>>| {
                         if let Some(shares) = my.take() {
                             return Step::Done(shares);
                         }
@@ -124,22 +123,25 @@ fn vss_verdicts_are_uniform_across_honest_parties() {
                         let mut out = view.outbox();
                         for i in 1..=view.n {
                             let x = F::element(i as u64);
-                            out.send(i, VssMsg::Deal { alpha: f.eval(x), gamma: g.eval(x) });
+                            out.send(
+                                i,
+                                BitGenMsg::Deal { alphas: vec![f.eval(x)], gamma: g.eval(x) },
+                            );
                         }
                         let x1 = F::element(1);
-                        my = Some(DealtShares { alpha: f.eval(x1), gamma: g.eval(x1) });
+                        my = Some(BatchShares { alphas: vec![f.eval(x1)], gamma: g.eval(x1) });
                         Step::Continue(out)
                     })
                     .labelled("cheating-dealer");
                     let machine = deal
-                        .then(move |shares| VssVerifyMachine::new(t, shares, coin, VssMode::Strict))
+                        .then(move |shares| batch_vss_verify(t, shares, 1, coin, VssMode::Strict))
                         .map(|res| res.ok());
-                    Box::new(machine) as BoxedMachine<VssMsg<F>, Option<VssVerdict>>
+                    Box::new(machine) as BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>
                 } else {
                     let secret = (id == 1).then(|| F::from_u64(1234));
-                    let machine = vss_machine(1, secret, t, coin, VssMode::Strict)
+                    let machine = vss(1, secret, t, coin, VssMode::Strict)
                         .map(|res| res.ok().map(|(v, _)| v));
-                    Box::new(machine) as BoxedMachine<VssMsg<F>, Option<VssVerdict>>
+                    Box::new(machine) as BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>
                 }
             })
             .collect();
@@ -160,14 +162,14 @@ fn batch_vss_verdict_uniform_with_partial_corruption() {
     let t = 2;
     let m = 8;
     let (_, coins) = coin_shares(n, t, 500);
-    let machines: Vec<BoxedMachine<BatchVssMsg<F>, Option<VssVerdict>>> = (1..=n)
+    let machines: Vec<BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>> = (1..=n)
         .map(|id| {
             let coin = coins[id - 1];
             if id == 1 {
                 // Dealer: correct polynomials, but parties 3 and 5 get
                 // perturbed share vectors.
                 let mut my: Option<BatchShares<F>> = None;
-                let deal = from_fn(move |view: RoundView<'_, BatchVssMsg<F>>| {
+                let deal = from_fn(move |view: RoundView<'_, BitGenMsg<F>>| {
                     if let Some(shares) = my.take() {
                         return Step::Done(shares);
                     }
@@ -181,7 +183,7 @@ fn batch_vss_verdict_uniform_with_partial_corruption() {
                         if i == 3 || i == 5 {
                             alphas[0] += F::one();
                         }
-                        out.send(i, BatchVssMsg::Deal { alphas, gamma: blind.eval(x) });
+                        out.send(i, BitGenMsg::Deal { alphas, gamma: blind.eval(x) });
                     }
                     let x1 = F::element(1);
                     my = Some(BatchShares {
@@ -192,18 +194,13 @@ fn batch_vss_verdict_uniform_with_partial_corruption() {
                 })
                 .labelled("perturbing-dealer");
                 let machine = deal
-                    .then(move |shares| {
-                        BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict)
-                    })
+                    .then(move |shares| batch_vss_verify(t, shares, m, coin, VssMode::Strict))
                     .map(|res| res.ok());
-                Box::new(machine) as BoxedMachine<BatchVssMsg<F>, Option<VssVerdict>>
+                Box::new(machine) as BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>
             } else {
-                let machine = BatchVssDealMachine::new(1, None, t)
-                    .then(move |(shares, _)| {
-                        BatchVssVerifyMachine::new(t, shares, m, coin, VssMode::Strict)
-                    })
-                    .map(|res| res.ok());
-                Box::new(machine) as BoxedMachine<BatchVssMsg<F>, Option<VssVerdict>>
+                let machine = batch_vss(1, None, t, m, coin, VssMode::Strict)
+                    .map(|res| res.ok().map(|(v, _)| v));
+                Box::new(machine) as BoxedMachine<BitGenMsg<F>, Option<VssVerdict>>
             }
         })
         .collect();
