@@ -44,7 +44,7 @@ fn ours(n: usize, t: usize, seed: u64) -> PlayerCost {
     let machines: Vec<BoxedMachine<BitGenMsg<F32>, Result<VssVerdict, CoinError>>> = (1..=n)
         .map(|id| {
             let shares = BatchShares {
-                alphas: vec![f.eval(F32::element(id as u64))],
+                alphas: [f.eval(F32::element(id as u64))].into(),
                 gamma: g.eval(F32::element(id as u64)),
             };
             let coin = coins[id - 1].pop().expect("one coin dealt per party");

@@ -22,7 +22,8 @@
 
 use dprbg_core::batch_vss::cheating_batch_deal;
 use dprbg_core::{
-    judge, Acceptance, CoinError, ExposeMachine, ExposeMsg, ExposeVia, SealedShare, VssVerdict,
+    horner_combine, judge, Acceptance, CoinError, ExposeMachine, ExposeMsg, ExposeVia, SealedShare,
+    VssVerdict,
 };
 use dprbg_field::{Field, Gf2k};
 use dprbg_metrics::Table;
@@ -107,7 +108,8 @@ pub fn expose_failure_rate(
 }
 
 /// A cheating single-VSS dealer over GF(2^8) with an adversarially chosen
-/// masking polynomial (the literal Lemma-1 game: f and g fixed, then r).
+/// masking polynomial (the Lemma-1 game: f and g fixed, then r), judged
+/// on the combination `vss()` reveals, γ + r·α (Fig. 3 at M = 1).
 pub fn single_vss_cheat_rate(n: usize, t: usize, trials: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut accepts = 0usize;
@@ -118,7 +120,7 @@ pub fn single_vss_cheat_rate(n: usize, t: usize, trials: usize, seed: u64) -> f6
         let betas: Vec<Option<F8>> = (1..=n as u64)
             .map(|i| {
                 let x = F8::element(i);
-                Some(f.eval(x) + r * g.eval(x))
+                Some(horner_combine(&[f.eval(x)], g.eval(x), r))
             })
             .collect();
         if judge(&betas, t, &Acceptance::Strict) == VssVerdict::Accept {
@@ -140,8 +142,9 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
         &["measured", "paper bound", "within bound"],
     );
     let r1 = single_vss_cheat_rate(n, t, trials, ctx.seed);
-    // The degree-(t+1) cheat has a 1/p chance of a zero leading
-    // coefficient (not a cheat at all) plus ≤1/p cancellation: bound 2/p.
+    // The degree-(t+1) cheat passes when its leading coefficient is zero
+    // (1/p; not a cheat at all) or when r = 0 reveals the blind alone
+    // (1/p): bound 2/p.
     sound.row(
         "single VSS (deg t+1)",
         &[

@@ -36,6 +36,8 @@
 //! of the paper — verification restricted to a designated point subset —
 //! is the acceptance rule [`Acceptance::Subset`].
 
+use std::sync::Arc;
+
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
 use dprbg_rng::Rng;
@@ -50,8 +52,8 @@ use crate::vss::VssVerdict;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchShares<F: Field> {
     /// The `M` secret shares (empty when the dealer was silent or sent a
-    /// malformed vector).
-    pub alphas: Vec<F>,
+    /// malformed vector), shared with the delivered Bit-Gen row.
+    pub alphas: Arc<[F]>,
     /// The masking share (zero when the dealer was silent).
     pub gamma: F,
 }

@@ -48,10 +48,11 @@
 //! Every verdict goes through one judge, [`judge`] (see [`Acceptance`]).
 
 use std::mem;
+use std::sync::Arc;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::{eval_batch, interpolate, BatchDecoder, Poly};
+use dprbg_poly::{interpolate, BatchDecoder, Poly};
 use dprbg_rng::rngs::StdRng;
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
@@ -67,8 +68,9 @@ pub enum BitGenMsg<F: Field> {
     /// Round 1: the dealer's share vector for the recipient (instance =
     /// sender).
     Deal {
-        /// `f_1(i) … f_M(i)`.
-        alphas: Vec<F>,
+        /// `f_1(i) … f_M(i)`, one allocation from dealing to the
+        /// recipient's record (charged as its `M` elements on the wire).
+        alphas: Arc<[F]>,
         /// The masking share `g(i)`.
         gamma: F,
     },
@@ -116,8 +118,8 @@ pub struct DealerView<F: Field> {
     /// The instance's dealer.
     pub dealer: PartyId,
     /// My shares `f_1(i) … f_M(i)` from this dealer (empty if the dealer
-    /// stayed silent or sent a malformed vector).
-    pub alphas: Vec<F>,
+    /// stayed silent or sent a malformed vector): the delivered handle.
+    pub alphas: Arc<[F]>,
     /// My masking share `g(i)`.
     pub gamma: F,
     /// My own combination `β_i` (what I sent; `None` if I had no valid
@@ -138,7 +140,7 @@ impl<F: Field> DealerView<F> {
     pub(crate) fn empty(dealer: PartyId, n: usize) -> Self {
         DealerView {
             dealer,
-            alphas: Vec::new(),
+            alphas: Arc::default(),
             gamma: F::zero(),
             my_beta: None,
             betas: vec![None; n],
@@ -377,7 +379,7 @@ where
                     {
                         let slot = &mut views[rcv.from - 1];
                         if slot.alphas.is_empty() && alphas.len() == self.m {
-                            slot.alphas = alphas.clone();
+                            slot.alphas = Arc::clone(alphas);
                             slot.gamma = *gamma;
                         }
                     }
@@ -646,7 +648,8 @@ pub(crate) fn party_points<F: Field>(n: usize) -> Vec<F> {
 /// The dealing step: evaluate a dealer's `m` secret polynomials — and, if
 /// `blinded`, the masking polynomial drawn after them — at every party
 /// point, and yield each party's `(α_{i1} … α_{iM}, γ_i)` in point order
-/// (`γ_i = 0` unblinded).
+/// (`γ_i = 0` unblinded). Each α row is written in place by one
+/// [`Field::eval_polys`] and is the allocation the recipient keeps.
 ///
 /// `coeffs` is the dealer's coefficient buffer: the polynomials one after
 /// another, equally many coefficients each, constant term first.
@@ -655,13 +658,18 @@ pub(crate) fn deal_shares<F: Field>(
     m: usize,
     blinded: bool,
     points: &[F],
-) -> impl Iterator<Item = (Vec<F>, F)> {
-    let polys = m + usize::from(blinded);
-    let values = eval_batch(coeffs, polys, points);
-    (0..points.len()).map(move |p| {
-        let row = &values[p * polys..(p + 1) * polys];
-        (row[..m].to_vec(), row.get(m).copied().unwrap_or_else(F::zero))
-    })
+) -> impl Iterator<Item = (Arc<[F]>, F)> {
+    let width = coeffs.len().checked_div(m + usize::from(blinded)).unwrap_or(0);
+    let (secrets, blind) = coeffs.split_at(m * width);
+    let mut alphas: Vec<Arc<[F]>> =
+        points.iter().map(|_| std::iter::repeat_n(F::zero(), m).collect()).collect();
+    let mut rows: Vec<&mut [F]> = alphas.iter_mut().filter_map(Arc::get_mut).collect();
+    F::eval_polys(secrets, points, &mut rows);
+    let mut gammas = vec![F::zero(); points.len()];
+    if blinded {
+        F::eval_polys(blind, points, &mut gammas.chunks_mut(1).collect::<Vec<_>>());
+    }
+    alphas.into_iter().zip(gammas)
 }
 
 /// `inner`, with what it sends in each round rewritten by
@@ -985,6 +993,41 @@ mod tests {
             for id in (1..=n).filter(|&id| crashed != Some(id)) {
                 assert_eq!(res.report.per_party[id - 1].cost.field_invs, 2, "party {id}");
             }
+        }
+    }
+
+    #[test]
+    fn recorded_rows_are_the_delivered_allocations() {
+        // Dealer 1's outgoing rows, in recipient order, by address.
+        let (n, t, m) = (7, 1, 5);
+        let coins = TrustedDealer::coin_shares::<F>(n, t, 80);
+        let dealers: Vec<PartyId> = (1..=n).collect();
+        let sent = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&sent);
+        let (plan, fleet) = honest_or_rewritten(
+            n,
+            vec![1],
+            |id| BitGenMachine::new(t, m, coins[id - 1], dealers.clone(), BitGenMode::RandomCoins),
+            move |_, round, _, out| {
+                if round > 0 {
+                    return out;
+                }
+                out.map(|msg| {
+                    if let BitGenMsg::Deal { alphas, .. } = &msg {
+                        log.lock().unwrap().push(alphas.as_ptr() as usize);
+                    }
+                    msg
+                })
+            },
+        );
+        let res = StepRunner::new(n, 81).run(fleet);
+        let sent = sent.lock().unwrap().clone();
+        assert_eq!(sent.len(), n);
+        for id in plan.honest() {
+            let run = res.outputs[id - 1].as_ref().unwrap().as_ref().unwrap();
+            let row = &run.views[0].alphas;
+            assert_eq!(row.len(), m);
+            assert_eq!(row.as_ptr() as usize, sent[id - 1], "party {id} copied its row");
         }
     }
 

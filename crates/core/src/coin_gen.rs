@@ -772,7 +772,7 @@ mod tests {
                                 out.send(
                                     i,
                                     CoinGenMsg::BitGen(BitGenMsg::Deal {
-                                        alphas: vec![F::from_u64(i as u64); 2],
+                                        alphas: vec![F::from_u64(i as u64); 2].into(),
                                         gamma: F::zero(),
                                     }),
                                 );
@@ -914,7 +914,7 @@ mod tests {
             views: (1..=n)
                 .map(|dealer| DealerView {
                     dealer,
-                    alphas: vec![zero; 2],
+                    alphas: vec![zero; 2].into(),
                     gamma: zero,
                     my_beta: Some(zero),
                     betas: vec![Some(zero); n],
@@ -1028,9 +1028,10 @@ mod tests {
                     Step::Continue(match view.round {
                         0 if high_degree => crate::bit_gen::high_degree_deal(&mut view, t, m),
                         0 if shifted => out.map(|msg| match msg {
-                            BitGenMsg::Deal { mut alphas, gamma } => {
+                            BitGenMsg::Deal { alphas, gamma } => {
+                                let mut alphas = alphas.to_vec();
                                 alphas[0] += F::one();
-                                BitGenMsg::Deal { alphas, gamma }
+                                BitGenMsg::Deal { alphas: alphas.into(), gamma }
                             }
                             other => other,
                         }),

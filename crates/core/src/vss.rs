@@ -36,7 +36,7 @@
 //! Lemma 2). One visible consequence: the revealed combination is Fig.
 //! 3's `γ_i + r·α_i` rather than Fig. 2's `α_i + r·γ_i` — the same
 //! blinding, Lemma 3's soundness bound at `M = 1`, one more addition.
-//! (E6a plays Fig. 2's own combination, not this one.)
+//! (E6a measures this combination.)
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
@@ -279,7 +279,7 @@ mod tests {
         let shares = (1..=n)
             .map(|id| {
                 let x = F::element(id as u64);
-                BatchShares { alphas: vec![f.eval(x)], gamma: g.eval(x) }
+                BatchShares { alphas: [f.eval(x)].into(), gamma: g.eval(x) }
             })
             .collect();
         let res = StepRunner::new(n, 72).run(verify_fleet(t, 1, shares, 70, &Acceptance::Strict));

@@ -296,6 +296,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::batch_vss::cheating_batch_deal;
     use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
@@ -391,7 +393,7 @@ mod tests {
         let (n, t) = (7, 2);
         let dealt = deal(n, t, 0, 21);
         let mut held = dealt.clone();
-        held[2].alphas[0] += F::one(); // the lie to party 3
+        Arc::make_mut(&mut held[2].alphas)[0] += F::one(); // the lie to party 3
         let res = StepRunner::new(n, 22).run(fleet(&dealt, true, t, &held, 20));
         let outs = res.unwrap_all();
         for (i, out) in outs.iter().enumerate() {
@@ -409,7 +411,7 @@ mod tests {
         let (n, t) = (7, 2);
         let dealt = deal(n, t, 0, 31);
         let mut held = dealt.clone();
-        held[4].alphas[0] += F::one();
+        Arc::make_mut(&mut held[4].alphas)[0] += F::one();
         // Nobody holds the dealt record: the dealer cannot (will not)
         // answer the dispute.
         let res = StepRunner::new(n, 32).run(fleet(&dealt, false, t, &held, 30));
@@ -425,7 +427,7 @@ mod tests {
         let (n, t) = (7, 2);
         let dealt = deal(n, t, 0, 36);
         let mut held = dealt.clone();
-        held[6].alphas[0] += F::one();
+        Arc::make_mut(&mut held[6].alphas)[0] += F::one();
         let res = StepRunner::new(n, 37).run(fleet(&dealt[..n - 1], true, t, &held, 35));
         for out in res.unwrap_all() {
             let o = out.unwrap();
@@ -467,7 +469,7 @@ mod tests {
         // gets Aborted blaming the dealer.
         let coins = TrustedDealer::coin_shares::<F>(n, t, 53);
         let mut shares = deal(n, t, 0, 54);
-        shares[4].alphas[0] += F::one();
+        Arc::make_mut(&mut shares[4].alphas)[0] += F::one();
         let machines: Vec<BoxedMachine<M, Result<DisputeOutcome<F>, ProtocolError>>> = (1..=n)
             .map(|id| {
                 Box::new(vss_dispute_or_blame(1, None, t, shares[id - 1].clone(), coins[id - 1]))

@@ -27,11 +27,12 @@
 //! code is `unsafe`. Every `unsafe` block in the workspace is such a call,
 //! made right after `has_pclmulqdq` returned `true`: one in [`clmul`],
 //! and in `gf2k.rs` one for the scalar multiply plus one per slice kernel
-//! (`eval_points`, `matching_prefix`, `combine_rows`, `axpy`) — six in
-//! all. The rule is **one probe and one call per slice** (per element only
-//! for the scalar operators): the loop runs inside the feature-gated
-//! function, where the intrinsic inlines and product and reduction stay
-//! in one vector register (`hw::mul_fold`).
+//! (`eval_points`, `eval_polys`, `matching_prefix`, `combine_rows`,
+//! `axpy`) — seven in all. The rule is **one probe and one call per
+//! slice** (per element only for the scalar operators): the loop runs
+//! inside the feature-gated function, where the intrinsic inlines and
+//! product and reduction stay in one vector register (`hw::mul_fold`, or
+//! `hw::product` XOR-accumulated and then one `hw::fold`).
 
 /// Portable carry-less multiply: fixed 64-iteration branchless ladder.
 ///
@@ -101,10 +102,26 @@ pub(crate) mod hw {
     #[inline]
     #[target_feature(enable = "pclmulqdq")]
     pub(crate) fn mul_fold(a: __m128i, b: __m128i, r: __m128i) -> __m128i {
-        let p = _mm_clmulepi64_si128::<0x00>(a, b);
-        let t = _mm_clmulepi64_si128::<0x01>(p, r);
+        fold(product(a, b), r)
+    }
+
+    /// The carry-less product of the low lanes of `a` and `b`, unreduced.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    pub(crate) fn product(a: __m128i, b: __m128i) -> __m128i {
+        _mm_clmulepi64_si128::<0x00>(a, b)
+    }
+
+    /// The two folds of [`mul_fold`] on their own: `v` is a product of a
+    /// pre-shifted and a plain operand, or an XOR of such products (the
+    /// degree bound of one product holds for the sum), and the low lane of
+    /// the result is its reduction, shifted.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    pub(crate) fn fold(v: __m128i, r: __m128i) -> __m128i {
+        let t = _mm_clmulepi64_si128::<0x01>(v, r);
         let u = _mm_clmulepi64_si128::<0x01>(t, r);
-        _mm_xor_si128(_mm_xor_si128(p, t), u)
+        _mm_xor_si128(_mm_xor_si128(v, t), u)
     }
 }
 

@@ -1,6 +1,6 @@
 // `deny` rather than `forbid`: the sanctioned exceptions are the probed
 // calls into `#[target_feature(enable = "pclmulqdq")]` functions — one in
-// `clmul.rs`, five in `gf2k.rs` (the scalar multiply and four slice
+// `clmul.rs`, six in `gf2k.rs` (the scalar multiply and five slice
 // kernels) — each a scoped `#[allow(unsafe_code)]` with its safety proof
 // (the runtime feature probe on the line above). Everything else in the
 // crate still refuses `unsafe`.

@@ -20,7 +20,7 @@ use dprbg_rng::Rng;
 ///
 /// # Slice kernels
 ///
-/// [`eval_points`](Field::eval_points),
+/// [`eval_points`](Field::eval_points), [`eval_polys`](Field::eval_polys),
 /// [`matching_prefix`](Field::matching_prefix),
 /// [`combine_rows`](Field::combine_rows), [`add_slice`](Field::add_slice)
 /// and [`axpy`](Field::axpy) are provided methods whose bodies are plain
@@ -37,7 +37,10 @@ use dprbg_rng::Rng;
 ///   every point and only *charges* as the early exit would).
 ///
 /// A kernel changes how fast an addition is, never how many the paper's
-/// lemmas charge.
+/// lemmas charge. The charge is Horner's, whatever the kernel computes
+/// internally: powers of the point or of the challenge, and products
+/// accumulated unreduced, are not charged, as the reduction folds of a
+/// single multiply are not.
 ///
 /// # Examples
 ///
@@ -176,6 +179,38 @@ pub trait Field:
         scalar::eval_points(coeffs, xs, out);
     }
 
+    /// Evaluate many polynomials at many points, the polynomials in the
+    /// lanes: `rows[p][j] = f_j(xs[p])`, so row `p` is the share vector of
+    /// the party at `xs[p]`.
+    ///
+    /// `coeffs` holds `f_0, f_1, …` one after another — as many as a row
+    /// is long, equally many coefficients each, constant term first (the
+    /// order a dealer draws them in). Each polynomial is charged its
+    /// trimmed length per point, in multiplications and additions: what
+    /// [`eval_points`](Field::eval_points) charges for it without its
+    /// leading zero coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` and `xs` differ in length, the rows among
+    /// themselves, or `coeffs` does not split into one polynomial per row
+    /// entry.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dprbg_field::{Field, Gf2k};
+    /// type F = Gf2k<8>;
+    /// // 1 + x and 2, at x = 2 and x = 3.
+    /// let coeffs = [1, 1, 2, 0].map(F::from_u64);
+    /// let (mut at2, mut at3) = ([F::zero(); 2], [F::zero(); 2]);
+    /// F::eval_polys(&coeffs, &[F::element(2), F::element(3)], &mut [&mut at2, &mut at3]);
+    /// assert_eq!((at2, at3), ([3, 2].map(F::from_u64), [2, 2].map(F::from_u64)));
+    /// ```
+    fn eval_polys(coeffs: &[Self], xs: &[Self], rows: &mut [&mut [Self]]) {
+        scalar::eval_polys(coeffs, xs, rows);
+    }
+
     /// How many leading points `(xs[p], ys[p])` lie on the polynomial
     /// `coeffs`: the index of the first disagreement, or `xs.len()`.
     ///
@@ -243,6 +278,39 @@ pub(crate) mod scalar {
         assert_eq!(xs.len(), out.len(), "one output per point");
         for (o, &x) in out.iter_mut().zip(xs) {
             *o = horner(coeffs, x);
+        }
+    }
+
+    /// `f` without its leading zero coefficients.
+    pub(crate) fn trimmed<F: Field>(f: &[F]) -> &[F] {
+        &f[..f.iter().rposition(|c| !c.is_zero()).map_or(0, |top| top + 1)]
+    }
+
+    /// [`Field::eval_polys`]' shape checks; the coefficient count of one
+    /// polynomial (0 when there are no rows, and nothing to evaluate).
+    pub(crate) fn poly_width<F: Field>(coeffs: &[F], xs: &[F], rows: &[&mut [F]]) -> usize {
+        assert_eq!(rows.len(), xs.len(), "one row per point");
+        let Some(polys) = rows.first().map(|row| row.len()) else {
+            return 0;
+        };
+        assert!(rows.iter().all(|row| row.len() == polys), "rows of one length");
+        let width = coeffs.len().checked_div(polys).unwrap_or(0);
+        assert_eq!(width * polys, coeffs.len(), "every polynomial has the same coefficient count");
+        width
+    }
+
+    /// What [`Field::eval_polys`] charges per point: the polynomials'
+    /// trimmed lengths, summed.
+    pub(crate) fn trimmed_total<F: Field>(coeffs: &[F], width: usize) -> usize {
+        coeffs.chunks(width.max(1)).map(|f| trimmed(f).len()).sum()
+    }
+
+    pub(crate) fn eval_polys<F: Field>(coeffs: &[F], xs: &[F], rows: &mut [&mut [F]]) {
+        let width = poly_width(coeffs, xs, rows);
+        for (row, &x) in rows.iter_mut().zip(xs) {
+            for (j, y) in row.iter_mut().enumerate() {
+                *y = horner(trimmed(&coeffs[j * width..(j + 1) * width]), x);
+            }
         }
     }
 
@@ -369,22 +437,68 @@ mod tests {
         }
     }
 
+    fn as_rows<F>(rows: &mut [Vec<F>]) -> Vec<&mut [F]> {
+        rows.iter_mut().map(Vec::as_mut_slice).collect()
+    }
+
+    /// Polynomial counts 0–130 at 0, 1 and 13 points, over widths 0–5 and
+    /// 11 (3 takes the hardware kernel's fixed-width copy); every third
+    /// polynomial has a zero top coefficient and every seventh is zero, so
+    /// the charge is the trimmed one.
+    fn eval_polys_matches<F: Field>(rng: &mut StdRng) {
+        for polys in 0..=130usize {
+            for points in [0, 1, 13] {
+                let width = [0, 1, 2, 3, 4, 5, 11][(polys + points) % 7];
+                let mut coeffs = randoms::<F>(polys * width, rng);
+                for (j, f) in coeffs.chunks_mut(width.max(1)).enumerate() {
+                    let zeroed = if j % 7 == 6 { width } else { usize::from(j % 3 == 2) };
+                    f.iter_mut().rev().take(zeroed).for_each(|c| *c = F::zero());
+                }
+                let xs = randoms::<F>(points, rng);
+                let (mut fast, mut slow) = (vec![vec![F::one(); polys]; points], vec![vec![F::one(); polys]; points]);
+                let ((), fast_cost) = cost(|| F::eval_polys(&coeffs, &xs, &mut as_rows(&mut fast)));
+                let ((), slow_cost) = cost(|| scalar::eval_polys(&coeffs, &xs, &mut as_rows(&mut slow)));
+                let what = format!("{}: {polys} polynomials of width {width} at {points} points", F::NAME);
+                assert_eq!(fast, slow, "{what}");
+                assert_eq!(fast_cost, slow_cost, "{what}");
+                let trimmed: usize = coeffs
+                    .chunks(width.max(1))
+                    .map(|f| f.iter().rposition(|c| !c.is_zero()).map_or(0, |top| top + 1))
+                    .sum();
+                assert_eq!(fast_cost, ops(trimmed * points, trimmed * points), "{what}");
+                for (row, &x) in fast.iter().zip(&xs) {
+                    for (j, &y) in row.iter().enumerate() {
+                        assert_eq!(y, power_sum(&coeffs[j * width..(j + 1) * width], x), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `M` from 0 to 130 and across the hardware kernel's chunks of
+    /// powers, in 0, 1, 3 and 13 rows, under `r` = 0, 1 and a random value.
     fn combine_rows_matches<F: Field>(rng: &mut StdRng) {
-        for m in LENS {
+        for m in (0..=130).chain([255, 256, 257, 600]) {
             for count in [0, 1, 3, 13] {
                 let rows: Vec<Vec<F>> = (0..count).map(|_| randoms(m, rng)).collect();
                 let rows: Vec<&[F]> = rows.iter().map(Vec::as_slice).collect();
-                let r = F::random(rng);
-                let (mut fast, mut slow) = (vec![F::one(); count], vec![F::one(); count]);
-                let ((), fast_cost) = cost(|| F::combine_rows(&rows, r, &mut fast));
-                let ((), slow_cost) = cost(|| scalar::combine_rows(&rows, r, &mut slow));
-                assert_eq!(fast, slow, "{}: {count} rows of {m}", F::NAME);
-                assert_eq!(fast_cost, slow_cost, "{}: {count} rows of {m}", F::NAME);
-                assert_eq!(fast_cost, ops(m * count, m * count));
-                for (row, &beta) in rows.iter().zip(&fast) {
-                    let direct: F =
-                        row.iter().enumerate().map(|(j, &a)| a * r.pow(j as u128 + 1)).sum();
-                    assert_eq!(beta, direct);
+                for r in [F::zero(), F::one(), F::random(rng)] {
+                    let (mut fast, mut slow) = (vec![F::one(); count], vec![F::one(); count]);
+                    let ((), fast_cost) = cost(|| F::combine_rows(&rows, r, &mut fast));
+                    let ((), slow_cost) = cost(|| scalar::combine_rows(&rows, r, &mut slow));
+                    assert_eq!(fast, slow, "{}: {count} rows of {m}, r = {r}", F::NAME);
+                    assert_eq!(fast_cost, slow_cost, "{}: {count} rows of {m}, r = {r}", F::NAME);
+                    assert_eq!(fast_cost, ops(m * count, m * count));
+                    for (row, &beta) in rows.iter().zip(&fast) {
+                        // `Σ_j a_j·r^(j+1)` with the powers stepped up one
+                        // multiply at a time.
+                        let (mut power, mut direct) = (r, F::zero());
+                        for &a in row.iter() {
+                            direct += a * power;
+                            power *= r;
+                        }
+                        assert_eq!(beta, direct, "{}: {count} rows of {m}, r = {r}", F::NAME);
+                    }
                 }
             }
         }
@@ -419,9 +533,15 @@ mod tests {
     fn kernels_match_scalar<F: Field>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         eval_points_matches::<F>(&mut rng);
+        eval_polys_matches::<F>(&mut rng);
         matching_prefix_matches::<F>(&mut rng);
         combine_rows_matches::<F>(&mut rng);
         add_and_axpy_match::<F>(&mut rng);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_4() {
+        kernels_match_scalar::<Gf2k<4>>(4);
     }
 
     #[test]
@@ -430,13 +550,43 @@ mod tests {
     }
 
     #[test]
+    fn kernels_match_scalar_gf2_16() {
+        kernels_match_scalar::<Gf2k<16>>(16);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_24() {
+        kernels_match_scalar::<Gf2k<24>>(24);
+    }
+
+    #[test]
     fn kernels_match_scalar_gf2_32() {
         kernels_match_scalar::<Gf2k<32>>(32);
     }
 
     #[test]
+    fn kernels_match_scalar_gf2_40() {
+        kernels_match_scalar::<Gf2k<40>>(40);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_48() {
+        kernels_match_scalar::<Gf2k<48>>(48);
+    }
+
+    #[test]
+    fn kernels_match_scalar_gf2_56() {
+        kernels_match_scalar::<Gf2k<56>>(56);
+    }
+
+    #[test]
     fn kernels_match_scalar_gf2_64() {
         kernels_match_scalar::<Gf2k<64>>(64);
+    }
+
+    #[test]
+    fn every_supported_degree_has_a_kernel_test() {
+        assert_eq!(crate::SUPPORTED_GF2K_DEGREES, &[4, 8, 16, 24, 32, 40, 48, 56, 64]);
     }
 
     #[test]
@@ -450,6 +600,14 @@ mod tests {
         type F = Gf2k<16>;
         let (a, b) = ([F::one(); 3], [F::one(); 2]);
         F::combine_rows(&[&a, &b], F::one(), &mut [F::zero(); 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "same coefficient count")]
+    fn eval_polys_rejects_a_ragged_buffer() {
+        type F = Gf2k<16>;
+        let mut row = [F::zero(); 2];
+        F::eval_polys(&[F::one(); 5], &[F::one()], &mut [&mut row]);
     }
 
     proptest! {

@@ -50,5 +50,5 @@ mod shamir;
 pub use batch::BatchDecoder;
 pub use berlekamp_welch::{bw_decode, BwError};
 pub use lagrange::{interpolate, InterpolateError};
-pub use poly::{eval_batch, Poly};
+pub use poly::Poly;
 pub use shamir::{reconstruct_secret, share_points, share_polynomial, Share, ShamirError};

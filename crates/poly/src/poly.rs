@@ -172,51 +172,6 @@ impl<F: Field> Poly<F> {
     }
 }
 
-/// Evaluate many polynomials at many points: a dealer's whole batch at
-/// every party point, in one call.
-///
-/// `coeffs` holds `polys` polynomials of `coeffs.len() / polys`
-/// coefficients each, one after another and constant term first — the
-/// order a dealer draws them in. Leading zero coefficients are skipped as
-/// [`Poly::new`] trims them, so each polynomial costs what
-/// `Poly::new(..).eval(x)` costs: its trimmed length in multiplications
-/// and additions per point.
-///
-/// The values come back point-major, `out[p·polys + j] = f_j(xs[p])`: the
-/// share vector for the party at `xs[p]` is one contiguous chunk.
-///
-/// # Panics
-///
-/// Panics if `coeffs.len()` is not a multiple of `polys` (with
-/// `polys = 0`, if `coeffs` is not empty).
-///
-/// # Examples
-///
-/// ```
-/// use dprbg_field::{Field, Gf2k};
-/// use dprbg_poly::eval_batch;
-/// type F = Gf2k<8>;
-/// // 1 + x and 2, at x = 2 and x = 3.
-/// let coeffs = [1, 1, 2, 0].map(F::from_u64);
-/// let xs = [F::element(2), F::element(3)];
-/// assert_eq!(eval_batch(&coeffs, 2, &xs), [3, 2, 2, 2].map(F::from_u64));
-/// ```
-pub fn eval_batch<F: Field>(coeffs: &[F], polys: usize, xs: &[F]) -> Vec<F> {
-    let width = coeffs.len().checked_div(polys).unwrap_or(0);
-    assert_eq!(width * polys, coeffs.len(), "every polynomial has the same coefficient count");
-    let mut out = vec![F::zero(); polys * xs.len()];
-    let mut column = vec![F::zero(); xs.len()];
-    for j in 0..polys {
-        let f = &coeffs[j * width..(j + 1) * width];
-        let trimmed = f.iter().rposition(|c| !c.is_zero()).map_or(0, |top| top + 1);
-        F::eval_points(&f[..trimmed], xs, &mut column);
-        for (p, &y) in column.iter().enumerate() {
-            out[p * polys + j] = y;
-        }
-    }
-    out
-}
-
 impl<F: Field> dprbg_metrics::WireSize for Poly<F> {
     /// A degree-`d` polynomial travels as its `d + 1` coefficients.
     fn wire_bytes(&self) -> usize {
@@ -350,11 +305,11 @@ mod tests {
         assert!(format!("{:?}", p(&[1, 2])).contains("x^1"));
     }
 
-    /// `eval_batch` against `Poly::new(..).eval(..)` one polynomial and
-    /// one point at a time: same values, same charge — including
+    /// `Field::eval_polys` against `Poly::new(..).eval(..)` one polynomial
+    /// and one point at a time: same values, same charge — including
     /// polynomials whose leading coefficients are zero (trimmed, so
     /// cheaper) and the zero polynomial (free).
-    fn eval_batch_matches_poly_eval<G: Field>(seed: u64) {
+    fn eval_polys_matches_poly_eval<G: Field>(seed: u64) {
         use dprbg_metrics::OpsGuard;
         let mut rng = StdRng::seed_from_u64(seed);
         for (polys, width, points) in [(0, 0, 3), (1, 0, 2), (1, 3, 13), (5, 1, 1), (9, 3, 7), (70, 4, 0), (70, 4, 13)] {
@@ -366,15 +321,16 @@ mod tests {
                 f.iter_mut().rev().take(zeroed).for_each(|c| *c = G::zero());
             }
             let xs: Vec<G> = (0..points).map(|_| G::random(&mut rng)).collect();
+            let mut fast = vec![vec![G::one(); polys]; points];
             let guard = OpsGuard::start();
-            let fast = eval_batch(&coeffs, polys, &xs);
+            G::eval_polys(&coeffs, &xs, &mut fast.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
             let fast_cost = guard.finish();
             let guard = OpsGuard::start();
-            let mut slow = vec![G::zero(); polys * points];
+            let mut slow = vec![vec![G::zero(); polys]; points];
             for (j, f) in coeffs.chunks(width.max(1)).enumerate() {
                 let f = Poly::new(f.to_vec());
                 for (p, &x) in xs.iter().enumerate() {
-                    slow[p * polys + j] = f.eval(x);
+                    slow[p][j] = f.eval(x);
                 }
             }
             let slow_cost = guard.finish();
@@ -384,17 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_matches_poly_eval_in_value_and_cost() {
-        eval_batch_matches_poly_eval::<Gf2k<8>>(8);
-        eval_batch_matches_poly_eval::<Gf2k<32>>(32);
-        eval_batch_matches_poly_eval::<Gf2k<64>>(64);
-        eval_batch_matches_poly_eval::<dprbg_field::Fp<101>>(101);
-    }
-
-    #[test]
-    #[should_panic(expected = "same coefficient count")]
-    fn eval_batch_rejects_a_ragged_buffer() {
-        let _ = eval_batch(&[F::one(); 5], 2, &[F::one()]);
+    fn eval_polys_matches_poly_eval_in_value_and_cost() {
+        eval_polys_matches_poly_eval::<Gf2k<8>>(8);
+        eval_polys_matches_poly_eval::<Gf2k<32>>(32);
+        eval_polys_matches_poly_eval::<Gf2k<64>>(64);
+        eval_polys_matches_poly_eval::<dprbg_field::Fp<101>>(101);
     }
 
     proptest! {

@@ -44,7 +44,7 @@ fn main() {
     let shares: Vec<BatchShares<F>> = share_points(&f, n)
         .into_iter()
         .zip(share_points(&g, n))
-        .map(|(a, b)| BatchShares { alphas: vec![a.y], gamma: b.y })
+        .map(|(a, b)| BatchShares { alphas: [a.y].into(), gamma: b.y })
         .collect();
 
     // One sealed challenge coin.

@@ -42,7 +42,7 @@ fn intruder() -> impl RoundMachine<M, Output = Out> {
                     out.send(
                         i,
                         CoinGenMsg::BitGen(BitGenMsg::Deal {
-                            alphas: vec![F::from_u64(0xBAD); 6],
+                            alphas: vec![F::from_u64(0xBAD); 6].into(),
                             gamma: F::zero(),
                         }),
                     );

@@ -106,7 +106,7 @@ fn equivocating_dealer_excluded_or_consistent() {
                                 out.send(
                                     i,
                                     CoinGenMsg::BitGen(BitGenMsg::Deal {
-                                        alphas: polys.iter().map(|f| f.eval(x)).collect(),
+                                        alphas: polys.iter().map(|f| f.eval(x)).collect::<Vec<_>>().into(),
                                         gamma: blind.eval(x),
                                     }),
                                 );
@@ -266,7 +266,7 @@ fn two_faults_in_thirteen_party_system() {
                             out.send(
                                 i,
                                 CoinGenMsg::BitGen(BitGenMsg::Deal {
-                                    alphas: vec![F::from_u64(i as u64); 3],
+                                    alphas: vec![F::from_u64(i as u64); 3].into(),
                                     gamma: F::one(),
                                 }),
                             );

@@ -166,7 +166,7 @@ fn coin_gen_withstands_randomized_byzantine_strategies() {
         match rng.random_range(0..7u32) {
             0 => CoinGenMsg::Expose(ExposeMsg(F::random(rng))),
             1 => CoinGenMsg::BitGen(BitGenMsg::Deal {
-                alphas: (0..rng.random_range(0..=m + 2)).map(|_| F::random(rng)).collect(),
+                alphas: (0..rng.random_range(0..=m + 2)).map(|_| F::random(rng)).collect::<Vec<_>>().into(),
                 gamma: F::random(rng),
             }),
             2 => CoinGenMsg::BitGen(BitGenMsg::Betas(

@@ -2,7 +2,8 @@
 //! silent on its allowed fixture (`tests/fixtures/`).
 //!
 //! A fixture is checked as if it were library code of one crate: it is
-//! prefixed with that crate's `#![deny(clippy::…)]` attributes and run
+//! prefixed with that crate's `#![deny(clippy::…)]` and `unsafe_code`
+//! attributes and run
 //! through `clippy-driver` with that crate's `clippy.toml` and
 //! `-D warnings`, which is what `scripts/verify.sh` does to the crate
 //! itself. The crates a fixture may name (`dprbg_field`, `dprbg_sim` and
@@ -159,7 +160,7 @@ fn lint_as(name: &str, krate: &str) -> Lint {
     let lib = std::fs::read_to_string(dir.join("src/lib.rs")).unwrap_or_default();
     let mut source: String = lib
         .lines()
-        .filter(|l| l.starts_with("#![deny(clippy::"))
+        .filter(|l| l.starts_with("#![deny(clippy::") || l.ends_with("(unsafe_code)]"))
         .map(|l| format!("{l}\n"))
         .collect();
     source.push_str(&fixture(name));
@@ -446,4 +447,47 @@ fn stale_allow_bad_fires() {
 #[test]
 fn stale_allow_allowed_is_clean() {
     lint_as("stale_allow_allowed.rs", "core").assert_clean("stale_allow_allowed.rs in core");
+}
+
+#[test]
+fn unsafe_bad_fires() {
+    for krate in ["core", "sim", "rng", "field"] {
+        let d = lint_as("unsafe_bad.rs", krate);
+        d.assert_fires(&format!("unsafe_bad.rs in {krate}"), &["usage of an `unsafe` block"]);
+    }
+}
+
+#[test]
+fn unsafe_allowed_is_clean_only_where_unsafe_is_denied_not_forbidden() {
+    lint_as("unsafe_allowed.rs", "field").assert_clean("unsafe_allowed.rs in field");
+    // Under forbid the allow is overruled, so the block fires as well;
+    // core also wants a reason on every allow.
+    let d = lint_as("unsafe_allowed.rs", "core");
+    let kinds = ["incompatible with previous forbid", "usage of an `unsafe` block", "without specifying a reason"];
+    d.assert_fires("unsafe_allowed.rs in core", &kinds);
+    d.assert_names("unsafe_allowed.rs in core", "incompatible with previous forbid");
+}
+
+/// `unsafe-scope`: every crate forbids `unsafe` but `dprbg-field`, which
+/// denies it and allows it back at each probed dispatch site, one
+/// annotated `#[allow(unsafe_code)]` per `unsafe` block.
+#[test]
+fn unsafe_scope_is_forbid_everywhere_but_the_field_dispatch() {
+    let lib = |krate: &str| std::fs::read_to_string(crate_dir(krate).join("src/lib.rs")).unwrap();
+    for krate in LIBRARIES.iter().copied().chain(["bench", "."]).filter(|&k| k != "field") {
+        assert!(lib(krate).lines().any(|l| l == "#![forbid(unsafe_code)]"), "{krate} must forbid unsafe");
+    }
+    assert!(lib("field").lines().any(|l| l == "#![deny(unsafe_code)]"), "field must deny unsafe");
+    let src = crate_dir("field").join("src");
+    let (mut allows, mut blocks) = (0, 0);
+    for entry in std::fs::read_dir(&src).unwrap() {
+        let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        let code = text.lines().map(str::trim).filter(|l| !l.starts_with("//"));
+        for line in code {
+            allows += usize::from(line == "#[allow(unsafe_code)]");
+            blocks += line.matches("unsafe {").count();
+        }
+    }
+    assert_eq!(allows, blocks, "one annotated allow per unsafe block in dprbg-field");
+    assert_eq!(blocks, 7, "the unsafe census in clmul.rs and DESIGN.md names seven sites");
 }

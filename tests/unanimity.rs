@@ -125,11 +125,11 @@ fn vss_verdicts_are_uniform_across_honest_parties() {
                             let x = F::element(i as u64);
                             out.send(
                                 i,
-                                BitGenMsg::Deal { alphas: vec![f.eval(x)], gamma: g.eval(x) },
+                                BitGenMsg::Deal { alphas: vec![f.eval(x)].into(), gamma: g.eval(x) },
                             );
                         }
                         let x1 = F::element(1);
-                        my = Some(BatchShares { alphas: vec![f.eval(x1)], gamma: g.eval(x1) });
+                        my = Some(BatchShares { alphas: [f.eval(x1)].into(), gamma: g.eval(x1) });
                         Step::Continue(out)
                     })
                     .labelled("cheating-dealer");
@@ -183,7 +183,7 @@ fn batch_vss_verdict_uniform_with_partial_corruption() {
                         if i == 3 || i == 5 {
                             alphas[0] += F::one();
                         }
-                        out.send(i, BitGenMsg::Deal { alphas, gamma: blind.eval(x) });
+                        out.send(i, BitGenMsg::Deal { alphas: alphas.into(), gamma: blind.eval(x) });
                     }
                     let x1 = F::element(1);
                     my = Some(BatchShares {
