@@ -163,10 +163,13 @@ where
                 Step::Continue(out)
             }
             CcdStage::Reveal => {
-                let dealt = view
-                    .inbox
-                    .first_from(self.dealer)
-                    .and_then(|r| <M as Embeds<CcdMsg<F>>>::peek(r.msg()))
+                // The dealer's first envelope of any kind is its deal.
+                let first = view.inbox.first_per_sender(n, |r| Some(r.msg()));
+                let dealt = self
+                    .dealer
+                    .checked_sub(1)
+                    .and_then(|d| *first.get(d)?)
+                    .and_then(<M as Embeds<CcdMsg<F>>>::peek)
                     .and_then(|m| match m {
                         CcdMsg::Deal { alpha, gammas } if gammas.len() == k => {
                             Some((*alpha, gammas.clone()))
@@ -199,15 +202,14 @@ where
                 Step::Continue(out)
             }
             CcdStage::Decide => {
-                let mut per_party: Vec<Option<Vec<F>>> = vec![None; n];
-                for rcv in view.inbox.broadcasts() {
-                    if let Some(CcdMsg::Reveal(vals)) = <M as Embeds<CcdMsg<F>>>::peek(rcv.msg())
-                    {
-                        if vals.len() == k && per_party[rcv.from - 1].is_none() {
-                            per_party[rcv.from - 1] = Some(vals.clone());
+                let per_party = view.inbox.first_per_sender(n, |rcv| {
+                    match <M as Embeds<CcdMsg<F>>>::peek(rcv.msg()) {
+                        Some(CcdMsg::Reveal(vals)) if rcv.broadcast && vals.len() == k => {
+                            Some(vals)
                         }
+                        _ => None,
                     }
-                }
+                });
 
                 // k interpolations: each revealed polynomial must have
                 // degree ≤ t.

@@ -114,19 +114,21 @@ where
             return Step::Continue(out);
         }
 
-        let mut share = Exp::zero();
-        let mut commitments: Option<Vec<Grp>> = None;
-        for rcv in view.inbox.from(self.dealer) {
+        let dealer = self.dealer.checked_sub(1);
+        let shares = view.inbox.first_per_sender(n, |rcv| {
             match <M as Embeds<FeldmanMsg>>::peek(rcv.msg()) {
-                Some(FeldmanMsg::Share(s)) => share = *s,
-                Some(FeldmanMsg::Commitments(c))
-                    if rcv.broadcast && commitments.is_none() && c.len() == t + 1 =>
-                {
-                    commitments = Some(c.clone());
-                }
-                _ => {}
+                Some(FeldmanMsg::Share(s)) => Some(*s),
+                _ => None,
             }
-        }
+        });
+        let commitments = view.inbox.first_per_sender(n, |rcv| {
+            match <M as Embeds<FeldmanMsg>>::peek(rcv.msg()) {
+                Some(FeldmanMsg::Commitments(c)) if rcv.broadcast && c.len() == t + 1 => Some(c),
+                _ => None,
+            }
+        });
+        let share = dealer.and_then(|d| *shares.get(d)?).unwrap_or_else(Exp::zero);
+        let commitments = dealer.and_then(|d| *commitments.get(d)?);
 
         let Some(commitments) = commitments else {
             return Step::Done((FeldmanVerdict::Reject, share));
@@ -137,7 +139,7 @@ where
         let lhs = g.pow(share.to_u64() as u128);
         let mut rhs = Grp::one();
         let mut ij: u128 = 1; // i^j as an integer exponent, reduced mod q.
-        for c in &commitments {
+        for c in commitments {
             rhs *= c.pow(ij);
             ij = (ij * i as u128) % SAFE_PRIME_Q as u128;
         }
@@ -232,6 +234,40 @@ mod tests {
         // local, which is exactly why the dealer can cheat *some* player
         // without global detection (unlike the paper's global check).
         assert_eq!(outs[2].0, FeldmanVerdict::Accept);
+    }
+
+    /// The dealer sends party 2 its correct share, then a wrong one: the
+    /// first `Share` is the dealer's word, as the first `Commitments` is,
+    /// so party 2 accepts and keeps the correct share.
+    #[test]
+    fn a_second_share_counts_for_nothing() {
+        let (n, t) = (7, 2);
+        let mut rng = StdRng::seed_from_u64(6);
+        let f = Poly::<Exp>::random(t, &mut rng);
+        let correct = f.eval(Exp::element(2));
+        let dealer = Box::new(from_fn(move |view: RoundView<'_, M>| match view.round {
+            0 => {
+                let g = Grp::from_u64(SAFE_PRIME_GEN);
+                let commitments: Vec<Grp> =
+                    (0..=t).map(|j| g.pow(f.coeff(j).to_u64() as u128)).collect();
+                let mut out = view.outbox();
+                out.broadcast(FeldmanMsg::Commitments(commitments));
+                for i in 1..=n {
+                    out.send(i, FeldmanMsg::Share(f.eval(Exp::element(i as u64))));
+                }
+                out.send(2, FeldmanMsg::Share(correct + Exp::one()));
+                Step::Continue(out)
+            }
+            _ => Step::Done((FeldmanVerdict::Reject, Exp::zero())),
+        })) as BoxedMachine<M, _>;
+        let verifier = || Box::new(FeldmanMachine::new(1, None, t)) as BoxedMachine<M, _>;
+        let machines: Vec<BoxedMachine<M, (FeldmanVerdict, Exp)>> =
+            std::iter::once(dealer).chain((2..=n).map(|_| verifier())).collect();
+        let outs = StepRunner::new(n, 6).run(machines).unwrap_all();
+        assert_eq!(outs[1], (FeldmanVerdict::Accept, correct), "party 2 keeps the first share");
+        for (verdict, _) in &outs[2..] {
+            assert_eq!(*verdict, FeldmanVerdict::Accept);
+        }
     }
 
     #[test]

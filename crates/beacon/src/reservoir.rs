@@ -93,11 +93,6 @@ impl<F: Field> Reservoir<F> {
         self.coins.len()
     }
 
-    /// Whether the stock is at or below the low-water mark.
-    pub fn needs_refill(&self) -> bool {
-        self.coins.len() <= self.cfg.low_water
-    }
-
     /// Cumulative grants per consumer id.
     pub fn grants(&self) -> &BTreeMap<u32, u64> {
         &self.grants
@@ -205,11 +200,11 @@ mod tests {
     #[test]
     fn fifo_order_and_low_water() {
         let mut r = filled(8, 6);
-        assert!(!r.needs_refill());
+        assert!(r.level() > r.config().low_water);
         let out = r.serve(&[(1, 5)], false);
         let coins: Vec<u64> = out.iter().filter_map(|(_, o)| o.coin()).map(|c| c.to_u64()).collect();
         assert_eq!(coins, vec![0, 1, 2, 3, 4], "oldest coins first");
-        assert!(r.needs_refill(), "level 1 ≤ low water 2");
+        assert!(r.level() <= r.config().low_water, "level 1 ≤ low water 2");
     }
 
     #[test]

@@ -73,21 +73,11 @@ where
             return Step::Continue(out);
         }
         let n = view.n;
-        let mut ones = 0usize;
-        let mut zeros = 0usize;
-        let mut seen = vec![false; n];
-        for r in view.inbox.iter() {
-            if let Some(CcbaVote(b)) = <M as Embeds<CcbaVote>>::peek(r.msg()) {
-                if !seen[r.from - 1] {
-                    seen[r.from - 1] = true;
-                    if *b {
-                        ones += 1;
-                    } else {
-                        zeros += 1;
-                    }
-                }
-            }
-        }
+        let votes = view.inbox.first_per_sender(n, |r| {
+            <M as Embeds<CcbaVote>>::peek(r.msg()).map(|&CcbaVote(b)| b)
+        });
+        let ones = votes.iter().filter(|v| **v == Some(true)).count();
+        let zeros = votes.iter().filter(|v| **v == Some(false)).count();
         Step::Done((n, ones, zeros))
     })
     .labelled("ccba/vote")

@@ -216,24 +216,6 @@ impl<F: Field> Bootstrap<F> {
         self.draw().map(|(b, res)| (b, res.map(|v| v.to_u64() & 1 == 1)))
     }
 
-    /// Draw one k-ary coin and return all `k` of its binary coins, least
-    /// significant first — applications that consume bits in bulk get
-    /// `k` shared bits per expose round.
-    pub fn draw_bits<M: CoinGenWire<F>>(
-        self,
-    ) -> impl RoundMachine<M, Output = (Self, Result<Vec<bool>, CoinGenError>)> {
-        self.draw().map(|(b, res)| {
-            (b, res.map(|val| {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "coin -> bits: formatting the drawn coin, not field arithmetic"
-                )]
-                let v = val.to_u64();
-                (0..F::bits()).map(|i| (v >> i) & 1 == 1).collect()
-            }))
-        })
-    }
-
     /// Proactively re-randomize every sealed share in the reservoir
     /// (epoch boundary in the §1.2 mobile-adversary setting). Refills
     /// first if the reservoir is low, so the refresh's own seed
@@ -374,26 +356,6 @@ mod tests {
         assert!(outs.iter().all(|o| o == &b0));
         // Not all bits equal (probability 2^-7 per pattern; seeded test).
         assert!(b0.iter().any(|&x| x) || b0.iter().any(|&x| !x));
-    }
-
-    #[test]
-    fn draw_bits_yields_k_unanimous_bits() {
-        let n = 7;
-        let t = 1;
-        let boots = setup(n, t, 8, 6, 8);
-        let machines: Vec<BoxedMachine<M, Vec<bool>>> = boots
-            .into_iter()
-            .map(|b| {
-                Box::new(b.draw_bits().map(|(_, res)| res.expect("draw succeeds")))
-                    as BoxedMachine<M, _>
-            })
-            .collect();
-        let outs = StepRunner::new(n, 9).run(machines).unwrap_all();
-        let bits = outs[0].clone();
-        assert_eq!(bits.len(), 32, "one bit per field bit");
-        assert!(outs.iter().all(|o| o == &bits));
-        // 32 coin flips: both values present except w.p. 2^-31.
-        assert!(bits.iter().any(|&b| b) && bits.iter().any(|&b| !b));
     }
 
     #[test]

@@ -300,13 +300,12 @@ impl<F: Field> CommitteeCoin<F> {
     where
         M: Embeds<CoinReport<F>>,
     {
-        for r in view.inbox.iter() {
-            if let Some(CoinReport(vals)) = <M as Embeds<CoinReport<F>>>::peek(r.msg()) {
-                if let Ok(rank) = self.committee.binary_search(&r.from) {
-                    if self.reports[rank].is_none() {
-                        self.reports[rank] = Some(vals.clone());
-                    }
-                }
+        let heard = view.inbox.first_per_sender(view.n, |r| {
+            <M as Embeds<CoinReport<F>>>::peek(r.msg()).map(|CoinReport(vals)| vals)
+        });
+        for (report, &member) in self.reports.iter_mut().zip(&self.committee) {
+            if report.is_none() {
+                *report = heard.get(member - 1).copied().flatten().cloned();
             }
         }
         let filled: Vec<&Vec<F>> = self.reports.iter().flatten().collect();

@@ -151,24 +151,6 @@ impl GfQlParams {
         })
     }
 
-    /// A parameter set whose field has at least `k` bits (`q^l ≥ 2^k`),
-    /// chosen from FFT-friendly primes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > 600` (no built-in parameter set is that large).
-    pub fn for_bits(k: u32) -> Self {
-        let (q, l) = match k {
-            0..=16 => (17, 4),
-            17..=32 => (17, 8),
-            33..=100 => (97, 16),
-            101..=230 => (193, 32),
-            231..=600 => (769, 64),
-            _ => panic!("no built-in GF(q^l) parameters for k = {k}"),
-        };
-        GfQlParams::new(q, l).expect("built-in parameters are valid")
-    }
-
     /// The prime `q`.
     pub fn q(&self) -> u64 {
         self.q
@@ -177,11 +159,6 @@ impl GfQlParams {
     /// The extension degree `l`.
     pub fn l(&self) -> usize {
         self.l
-    }
-
-    /// The constant `a` of the modulus `x^l − a`.
-    pub fn modulus_constant(&self) -> u64 {
-        self.a
     }
 
     /// Field size in bits: `⌊l · log2 q⌋`.
@@ -488,15 +465,6 @@ mod tests {
     use dprbg_rng::SeedableRng;
 
     #[test]
-    fn builtin_parameter_sets_are_valid() {
-        for k in [8u32, 16, 32, 64, 128, 256] {
-            let f = GfQlParams::for_bits(k);
-            assert!(f.bits() >= k, "for_bits({k}) gave only {} bits", f.bits());
-            assert!(f.q() > 2 * f.l() as u64, "paper constraint q >= 2l+1");
-        }
-    }
-
-    #[test]
     fn constructor_validates() {
         assert_eq!(GfQlParams::new(15, 4), Err(GfQlError::NotPrime(15)));
         assert_eq!(
@@ -561,7 +529,7 @@ mod tests {
         assert_eq!(f.pow(&x, 2), f.mul_naive(&x, &x));
         // x^l = a (the modulus relation).
         let mut expect = f.zero();
-        expect.coeffs[0] = f.modulus_constant();
+        expect.coeffs[0] = f.a;
         assert_eq!(f.pow(&x, f.l() as u128), expect);
     }
 

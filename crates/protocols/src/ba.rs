@@ -110,14 +110,12 @@ where
                 self.suggest(&view)
             }
             BaStage::Suggests => {
-                let mut heard: Vec<Option<bool>> = vec![None; n];
-                for r in view.inbox.iter() {
-                    if let Some(BaMsg::Suggest(b)) = <M as Embeds<BaMsg>>::peek(r.msg()) {
-                        if heard[r.from - 1].is_none() {
-                            heard[r.from - 1] = Some(*b);
-                        }
+                let heard = view.inbox.first_per_sender(n, |r| {
+                    match <M as Embeds<BaMsg>>::peek(r.msg()) {
+                        Some(BaMsg::Suggest(b)) => Some(*b),
+                        _ => None,
                     }
-                }
+                });
                 let ones = heard.iter().filter(|h| **h == Some(true)).count();
                 let zeros = heard.iter().filter(|h| **h == Some(false)).count();
                 // Strong support: ≥ n − t parties said the same thing.
@@ -143,15 +141,11 @@ where
                 let king: PartyId = self.phase;
                 if !self.strong {
                     // Adopt the king's bit (a silent/garbled king
-                    // defaults to 0).
-                    self.v = view
-                        .inbox
-                        .first_from(king)
-                        .and_then(|r| match <M as Embeds<BaMsg>>::peek(r.msg()) {
-                            Some(BaMsg::King(b)) => Some(*b),
-                            _ => None,
-                        })
-                        .unwrap_or(false);
+                    // defaults to 0). The king's first envelope of any
+                    // kind is its word.
+                    let first = view.inbox.first_per_sender(n, |r| Some(r.msg()));
+                    let word = first[king - 1].and_then(<M as Embeds<BaMsg>>::peek);
+                    self.v = matches!(word, Some(BaMsg::King(true)));
                 }
                 if self.phase == t + 1 {
                     return Step::Done(self.v);

@@ -30,18 +30,15 @@
 //! fault-free instance costs one allocation however many parties relay it.
 
 use std::marker::PhantomData;
-use std::mem;
 use std::sync::Arc;
 
 use dprbg_metrics::WireSize;
-use dprbg_sim::{Embeds, Inbox, PartyId, RoundMachine, RoundView, Step};
+use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
 /// Wire messages of the parallel grade-cast instances. An Echo or Vote
 /// bundle lists `(instance, value)` entries, one per instance the sender
 /// echoes or votes for; a party with nothing to say sends no bundle. On
-/// receipt an entry tagged outside `1..=n` is dropped, and a sender's
-/// first entry for an instance is its only voice there — a repeated tag,
-/// in one bundle or a second, counts for nothing.
+/// receipt an entry tagged outside `1..=n` is dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GcMsg<V> {
     /// Round 1: instance sender's value.
@@ -80,46 +77,20 @@ impl<V> GradeOutput<V> {
     }
 }
 
-/// Count, among `(party, value)` pairs from parties `1..=n`, the support
-/// for each distinct value, counting at most one entry per party; return
-/// the best value with its count (the later-seen value on a tie). A bucket
-/// is matched by handle identity first and by value only across distinct
-/// allocations (what a tampered or equivocated copy is).
-fn best_supported<'a, V: Eq>(
-    n: usize,
-    entries: &[(PartyId, &'a Arc<V>)],
-) -> Option<(&'a Arc<V>, usize)> {
+/// Count the support for each distinct value among one instance's voices
+/// (one cell per sender); return the best value with its count (the
+/// later-seen value on a tie). A bucket is matched by handle identity
+/// first and by value only across distinct allocations (what a tampered
+/// or equivocated copy is).
+fn best_supported<'a, V: Eq>(voices: &[Option<&'a Arc<V>>]) -> Option<(&'a Arc<V>, usize)> {
     let mut tally: Vec<(&Arc<V>, usize)> = Vec::new();
-    let mut voiced = vec![false; n];
-    for &(p, v) in entries {
-        if mem::replace(&mut voiced[p - 1], true) {
-            continue; // a party only gets one voice per instance
-        }
+    for &v in voices.iter().flatten() {
         match tally.iter().position(|&(tv, _)| Arc::ptr_eq(tv, v) || **tv == **v) {
             Some(i) => tally[i].1 += 1,
             None => tally.push((v, 1)),
         }
     }
     tally.into_iter().max_by_key(|(_, c)| *c)
-}
-
-/// Group one round's `(instance, value)` bundles by instance, borrowing
-/// every value from the inbox: entries keep inbox `(from, seq)` order,
-/// then bundle order, and tags outside `1..=n` are dropped.
-fn by_instance<'a, M, V: 'a>(
-    n: usize,
-    inbox: &'a Inbox<M>,
-    mut select: impl FnMut(&'a M) -> Option<&'a [(PartyId, Arc<V>)]>,
-) -> Vec<Vec<(PartyId, &'a Arc<V>)>> {
-    let mut groups = vec![Vec::new(); n];
-    for r in inbox.iter() {
-        for (instance, value) in select(r.msg()).unwrap_or_default() {
-            if (1..=n).contains(instance) {
-                groups[instance - 1].push((r.from, value));
-            }
-        }
-    }
-    groups
 }
 
 /// The `n` parallel grade-cast instances as a sans-IO round machine —
@@ -178,13 +149,12 @@ where
                 Step::Continue(out)
             }
             GcPhase::Echo => {
-                // received[j-1] = what instance j's sender told us.
-                let mut received: Vec<Option<&Arc<V>>> = vec![None; n];
-                for r in view.inbox.iter() {
-                    if let Some(GcMsg::Value(v)) = <M as Embeds<GcMsg<V>>>::peek(r.msg()) {
-                        received[r.from - 1].get_or_insert(v);
+                let received = view.inbox.first_per_sender(n, |r| {
+                    match <M as Embeds<GcMsg<V>>>::peek(r.msg()) {
+                        Some(GcMsg::Value(v)) => Some(v),
+                        _ => None,
                     }
-                }
+                });
                 let echoes: Vec<_> =
                     (1..=n).zip(received).filter_map(|(j, v)| Some((j, Arc::clone(v?)))).collect();
                 let mut out = view.outbox();
@@ -195,14 +165,15 @@ where
                 Step::Continue(out)
             }
             GcPhase::Vote => {
-                let echoes =
-                    by_instance(n, view.inbox, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
-                        Some(GcMsg::Echo(entries)) => Some(entries),
+                let echoes = view.inbox.first_per_slot(n, 1..n + 1, |r| {
+                    match <M as Embeds<GcMsg<V>>>::peek(r.msg()) {
+                        Some(GcMsg::Echo(entries)) => Some(entries.iter().map(|(j, v)| (*j, v))),
                         _ => None,
-                    });
+                    }
+                });
                 let votes: Vec<_> = (1..=n)
-                    .zip(&echoes)
-                    .filter_map(|(j, echoes)| match best_supported(n, echoes) {
+                    .zip(echoes.rows())
+                    .filter_map(|(j, echoes)| match best_supported(echoes) {
                         Some((v, c)) if c >= n - t => Some((j, Arc::clone(v))),
                         _ => None,
                     })
@@ -215,15 +186,16 @@ where
                 Step::Continue(out)
             }
             GcPhase::Decide => {
-                let votes =
-                    by_instance(n, view.inbox, |m| match <M as Embeds<GcMsg<V>>>::peek(m) {
-                        Some(GcMsg::Vote(entries)) => Some(entries),
+                let votes = view.inbox.first_per_slot(n, 1..n + 1, |r| {
+                    match <M as Embeds<GcMsg<V>>>::peek(r.msg()) {
+                        Some(GcMsg::Vote(entries)) => Some(entries.iter().map(|(j, v)| (*j, v))),
                         _ => None,
-                    });
+                    }
+                });
                 Step::Done(
                     votes
-                        .iter()
-                        .map(|votes| match best_supported(n, votes) {
+                        .rows()
+                        .map(|votes| match best_supported(votes) {
                             Some((v, c)) if c >= n - t => {
                                 GradeOutput { value: Some(Arc::clone(v)), confidence: 2 }
                             }
@@ -253,7 +225,8 @@ mod tests {
     use super::*;
     use dprbg_rng::prelude::*;
     use dprbg_sim::{
-        from_fn, BoxedMachine, FaultPlan, MsgFate, MsgHop, ParRunner, Received, StepRunner,
+        from_fn, BoxedMachine, FaultPlan, Inbox, MsgFate, MsgHop, ParRunner, Received, SlotTable,
+        StepRunner,
     };
 
     type V = u64;
@@ -294,9 +267,11 @@ mod tests {
         /// values) and tied counts are the common case. Each entry is
         /// either a clone of its value's one shared handle (a forwarded
         /// echo) or the same value in an allocation of its own (a tampered
-        /// or rebuilt copy): the identity-first tally picks the same value
-        /// with the same count — including which of several tied values
-        /// wins — as the tally that only ever compared by value.
+        /// or rebuilt copy), delivered as one envelope. The identity-first
+        /// tally over the inbox's column picks the same value with the
+        /// same count — including which of several tied values wins — as
+        /// the tally that only ever compared by value, over the entries in
+        /// inbox order.
         #[test]
         fn by_reference_tally_matches_cloning_tally(
             seed: u64,
@@ -317,18 +292,20 @@ mod tests {
                     (rng.random_range(1..=parties), handle)
                 })
                 .collect();
-            let owned: Vec<(PartyId, Vec<u64>)> =
+            let mut owned: Vec<(PartyId, Vec<u64>)> =
                 handles.iter().map(|(p, v)| (*p, Vec::clone(v))).collect();
-            let borrowed: Vec<(PartyId, &Arc<Vec<u64>>)> =
-                handles.iter().map(|(p, v)| (*p, v)).collect();
+            owned.sort_by_key(|(p, _)| *p);
+            let sent = (0u32..).zip(handles).map(|(seq, (p, v))| Received::new(p, false, seq, v));
+            let inbox = Inbox::from_messages(sent.collect());
+            let voices = inbox.first_per_sender(parties, |r| Some(r.msg()));
             let expect = best_supported_cloning(&owned);
-            let got = best_supported(parties, &borrowed).map(|(v, c)| (Vec::clone(v), c));
+            let got = best_supported(&voices).map(|(v, c)| (Vec::clone(v), c));
             prop_assert_eq!(got, expect);
         }
     }
 
-    /// `by_instance`'s reference: flatten every bundle in `(from, seq,
-    /// position)` order, keep the tags in `1..=n`, group by tag.
+    /// The receive rule's reference: flatten every Echo bundle in `(from,
+    /// seq, position)` order, keep the tags in `1..=n`, group by tag.
     fn by_instance_flattened(n: usize, sent: &[Received<M>]) -> Vec<Vec<(PartyId, Arc<V>)>> {
         let mut sent: Vec<&Received<M>> = sent.iter().collect();
         sent.sort_by_key(|r| (r.from, r.seq));
@@ -345,13 +322,22 @@ mod tests {
         groups
     }
 
+    /// The Vote round's table.
+    fn echo_table(n: usize, inbox: &Inbox<M>) -> SlotTable<&Arc<V>> {
+        inbox.first_per_slot(n, 1..n + 1, |r| match r.msg() {
+            GcMsg::Echo(entries) => Some(entries.iter().map(|(j, v)| (*j, v))),
+            _ => None,
+        })
+    }
+
     proptest! {
         /// Random inboxes of Echo bundles (and Values, which the selector
         /// skips): random senders, several bundles per sender, random
         /// instance subsets with repeats, tags 0 and n + 1, and values that
-        /// are shared handles or private copies. `by_instance` groups the
-        /// same entries, by the same handles, in the same order as the
-        /// flattened reference, and every instance's tally agrees.
+        /// are shared handles or private copies. Each instance's row of
+        /// the echo table holds, per sender, the handle of its first entry
+        /// in the flattened reference, and every instance's tally agrees
+        /// with the cloning tally over the reference's first voices.
         #[test]
         fn by_instance_matches_flattened_bundles(
             seed: u64,
@@ -389,20 +375,19 @@ mod tests {
                 .collect();
             let expect = by_instance_flattened(n, &sent);
             let inbox = Inbox::from_messages(sent);
-            let got = by_instance(n, &inbox, |m| match m {
-                GcMsg::Echo(entries) => Some(entries),
-                _ => None,
-            });
-            prop_assert_eq!(got.len(), n);
-            for (got, expect) in got.iter().zip(&expect) {
-                prop_assert_eq!(got.len(), expect.len());
-                for ((p, v), (q, w)) in got.iter().zip(expect) {
-                    prop_assert_eq!(p, q);
-                    prop_assert!(Arc::ptr_eq(v, w));
+            let got = echo_table(n, &inbox);
+            prop_assert_eq!(got.rows().count(), n);
+            for (row, expect) in got.rows().zip(&expect) {
+                for (p, cell) in (1..=n).zip(row) {
+                    let first = expect.iter().find(|(q, _)| *q == p).map(|(_, w)| w);
+                    prop_assert_eq!(cell.is_some(), first.is_some());
+                    if let (Some(v), Some(w)) = (cell, first) {
+                        prop_assert!(Arc::ptr_eq(v, w));
+                    }
                 }
                 let owned: Vec<(PartyId, V)> = expect.iter().map(|(p, v)| (*p, **v)).collect();
                 prop_assert_eq!(
-                    best_supported(n, got).map(|(v, c)| (**v, c)),
+                    best_supported(row).map(|(v, c)| (**v, c)),
                     best_supported_cloning(&owned)
                 );
             }
@@ -544,12 +529,24 @@ mod tests {
         }
     }
 
+    /// Party 1 echoes 7 three times (twice in one bundle, once in a
+    /// second), party 2 echoes 7 and party 3 echoes 9: 7 has two voices.
     #[test]
     fn duplicate_voices_counted_once() {
         let (seven, nine) = (Arc::new(7u64), Arc::new(9));
-        let entries = [(1, &seven), (1, &seven), (1, &seven), (2, &seven), (3, &nine)];
-        assert_eq!(best_supported(3, &entries), Some((&seven, 2)));
-        assert_eq!(best_supported::<u64>(3, &[]), None);
+        let echo = |from, seq, entries: &[&Arc<V>]| {
+            let entries = entries.iter().map(|&v| (1, Arc::clone(v))).collect();
+            Received::new(from, false, seq, GcMsg::Echo(entries))
+        };
+        let inbox = Inbox::from_messages(vec![
+            echo(1, 0, &[&seven, &seven]),
+            echo(1, 1, &[&seven]),
+            echo(2, 0, &[&seven]),
+            echo(3, 0, &[&nine]),
+        ]);
+        let table = echo_table(3, &inbox);
+        assert_eq!(best_supported(table.row(0)), Some((&seven, 2)));
+        assert_eq!(best_supported::<u64>(&[None, None]), None);
     }
 
     /// One entry of one Echo bundle copy replaced in flight is a distinct

@@ -22,21 +22,15 @@
 //!   "Utilizing the protocol of Gabril, a clique can be found of size at
 //!   least n − 2t" in a graph guaranteed to contain one of size `n − t`.
 //!
-//! [`reliable_broadcast_machine`] composes the two into the derived
-//! primitive the paper motivates ("coins … execute Byzantine agreement,
-//! and hence implement a broadcast channel", §4).
-//!
 //! Every protocol is a sans-IO [`dprbg_sim::RoundMachine`] written
 //! against any wire type `M: Embeds<TheirMsg>`, so it runs standalone in
 //! tests and embedded in Coin-Gen's composite wire enum, driven by
 //! whichever executor the caller picks.
 
 mod ba;
-mod broadcast;
 mod gradecast;
 mod graph;
 
 pub use ba::{BaMsg, PhaseKingMachine};
-pub use broadcast::reliable_broadcast_machine;
 pub use gradecast::{GcMsg, GradeOutput, GradecastMachine};
 pub use graph::{approx_clique, DiGraph, Graph};

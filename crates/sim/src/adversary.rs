@@ -271,7 +271,8 @@ mod tests {
                             }
                             Step::Continue(out)
                         } else {
-                            Step::Done(view.inbox.broadcasts().map(|r| *r.msg()).sum())
+                            let broadcasts = view.inbox.iter().filter(|r| r.broadcast);
+                            Step::Done(broadcasts.map(|r| *r.msg()).sum())
                         }
                     })) as BoxedMachine<u64, u64>
                 })

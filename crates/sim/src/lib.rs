@@ -86,7 +86,7 @@ pub use machine::{
     MachineExt, Map, Outbox, Ready, RoundMachine, RoundView, RunResult, Step, Subnet,
 };
 pub use par::ParRunner;
-pub use router::{Inbox, PartyId, Received, RoundProfile};
+pub use router::{Inbox, PartyId, Received, RoundProfile, SlotTable};
 pub use step::StepRunner;
 
 pub use dprbg_metrics::WireSize;

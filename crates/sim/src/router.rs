@@ -6,8 +6,11 @@
 //! [`Received`] envelope a delivery produces, the per-round
 //! [`RoundProfile`], and the deterministic [`Inbox`] every machine reads
 //! at a round boundary. A message sent in round `r` is visible exactly at
-//! round `r + 1`, sorted by `(sender, send order)`.
+//! round `r + 1`, sorted by `(sender, send order)`. Machines read it by
+//! the receive rule — a sender's first entry per slot is its only voice —
+//! through [`Inbox::first_per_sender`] and [`Inbox::first_per_slot`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dprbg_metrics::{comm, WireSize};
@@ -120,27 +123,61 @@ impl<M> Inbox<M> {
         self.msgs.is_empty()
     }
 
-    /// Messages from one particular sender.
-    pub fn from(&self, sender: PartyId) -> impl Iterator<Item = &Received<M>> {
-        self.msgs.iter().filter(move |r| r.from == sender)
+    /// The receive rule, as one column: per sender `1..=n`, the first
+    /// delivery `select` accepts, in `(from, seq)` order (cell `j − 1` is
+    /// sender `j`'s). A sender's later deliveries count for nothing.
+    pub fn first_per_sender<'a, T>(
+        &'a self,
+        n: usize,
+        mut select: impl FnMut(&'a Received<M>) -> Option<T>,
+    ) -> Vec<Option<T>> {
+        self.first_per_slot(n, 0..1, |r| Some(select(r).map(|v| (0, v)))).cells
     }
 
-    /// The first (and usually only) message from `sender`, if any.
-    pub fn first_from(&self, sender: PartyId) -> Option<&Received<M>> {
-        self.msgs.iter().find(|r| r.from == sender)
-    }
-
-    /// Only the messages that arrived over the ideal broadcast channel.
-    pub fn broadcasts(&self) -> impl Iterator<Item = &Received<M>> {
-        self.msgs.iter().filter(|r| r.broadcast)
+    /// The receive rule over bundles: `select` lists a delivery's
+    /// `(slot, value)` entries, and cell `(slot, j)` holds sender `j`'s
+    /// first entry for that slot, in `(from, seq)` order then bundle order.
+    /// Entries tagged outside `slots` are dropped.
+    pub fn first_per_slot<'a, T, E>(
+        &'a self,
+        n: usize,
+        slots: Range<usize>,
+        mut select: impl FnMut(&'a Received<M>) -> Option<E>,
+    ) -> SlotTable<T>
+    where
+        E: IntoIterator<Item = (usize, T)>,
+    {
+        let mut cells: Vec<Option<T>> = (0..slots.len() * n).map(|_| None).collect();
+        for r in &self.msgs {
+            let Some(j) = r.from.checked_sub(1).filter(|&j| j < n) else { continue };
+            let Some(entries) = select(r) else { continue };
+            for (slot, value) in entries {
+                if slots.contains(&slot) {
+                    cells[(slot - slots.start) * n + j].get_or_insert(value);
+                }
+            }
+        }
+        SlotTable { n, cells }
     }
 }
 
-impl<'a, M> IntoIterator for &'a Inbox<M> {
-    type Item = &'a Received<M>;
-    type IntoIter = std::slice::Iter<'a, Received<M>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.msgs.iter()
+/// What [`Inbox::first_per_slot`] keeps: one row of `n` sender cells per
+/// slot, in slot order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotTable<T> {
+    n: usize,
+    cells: Vec<Option<T>>,
+}
+
+impl<T> SlotTable<T> {
+    /// Row `s` (0-based from the first slot): sender `j`'s entry at `j − 1`.
+    pub fn row(&self, s: usize) -> &[Option<T>] {
+        &self.cells[s * self.n..(s + 1) * self.n]
+    }
+
+    /// Every row, in slot order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Option<T>]> {
+        (0..self.cells.len().checked_div(self.n).unwrap_or(0)).map(|s| self.row(s))
     }
 }
 
@@ -215,6 +252,7 @@ impl<M: WireSize> Transit<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprbg_rng::prelude::*;
 
     #[test]
     fn inbox_ordering_is_deterministic() {
@@ -225,8 +263,6 @@ mod tests {
         ]);
         let vals: Vec<u32> = inbox.iter().map(|r| *r.msg()).collect();
         assert_eq!(vals, vec![10, 19, 20]);
-        assert_eq!(*inbox.first_from(2).unwrap().msg(), 19);
-        assert_eq!(inbox.from(2).count(), 2);
     }
 
     #[test]
@@ -235,7 +271,7 @@ mod tests {
             Received::new(1, true, 0, 1),
             Received::new(1, false, 1, 2),
         ]);
-        assert_eq!(inbox.broadcasts().count(), 1);
+        assert_eq!(inbox.iter().filter(|r| r.broadcast).count(), 1);
         assert_eq!(inbox.len(), 2);
     }
 
@@ -244,6 +280,135 @@ mod tests {
         let inbox = Inbox::<u8>::empty();
         assert!(inbox.is_empty());
         assert_eq!(inbox.iter().count(), 0);
-        assert!(inbox.first_from(1).is_none());
+        assert_eq!(inbox.first_per_sender(2, |r| Some(r.msg())), vec![None, None]);
+        let table = inbox.first_per_slot(2, 0..3, |r| Some([(0, r.msg())]));
+        assert_eq!(table.rows().count(), 3);
+        assert!(table.rows().flatten().all(Option::is_none));
+    }
+
+    /// Sender 2 says 20 then 21 (private, then broadcast), sender 1 says
+    /// 10 on the broadcast channel only, sender 3 (past `n`) is dropped:
+    /// each sender's first accepted delivery is its cell, and a selector
+    /// that skips a delivery leaves the sender's next one to count.
+    #[test]
+    fn first_per_sender_keeps_each_senders_first_accepted_delivery() {
+        let inbox = Inbox::from_messages(vec![
+            Received::new(2, true, 1, 21),
+            Received::new(3, false, 0, 30),
+            Received::new(1, true, 0, 10),
+            Received::new(2, false, 0, 20),
+        ]);
+        assert_eq!(inbox.first_per_sender(2, |r| Some(*r.msg())), [Some(10), Some(20)]);
+        let broadcast = inbox.first_per_sender(2, |r| r.broadcast.then_some(*r.msg()));
+        assert_eq!(broadcast, [Some(10), Some(21)]);
+        let third = inbox.first_per_sender(3, |r| (r.from == 3).then_some(*r.msg()));
+        assert_eq!(third, [None, None, Some(30)]);
+    }
+
+    /// One bundle per delivery: sender 1 names slot 1 twice and slot 5
+    /// (out of range), sender 2 names slot 2 in two envelopes. Each
+    /// sender's first entry per slot fills its cell.
+    #[test]
+    fn first_per_slot_keeps_each_senders_first_entry_per_slot() {
+        let inbox = Inbox::from_messages(vec![
+            Received::new(2, false, 1, vec![(2, 'y')]),
+            Received::new(1, false, 0, vec![(1, 'a'), (5, 'z'), (1, 'b'), (0, 'c')]),
+            Received::new(2, false, 0, vec![(2, 'x')]),
+        ]);
+        let table = inbox.first_per_slot(2, 1..3, |r| Some(r.msg().iter().copied()));
+        let rows: Vec<&[Option<char>]> = table.rows().collect();
+        assert_eq!(rows, [&[Some('a'), None][..], &[None, Some('x')][..]]);
+        assert_eq!(table.row(1), [None, Some('x')]);
+    }
+
+    /// A random round: each delivery is a kind tag (the selector accepts
+    /// kind 0 only) and a bundle of `(slot, value)` entries.
+    type Bundle = (u8, Vec<(usize, Arc<u64>)>);
+
+    fn random_round(rng: &mut StdRng, n: usize, messages: usize) -> Vec<Received<Bundle>> {
+        let shared: Vec<Arc<u64>> = (0..3).map(Arc::new).collect();
+        let mut seqs = vec![0u32; n + 2];
+        (0..messages)
+            .map(|_| {
+                let from = rng.random_range(1..=n + 1);
+                seqs[from] += 1;
+                let entries = (0..rng.random_range(0..=n + 2))
+                    .map(|_| {
+                        let v = &shared[rng.random_range(0..3usize)];
+                        // A forwarded handle or a private copy of its value.
+                        let v = if rng.random_bool(0.5) { Arc::clone(v) } else { Arc::new(**v) };
+                        (rng.random_range(0..=n + 1), v)
+                    })
+                    .collect();
+                let kind = rng.random_range(0..3u8).min(1);
+                Received::new(from, rng.random_bool(0.3), seqs[from], (kind, entries))
+            })
+            .collect()
+    }
+
+    /// Both handles are the same allocation, or both cells are empty.
+    fn same_cell(got: &Option<&Arc<u64>>, want: &Option<&Arc<u64>>) -> bool {
+        match (got, want) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    proptest! {
+        /// The reference selects first and takes firsts second: flatten
+        /// every accepted entry in `(from, seq, position)` order, then per
+        /// sender (and per slot) find the first. Random senders (one past
+        /// `n` too), several envelopes per sender, repeated and
+        /// out-of-range slots (0 … n + 1 against slots 1..=n), both
+        /// channels, shared and private handles: both forms keep exactly
+        /// the reference's handle in every cell.
+        #[test]
+        fn both_forms_match_select_then_first(seed: u64, n in 1usize..7, messages in 0usize..24) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sent = random_round(&mut rng, n, messages);
+            let inbox = Inbox::from_messages(sent.clone());
+            sent.sort_by_key(|r| (r.from, r.seq));
+            for broadcast_only in [false, true] {
+                let accepts =
+                    |r: &Received<Bundle>| r.msg().0 == 0 && (r.broadcast || !broadcast_only);
+
+                // Column: a delivery's voice is its bundle's first entry.
+                let column = inbox.first_per_sender(n, |r| {
+                    if accepts(r) { r.msg().1.first().map(|(_, v)| v) } else { None }
+                });
+                let voices: Vec<(PartyId, &Arc<u64>)> = sent
+                    .iter()
+                    .filter(|r| accepts(r))
+                    .filter_map(|r| Some((r.from, &r.msg().1.first()?.1)))
+                    .collect();
+                prop_assert_eq!(column.len(), n);
+                for (j, cell) in (1..=n).zip(&column) {
+                    let want = voices.iter().find(|(from, _)| *from == j).map(|(_, v)| *v);
+                    prop_assert!(same_cell(cell, &want), "sender {}", j);
+                }
+
+                // Table: every entry of an accepted bundle, slots 1..=n.
+                let table = inbox.first_per_slot(n, 1..n + 1, |r| {
+                    accepts(r).then(|| r.msg().1.iter().map(|(slot, v)| (*slot, v)))
+                });
+                let entries: Vec<(PartyId, usize, &Arc<u64>)> = sent
+                    .iter()
+                    .filter(|r| accepts(r))
+                    .flat_map(|r| r.msg().1.iter().map(move |(slot, v)| (r.from, *slot, v)))
+                    .collect();
+                prop_assert_eq!(table.rows().count(), n);
+                for (slot, row) in (1..=n).zip(table.rows()) {
+                    prop_assert_eq!(row.len(), n);
+                    for (j, cell) in (1..=n).zip(row) {
+                        let want = entries
+                            .iter()
+                            .find(|(from, s, _)| (*from, *s) == (j, slot))
+                            .map(|(_, _, v)| *v);
+                        prop_assert!(same_cell(cell, &want), "slot {} sender {}", slot, j);
+                    }
+                }
+            }
+        }
     }
 }

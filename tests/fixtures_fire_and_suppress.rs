@@ -413,6 +413,34 @@ fn ledger_coverage_is_scoped_to_costed_crates() {
 }
 
 #[test]
+fn receive_rule_bad_fires() {
+    for krate in ["core", "protocols", "beacon"] {
+        let d = lint_as("receive_rule_bad.rs", krate);
+        let what = format!("receive_rule_bad.rs in {krate}");
+        d.assert_fires(&what, &["`dprbg_sim::Inbox::iter`"]);
+        assert_eq!(d.errors().len(), 2, "both scatters flagged:\n{}", d.stderr);
+    }
+}
+
+#[test]
+fn receive_rule_allowed_is_clean() {
+    for krate in ["core", "beacon"] {
+        lint_as("receive_rule_allowed.rs", krate)
+            .assert_clean(&format!("receive_rule_allowed.rs in {krate}"));
+    }
+}
+
+#[test]
+fn receive_rule_is_scoped_to_protocol_crates() {
+    // dprbg-sim implements the rule; the baselines' adapters, the bench
+    // and the facade read whole inboxes.
+    for krate in ["sim", "baselines", "bench", "."] {
+        lint_as("receive_rule_bad.rs", krate)
+            .assert_clean(&format!("receive_rule_bad.rs in {krate}"));
+    }
+}
+
+#[test]
 fn machine_contract_bad_fires() {
     // An anonymous phase does not compile anywhere.
     for krate in ["bench", "core"] {
