@@ -40,10 +40,11 @@ use std::sync::Arc;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
+use dprbg_poly::party_points;
 use dprbg_rng::Rng;
 use dprbg_sim::{Embeds, MachineExt, PartyId, RoundMachine};
 
-use crate::bit_gen::{deal_shares, party_points, Acceptance, BitGenMachine, BitGenMsg, BitGenRun, Start};
+use crate::bit_gen::{deal_shares, Acceptance, BitGenMachine, BitGenMsg, BitGenRun, Start};
 use crate::coin::{ExposeMsg, SealedShare};
 use crate::errors::CoinError;
 use crate::vss::VssVerdict;

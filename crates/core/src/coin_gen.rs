@@ -35,13 +35,12 @@ use std::mem;
 
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
-use dprbg_poly::Poly;
+use dprbg_poly::{party_points, Poly};
 use dprbg_protocols::{
     approx_clique, BaMsg, DiGraph, GcMsg, GradeOutput, GradecastMachine, PhaseKingMachine,
 };
 use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
 
-use crate::bit_gen::party_points;
 use crate::bit_gen::{BitGenMachine, BitGenMode, BitGenMsg, BitGenRun};
 use crate::coin::{CoinWallet, ExposeMachine, ExposeMsg, ExposeVia, SealedShare};
 use crate::errors::CoinGenError;

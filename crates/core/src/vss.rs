@@ -100,10 +100,10 @@ mod tests {
     use super::*;
     use crate::batch_vss::tests::verify_fleet;
     use crate::batch_vss::{cheating_batch_deal, horner_combine};
-    use crate::bit_gen::{judge, party_points, rewriting, Acceptance};
+    use crate::bit_gen::{judge, rewriting, Acceptance};
     use crate::dealer::TrustedDealer;
     use dprbg_field::Gf2k;
-    use dprbg_poly::{share_polynomial as spoly, Poly};
+    use dprbg_poly::{party_points, share_polynomial as spoly, Poly};
     use dprbg_rng::rngs::StdRng;
     use dprbg_rng::SeedableRng;
     use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, RoundView, Step, StepRunner};

@@ -51,4 +51,7 @@ pub use batch::BatchDecoder;
 pub use berlekamp_welch::{bw_decode, BwError};
 pub use lagrange::{interpolate, InterpolateError};
 pub use poly::Poly;
-pub use shamir::{reconstruct_secret, share_points, share_polynomial, Share, ShamirError};
+pub use shamir::{
+    column_points, party_points, reconstruct_secret, share_points, share_polynomial, Share,
+    ShamirError,
+};

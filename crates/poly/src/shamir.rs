@@ -72,10 +72,30 @@ pub fn share_polynomial<F: Field, R: Rng + ?Sized>(secret: F, t: usize, rng: &mu
 ///
 /// Panics if `n` does not embed into the field (need `order > n`).
 pub fn share_points<F: Field>(poly: &Poly<F>, n: usize) -> Vec<Share<F>> {
-    let xs: Vec<F> = (1..=n as u64).map(F::element).collect();
+    let xs: Vec<F> = party_points(n);
     let mut ys = vec![F::zero(); n];
     F::eval_points(poly.coeffs(), &xs, &mut ys);
     xs.into_iter().zip(ys).map(|(x, y)| Share { x, y }).collect()
+}
+
+/// The evaluation points of parties `1..=n`.
+///
+/// # Panics
+///
+/// Panics if `n` does not embed into the field (need `order > n`).
+pub fn party_points<F: Field>(n: usize) -> Vec<F> {
+    (1..=n as u64).map(F::element).collect()
+}
+
+/// The shares a per-party column holds (cell `j − 1` is party `j`'s,
+/// `None` where it voiced none) as `(party point, share)` pairs, in party
+/// order — how a decoder reads a receive-rule column. `points` are the
+/// parties' points ([`party_points`]); cells past them are not read.
+pub fn column_points<'a, F: Field>(
+    points: &'a [F],
+    column: &'a [Option<F>],
+) -> impl Iterator<Item = (F, F)> + 'a {
+    points.iter().zip(column).filter_map(|(&x, y)| Some((x, (*y)?)))
 }
 
 /// Reconstruct the secret from **error-free** shares.
@@ -137,6 +157,15 @@ mod tests {
         let shares = share_points(&f, 10);
         assert_eq!(reconstruct_secret(&shares[..4], t).unwrap(), secret);
         assert_eq!(reconstruct_secret(&shares, t).unwrap(), secret);
+    }
+
+    #[test]
+    fn column_points_are_the_voiced_cells_at_their_party_points() {
+        let (a, b) = (F::from_u64(7), F::from_u64(9));
+        let column = [None, Some(a), None, Some(b)];
+        let got: Vec<(F, F)> = column_points(&party_points(4), &column).collect();
+        assert_eq!(got, vec![(F::element(2), a), (F::element(4), b)]);
+        assert_eq!(column_points::<F>(&party_points(2), &[None, None]).count(), 0);
     }
 
     #[test]
